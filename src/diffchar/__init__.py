@@ -48,7 +48,6 @@ from diffchar.characters import (
     LowDegreeChar,
     FlatClass,
     IntegralClass,
-    new_character,
     evaluate,
     char_class,
     iota,
@@ -80,7 +79,6 @@ from diffchar.fiber_integration import (
 )
 from diffchar.relative import (
     RelChar,
-    new_rel_character,
     evaluate_rel,
     incl_flat,
     project,

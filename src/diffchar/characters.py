@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from diffchar.exact_linalg import solve_integer, solve_rational
+from diffchar.exact_linalg import InvariantViolation, solve_integer, solve_rational
 from diffchar.simplicial import Chain
 from diffchar.cochain import (
     Cochain,
     coboundary,
-    coboundary_matrix,
     has_integral_periods,
     is_closed,
     pair,
@@ -260,11 +259,6 @@ class LowDegreeChar:
         return f"LowDegreeChar(deg {self.degree}, {self.cocycle!r})"
 
 
-def new_character(curvature, lift):
-    """Validated constructor; see DiffChar."""
-    return DiffChar(curvature, lift)
-
-
 def evaluate(h, cycle):
     """Value of the character on a cycle, as a Fraction in [0,1)."""
     if cycle.degree != h.degree - 1:
@@ -310,9 +304,11 @@ def trivialization(h):
     k = h.degree
     if not char_class(h).is_zero():
         raise NoTrivialization("character class is nonzero")
-    delta = coboundary_matrix(h.complex, k - 1)
-    t_vec = solve_integer(delta, [int(x) for x in h.mu.to_vector()])
-    assert t_vec is not None, "zero class must be an integral coboundary"
+    t_vec = solve_integer(
+        h.complex.coboundary_snf(k - 1), [int(x) for x in h.mu.to_vector()]
+    )
+    if t_vec is None:
+        raise InvariantViolation("zero class must be an integral coboundary")
     t = Cochain.from_vector(h.complex, k - 1, t_vec, "Z")
     return h.lift + t
 
@@ -320,29 +316,14 @@ def trivialization(h):
 def from_curvature(omega):
     """A character with the given curvature; right inverse of taking curvature.
 
-    The integral cocycle in the class of the curvature comes from composing
-    with the projection onto cycles, which is integer valued exactly when the
-    periods are integral; the lift solves the remaining rational coboundary
-    equation.
+    The lift is the potential of integral_decomposition(omega): the
+    projection onto cycles gives an integer cocycle in the class of the
+    curvature exactly when the periods are integral, and the lift solves the
+    remaining rational coboundary equation.
     """
     if not is_closed(omega):
         raise NotClosed("curvature must be closed")
-    if not has_integral_periods(omega):
-        raise NotIntegralPeriods("curvature must have integral periods")
-    K = omega.complex
-    k = omega.degree
-    proj = K.splitting(k).projection
-    vec = omega.to_vector()
-    mu_vec = [
-        sum(proj.data[i][j] * vec[i] for i in range(proj.rows))
-        for j in range(proj.cols)
-    ]
-    mu = Cochain.from_vector(K, k, mu_vec, "Q").as_integer()
-    rhs = [a - b for a, b in zip(vec, mu.to_vector())]
-    lift_vec = solve_rational(coboundary_matrix(K, k - 1), rhs)
-    assert lift_vec is not None, "cochain vanishing on cycles is a coboundary"
-    lift = Cochain.from_vector(K, k - 1, lift_vec, "Q")
-    return DiffChar(omega, lift)
+    return DiffChar(omega, integral_decomposition(omega)[1])
 
 
 def pullback(phi, h):
@@ -378,7 +359,8 @@ def evaluate_torsion(h, cycle):
         raise NotTorsion("cycle class has infinite order")
     scaled = [order * x for x in cycle.to_vector()]
     x_vec = solve_integer(K.boundary_snf(k), scaled)
-    assert x_vec is not None, "order * cycle must bound"
+    if x_vec is None:
+        raise InvariantViolation("order * cycle must bound")
     x = K.chain_from_vector(k, x_vec)
     return _mod1(Fraction(pair(h.curvature, x) - pair(h.mu, x), order))
 
@@ -400,8 +382,9 @@ def integral_decomposition(a):
     ]
     m = Cochain.from_vector(K, a.degree, m_vec, "Q").as_integer()
     rhs = [x - y for x, y in zip(vec, m.to_vector())]
-    r_vec = solve_rational(coboundary_matrix(K, a.degree - 1), rhs)
-    assert r_vec is not None
+    r_vec = solve_rational(K.coboundary_snf(a.degree - 1), rhs)
+    if r_vec is None:
+        raise InvariantViolation("cochain vanishing on cycles must be a coboundary")
     r = Cochain.from_vector(K, a.degree - 1, r_vec, "Q")
     return m, r
 

@@ -134,11 +134,6 @@ def coboundary(a):
     return Cochain(a.complex, a.degree + 1, out, a.ring)
 
 
-def coboundary_matrix(complex, degree):
-    """Matrix of d: C^degree -> C^{degree+1}, the transposed boundary."""
-    return complex.boundary_matrix(degree + 1).transpose()
-
-
 def cup(a, b):
     """Front/back cup product; strictly associative with Leibniz rule."""
     if a.complex != b.complex:

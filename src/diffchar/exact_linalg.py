@@ -13,6 +13,14 @@ from fractions import Fraction
 from math import gcd
 
 
+class InvariantViolation(Exception):
+    """A mathematical invariant the code relies on failed to hold.
+
+    Signals an internal fault, never bad input, so it deliberately does not
+    derive from ValueError.
+    """
+
+
 class IntMatrix:
     """Dense matrix of Python ints, stored row-major as tuples."""
 
@@ -139,6 +147,17 @@ class SnfDecomposition:
 
     def diagonal(self):
         return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]
+
+    def transpose(self):
+        """The factorization A^T = V^T * D^T * U^T, with no new reduction."""
+        return SnfDecomposition(
+            self.matrix.transpose(),
+            self.V.transpose(),
+            self.D.transpose(),
+            self.U.transpose(),
+            self.v_inv.transpose(),
+            self.u_inv.transpose(),
+        )
 
 
 def _pivot(S, p, rows, cols):
@@ -285,17 +304,19 @@ def smith_normal_form(A):
     )
 
 
+def _factored(snf_or_matrix):
+    if isinstance(snf_or_matrix, SnfDecomposition):
+        return snf_or_matrix
+    return smith_normal_form(snf_or_matrix)
+
+
 def solve_integer(snf_or_matrix, b):
     """Solve A x = b over the integers; None when no integer solution exists.
 
     Accepts either an IntMatrix or an already computed SnfDecomposition, so
     repeated solves against one matrix share the reduction.
     """
-    snf = (
-        snf_or_matrix
-        if isinstance(snf_or_matrix, SnfDecomposition)
-        else smith_normal_form(snf_or_matrix)
-    )
+    snf = _factored(snf_or_matrix)
     rows, cols = snf.D.rows, snf.D.cols
     if len(b) != rows:
         raise ValueError("right-hand side length does not match matrix rows")
@@ -315,11 +336,7 @@ def solve_integer(snf_or_matrix, b):
 
 def solve_rational(snf_or_matrix, b):
     """Solve A x = b over the rationals; None when the system is inconsistent."""
-    snf = (
-        snf_or_matrix
-        if isinstance(snf_or_matrix, SnfDecomposition)
-        else smith_normal_form(snf_or_matrix)
-    )
+    snf = _factored(snf_or_matrix)
     rows, cols = snf.D.rows, snf.D.cols
     if len(b) != rows:
         raise ValueError("right-hand side length does not match matrix rows")
@@ -342,11 +359,7 @@ def kernel_basis(snf_or_matrix):
     columns they form a basis of Z^cols, which is what makes the splitting
     below work.
     """
-    snf = (
-        snf_or_matrix
-        if isinstance(snf_or_matrix, SnfDecomposition)
-        else smith_normal_form(snf_or_matrix)
-    )
+    snf = _factored(snf_or_matrix)
     return [snf.v_inv.column(j) for j in range(snf.rank, snf.D.cols)]
 
 
@@ -399,13 +412,21 @@ class CycleSplitting:
         return solve_integer(self.snf, b)
 
 
-def _boundary_matrix(complexlike, n):
-    return complexlike.boundary_matrix(n)
+def _boundary_snf(complexlike, n):
+    """SNF of the n-th boundary matrix, from the complex's memo when it keeps one."""
+    cached = getattr(complexlike, "boundary_snf", None)
+    return cached(n) if cached else smith_normal_form(complexlike.boundary_matrix(n))
+
+
+def _coboundary_snf(complexlike, k):
+    """SNF of the coboundary C^k -> C^{k+1}: the transposed boundary SNF."""
+    cached = getattr(complexlike, "coboundary_snf", None)
+    return cached(k) if cached else _boundary_snf(complexlike, k + 1).transpose()
 
 
 def cycle_splitting(complexlike, n):
     """CycleSplitting of C_n for anything exposing boundary_matrix(n)."""
-    return CycleSplitting(n, smith_normal_form(_boundary_matrix(complexlike, n)))
+    return CycleSplitting(n, _boundary_snf(complexlike, n))
 
 
 class QuotientPresentation:
@@ -428,19 +449,24 @@ class QuotientPresentation:
         "_torsion_indices",
     )
 
-    def __init__(self, out_matrix, in_matrix):
-        if out_matrix.cols != in_matrix.rows:
+    def __init__(self, out, in_):
+        """`out` and `in_` are matrices or their SnfDecompositions."""
+        out_snf = _factored(out)
+        in_matrix = in_.matrix if isinstance(in_, SnfDecomposition) else in_
+        n = out_snf.D.cols
+        if n != in_matrix.rows:
             raise ValueError("boundary matrices do not compose")
-        out_snf = smith_normal_form(out_matrix)
         r = out_snf.rank
-        n = out_matrix.cols
         z = n - r
-        # Image generators of in_matrix, written in cycle-basis coordinates.
-        vin = out_snf.V.mul(in_matrix)
-        rel = IntMatrix(
-            z, in_matrix.cols, [vin.data[i] for i in range(r, n)]
-        )
-        rel_snf = smith_normal_form(rel)
+        if r == 0 and out_snf.V == IntMatrix.identity(n):
+            # The cycle basis is the standard basis, so the relations are
+            # in_ itself and a factorization of it is used as is.
+            rel_snf = _factored(in_)
+        else:
+            # Image generators of in_, written in cycle-basis coordinates:
+            # only the kernel rows of V are needed.
+            rel = IntMatrix(z, n, out_snf.V.data[r:]).mul(in_matrix)
+            rel_snf = smith_normal_form(rel)
         s = rel_snf.rank
         self._out_snf = out_snf
         self._ker_dim = z
@@ -568,8 +594,14 @@ def homology(complexlike, n):
     and mapping cones alike.  Generator chains are reconstructed by the
     caller from generator_vectors since only the caller knows the basis.
     """
-    out = _boundary_matrix(complexlike, n)
-    inn = _boundary_matrix(complexlike, n + 1)
+    out = _boundary_snf(complexlike, n)
+    # A zero out-map makes the next boundary the relation matrix itself, so
+    # its (memoized) factorization is handed over instead of a new reduction.
+    inn = (
+        _boundary_snf(complexlike, n + 1)
+        if out.rank == 0
+        else complexlike.boundary_matrix(n + 1)
+    )
     pres = QuotientPresentation(out, inn)
     return HomologyData(complexlike, n, pres, list(pres.generator_vectors))
 
@@ -578,9 +610,14 @@ def cohomology(complexlike, k):
     """Integral cohomology in degree k of the dual complex.
 
     Cochains in degree k are vectors indexed by k-simplices; the coboundary
-    is the transpose of the boundary one degree up.
+    is the transpose of the boundary one degree up, and so is its SNF.
     """
-    out = _boundary_matrix(complexlike, k + 1).transpose()
-    inn = _boundary_matrix(complexlike, k).transpose()
+    out = _coboundary_snf(complexlike, k)
+    # As in homology: with a zero out-map, reuse the incoming factorization.
+    inn = (
+        _coboundary_snf(complexlike, k - 1)
+        if out.rank == 0
+        else complexlike.boundary_matrix(k).transpose()
+    )
     pres = QuotientPresentation(out, inn)
     return HomologyData(complexlike, k, pres, list(pres.generator_vectors))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from diffchar.exact_linalg import solve_integer
+from diffchar.exact_linalg import InvariantViolation, solve_integer
 from diffchar.simplicial import (
     ProductComplex,
     TensorChain,
@@ -99,8 +99,8 @@ class KunnethSplitting:
         terms = []
         for (s, t), c in alexander_whitney(z).coeffs.items():
             p, q = len(s) - 1, len(t) - 1
-            ps = self._left_splitting(p).projection
-            pt = self._right_splitting(q).projection
+            ps = left.splitting(p).projection
+            pt = right.splitting(q).projection
             ys = left.chain_from_vector(p, ps.column(left.index_of(s)))
             yt = right.chain_from_vector(q, pt.column(right.index_of(t)))
             if ys.is_zero() or yt.is_zero():
@@ -108,18 +108,15 @@ class KunnethSplitting:
             terms.append((c, ys, yt))
         return terms
 
-    def _left_splitting(self, p):
-        return self.product.left.splitting(p)
-
-    def _right_splitting(self, q):
-        return self.product.right.splitting(q)
+    def _tensor_of(self, terms):
+        out = TensorChain(self.product.left, self.product.right, {})
+        for c, ys, yt in terms:
+            out = out + tensor(ys.scale(c), yt)
+        return out
 
     def split(self, z):
         """Tensor of cycles: both legs of every front/back term projected."""
-        out = TensorChain(self.product.left, self.product.right, {})
-        for c, ys, yt in self._projected_terms(z):
-            out = out + tensor(ys.scale(c), yt)
-        return out
+        return self._tensor_of(self._projected_terms(z))
 
     def include(self, tensor_chain):
         return eilenberg_zilber(tensor_chain, self.product)
@@ -134,9 +131,7 @@ class KunnethSplitting:
         if not z.is_cycle():
             raise NotACycle("Kunneth decomposition needs a cycle")
         terms = self._projected_terms(z)
-        split = TensorChain(self.product.left, self.product.right, {})
-        for c, ys, yt in terms:
-            split = split + tensor(ys.scale(c), yt)
+        split = self._tensor_of(terms)
         if split.coeffs:
             projected = self.include(split)
         else:
@@ -148,7 +143,8 @@ class KunnethSplitting:
             raise NotTorsion("remainder class should always be torsion")
         scaled = [order * x for x in remainder.to_vector()]
         fill_vec = solve_integer(self.product.boundary_snf(m + 1), scaled)
-        assert fill_vec is not None
+        if fill_vec is None:
+            raise InvariantViolation("a multiple of the torsion remainder must bound")
         filling = self.product.chain_from_vector(m + 1, fill_vec)
         return KunnethDecomposition(z, terms, projected, remainder, order, filling)
 

@@ -15,7 +15,6 @@ from diffchar.simplicial import identity_map, mapping_cone
 from diffchar.cochain import (
     Cochain,
     coboundary,
-    coboundary_matrix,
     pair,
     pullback as pullback_cochain,
     zero_cochain,
@@ -168,11 +167,6 @@ class RelChar:
         return f"RelChar(deg {self.degree} for {self.phi!r})"
 
 
-def new_rel_character(cone, curvature, cov, lift_x, lift_a):
-    """Validated constructor; see RelChar."""
-    return RelChar(cone, curvature, cov, lift_x, lift_a)
-
-
 def evaluate_rel(f, cone_chain):
     """Value on a cone cycle, as a Fraction in [0,1)."""
     if cone_chain.cone != f.cone:
@@ -257,7 +251,7 @@ def find_section(h, cone):
     k = h.degree
     pulled_mu = pullback_cochain(phi, h.mu)
     t_vec = solve_integer(
-        coboundary_matrix(A, k - 1), [int(x) for x in pulled_mu.to_vector()]
+        A.coboundary_snf(k - 1), [int(x) for x in pulled_mu.to_vector()]
     )
     if t_vec is None:
         raise NoSection(

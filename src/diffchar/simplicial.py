@@ -14,6 +14,7 @@ from itertools import combinations
 
 from diffchar.exact_linalg import (
     IntMatrix,
+    InvariantViolation,
     smith_normal_form,
     cycle_splitting,
     homology as _homology_engine,
@@ -39,7 +40,39 @@ def _validate_simplex(simplex, num_vertices):
         raise ValueError(f"simplex {simplex} is not strictly increasing")
 
 
-class Complex:
+class _Factorizations:
+    """One memo per complex-like object, keyed by (kind, degree).
+
+    Subclasses provide boundary_matrix(n) and start with an empty `_memo`.
+    Each boundary matrix is built and reduced to Smith normal form once; the
+    coboundary factorization is the transpose of that reduction, and the
+    cycle splittings and (co)homology presentations are built from these.
+    """
+
+    def _cached(self, kind, n, build):
+        key = (kind, n)
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def boundary_snf(self, n):
+        return self._cached("snf", n, lambda: smith_normal_form(self.boundary_matrix(n)))
+
+    def coboundary_snf(self, k):
+        """SNF of the coboundary C^k -> C^{k+1}, read off boundary_snf(k + 1)."""
+        return self._cached("cosnf", k, lambda: self.boundary_snf(k + 1).transpose())
+
+    def splitting(self, n):
+        return self._cached("splitting", n, lambda: cycle_splitting(self, n))
+
+    def homology(self, n):
+        return self._cached("homology", n, lambda: _homology_engine(self, n))
+
+    def cohomology(self, k):
+        return self._cached("cohomology", k, lambda: _cohomology_engine(self, k))
+
+
+class Complex(_Factorizations):
     """A finite simplicial complex on vertices 0..num_vertices-1."""
 
     def __init__(self, num_vertices, simplices, name=""):
@@ -65,11 +98,7 @@ class Complex:
         self._index = {
             s: i for d, ss in self._by_dim.items() for i, s in enumerate(ss)
         }
-        self._boundary_cache = {}
-        self._snf_cache = {}
-        self._splitting_cache = {}
-        self._homology_cache = {}
-        self._cohomology_cache = {}
+        self._memo = {}
 
     @property
     def dim(self):
@@ -102,38 +131,19 @@ class Complex:
 
     def boundary_matrix(self, n):
         """Matrix of the boundary map C_n -> C_{n-1} in the sorted bases."""
-        if n not in self._boundary_cache:
-            rows = self.simplices(n - 1)
-            cols = self.simplices(n)
-            row_index = {s: i for i, s in enumerate(rows)}
-            data = [[0] * len(cols) for _ in rows]
-            for j, s in enumerate(cols):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    if face:
-                        data[row_index[face]][j] += -1 if i % 2 else 1
-            self._boundary_cache[n] = IntMatrix(len(rows), len(cols), data)
-        return self._boundary_cache[n]
+        return self._cached("boundary", n, lambda: self._build_boundary(n))
 
-    def boundary_snf(self, n):
-        if n not in self._snf_cache:
-            self._snf_cache[n] = smith_normal_form(self.boundary_matrix(n))
-        return self._snf_cache[n]
-
-    def splitting(self, n):
-        if n not in self._splitting_cache:
-            self._splitting_cache[n] = cycle_splitting(self, n)
-        return self._splitting_cache[n]
-
-    def homology(self, n):
-        if n not in self._homology_cache:
-            self._homology_cache[n] = _homology_engine(self, n)
-        return self._homology_cache[n]
-
-    def cohomology(self, k):
-        if k not in self._cohomology_cache:
-            self._cohomology_cache[k] = _cohomology_engine(self, k)
-        return self._cohomology_cache[k]
+    def _build_boundary(self, n):
+        rows = self.simplices(n - 1)
+        cols = self.simplices(n)
+        row_index = {s: i for i, s in enumerate(rows)}
+        data = [[0] * len(cols) for _ in rows]
+        for j, s in enumerate(cols):
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1 :]
+                if face:
+                    data[row_index[face]][j] += -1 if i % 2 else 1
+        return IntMatrix(len(rows), len(cols), data)
 
     def chain(self, degree, coeffs=None):
         return Chain(self, degree, coeffs or {})
@@ -680,7 +690,8 @@ def fundamental_cycle(complex):
                     else:
                         orientation[other] = needed
                         queue.append(other)
-    assert set(orientation) == top_set
+    if set(orientation) != top_set:
+        raise InvariantViolation("orientation search missed a top simplex")
     return Chain(complex, d, orientation)
 
 
@@ -789,7 +800,7 @@ class ConeChain:
         return f"ConeChain(deg {self.degree}, X: {self.x_part!r}, A: {self.a_part!r})"
 
 
-class MappingCone:
+class MappingCone(_Factorizations):
     """Mapping cone of a simplicial map phi: A -> X.
 
     Exposes boundary_matrix(n) in the basis (n-simplices of X, then
@@ -798,10 +809,7 @@ class MappingCone:
 
     def __init__(self, phi):
         self.phi = phi
-        self._boundary_cache = {}
-        self._snf_cache = {}
-        self._splitting_cache = {}
-        self._homology_cache = {}
+        self._memo = {}
 
     def __eq__(self, other):
         return isinstance(other, MappingCone) and self.phi == other.phi
@@ -812,40 +820,24 @@ class MappingCone:
         return x, a
 
     def boundary_matrix(self, n):
-        if n not in self._boundary_cache:
-            X, A = self.phi.target, self.phi.source
-            dx = X.boundary_matrix(n)
-            rows_x, cols_x = dx.rows, dx.cols
-            cols_a = len(A.simplices(n - 1)) if n - 1 >= 0 else 0
-            rows_a = len(A.simplices(n - 2)) if n - 2 >= 0 else 0
-            phi_block = (
-                self.phi.matrix(n - 1) if n - 1 >= 0 else IntMatrix.zero(rows_x, 0)
-            )
-            da = A.boundary_matrix(n - 1) if n - 1 >= 1 else IntMatrix.zero(rows_a, cols_a)
-            data = []
-            for i in range(rows_x):
-                data.append(list(dx.data[i]) + list(phi_block.data[i]))
-            for i in range(rows_a):
-                data.append([0] * cols_x + [-x for x in da.data[i]])
-            self._boundary_cache[n] = IntMatrix(
-                rows_x + rows_a, cols_x + cols_a, data
-            )
-        return self._boundary_cache[n]
+        return self._cached("boundary", n, lambda: self._build_boundary(n))
 
-    def boundary_snf(self, n):
-        if n not in self._snf_cache:
-            self._snf_cache[n] = smith_normal_form(self.boundary_matrix(n))
-        return self._snf_cache[n]
-
-    def splitting(self, n):
-        if n not in self._splitting_cache:
-            self._splitting_cache[n] = cycle_splitting(self, n)
-        return self._splitting_cache[n]
-
-    def homology(self, n):
-        if n not in self._homology_cache:
-            self._homology_cache[n] = _homology_engine(self, n)
-        return self._homology_cache[n]
+    def _build_boundary(self, n):
+        X, A = self.phi.target, self.phi.source
+        dx = X.boundary_matrix(n)
+        rows_x, cols_x = dx.rows, dx.cols
+        cols_a = len(A.simplices(n - 1)) if n - 1 >= 0 else 0
+        rows_a = len(A.simplices(n - 2)) if n - 2 >= 0 else 0
+        phi_block = (
+            self.phi.matrix(n - 1) if n - 1 >= 0 else IntMatrix.zero(rows_x, 0)
+        )
+        da = A.boundary_matrix(n - 1) if n - 1 >= 1 else IntMatrix.zero(rows_a, cols_a)
+        data = []
+        for i in range(rows_x):
+            data.append(list(dx.data[i]) + list(phi_block.data[i]))
+        for i in range(rows_a):
+            data.append([0] * cols_x + [-x for x in da.data[i]])
+        return IntMatrix(rows_x + rows_a, cols_x + cols_a, data)
 
     def chain(self, degree, x_coeffs=None, a_coeffs=None):
         X, A = self.phi.target, self.phi.source

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from diffchar import fixtures
+from diffchar import characters, exact_linalg, fixtures, simplicial
 from diffchar.cochain import Cochain, coboundary, pair, zero_cochain
-from diffchar.simplicial import SimplicialMap, compose_maps, fundamental_cycle
+from diffchar.exact_linalg import InvariantViolation
+from diffchar.simplicial import Complex, SimplicialMap, compose_maps, fundamental_cycle
 from diffchar.characters import (
     DiffChar,
     IntegralClass,
@@ -105,6 +106,39 @@ def test_iota_and_trivialization_round_trip():
             assert iota(trivialization(h)) == h
     with pytest.raises(NoTrivialization):
         trivialization(fixtures.winding_character())
+
+
+def test_one_factorization_per_boundary_matrix(monkeypatch):
+    rp2 = fixtures.projective_plane()
+    # A fresh copy: the fixture complexes share their memo across tests.
+    K = Complex(rp2.num_vertices, rp2.simplices(2))
+    original = exact_linalg.smith_normal_form
+    factored = []
+
+    def counting(a):
+        factored.append(a)
+        return original(a)
+
+    for module in (exact_linalg, simplicial):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    n = 2
+    K.boundary_snf(n)
+    K.splitting(n)
+    K.homology(n)
+    K.cohomology(n - 1)
+    edges = K.simplices(n - 1)
+    eta = Cochain.from_vector(K, n - 1, [Fraction(i % 5, 3) for i in range(len(edges))])
+    assert iota(trivialization(iota(eta))) == iota(eta)
+    d = K.boundary_matrix(n)
+    assert sum(1 for a in factored if a in (d, d.transpose())) == 1
+
+
+def test_failed_invariant_is_an_internal_fault(monkeypatch):
+    assert not issubclass(InvariantViolation, ValueError)
+    eta = random_character(fixtures.sphere(), 2, random.Random(3)).lift
+    monkeypatch.setattr(characters, "solve_integer", lambda snf, b: None)
+    with pytest.raises(InvariantViolation):
+        trivialization(iota(eta))
 
 
 def test_from_curvature():

@@ -61,8 +61,8 @@ def test_snf_empty_shapes():
         assert snf.rank == 0
 
 
-def _check_decomposition(a):
-    snf = smith_normal_form(a)
+def _check_decomposition(a, snf=None):
+    snf = smith_normal_form(a) if snf is None else snf
     assert snf.U.mul(snf.D).mul(snf.V) == a
     assert abs(snf.U.det()) == 1
     assert abs(snf.V.det()) == 1
@@ -87,6 +87,10 @@ def test_snf_properties_random(rows):
     snf = _check_decomposition(a)
     assert [d for d in snf.diagonal() if d != 0] == invariant_factors(rows)
     assert snf.rank == rational_rank(rows)
+    # The transposed factorization is a valid SNF of the transpose.
+    transposed = _check_decomposition(a.transpose(), snf.transpose())
+    assert transposed.diagonal() == snf.diagonal()
+    assert transposed.rank == snf.rank
 
 
 @settings(max_examples=40, deadline=None)
