@@ -70,7 +70,7 @@ class IntegralClass:
             raise NotCocycle("class representative must be an integer cochain")
         rep_vec = [int(x) for x in representative.to_vector()]
         coh = complex.cohomology(degree)
-        coords = coh.presentation.kernel_coordinates(rep_vec)
+        coords = coh.kernel_coordinates(rep_vec)
         if coords is None:
             raise NotCocycle("class representative must be a cocycle")
         free, tors = coh.coordinates(rep_vec)
@@ -374,12 +374,11 @@ def integral_decomposition(a):
     if not has_integral_periods(a):
         raise NotIntegralPeriods("cochain pairs non-integrally with a cycle")
     K = a.complex
-    proj = K.splitting(a.degree).projection
+    split = K.splitting(a.degree)
     vec = a.to_vector()
-    m_vec = [
-        sum(proj.data[i][j] * vec[i] for i in range(proj.rows))
-        for j in range(proj.cols)
-    ]
+    # The cochain with a's periods that vanishes on the complement of the
+    # cycles: integer valued, since the periods are.
+    m_vec = split.dual(split.periods(vec))
     m = Cochain.from_vector(K, a.degree, m_vec, "Q").as_integer()
     rhs = [x - y for x, y in zip(vec, m.to_vector())]
     r_vec = solve_rational(K.coboundary_snf(a.degree - 1), rhs)
@@ -392,25 +391,16 @@ def integral_decomposition(a):
 def fractional_torsion_class(K, degree, index=0, numerator=1):
     """A flat class pairing to numerator/d with the index-th torsion generator.
 
-    Built from the adapted coordinate functional composed with the projection
-    onto cycles; its coboundary is integral because boundaries have adapted
-    coordinates divisible by the torsion order.
+    Built from the adapted coordinate functional of that generator; its
+    coboundary is integral because boundaries have adapted coordinates
+    divisible by the torsion order.
     """
     hom = K.homology(degree)
     if index >= len(hom.torsion):
         raise IndexError("no such torsion factor")
     d = hom.torsion[index]
-    pres = hom.presentation
-    pos = pres.torsion_positions()[index]
-    proj = K.splitting(degree).projection
-    basis = K.simplices(degree)
-    values = {}
-    for jcol, s in enumerate(basis):
-        col = [proj.data[i][jcol] for i in range(proj.rows)]
-        w = pres.adapted_coordinates(col)
-        if w[pos]:
-            values[s] = Fraction(numerator * w[pos], d)
-    return FlatClass(Cochain(K, degree, values, "Q"))
+    values = [Fraction(numerator * x, d) for x in hom.torsion_functional(index)]
+    return FlatClass(Cochain.from_vector(K, degree, values, "Q"))
 
 
 def class_representative_characters(K, k):

@@ -3,7 +3,7 @@
 Batch interface over the library: resolve inputs (bundled fixture names or
 JSON files), run one computation, print a deterministic JSON report to
 stdout, optionally write it to --out.  Exit status: 0 success / all checks
-pass, 1 a check or verification failed, 2 bad input.
+pass, 1 a check or verification failed, 2 bad input, 3 an internal fault.
 """
 
 from __future__ import annotations
@@ -344,6 +344,16 @@ def main(argv=None):
     except (fixtures.UnknownFixture, ValueError) as exc:
         _emit({"command": args.cmd, "error": str(exc)}, args.out)
         return 2
+    except Exception as exc:
+        # Not bad input but a fault of the program, such as an
+        # InvariantViolation: reported, with its traceback on stderr.  The
+        # import stays here so that cold starts do not pay for it.
+        import traceback
+
+        traceback.print_exc()
+        error = f"{type(exc).__name__}: {exc}"
+        _emit({"command": args.cmd, "error": error, "internal": True}, args.out)
+        return 3
     _emit(report, args.out)
     return status
 

@@ -247,13 +247,8 @@ def slant_fiber(b, fiber_chain):
 
 def has_integral_periods(a):
     """Integer pairing with every cycle in the cochain's degree."""
-    split = a.complex.splitting(a.degree)
-    vec = a.to_vector()
-    for basis_vec in split.cycle_basis:
-        total = sum(x * v for x, v in zip(vec, basis_vec) if v != 0)
-        if Fraction(total).denominator != 1:
-            return False
-    return True
+    periods = a.complex.splitting(a.degree).periods(a.to_vector())
+    return all(Fraction(p).denominator == 1 for p in periods)
 
 
 def is_closed(a):

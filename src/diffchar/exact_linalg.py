@@ -59,9 +59,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("matrix dimensions do not compose")
@@ -367,49 +364,56 @@ class CycleSplitting:
     """Splitting of the degree-n chain group into cycles plus a complement.
 
     The short exact sequence 0 -> (cycles) -> (chains) -> (boundaries below)
-    -> 0 splits because the boundary lattice is free.  `cycle_basis` spans
-    the kernel of the boundary map, `complement_basis` completes it to a
-    basis of the chain lattice, `projection` is the integer matrix of the
-    projection onto cycles that restricts to the identity on cycles, and
-    `section(b)` lifts a boundary b through the boundary map.
+    -> 0 splits because the boundary lattice is free.  With the boundary
+    matrix factored as U * D * V of rank r, the rows r: of V give the
+    coordinates of a chain's cycle part and the columns r: of V^{-1} are a
+    basis of the cycles.  Only these kernel rows and columns are kept, sparse,
+    as lists of (index, value) pairs; the projection onto cycles is
+    `combine(coordinates(v))`, and it fixes exactly the cycles.
     """
 
-    __slots__ = ("degree", "snf", "cycle_basis", "complement_basis", "projection")
+    __slots__ = ("snf", "_rows", "_cols")
 
-    def __init__(self, degree, snf):
-        self.degree = degree
+    def __init__(self, snf_or_matrix):
+        snf = _factored(snf_or_matrix)
+        kernel = range(snf.rank, snf.D.cols)
         self.snf = snf
-        cols = snf.D.cols
-        r = snf.rank
-        self.cycle_basis = [snf.v_inv.column(j) for j in range(r, cols)]
-        self.complement_basis = [snf.v_inv.column(j) for j in range(r)]
-        proj = []
-        for i in range(cols):
-            row = []
-            for j in range(cols):
-                row.append(
-                    sum(
-                        snf.v_inv.data[i][k] * snf.V.data[k][j]
-                        for k in range(r, cols)
-                    )
-                )
-            proj.append(row)
-        self.projection = IntMatrix(cols, cols, proj)
+        self._rows = [[(j, x) for j, x in enumerate(snf.V.data[t]) if x] for t in kernel]
+        self._cols = [
+            [(i, row[t]) for i, row in enumerate(snf.v_inv.data) if row[t]]
+            for t in kernel
+        ]
 
-    def cycle_coordinates(self, vec):
-        """Coordinates of a cycle in the cycle basis; None if not a cycle."""
-        y = self.snf.V.apply(vec)
-        if any(y[i] != 0 for i in range(self.snf.rank)):
-            return None
-        return y[self.snf.rank :]
+    @property
+    def cycle_basis(self):
+        """The basis cycles as dense vectors."""
+        return kernel_basis(self.snf)
 
-    def section(self, b):
-        """Some x with (boundary matrix) x = b; None when b is not a boundary.
+    def coordinates(self, v):
+        """V[r:] v: coordinates of the cycle part of a chain in the cycle basis."""
+        return [sum(x * v[j] for j, x in row) for row in self._rows]
 
-        The solution is supported in the complement, so it is a homomorphic
-        section of the boundary map onto its image.
-        """
-        return solve_integer(self.snf, b)
+    def combine(self, c):
+        """V^{-1}[:, r:] c: the cycle with coordinates c."""
+        return _accumulate(self.snf.D.cols, c, self._cols)
+
+    def periods(self, a):
+        """V^{-1}[:, r:]^T a: the values of a cochain on the basis cycles."""
+        return [sum(x * a[i] for i, x in col) for col in self._cols]
+
+    def dual(self, w):
+        """V[r:]^T w: the cochain with periods w that vanishes on the complement."""
+        return _accumulate(self.snf.D.cols, w, self._rows)
+
+
+def _accumulate(length, coeffs, vectors):
+    """sum(c * v) over sparse vectors v, as a dense list of the given length."""
+    out = [0] * length
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for i, x in vec:
+                out[i] += c * x
+    return out
 
 
 def _boundary_snf(complexlike, n):
@@ -426,96 +430,70 @@ def _coboundary_snf(complexlike, k):
 
 def cycle_splitting(complexlike, n):
     """CycleSplitting of C_n for anything exposing boundary_matrix(n)."""
-    return CycleSplitting(n, _boundary_snf(complexlike, n))
+    return CycleSplitting(_boundary_snf(complexlike, n))
+
+
+def _splitting(complexlike, n):
+    """CycleSplitting of C_n, from the complex's memo when it keeps one."""
+    cached = getattr(complexlike, "splitting", None)
+    return cached(n) if cached else cycle_splitting(complexlike, n)
 
 
 class QuotientPresentation:
     """The finitely generated abelian group ker(out) / im(in).
 
     Presented with an adapted generating set: torsion generators first (with
-    their orders, each > 1), then free generators.  `coordinates` maps any
-    kernel vector to (free coordinates, torsion residues); a class is zero
-    iff both parts vanish.
+    their orders, each > 1), then free generators.  `kernel` is the
+    CycleSplitting of `out`; `coordinates` maps any kernel vector to (free
+    coordinates, torsion residues), and a class is zero iff both parts
+    vanish.
     """
 
     __slots__ = (
         "betti",
         "torsion",
-        "generator_vectors",
-        "_out_snf",
-        "_ker_dim",
+        "generators",
+        "kernel",
         "_rel_snf",
         "_rel_rank",
         "_torsion_indices",
     )
 
     def __init__(self, out, in_):
-        """`out` and `in_` are matrices or their SnfDecompositions."""
-        out_snf = _factored(out)
+        """`out` is a CycleSplitting, a matrix or its SnfDecomposition; `in_`
+        is a matrix or its SnfDecomposition."""
+        kernel = out if isinstance(out, CycleSplitting) else CycleSplitting(out)
         in_matrix = in_.matrix if isinstance(in_, SnfDecomposition) else in_
-        n = out_snf.D.cols
+        n = kernel.snf.D.cols
         if n != in_matrix.rows:
             raise ValueError("boundary matrices do not compose")
-        r = out_snf.rank
-        z = n - r
-        if r == 0 and out_snf.V == IntMatrix.identity(n):
+        z = n - kernel.snf.rank
+        if kernel.snf.rank == 0 and kernel.snf.V == IntMatrix.identity(n):
             # The cycle basis is the standard basis, so the relations are
             # in_ itself and a factorization of it is used as is.
             rel_snf = _factored(in_)
         else:
-            # Image generators of in_, written in cycle-basis coordinates:
-            # only the kernel rows of V are needed.
-            rel = IntMatrix(z, n, out_snf.V.data[r:]).mul(in_matrix)
-            rel_snf = smith_normal_form(rel)
+            # Image generators of in_, written in cycle-basis coordinates.
+            images = [kernel.coordinates(col) for col in in_matrix.transpose().data]
+            rel_snf = smith_normal_form(IntMatrix(in_matrix.cols, z, images).transpose())
         s = rel_snf.rank
-        self._out_snf = out_snf
-        self._ker_dim = z
+        self.kernel = kernel
         self._rel_snf = rel_snf
         self._rel_rank = s
-        torsion = []
-        torsion_idx = []
-        for i in range(s):
-            d = rel_snf.D.data[i][i]
-            if d > 1:
-                torsion.append(d)
-                torsion_idx.append(i)
-        self.torsion = torsion
-        self._torsion_indices = torsion_idx
+        self._torsion_indices = [i for i in range(s) if rel_snf.D.data[i][i] > 1]
+        self.torsion = [rel_snf.D.data[i][i] for i in self._torsion_indices]
         self.betti = z - s
-        # Generators in ambient coordinates: kernel basis times U' columns.
-        gens = []
-        for idx in torsion_idx + list(range(s, z)):
-            col = rel_snf.U.column(idx)
-            vec = [0] * n
-            for t in range(z):
-                coeff = col[t]
-                if coeff == 0:
-                    continue
-                kb = out_snf.v_inv.column(r + t)
-                for a in range(n):
-                    vec[a] += coeff * kb[a]
-            gens.append(vec)
-        self.generator_vectors = gens
+        self.generators = [
+            kernel.combine(rel_snf.U.column(i))
+            for i in self._torsion_indices + list(range(s, z))
+        ]
 
     def kernel_coordinates(self, vec):
-        y = self._out_snf.V.apply(vec)
-        r = self._out_snf.rank
-        if any(y[i] != 0 for i in range(r)):
-            return None
-        return y[r:]
-
-    def coordinates(self, vec):
-        """(free coordinates, torsion residues) of the class of a kernel vector."""
-        y = self.kernel_coordinates(vec)
-        if y is None:
-            raise ValueError("vector is not in the kernel")
-        w = self._rel_snf.u_inv.apply(y)
-        s = self._rel_rank
-        free = tuple(w[i] for i in range(s, self._ker_dim))
-        tors = tuple(
-            w[i] % self._rel_snf.D.data[i][i] for i in self._torsion_indices
-        )
-        return free, tors
+        """Coordinates of vec in the cycle basis; None when it is not in the kernel."""
+        if len(vec) != self.kernel.snf.D.cols:
+            raise ValueError("vector length does not match the chain group")
+        y = self.kernel.coordinates(vec)
+        return y if self.kernel.combine(y) == list(vec) else None
 
     def adapted_coordinates(self, vec):
         """Integer coordinates of a kernel vector in the adapted basis.
@@ -529,13 +507,25 @@ class QuotientPresentation:
             raise ValueError("vector is not in the kernel")
         return self._rel_snf.u_inv.apply(y)
 
+    def coordinates(self, vec):
+        """(free coordinates, torsion residues) of the class of a kernel vector."""
+        w = self.adapted_coordinates(vec)
+        free = tuple(w[i] for i in self.free_positions())
+        tors = tuple(w[i] % d for i, d in zip(self._torsion_indices, self.torsion))
+        return free, tors
+
     def torsion_positions(self):
         """Positions of the torsion coordinates within adapted_coordinates."""
         return list(self._torsion_indices)
 
     def free_positions(self):
         """Positions of the free coordinates within adapted_coordinates."""
-        return list(range(self._rel_rank, self._ker_dim))
+        return list(range(self._rel_rank, self._rel_rank + self.betti))
+
+    def torsion_functional(self, index):
+        """The cochain whose value on a cycle is its adapted coordinate at the
+        index-th torsion position; it vanishes on the complement of the cycles."""
+        return self.kernel.dual(self._rel_snf.u_inv.data[self._torsion_indices[index]])
 
     def is_zero(self, vec):
         free, tors = self.coordinates(vec)
@@ -553,57 +543,23 @@ class QuotientPresentation:
                 n = n * q // gcd(n, q)
         return n
 
-    def same_class(self, vec_a, vec_b):
-        diff = [a - b for a, b in zip(vec_a, vec_b)]
-        return self.is_zero(diff)
-
-
-class HomologyData:
-    """Homology of a complex in one degree, with chain-level generators."""
-
-    __slots__ = ("complexlike", "degree", "presentation", "generators")
-
-    def __init__(self, complexlike, degree, presentation, generators):
-        self.complexlike = complexlike
-        self.degree = degree
-        self.presentation = presentation
-        self.generators = generators
-
-    @property
-    def betti(self):
-        return self.presentation.betti
-
-    @property
-    def torsion(self):
-        return self.presentation.torsion
-
-    def coordinates(self, vec):
-        return self.presentation.coordinates(vec)
-
-    def is_zero(self, vec):
-        return self.presentation.is_zero(vec)
-
-    def class_order(self, vec):
-        return self.presentation.class_order(vec)
-
 
 def homology(complexlike, n):
-    """H_n as a QuotientPresentation wrapped with generator vectors.
+    """H_n as a QuotientPresentation of ker d_n / im d_{n+1}.
 
     Works for any object exposing boundary_matrix(n): simplicial complexes
     and mapping cones alike.  Generator chains are reconstructed by the
-    caller from generator_vectors since only the caller knows the basis.
+    caller from `generators` since only the caller knows the basis.
     """
-    out = _boundary_snf(complexlike, n)
+    kernel = _splitting(complexlike, n)
     # A zero out-map makes the next boundary the relation matrix itself, so
     # its (memoized) factorization is handed over instead of a new reduction.
     inn = (
         _boundary_snf(complexlike, n + 1)
-        if out.rank == 0
+        if kernel.snf.rank == 0
         else complexlike.boundary_matrix(n + 1)
     )
-    pres = QuotientPresentation(out, inn)
-    return HomologyData(complexlike, n, pres, list(pres.generator_vectors))
+    return QuotientPresentation(kernel, inn)
 
 
 def cohomology(complexlike, k):
@@ -619,5 +575,4 @@ def cohomology(complexlike, k):
         if out.rank == 0
         else complexlike.boundary_matrix(k).transpose()
     )
-    pres = QuotientPresentation(out, inn)
-    return HomologyData(complexlike, k, pres, list(pres.generator_vectors))
+    return QuotientPresentation(out, inn)

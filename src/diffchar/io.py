@@ -79,11 +79,23 @@ def complex_to_json(complex):
     }
 
 
+# Bound on the faces that closing the listed simplices may produce, counted as
+# the sum of 2^|s| - 1 before the closure runs.  It sits well above every
+# product of bundled complexes (T2_9 x RP2_6 counts 92,016 with all its
+# simplices listed) and below the 262,143 faces of one 18-vertex simplex,
+# whose closure alone takes over a second and doubles with each extra vertex.
+MAX_FACES = 2**17
+
+
 def complex_from_json(obj):
     vertices = _require(obj, "vertices", "complex")
     simplices = _require(obj, "simplices", "complex")
     name = obj.get("name", "")
     try:
+        faces = sum((1 << len(s)) - 1 for s in simplices)
+        if faces > MAX_FACES:
+            raise FormatError(f"closing the simplices gives up to {faces} faces, "
+                              f"more than {MAX_FACES}")
         return Complex(vertices, [tuple(s) for s in simplices], name)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad complex: {exc}") from None

@@ -79,6 +79,15 @@ def external_product(h, f, product=None):
     return internal_product(pullback(p, h), pullback(q, f))
 
 
+def _projected_simplex(K, s):
+    """The projection onto cycles of the elementary chain on simplex s."""
+    n = len(s) - 1
+    split = K.splitting(n)
+    e = [0] * len(K.simplices(n))
+    e[K.index_of(s)] = 1
+    return K.chain_from_vector(n, split.combine(split.coordinates(e)))
+
+
 class KunnethSplitting:
     """Chain-level splitting of cycles on a staircase product.
 
@@ -98,11 +107,7 @@ class KunnethSplitting:
         left, right = self.product.left, self.product.right
         terms = []
         for (s, t), c in alexander_whitney(z).coeffs.items():
-            p, q = len(s) - 1, len(t) - 1
-            ps = left.splitting(p).projection
-            pt = right.splitting(q).projection
-            ys = left.chain_from_vector(p, ps.column(left.index_of(s)))
-            yt = right.chain_from_vector(q, pt.column(right.index_of(t)))
+            ys, yt = _projected_simplex(left, s), _projected_simplex(right, t)
             if ys.is_zero() or yt.is_zero():
                 continue
             terms.append((c, ys, yt))

@@ -143,25 +143,22 @@ class RelChar:
             return False
         if self.curvature != other.curvature or self.cov != other.cov:
             return False
-        split = self.cone.splitting(self.degree - 1)
-        dax = self.lift_x - other.lift_x
-        daa = self.lift_a - other.lift_a
-        for vec in split.cycle_basis:
-            z = self.cone.chain_from_vector(self.degree - 1, vec)
-            val = pair(dax, z.x_part) + pair(daa, z.a_part)
-            if Fraction(val).denominator != 1:
-                return False
-        return True
+        return self._integral_on_cycles(
+            self.lift_x - other.lift_x, self.lift_a - other.lift_a
+        )
 
     def is_zero(self):
-        if not (self.curvature.is_zero() and self.cov.is_zero()):
-            return False
+        return (
+            self.curvature.is_zero()
+            and self.cov.is_zero()
+            and self._integral_on_cycles(self.lift_x, self.lift_a)
+        )
+
+    def _integral_on_cycles(self, lift_x, lift_a):
+        """Whether the lift pair pairs integrally with every cone cycle."""
         split = self.cone.splitting(self.degree - 1)
-        for vec in split.cycle_basis:
-            z = self.cone.chain_from_vector(self.degree - 1, vec)
-            if Fraction(self._lift_pair_on(z)).denominator != 1:
-                return False
-        return True
+        periods = split.periods(lift_x.to_vector() + lift_a.to_vector())
+        return all(Fraction(p).denominator == 1 for p in periods)
 
     def __repr__(self):
         return f"RelChar(deg {self.degree} for {self.phi!r})"
@@ -332,7 +329,7 @@ def _pushforward_kernel_lattice(phi, degree, gens):
     coordinates modulo their orders.  Auxiliary columns absorb the moduli.
     """
     X = phi.target
-    pres_x = X.homology(degree).presentation
+    pres_x = X.homology(degree)
     tors_pos = pres_x.torsion_positions()
     tors = pres_x.torsion
     columns = [
@@ -357,13 +354,12 @@ def pushforward_injective(phi, degree):
     gens = [A.chain_from_vector(degree, vec) for vec in hom_a.generators]
     if not gens:
         return True
-    pres_a = hom_a.presentation
     for vec in _pushforward_kernel_lattice(phi, degree, gens):
         combo = [0] * len(A.simplices(degree))
         for c, g in zip(vec, gens):
             if c:
                 for i, x in enumerate(g.to_vector()):
                     combo[i] += c * x
-        if not pres_a.is_zero(combo):
+        if not hom_a.is_zero(combo):
             return False
     return True

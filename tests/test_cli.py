@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,28 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
                               "--complex", "S1_3", "--chain", "v1_minus_v0"])
     assert code == 2
     assert "no such file" in rep["error"]
+
+
+def test_oversized_complex_is_an_input_error(capsys, tmp_path):
+    # One 18-vertex simplex closes to 262,143 faces; it is refused unbuilt.
+    f = tmp_path / "simplex18.json"
+    f.write_text(json.dumps({"vertices": 18, "simplices": [list(range(18))]}))
+    start = time.perf_counter()
+    code, rep = _run(capsys, ["homology", "--complex", str(f), "--degree", "1"])
+    assert code == 2
+    assert "faces" in rep["error"]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_internal_fault_exits_3_with_a_report(capsys, monkeypatch):
+    from diffchar import products
+
+    monkeypatch.setattr(products, "solve_integer", lambda snf, b: None)
+    code, rep = _run(capsys, ["verify", "--suite", "bb-oracle"])
+    assert code == 3
+    assert rep["command"] == "verify"
+    assert rep["internal"] is True
+    assert "InvariantViolation" in rep["error"]
 
 
 def test_reports_are_byte_identical(capsys, tmp_path):

@@ -7,10 +7,14 @@ in oracle.py before the production code existed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffchar import fixtures
+from diffchar.characters import integral_decomposition
+from diffchar.cochain import Cochain, coboundary
 from diffchar.exact_linalg import (
     IntMatrix,
     smith_normal_form,
@@ -20,7 +24,8 @@ from diffchar.exact_linalg import (
     cycle_splitting,
     QuotientPresentation,
 )
-from oracle import rational_rank, invariant_factors
+from diffchar.simplicial import Complex, staircase_product
+from oracle import homology_rank_and_torsion, rational_rank, invariant_factors
 
 
 def mat(rows):
@@ -159,28 +164,36 @@ class _StubComplex:
         return self._m[n]
 
 
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_matrices, st.data())
 def test_cycle_splitting_properties(rows, data):
     a = mat(rows) if rows else IntMatrix.zero(0, 0)
     split = cycle_splitting(_StubComplex({1: a}), 1)
-    p = split.projection
+    z = a.cols - rational_rank(rows)
+    chains = st.lists(st.integers(-4, 4), min_size=a.cols, max_size=a.cols)
+    v, w = data.draw(chains), data.draw(chains)
+    c = data.draw(st.lists(st.integers(-4, 4), min_size=z, max_size=z))
+
+    def project(u):
+        return split.combine(split.coordinates(u))
+
     # Projection onto cycles restricting to the identity on cycles.
-    assert p.mul(p) == p
+    assert project(project(v)) == project(v)
+    assert all(x == 0 for x in a.apply(project(v)))
+    assert len(split.cycle_basis) == z
     for vec in split.cycle_basis:
         assert all(x == 0 for x in a.apply(vec))
-        assert p.apply(vec) == vec
-    # The two bases together span the chain lattice.
-    cols = [list(c) for c in split.complement_basis + split.cycle_basis]
-    if cols:
-        full = IntMatrix(a.cols, a.cols, [list(r) for r in zip(*cols)])
-        assert abs(full.det()) == 1
-    # Section of the boundary map on actual boundaries.
-    x = data.draw(st.lists(st.integers(-4, 4), min_size=a.cols, max_size=a.cols))
-    b = a.apply(x)
-    lifted = split.section(b)
-    assert lifted is not None
-    assert a.apply(lifted) == b
+        assert project(vec) == vec
+    # coordinates and periods undo combine and dual, and periods and dual
+    # are the transposes of combine and coordinates.
+    assert split.coordinates(split.combine(c)) == c
+    assert split.periods(split.dual(c)) == c
+    assert _dot(split.periods(w), c) == _dot(w, split.combine(c))
+    assert _dot(split.dual(c), v) == _dot(c, split.coordinates(v))
 
 
 @settings(max_examples=30, deadline=None)
@@ -195,8 +208,8 @@ def test_quotient_presentation_of_full_lattice_quotient(rows):
     assert pres.torsion == torsion
     # Generators represent classes of the right order.
     for idx, d in enumerate(pres.torsion):
-        assert pres.class_order(pres.generator_vectors[idx]) == d
-    for vec in pres.generator_vectors[len(pres.torsion):]:
+        assert pres.class_order(pres.generators[idx]) == d
+    for vec in pres.generators[len(pres.torsion):]:
         assert pres.class_order(vec) == 0
     # Image vectors are zero classes.
     for j in range(a.cols):
@@ -212,6 +225,74 @@ def test_quotient_presentation_coordinates_additive():
     free2, tors2 = pres.coordinates([2 * x for x in v])
     assert all(x == 0 for x in free1) and all(x == 0 for x in free2)
     assert (2 * tors1[0]) % 6 == tors2[0]
+
+
+@st.composite
+def flag_complexes(draw, max_vertices=7):
+    """Clique complex of a random graph on at most max_vertices vertices."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, k in zip(pairs, keep) if k}
+    cliques = [
+        s
+        for size in range(1, n + 1)
+        for s in combinations(range(n), size)
+        if all(e in edges for e in combinations(s, 2))
+    ]
+    return Complex(n, cliques)
+
+
+def _ints(data, length, span=3):
+    return data.draw(st.lists(st.integers(-span, span), min_size=length, max_size=length))
+
+
+@settings(max_examples=80, deadline=None)
+@given(flag_complexes(), st.data())
+def test_random_flag_complexes_agree_with_the_oracle(K, data):
+    for n in range(K.dim + 1):
+        d_out, d_in = K.boundary_matrix(n), K.boundary_matrix(n + 1)
+        delta_out, delta_in = d_in.transpose(), d_out.transpose()
+        size = len(K.simplices(n))
+        hom, coh = K.homology(n), K.cohomology(n)
+        assert (hom.betti, hom.torsion) == homology_rank_and_torsion(
+            d_out.data, d_in.data, size
+        )
+        assert (coh.betti, coh.torsion) == homology_rank_and_torsion(
+            delta_out.data, delta_in.data, size
+        )
+        for g in hom.generators:
+            assert not any(d_out.apply(g))
+        v = _ints(data, size, 1)
+        assert (hom.kernel_coordinates(v) is None) == any(d_out.apply(v))
+        for g in coh.generators:
+            assert not any(delta_out.apply(g))
+        split = K.splitting(n)
+        c = _ints(data, len(split.cycle_basis))
+        assert split.coordinates(split.combine(c)) == c
+        assert split.periods(split.dual(c)) == c
+        for vec in split.cycle_basis:
+            assert split.combine(split.coordinates(vec)) == vec
+        if n >= 1:
+            m = Cochain.from_vector(K, n, _ints(data, size), "Z")
+            r_vals = [Fraction(x, 3) for x in _ints(data, len(K.simplices(n - 1)), 6)]
+            a = m + coboundary(Cochain.from_vector(K, n - 1, r_vals, "Q"))
+            m2, r2 = integral_decomposition(a)
+            assert m2.is_integer_valued()
+            assert m2 + coboundary(r2) == a
+
+
+def test_presentations_are_built_without_matrix_products(monkeypatch):
+    """Relations come from the memoized splitting's coordinates, not from V * B."""
+
+    def refuse(self, other):
+        raise AssertionError("IntMatrix.mul called")
+
+    monkeypatch.setattr(IntMatrix, "mul", refuse)
+    P = staircase_product(fixtures.circle(), fixtures.projective_plane())
+    for n in range(P.dim + 1):
+        P.cohomology(n)
+        assert P.homology(n).kernel is P.splitting(n)
 
 
 def test_det_bareiss_matches_cofactor():
