@@ -51,8 +51,12 @@ def _load_json(path):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
 
 
 def _looks_like_path(token):

@@ -42,7 +42,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(n, n, _identity_rows(n))
 
     @classmethod
     def zero(cls, rows, cols):
@@ -119,6 +119,10 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 class SnfDecomposition:
     """Factorization A = U * D * V with U, V unimodular and D diagonal.
 
@@ -136,11 +140,7 @@ class SnfDecomposition:
         self.V = V
         self.u_inv = u_inv
         self.v_inv = v_inv
-        r = 0
-        for i in range(min(D.rows, D.cols)):
-            if D.data[i][i] != 0:
-                r += 1
-        self.rank = r
+        self.rank = sum(1 for d in self.diagonal() if d)
 
     def diagonal(self):
         return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]
@@ -179,65 +179,37 @@ def _pivot(S, p, rows, cols):
     return best
 
 
+def _add_row(M, i, j, t):
+    """M.row[i] += t * M.row[j], on a matrix held as a list of row lists."""
+    M[i] = [a + t * b for a, b in zip(M[i], M[j])]
+
+
 def smith_normal_form(A):
     """Smith normal form with unimodular transforms and their inverses.
 
     Pivoting picks the minimal-absolute-value entry of the working submatrix.
-    The invariant A = U * S * V holds after every elementary step.
+    The invariant A = U * S * V holds after every elementary step.  U and
+    V^{-1} are held transposed during the reduction, so that every update of
+    a transform, after a row step or a column step alike, is a row operation.
     """
     rows, cols = A.rows, A.cols
     S = [list(row) for row in A.data]
-    U = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    Ui = [row[:] for row in U]
-    V = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    Vi = [row[:] for row in V]
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        for r in range(rows):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
-        Ui[i], Ui[j] = Ui[j], Ui[i]
+    Ut, Ui = _identity_rows(rows), _identity_rows(rows)
+    V, Vit = _identity_rows(cols), _identity_rows(cols)
 
     def row_add(i, j, t):
-        # S.row[i] += t * S.row[j]
-        Si, Sj = S[i], S[j]
-        for c in range(cols):
-            Si[c] += t * Sj[c]
-        for r in range(rows):
-            U[r][j] -= t * U[r][i]
-        Uii, Uij = Ui[i], Ui[j]
-        for c in range(rows):
-            Uii[c] += t * Uij[c]
-
-    def row_negate(i):
-        S[i] = [-x for x in S[i]]
-        for r in range(rows):
-            U[r][i] = -U[r][i]
-        Ui[i] = [-x for x in Ui[i]]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        V[i], V[j] = V[j], V[i]
-        for r in range(cols):
-            Vi[r][i], Vi[r][j] = Vi[r][j], Vi[r][i]
+        # S.row[i] += t * S.row[j], so U.col[j] -= t * U.col[i].
+        _add_row(S, i, j, t)
+        _add_row(Ui, i, j, t)
+        _add_row(Ut, j, i, -t)
 
     def col_add(i, j, t):
-        # S.col[i] += t * S.col[j]
-        for r in range(rows):
-            S[r][i] += t * S[r][j]
-        Vj, Vii = V[j], V[i]
-        for c in range(cols):
-            Vj[c] -= t * Vii[c]
-        for r in range(cols):
-            Vi[r][i] += t * Vi[r][j]
-
-    def col_negate(i):
-        for r in range(rows):
-            S[r][i] = -S[r][i]
-        V[i] = [-x for x in V[i]]
-        for r in range(cols):
-            Vi[r][i] = -Vi[r][i]
+        # S.col[i] += t * S.col[j], so V.row[j] -= t * V.row[i].  Above row p
+        # both columns are zero, so only rows p: of S change.
+        for row in S[p:]:
+            row[i] += t * row[j]
+        _add_row(V, j, i, -t)
+        _add_row(Vit, i, j, t)
 
     p = 0
     limit = min(rows, cols)
@@ -248,9 +220,13 @@ def smith_normal_form(A):
         while True:
             i, j = pos
             if i != p:
-                row_swap(p, i)
+                for M in (S, Ut, Ui):
+                    M[p], M[i] = M[i], M[p]
             if j != p:
-                col_swap(p, j)
+                for row in S[p:]:
+                    row[p], row[j] = row[j], row[p]
+                for M in (V, Vit):
+                    M[p], M[j] = M[j], M[p]
             d = S[p][p]
             dirty = False
             for r in range(p + 1, rows):
@@ -270,34 +246,31 @@ def smith_normal_form(A):
             if dirty:
                 pos = _pivot(S, p, rows, cols)
                 continue
-            # Row and column are clear; enforce divisibility of the rest.
+            # Row and column are clear; enforce divisibility of the rest.  A
+            # unit divides everything, so only other pivots need the scan.
             d = S[p][p]
-            culprit = None
-            for r in range(p + 1, rows):
-                for c in range(p + 1, cols):
-                    if S[r][c] % d != 0:
-                        culprit = r
-                        break
-                if culprit is not None:
-                    break
+            if d == 1 or d == -1:
+                break
+            culprit = next(
+                (r for r in range(p + 1, rows) if any(x % d for x in S[r][p + 1:])),
+                None,
+            )
             if culprit is None:
                 break
             row_add(p, culprit, 1)
             pos = (p, p)
         if S[p][p] < 0:
-            row_negate(p)
-        if S[p][p] == 0:
-            break
+            for M in (S, Ut, Ui):
+                M[p] = [-x for x in M[p]]
         p += 1
 
-    D = IntMatrix(rows, cols, S)
     return SnfDecomposition(
         A,
-        IntMatrix(rows, rows, U),
-        D,
+        IntMatrix(rows, rows, zip(*Ut)),
+        IntMatrix(rows, cols, S),
         IntMatrix(cols, cols, V),
         IntMatrix(rows, rows, Ui),
-        IntMatrix(cols, cols, Vi),
+        IntMatrix(cols, cols, zip(*Vit)),
     )
 
 
@@ -307,46 +280,38 @@ def _factored(snf_or_matrix):
     return smith_normal_form(snf_or_matrix)
 
 
+def _solve(snf_or_matrix, b, zero, divide):
+    """x with A x = b, where divide(c, d) solves d y = c or returns None."""
+    snf = _factored(snf_or_matrix)
+    rows, cols = snf.D.rows, snf.D.cols
+    if len(b) != rows:
+        raise ValueError("right-hand side length does not match matrix rows")
+    c = snf.u_inv.apply(b)
+    y = [zero] * cols
+    for i in range(rows):
+        d = snf.D.data[i][i] if i < cols else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            y[i] = divide(c[i], d)
+            if y[i] is None:
+                return None
+    return snf.v_inv.apply(y)
+
+
 def solve_integer(snf_or_matrix, b):
     """Solve A x = b over the integers; None when no integer solution exists.
 
     Accepts either an IntMatrix or an already computed SnfDecomposition, so
     repeated solves against one matrix share the reduction.
     """
-    snf = _factored(snf_or_matrix)
-    rows, cols = snf.D.rows, snf.D.cols
-    if len(b) != rows:
-        raise ValueError("right-hand side length does not match matrix rows")
-    c = snf.u_inv.apply(b)
-    y = [0] * cols
-    for i in range(rows):
-        d = snf.D.data[i][i] if i < cols else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return snf.v_inv.apply(y)
+    return _solve(snf_or_matrix, b, 0, lambda c, d: None if c % d else c // d)
 
 
 def solve_rational(snf_or_matrix, b):
     """Solve A x = b over the rationals; None when the system is inconsistent."""
-    snf = _factored(snf_or_matrix)
-    rows, cols = snf.D.rows, snf.D.cols
-    if len(b) != rows:
-        raise ValueError("right-hand side length does not match matrix rows")
-    c = snf.u_inv.apply([Fraction(x) for x in b])
-    y = [Fraction(0)] * cols
-    for i in range(rows):
-        d = snf.D.data[i][i] if i < cols else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            y[i] = Fraction(c[i], d)
-    return snf.v_inv.apply(y)
+    return _solve(snf_or_matrix, [Fraction(x) for x in b], Fraction(0), Fraction)
 
 
 def kernel_basis(snf_or_matrix):
@@ -468,9 +433,10 @@ class QuotientPresentation:
         if n != in_matrix.rows:
             raise ValueError("boundary matrices do not compose")
         z = n - kernel.snf.rank
-        if kernel.snf.rank == 0 and kernel.snf.V == IntMatrix.identity(n):
-            # The cycle basis is the standard basis, so the relations are
-            # in_ itself and a factorization of it is used as is.
+        if kernel.snf.rank == 0:
+            # No reduction step ran, so V is the identity, the cycle basis is
+            # the standard basis, and the relations are in_ itself: a
+            # factorization of it is used as is.
             rel_snf = _factored(in_)
         else:
             # Image generators of in_, written in cycle-basis coordinates.

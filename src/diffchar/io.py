@@ -26,9 +26,12 @@ def fraction_to_str(x):
 
 
 def parse_fraction(s):
+    # An exponent such as "1e999999999" would cost unbounded time to expand.
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise FormatError(f"bad fraction {s!r}: exponents are not accepted")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise FormatError(f"bad fraction {s!r}: {exc}") from None
 
 
@@ -36,22 +39,34 @@ def simplex_key(s):
     return json.dumps(list(s), separators=(",", ":"))
 
 
+def _is_vertex_list(x):
+    return isinstance(x, list) and all(type(v) is int for v in x)
+
+
 def parse_simplex(key):
     try:
         vertices = json.loads(key)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise FormatError(f"bad simplex key {key!r}") from None
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, int) for v in vertices
-    ):
+    if not _is_vertex_list(vertices):
         raise FormatError(f"bad simplex key {key!r}")
     return tuple(vertices)
 
 
-def _require(obj, field, kind):
+_SHAPES = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _require(obj, field, kind, shape=None):
+    """obj[field]; given a shape from _SHAPES, the value must be of exactly
+    that type, so a JSON boolean is not an integer."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{kind} must be a JSON object")
     if field not in obj:
         raise FormatError(f"{kind} is missing field {field!r}")
-    return obj[field]
+    value = obj[field]
+    if shape and type(value) is not shape:
+        raise FormatError(f"{kind} field {field!r} must be {_SHAPES[shape]}")
+    return value
 
 
 def _maximal_simplices(complex):
@@ -84,13 +99,19 @@ def complex_to_json(complex):
 # product of bundled complexes (T2_9 x RP2_6 counts 92,016 with all its
 # simplices listed) and below the 262,143 faces of one 18-vertex simplex,
 # whose closure alone takes over a second and doubles with each extra vertex.
+# It also bounds the vertex count, which sizes every table indexed by vertex
+# (an identity map, the components); T2_9 x RP2_6 has 54 vertices.
 MAX_FACES = 2**17
 
 
 def complex_from_json(obj):
-    vertices = _require(obj, "vertices", "complex")
-    simplices = _require(obj, "simplices", "complex")
+    vertices = _require(obj, "vertices", "complex", int)
+    simplices = _require(obj, "simplices", "complex", list)
     name = obj.get("name", "")
+    if not 0 <= vertices <= MAX_FACES:
+        raise FormatError(f"complex has {vertices} vertices, not in [0, {MAX_FACES}]")
+    if not all(map(_is_vertex_list, simplices)):
+        raise FormatError("complex simplices must be lists of integer vertices")
     try:
         faces = sum((1 << len(s)) - 1 for s in simplices)
         if faces > MAX_FACES:
@@ -109,10 +130,10 @@ def chain_to_json(chain):
 
 
 def chain_from_json(obj, complex):
-    degree = _require(obj, "degree", "chain")
+    degree = _require(obj, "degree", "chain", int)
     coeffs = {}
-    for key, c in _require(obj, "coeffs", "chain").items():
-        if not isinstance(c, int):
+    for key, c in _require(obj, "coeffs", "chain", dict).items():
+        if type(c) is not int:
             raise FormatError(f"chain coefficient for {key} must be an integer")
         coeffs[parse_simplex(key)] = c
     try:
@@ -132,9 +153,9 @@ def cochain_to_json(cochain):
 
 
 def cochain_from_json(obj, complex, ring="Q"):
-    degree = _require(obj, "degree", "cochain")
+    degree = _require(obj, "degree", "cochain", int)
     values = {}
-    for key, v in _require(obj, "values", "cochain").items():
+    for key, v in _require(obj, "values", "cochain", dict).items():
         values[parse_simplex(key)] = parse_fraction(v)
     try:
         return Cochain(complex, degree, values, ring)
@@ -148,6 +169,8 @@ def map_to_json(phi):
 
 def map_from_json(obj, source, target):
     vm = _require(obj, "vertex_map", "simplicial map")
+    if not _is_vertex_list(vm):
+        raise FormatError("simplicial map vertex_map must be a list of integers")
     try:
         return SimplicialMap(source, target, vm)
     except (TypeError, ValueError) as exc:
@@ -165,7 +188,7 @@ def character_to_json(h):
 
 
 def character_from_json(obj, complex):
-    degree = _require(obj, "degree", "character")
+    degree = _require(obj, "degree", "character", int)
     if degree <= 0:
         cocycle = cochain_from_json(
             _require(obj, "cocycle", "character"), complex, "Z"
@@ -191,7 +214,7 @@ def rel_character_from_json(obj, cone):
     phi = cone.phi
     X, A = phi.target, phi.source
     stored = _require(obj, "map", "relative character")
-    if list(stored.get("vertex_map", ())) != list(phi.vertex_map):
+    if _require(stored, "vertex_map", "stored map") != list(phi.vertex_map):
         raise FormatError("stored map does not match the mapping cone")
     curvature = cochain_from_json(
         _require(obj, "curvature", "relative character"), X

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from diffchar import fixtures, io
 from diffchar.cli import main
@@ -263,6 +264,139 @@ def test_oversized_complex_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert "faces" in rep["error"]
     assert time.perf_counter() - start < 1.0
+
+
+def _run_with_file(capsys, tmp_path, argv, document, text=None):
+    """Run argv with "{}" replaced by a file holding the document."""
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(document) if text is None else text)
+    return _run(capsys, [str(f) if a == "{}" else a for a in argv])
+
+
+COMPLEX_ARGS = ["homology", "--complex", "{}", "--degree", "1"]
+CHAIN_ARGS = ["eval", "--character", "i", "--complex", "S1_3", "--chain", "{}"]
+COCHAIN_ARGS = ["iota", "--complex", "S1_3", "--cochain", "{}"]
+MAP_ARGS = ["find-section", "--map", "{}", "--map-source", "S1_3",
+            "--complex", "S1_3", "--character", "i"]
+
+
+@pytest.mark.parametrize("argv", [COMPLEX_ARGS, CHAIN_ARGS, COCHAIN_ARGS, MAP_ARGS])
+@pytest.mark.parametrize("document", [None, 3, [], "x"])
+def test_non_object_document_is_an_input_error(capsys, tmp_path, argv, document):
+    code, rep = _run_with_file(capsys, tmp_path, argv, document)
+    assert code == 2
+    assert "must be a JSON object" in rep["error"]
+
+
+@pytest.mark.parametrize("argv, document", [
+    (CHAIN_ARGS, {"degree": 1, "coeffs": [1]}),
+    (COCHAIN_ARGS, {"degree": 0, "values": [1]}),
+])
+def test_coefficients_must_be_an_object(capsys, tmp_path, argv, document):
+    code, rep = _run_with_file(capsys, tmp_path, argv, document)
+    assert code == 2
+    assert "must be an object" in rep["error"]
+
+
+@pytest.mark.parametrize("degree", ["1", 1.0, True, None])
+@pytest.mark.parametrize("argv, document", [
+    (CHAIN_ARGS, {"coeffs": {}}),
+    (COCHAIN_ARGS, {"values": {}}),
+])
+def test_degree_must_be_a_json_integer(capsys, tmp_path, argv, document, degree):
+    code, rep = _run_with_file(capsys, tmp_path, argv, dict(document, degree=degree))
+    assert code == 2
+    assert "'degree' must be an integer" in rep["error"]
+
+
+@pytest.mark.parametrize("argv, document, text", [
+    # Booleans are not vertices or coefficients, so they cannot reach a report.
+    pytest.param(COMPLEX_ARGS, {"vertices": 2, "simplices": [[False, True]]}, None,
+                 id="boolean-vertices"),
+    pytest.param(MAP_ARGS, {"vertex_map": [0, True, 2]}, None, id="boolean-image"),
+    pytest.param(CHAIN_ARGS, {"degree": 0, "coeffs": {"[1]": True, "[0]": -1}}, None,
+                 id="boolean-coefficient"),
+    # Values that Fraction cannot take, or takes seconds to expand.
+    pytest.param(COCHAIN_ARGS, {"degree": 0, "values": {"[0]": None}}, None,
+                 id="null-value"),
+    pytest.param(COCHAIN_ARGS, None, '{"degree": 0, "values": {"[0]": Infinity}}',
+                 id="infinite-value"),
+    pytest.param(COCHAIN_ARGS, {"degree": 0, "values": {"[0]": "1e5000000"}}, None,
+                 id="exponent-value"),
+    pytest.param(COMPLEX_ARGS, None, "[" * 100000 + "]" * 100000, id="deep-nesting"),
+])
+def test_hostile_json_values_are_input_errors(capsys, tmp_path, argv, document, text):
+    start = time.perf_counter()
+    code, rep = _run_with_file(capsys, tmp_path, argv, document, text)
+    assert code == 2
+    assert "internal" not in rep
+    assert time.perf_counter() - start < 1.0
+
+
+def test_directory_is_an_input_error(capsys, tmp_path):
+    code, rep = _run(capsys, ["homology", "--complex", str(tmp_path) + "/",
+                              "--degree", "0"])
+    assert code == 2
+    assert "cannot read" in rep["error"]
+
+
+def test_vertex_count_is_bounded():
+    for vertices in (10**12, io.MAX_FACES + 1, -1, "x", 2.0):
+        with pytest.raises(io.FormatError):
+            io.complex_from_json({"vertices": vertices, "simplices": [[0, 1]]})
+    K = io.complex_from_json({"vertices": io.MAX_FACES, "simplices": [[0, 1]]})
+    assert K.num_vertices == io.MAX_FACES
+
+
+def test_vertex_count_bound_fails_fast(capsys, tmp_path):
+    K = tmp_path / "wide.json"
+    K.write_text(json.dumps({"vertices": 2_000_000, "simplices": [[0, 1]]}))
+    h = tmp_path / "zero.json"
+    h.write_text(json.dumps({"degree": 2, "curvature": {"degree": 2, "values": {}},
+                             "lift": {"degree": 1, "values": {}}}))
+    start = time.perf_counter()
+    code, rep = _run(capsys, ["boundary-fiber-integrate", "--complex", str(K),
+                              "--fiber", "interval", "--character", str(h)])
+    assert code == 2
+    assert "vertices" in rep["error"]
+    assert time.perf_counter() - start < 1.0
+
+
+_json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-64, 64) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+# Documents with the expected keys.  Each value is either random or of the
+# right shape with small entries, so that some documents reach the
+# computations on S1_3.
+_vertex_lists = st.lists(st.integers(-1, 3), max_size=4)
+_simplex_keys = st.sampled_from(["[0]", "[1]", "[2]", "[0,1]", "[0,2]", "[1,2]", "[3]"])
+_degrees = st.integers(-1, 2) | _json_documents
+_keyed_documents = st.one_of(
+    st.fixed_dictionaries({
+        "vertices": st.integers(-1, 4) | _json_documents,
+        "simplices": st.lists(_vertex_lists, max_size=4) | _json_documents}),
+    st.fixed_dictionaries({
+        "degree": _degrees,
+        "coeffs": st.dictionaries(_simplex_keys, st.integers(-3, 3)) | _json_documents}),
+    st.fixed_dictionaries({
+        "degree": _degrees,
+        "values": st.dictionaries(_simplex_keys, _json_documents | st.just("1/3"))
+        | _json_documents}),
+    st.fixed_dictionaries({"vertex_map": _vertex_lists | _json_documents}),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_json_documents | _keyed_documents)
+def test_malformed_json_never_faults(capsys, tmp_path, document):
+    for argv in (COMPLEX_ARGS, CHAIN_ARGS, COCHAIN_ARGS, MAP_ARGS):
+        code, rep = _run_with_file(capsys, tmp_path, argv, document)
+        assert code in (0, 1, 2), (argv[0], document, rep)
+        assert isinstance(rep, dict)
 
 
 def test_internal_fault_exits_3_with_a_report(capsys, monkeypatch):

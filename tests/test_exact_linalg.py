@@ -32,15 +32,22 @@ def mat(rows):
     return IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
 
 
-small_matrices = st.integers(0, 5).flatmap(
-    lambda r: st.integers(0 if r else 1, 5).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-9, 9), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
+def _matrices(entries):
+    return st.integers(0, 5).flatmap(
+        lambda r: st.integers(0 if r else 1, 5).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
         )
     )
-)
+
+
+small_matrices = _matrices(st.integers(-9, 9))
+# No unit entries, so pivots past the first are rarely units and the
+# divisibility scan of the trailing block has to act.
+unitless_matrices = _matrices(st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6]))
 
 
 # Boundary matrix of the triangle circle, vertices (0,1,2), edges sorted
@@ -85,8 +92,8 @@ def _check_decomposition(a, snf=None):
     return snf
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrices)
+@settings(max_examples=100, deadline=None)
+@given(small_matrices | unitless_matrices)
 def test_snf_properties_random(rows):
     a = mat(rows) if rows else IntMatrix.zero(0, 0)
     snf = _check_decomposition(a)
@@ -142,6 +149,14 @@ def test_solve_integer_no_solution_parity():
 def test_solve_rational_inconsistent():
     a = mat([[1], [1]])
     assert solve_rational(a, [0, 1]) is None
+
+
+def test_solvers_return_ints_and_fractions():
+    # Full rank, partial rank and the zero matrix, whose solution is all zeros.
+    for rows, b in (([[2, 0], [0, 3]], [4, 9]), ([[1, 1]], [2]), ([[0, 0]], [0])):
+        a = mat(rows)
+        assert all(type(x) is int for x in solve_integer(a, b))
+        assert all(type(x) is Fraction for x in solve_rational(a, b))
 
 
 @settings(max_examples=40, deadline=None)
