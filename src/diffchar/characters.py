@@ -148,7 +148,7 @@ class FlatClass:
 
 
 class DiffChar:
-    """Differential character of degree k >= 1."""
+    """Differential character; degree k >= 1 here, k <= 0 in LowDegreeChar."""
 
     __slots__ = ("complex", "degree", "curvature", "lift", "mu")
 
@@ -174,18 +174,18 @@ class DiffChar:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return DiffChar(self.curvature + other.curvature, self.lift + other.lift)
+        return character(self.curvature + other.curvature, self.lift + other.lift)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return DiffChar(-self.curvature, -self.lift)
+        return character(-self.curvature, -self.lift)
 
     def scale(self, n):
         if not isinstance(n, int):
             raise TypeError("characters scale by integers")
-        return DiffChar(self.curvature.scale(n), self.lift.scale(n))
+        return character(self.curvature.scale(n), self.lift.scale(n))
 
     def _check_compatible(self, other):
         if self.complex != other.complex or self.degree != other.degree:
@@ -208,10 +208,14 @@ class DiffChar:
         return f"DiffChar(deg {self.degree} on {self.complex!r})"
 
 
-class LowDegreeChar:
-    """Character of degree <= 0: an integral cohomology cocycle, c = identity."""
+class LowDegreeChar(DiffChar):
+    """Character of degree <= 0: an integral cocycle that is its own curvature.
 
-    __slots__ = ("complex", "degree", "cocycle")
+    The lift is the zero cochain one degree down, so mu is the cocycle and
+    every DiffChar formula applies; below degree 0 the character is zero.
+    """
+
+    __slots__ = ()
 
     def __init__(self, complex, degree, cocycle=None):
         if degree > 0:
@@ -222,41 +226,30 @@ class LowDegreeChar:
             raise ValueError("cocycle degree or complex mismatch")
         if not cocycle.is_integer_valued():
             raise NotCocycle("low-degree characters carry integer cocycles")
-        if not coboundary(cocycle).is_zero():
+        if not is_closed(cocycle):
             raise NotCocycle("low-degree characters carry cocycles")
         self.complex = complex
         self.degree = degree
-        self.cocycle = cocycle.as_integer()
+        self.curvature = self.mu = cocycle.as_integer()
+        self.lift = zero_cochain(complex, degree - 1)
 
-    def __eq__(self, other):
-        # In degree 0 there are no coboundaries, so cocycle equality is
-        # class equality; below degree 0 everything is zero.
-        return (
-            isinstance(other, LowDegreeChar)
-            and self.complex == other.complex
-            and self.degree == other.degree
-            and self.cocycle == other.cocycle
-        )
-
-    def __add__(self, other):
-        if self.complex != other.complex or self.degree != other.degree:
-            raise ValueError("characters on different complexes or degrees")
-        return LowDegreeChar(self.complex, self.degree, self.cocycle + other.cocycle)
-
-    def __neg__(self):
-        return LowDegreeChar(self.complex, self.degree, -self.cocycle)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self):
-        return self.cocycle.is_zero()
-
-    def char_class(self):
-        return IntegralClass(self.complex, self.degree, self.cocycle)
+    @property
+    def cocycle(self):
+        return self.mu
 
     def __repr__(self):
-        return f"LowDegreeChar(deg {self.degree}, {self.cocycle!r})"
+        return f"LowDegreeChar(deg {self.degree}, {self.mu!r})"
+
+
+def character(curvature, lift):
+    """The character (curvature, lift) in any degree.
+
+    In degree <= 0 the lift is a cochain of negative degree, hence zero, and
+    the curvature is the integral cocycle of a LowDegreeChar.
+    """
+    if curvature.degree >= 1:
+        return DiffChar(curvature, lift)
+    return LowDegreeChar(curvature.complex, curvature.degree, curvature)
 
 
 def evaluate(h, cycle):
@@ -272,8 +265,6 @@ def evaluate(h, cycle):
 
 def char_class(h):
     """The integral cohomology class obstructing topological triviality."""
-    if isinstance(h, LowDegreeChar):
-        return h.char_class()
     return IntegralClass(h.complex, h.degree, h.mu)
 
 
@@ -328,15 +319,9 @@ def from_curvature(omega):
 
 def pullback(phi, h):
     """Character pullback along a simplicial map."""
-    if isinstance(h, LowDegreeChar):
-        if h.complex != phi.target:
-            raise ValueError("character does not live on the map's target")
-        return LowDegreeChar(
-            phi.source, h.degree, pullback_cochain(phi, h.cocycle)
-        )
     if h.complex != phi.target:
         raise ValueError("character does not live on the map's target")
-    return DiffChar(
+    return character(
         pullback_cochain(phi, h.curvature), pullback_cochain(phi, h.lift)
     )
 
@@ -403,38 +388,37 @@ def fractional_torsion_class(K, degree, index=0, numerator=1):
     return FlatClass(Cochain.from_vector(K, degree, values, "Q"))
 
 
-def class_representative_characters(K, k):
-    """One character per generator of the degree-k integral cohomology."""
-    coh = K.cohomology(k)
-    return [
-        DiffChar(Cochain.from_vector(K, k, vec, "Q"), zero_cochain(K, k - 1))
-        for vec in coh.generators
-    ]
+# Random draws: integer coefficients in [-_SPAN, _SPAN] ([-_FLAT_SPAN,
+# _FLAT_SPAN] for flat characters), rational values with denominators up
+# to _DENOM.
+_DENOM = 6
+_SPAN = 4
+_FLAT_SPAN = 3
 
 
-def random_character(K, k, rng, denom=6, span=4):
+def random_character(K, k, rng):
     """Deterministic pseudo-random character: random class plus random lift."""
     coh = K.cohomology(k)
     mu_vec = [0] * len(K.simplices(k))
     for gen in coh.generators:
-        c = rng.randint(-span, span)
+        c = rng.randint(-_SPAN, _SPAN)
         if c:
             mu_vec = [a + c * b for a, b in zip(mu_vec, gen)]
     below = K.simplices(k - 1)
     if below:
-        t_vec = [rng.randint(-span, span) for _ in below]
+        t_vec = [rng.randint(-_SPAN, _SPAN) for _ in below]
         t = Cochain.from_vector(K, k - 1, t_vec, "Z")
         mu_vec = [a + int(b) for a, b in zip(mu_vec, coboundary(t).to_vector())]
     mu = Cochain.from_vector(K, k, mu_vec, "Q")
     lift_vals = [
-        Fraction(rng.randint(-2 * denom, 2 * denom), rng.randint(1, denom))
+        Fraction(rng.randint(-2 * _DENOM, 2 * _DENOM), rng.randint(1, _DENOM))
         for _ in below
     ]
     lift = Cochain.from_vector(K, k - 1, lift_vals, "Q")
     return DiffChar(mu + coboundary(lift), lift)
 
 
-def random_flat_character(K, k, rng, denom=6, span=3):
+def random_flat_character(K, k, rng):
     """Random flat character: torsion duals plus integers plus a coboundary."""
     below = K.simplices(k - 1)
     lift = zero_cochain(K, k - 1, "Q")
@@ -445,7 +429,7 @@ def random_flat_character(K, k, rng, denom=6, span=3):
             lift = lift + fractional_torsion_class(K, k - 1, idx, c).cochain
     if below:
         ints = Cochain.from_vector(
-            K, k - 1, [rng.randint(-span, span) for _ in below], "Z"
+            K, k - 1, [rng.randint(-_FLAT_SPAN, _FLAT_SPAN) for _ in below], "Z"
         )
         lift = lift + ints
     if k - 2 >= 0:
@@ -454,7 +438,7 @@ def random_flat_character(K, k, rng, denom=6, span=3):
             r = Cochain.from_vector(
                 K,
                 k - 2,
-                [Fraction(rng.randint(-denom, denom), rng.randint(1, denom)) for _ in lower],
+                [Fraction(rng.randint(-_DENOM, _DENOM), rng.randint(1, _DENOM)) for _ in lower],
                 "Q",
             )
             lift = lift + coboundary(r)

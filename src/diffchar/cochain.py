@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from diffchar.simplicial import ProductComplex, eilenberg_zilber, tensor
+from diffchar.simplicial import ProductComplex, ez
 
 
 class DegreeUnderflow(ValueError):
@@ -236,10 +236,7 @@ def slant_fiber(b, fiber_chain):
     base = product.left
     out = {}
     for s in base.simplices(m):
-        lam = eilenberg_zilber(
-            tensor(base.chain(m, {s: 1}), fiber_chain), product
-        )
-        v = pair(b, lam)
+        v = pair(b, ez(base.chain(m, {s: 1}), fiber_chain, product))
         if v != 0:
             out[s] = v
     return Cochain(base, m, out, b.ring)

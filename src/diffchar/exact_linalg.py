@@ -381,27 +381,9 @@ def _accumulate(length, coeffs, vectors):
     return out
 
 
-def _boundary_snf(complexlike, n):
-    """SNF of the n-th boundary matrix, from the complex's memo when it keeps one."""
-    cached = getattr(complexlike, "boundary_snf", None)
-    return cached(n) if cached else smith_normal_form(complexlike.boundary_matrix(n))
-
-
-def _coboundary_snf(complexlike, k):
-    """SNF of the coboundary C^k -> C^{k+1}: the transposed boundary SNF."""
-    cached = getattr(complexlike, "coboundary_snf", None)
-    return cached(k) if cached else _boundary_snf(complexlike, k + 1).transpose()
-
-
-def cycle_splitting(complexlike, n):
-    """CycleSplitting of C_n for anything exposing boundary_matrix(n)."""
-    return CycleSplitting(_boundary_snf(complexlike, n))
-
-
-def _splitting(complexlike, n):
-    """CycleSplitting of C_n, from the complex's memo when it keeps one."""
-    cached = getattr(complexlike, "splitting", None)
-    return cached(n) if cached else cycle_splitting(complexlike, n)
+def cycle_splitting(complex, n):
+    """CycleSplitting of C_n, from the complex's boundary factorization."""
+    return CycleSplitting(complex.boundary_snf(n))
 
 
 class QuotientPresentation:
@@ -510,35 +492,36 @@ class QuotientPresentation:
         return n
 
 
-def homology(complexlike, n):
+def homology(complex, n):
     """H_n as a QuotientPresentation of ker d_n / im d_{n+1}.
 
-    Works for any object exposing boundary_matrix(n): simplicial complexes
-    and mapping cones alike.  Generator chains are reconstructed by the
-    caller from `generators` since only the caller knows the basis.
+    `complex` is a simplicial complex or a mapping cone: it keeps the memo
+    of boundary_matrix, boundary_snf, coboundary_snf and splitting.
+    Generator chains are reconstructed by the caller from `generators` since
+    only the caller knows the basis.
     """
-    kernel = _splitting(complexlike, n)
+    kernel = complex.splitting(n)
     # A zero out-map makes the next boundary the relation matrix itself, so
     # its (memoized) factorization is handed over instead of a new reduction.
     inn = (
-        _boundary_snf(complexlike, n + 1)
+        complex.boundary_snf(n + 1)
         if kernel.snf.rank == 0
-        else complexlike.boundary_matrix(n + 1)
+        else complex.boundary_matrix(n + 1)
     )
     return QuotientPresentation(kernel, inn)
 
 
-def cohomology(complexlike, k):
+def cohomology(complex, k):
     """Integral cohomology in degree k of the dual complex.
 
     Cochains in degree k are vectors indexed by k-simplices; the coboundary
     is the transpose of the boundary one degree up, and so is its SNF.
     """
-    out = _coboundary_snf(complexlike, k)
+    out = complex.coboundary_snf(k)
     # As in homology: with a zero out-map, reuse the incoming factorization.
     inn = (
-        _coboundary_snf(complexlike, k - 1)
+        complex.coboundary_snf(k - 1)
         if out.rank == 0
-        else complexlike.boundary_matrix(k).transpose()
+        else complex.boundary_matrix(k).transpose()
     )
     return QuotientPresentation(out, inn)

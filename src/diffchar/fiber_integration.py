@@ -124,6 +124,7 @@ def fiber_integrate(h, transfer):
 
     Degree drops by the fiber degree; the critical case returns the
     degree-0 class of the integrated integral cocycle, lower cases zero.
+    Characters of degree <= 0 fall into these two cases.
     """
     if h.complex != transfer.total:
         raise ValueError("character does not live on the total space")
@@ -134,10 +135,6 @@ def fiber_integrate(h, transfer):
     cF = transfer.fiber_chain
     n = transfer.fiber_degree
     base = transfer.base
-    if isinstance(h, LowDegreeChar):
-        if n == 0:
-            return LowDegreeChar(base, h.degree, slant_fiber(h.cocycle, cF))
-        return LowDegreeChar(base, h.degree - n)
     k = h.degree
     if k > n:
         return DiffChar(slant_fiber(h.curvature, cF), slant_fiber(h.lift, cF))
@@ -163,7 +160,7 @@ class BoundaryIntegration:
         self.relative = relative
 
 
-def boundary_fiber_integrate(h, transfer, cone=None):
+def boundary_fiber_integrate(h, transfer):
     """Integrate over a fundamental fiber chain with boundary."""
     if h.complex != transfer.total:
         raise ValueError("character does not live on the total space")
@@ -173,25 +170,23 @@ def boundary_fiber_integrate(h, transfer, cone=None):
     over_boundary = fiber_integrate(h, transfer.boundary_transfer())
     sign = -1 if (k - n) % 2 else 1
     cov = slant_fiber(h.curvature, transfer.fiber_chain).scale(sign)
-    relative = cov_inverse(cov, cone)
+    relative = cov_inverse(cov)
     return BoundaryIntegration(over_boundary, cov, relative)
 
 
-def homotopy_defect(h, f0, f1, H, interval_chain=None):
+def homotopy_defect(h, f0, f1, H):
     """Difference of the endpoint pullbacks minus the curvature transgression.
 
     H is a map on a staircase product of the source with an interval-like
     complex; f0 and f1 must equal H composed with the inclusions at the two
-    boundary vertices of the interval chain.  The result is a character on
-    the source; the defect formula says it is always zero, which the test
-    suite checks rather than assumes.
+    boundary vertices of the interval's fundamental chain.  The result is a
+    character on the source; the defect formula says it is always zero,
+    which the test suite checks rather than assumes.
     """
     prism = H.source
     if not isinstance(prism, ProductComplex):
         raise TypeError("homotopy must be defined on a staircase product")
-    interval = prism.right
-    if interval_chain is None:
-        interval_chain = fundamental_cycle(interval)
+    interval_chain = fundamental_cycle(prism.right)
     if interval_chain.degree != 1:
         raise ValueError("interval chain must have degree 1")
     ends = interval_chain.boundary()

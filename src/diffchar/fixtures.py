@@ -286,6 +286,3 @@ def map_by_name(name):
 def complex_names():
     return sorted(set(_COMPLEXES))
 
-
-def character_names():
-    return sorted(set(_CHARACTERS))

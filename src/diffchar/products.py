@@ -20,13 +20,12 @@ from diffchar.simplicial import (
     staircase_product,
     tensor,
 )
-from diffchar.cochain import cup, pair, pullback as pullback_cochain, zero_cochain
+from diffchar.cochain import cup, pair, pullback as pullback_cochain
 from diffchar.characters import (
-    DiffChar,
-    LowDegreeChar,
     NotACycle,
     NotTorsion,
     _mod1,
+    character,
     evaluate,
     pullback,
 )
@@ -38,33 +37,15 @@ def internal_product(h, f):
     Curvature is the cup product of curvatures; the lift mixes the first
     lift with the second curvature and the first integral cocycle with the
     second lift.  The integral cocycle of the result is the cup product of
-    the integral cocycles, on the nose.  Degree-0 factors act through the
-    cup product with their cocycle; factors of negative degree produce zero.
+    the integral cocycles, on the nose.  The same formula covers degree <= 0
+    factors: their lifts, and all their cochains below degree 0, are zero.
     """
     if h.complex != f.complex:
         raise ValueError("internal product needs characters on one complex")
-    if isinstance(h, LowDegreeChar) or isinstance(f, LowDegreeChar):
-        return _low_degree_product(h, f)
     k = h.degree
     curv = cup(h.curvature, f.curvature)
     lift = cup(h.lift, f.curvature) + cup(h.mu, f.lift).scale(-1 if k % 2 else 1)
-    return DiffChar(curv, lift)
-
-
-def _low_degree_product(h, f):
-    X = h.complex
-    total = h.degree + f.degree
-    if h.degree < 0 or f.degree < 0:
-        if total >= 1:
-            return DiffChar(
-                zero_cochain(X, total, "Q"), zero_cochain(X, total - 1, "Q")
-            )
-        return LowDegreeChar(X, total)
-    if isinstance(h, LowDegreeChar) and isinstance(f, LowDegreeChar):
-        return LowDegreeChar(X, 0, cup(h.cocycle, f.cocycle))
-    if isinstance(h, LowDegreeChar):
-        return DiffChar(cup(h.cocycle, f.curvature), cup(h.cocycle, f.lift))
-    return DiffChar(cup(h.curvature, f.cocycle), cup(h.lift, f.cocycle))
+    return character(curv, lift)
 
 
 def external_product(h, f, product=None):

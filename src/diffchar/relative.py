@@ -246,6 +246,8 @@ def find_section(h, cone):
     if h.complex != X:
         raise ValueError("character does not live on the cone's target")
     k = h.degree
+    if k < 1:
+        raise ValueError("relative characters start in degree 1")
     pulled_mu = pullback_cochain(phi, h.mu)
     t_vec = solve_integer(
         A.coboundary_snf(k - 1), [int(x) for x in pulled_mu.to_vector()]

@@ -10,6 +10,7 @@ not by transcription.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 
 from diffchar.exact_linalg import (
@@ -235,7 +236,7 @@ class Chain:
 
     def boundary(self):
         if self.degree == 0:
-            return _zero_chain(self.complex, -1)
+            return Chain(self.complex, -1, {})
         out = {}
         for s, c in self.coeffs.items():
             for i in range(len(s)):
@@ -245,8 +246,6 @@ class Chain:
         return Chain(self.complex, self.degree - 1, out)
 
     def is_cycle(self):
-        if self.degree == 0:
-            return True
         return self.boundary().is_zero()
 
     def to_vector(self):
@@ -255,21 +254,6 @@ class Chain:
     def __repr__(self):
         terms = " + ".join(f"{c}*{list(s)}" for s, c in sorted(self.coeffs.items()))
         return f"Chain(deg {self.degree}: {terms or '0'})"
-
-
-class _NegOneChain(Chain):
-    """Zero chain in degree -1, the boundary of 0-chains."""
-
-    def __init__(self, complex):
-        self.complex = complex
-        self.degree = -1
-        self.coeffs = {}
-
-
-def _zero_chain(complex, degree):
-    if degree == -1:
-        return _NegOneChain(complex)
-    return Chain(complex, degree, {})
 
 
 class TensorChain:
@@ -407,8 +391,6 @@ class SimplicialMap:
     def push_chain(self, chain):
         if chain.complex != self.source:
             raise ValueError("chain does not live on the source complex")
-        if chain.degree < 0:
-            return _zero_chain(self.target, chain.degree)
         out = {}
         for s, c in chain.coeffs.items():
             sign, image = self.push_simplex(s)
@@ -427,18 +409,6 @@ class SimplicialMap:
             if sign != 0:
                 data[row_index[image]][j] += sign
         return IntMatrix(len(rows), len(cols), data)
-
-    def is_monotone(self):
-        """Weakly order-preserving on every simplex.
-
-        Exactly the maps for which front/back faces commute with the induced
-        chain map, hence for which cup-product naturality is strict.
-        """
-        for s in self.source.all_simplices():
-            image = [self.vertex_map[v] for v in s]
-            if any(image[i] > image[i + 1] for i in range(len(image) - 1)):
-                return False
-        return True
 
     def __repr__(self):
         return f"SimplicialMap({list(self.vertex_map)})"
@@ -459,6 +429,30 @@ def identity_map(complex):
     return SimplicialMap(complex, complex, list(range(complex.num_vertices)))
 
 
+@lru_cache(maxsize=None)
+def _staircase(p, q):
+    """The staircase paths through a p-simplex times a q-simplex.
+
+    One (shuffle sign, index pairs) per path: the path visits vertex pairs
+    (s[a], t[b]) for its (a, b), starting at (0, 0) and advancing one
+    coordinate per step.  The sign is the parity of the interleaving: a left
+    step taken at position j, as the i-th left step, passes j - i right
+    steps.
+    """
+    paths = []
+    for left_steps in combinations(range(p + q), p):
+        left_set = set(left_steps)
+        a = 0
+        pairs = [(0, 0)]
+        for step in range(p + q):
+            if step in left_set:
+                a += 1
+            pairs.append((a, step + 1 - a))
+        sign = -1 if (sum(left_steps) - p * (p - 1) // 2) % 2 else 1
+        paths.append((sign, tuple(pairs)))
+    return tuple(paths)
+
+
 class ProductComplex(Complex):
     """Staircase triangulation of a product of two complexes.
 
@@ -473,20 +467,9 @@ class ProductComplex(Complex):
         nr = right.num_vertices
         simplices = set()
         for s in left.all_simplices():
-            p = len(s) - 1
             for t in right.all_simplices():
-                q = len(t) - 1
-                for left_steps in combinations(range(p + q), p):
-                    left_set = set(left_steps)
-                    path = [(s[0], t[0])]
-                    a = b = 0
-                    for step in range(p + q):
-                        if step in left_set:
-                            a += 1
-                        else:
-                            b += 1
-                        path.append((s[a], t[b]))
-                    simplices.add(tuple(u * nr + v for u, v in path))
+                for _, pairs in _staircase(len(s) - 1, len(t) - 1):
+                    simplices.add(tuple(s[a] * nr + t[b] for a, b in pairs))
         super().__init__(
             left.num_vertices * nr,
             simplices,
@@ -557,57 +540,33 @@ def transpose_map(product, flipped):
     return SimplicialMap(product, flipped, vm)
 
 
-def _shuffle_sign(left_steps, total):
-    """Parity of the interleaving: inversions between left and right steps."""
-    sign = 1
-    left_set = set(left_steps)
-    rights_seen = 0
-    for step in range(total):
-        if step in left_set:
-            if rights_seen % 2:
-                sign = -sign
-        else:
-            rights_seen += 1
-    return sign
-
-
 def eilenberg_zilber(tensor_chain, product):
     """Shuffle map from the tensor product to the staircase product.
 
     A chain map for the tensor differential; together with the front/back map
-    it satisfies AW o EZ = id.  Both identities are enforced by tests.
+    it satisfies AW o EZ = id.  Both identities are enforced by tests.  The
+    degree is read off the terms; a zero tensor chain maps to degree 0.
     """
+    degree = next((len(s) + len(t) - 2 for s, t in tensor_chain.coeffs), 0)
+    return _shuffle(tensor_chain, product, degree)
+
+
+def ez(chain_left, chain_right, product):
+    """Shuffle map of an elementary tensor of chains, in the sum of their degrees."""
+    return _shuffle(
+        tensor(chain_left, chain_right), product, chain_left.degree + chain_right.degree
+    )
+
+
+def _shuffle(tensor_chain, product, degree):
     if product.left != tensor_chain.left or product.right != tensor_chain.right:
         raise ValueError("tensor chain factors do not match the product")
     out = {}
     for (s, t), c in tensor_chain.coeffs.items():
-        p = len(s) - 1
-        q = len(t) - 1
-        for left_steps in combinations(range(p + q), p):
-            sign = _shuffle_sign(left_steps, p + q)
-            left_set = set(left_steps)
-            path = [(s[0], t[0])]
-            a = b = 0
-            for step in range(p + q):
-                if step in left_set:
-                    a += 1
-                else:
-                    b += 1
-                path.append((s[a], t[b]))
-            key = tuple(product.encode(u, v) for u, v in path)
+        for sign, pairs in _staircase(len(s) - 1, len(t) - 1):
+            key = tuple(product.encode(s[a], t[b]) for a, b in pairs)
             out[key] = out.get(key, 0) + sign * c
-    degree = None
-    for (s, t) in tensor_chain.coeffs:
-        degree = len(s) + len(t) - 2
-        break
-    if degree is None:
-        degree = 0
     return Chain(product, degree, out)
-
-
-def ez(chain_left, chain_right, product):
-    """Shuffle map of an elementary tensor of chains."""
-    return eilenberg_zilber(tensor(chain_left, chain_right), product)
 
 
 def alexander_whitney(chain):
@@ -631,6 +590,19 @@ def alexander_whitney(chain):
     return TensorChain(product.left, product.right, out)
 
 
+def _facets(t):
+    return [t[:i] + t[i + 1 :] for i in range(len(t))]
+
+
+def _top_cofaces(complex):
+    """Each facet of a top simplex -> [(top simplex, incidence sign)]."""
+    cofaces = {}
+    for t in complex.simplices(complex.dim):
+        for i, face in enumerate(_facets(t)):
+            cofaces.setdefault(face, []).append((t, -1 if i % 2 else 1))
+    return cofaces
+
+
 def fundamental_cycle(complex):
     """Coherently oriented sum of the top simplices.
 
@@ -646,23 +618,16 @@ def fundamental_cycle(complex):
         raise NotManifold("empty complex")
     tops = complex.simplices(d)
     top_set = set(tops)
-    # Purity: every maximal simplex must be top-dimensional.
+    # Purity: every maximal simplex must be top-dimensional, that is, every
+    # simplex below the top is a facet of one a dimension up.
     for n in range(d):
+        facets = {face for t in complex.simplices(n + 1) for face in _facets(t)}
         for s in complex.simplices(n):
-            is_face = False
-            for t in complex.simplices(n + 1):
-                if set(s) <= set(t):
-                    is_face = True
-                    break
-            if not is_face:
+            if s not in facets:
                 raise NotManifold(f"simplex {s} is maximal but has dimension {n}")
     if d == 0:
         return Chain(complex, 0, {s: 1 for s in tops})
-    cofaces = {}
-    for t in tops:
-        for i in range(len(t)):
-            face = t[:i] + t[i + 1 :]
-            cofaces.setdefault(face, []).append((t, -1 if i % 2 else 1))
+    cofaces = _top_cofaces(complex)
     for face, incident in cofaces.items():
         if len(incident) > 2:
             raise NotManifold(f"face {face} has {len(incident)} cofaces")
@@ -675,8 +640,7 @@ def fundamental_cycle(complex):
         while queue:
             t = queue.popleft()
             eps = orientation[t]
-            for i in range(len(t)):
-                face = t[:i] + t[i + 1 :]
+            for i, face in enumerate(_facets(t)):
                 s1 = -1 if i % 2 else 1
                 for other, s2 in cofaces[face]:
                     if other == t:
@@ -716,14 +680,11 @@ def validate_fundamental_chain(chain):
         if chain.coeffs.get(s, 0) not in (1, -1):
             raise NotFundamentalChain(f"top simplex {s} has coefficient not +-1")
     if d > 0:
-        cofaces = {}
-        for t in complex.simplices(d):
-            for i in range(len(t)):
-                face = t[:i] + t[i + 1 :]
-                cofaces[face] = cofaces.get(face, 0) + 1
-        for face, n in cofaces.items():
-            if n > 2:
-                raise NotFundamentalChain(f"face {face} has {n} top cofaces")
+        for face, incident in _top_cofaces(complex).items():
+            if len(incident) > 2:
+                raise NotFundamentalChain(
+                    f"face {face} has {len(incident)} top cofaces"
+                )
         for s, c in chain.boundary().coeffs.items():
             if c not in (1, -1):
                 raise NotFundamentalChain(
@@ -744,9 +705,7 @@ class ConeChain:
     def __init__(self, cone, degree, x_part, a_part):
         if x_part.complex != cone.phi.target or x_part.degree != degree:
             raise ValueError("X part has the wrong complex or degree")
-        if a_part.degree != degree - 1 or (
-            degree - 1 >= 0 and a_part.complex != cone.phi.source
-        ):
+        if a_part.degree != degree - 1 or a_part.complex != cone.phi.source:
             raise ValueError("A part has the wrong complex or degree")
         self.cone = cone
         self.degree = degree
@@ -778,11 +737,7 @@ class ConeChain:
     def boundary(self):
         phi = self.cone.phi
         x = self.x_part.boundary() + phi.push_chain(self.a_part)
-        if self.degree - 1 >= 0:
-            a = -self.a_part.boundary()
-        else:
-            a = _zero_chain(phi.source, self.degree - 2)
-        return ConeChain(self.cone, self.degree - 1, x, a)
+        return ConeChain(self.cone, self.degree - 1, x, -self.a_part.boundary())
 
     def is_cycle(self):
         b = self.boundary()
@@ -792,9 +747,7 @@ class ConeChain:
         return self.x_part.is_zero() and self.a_part.is_zero()
 
     def to_vector(self):
-        return self.x_part.to_vector() + (
-            self.a_part.to_vector() if self.degree - 1 >= 0 else []
-        )
+        return self.x_part.to_vector() + self.a_part.to_vector()
 
     def __repr__(self):
         return f"ConeChain(deg {self.degree}, X: {self.x_part!r}, A: {self.a_part!r})"
@@ -842,22 +795,14 @@ class MappingCone(_Factorizations):
     def chain(self, degree, x_coeffs=None, a_coeffs=None):
         X, A = self.phi.target, self.phi.source
         x = Chain(X, degree, x_coeffs or {})
-        if degree - 1 >= 0:
-            a = Chain(A, degree - 1, a_coeffs or {})
-        else:
-            a = _zero_chain(A, degree - 1)
+        a = Chain(A, degree - 1, a_coeffs or {})
         return ConeChain(self, degree, x, a)
 
     def chain_from_vector(self, degree, vec):
         X, A = self.phi.target, self.phi.source
         nx = len(X.simplices(degree))
         x = X.chain_from_vector(degree, vec[:nx])
-        if degree - 1 >= 0:
-            a = A.chain_from_vector(degree - 1, vec[nx:])
-        else:
-            if len(vec) != nx:
-                raise ValueError("vector length mismatch")
-            a = _zero_chain(A, degree - 1)
+        a = A.chain_from_vector(degree - 1, vec[nx:])
         return ConeChain(self, degree, x, a)
 
     def __repr__(self):

@@ -18,11 +18,13 @@ from diffchar.characters import (
     NoTrivialization,
     NotACycle,
     NotClosed,
+    NotCocycle,
     NotFlat,
     NotIntegrallyCompatible,
     NotIntegralPeriods,
     NotTorsion,
     char_class,
+    character,
     evaluate,
     evaluate_torsion,
     flat_character,
@@ -129,8 +131,13 @@ def test_one_factorization_per_boundary_matrix(monkeypatch):
     edges = K.simplices(n - 1)
     eta = Cochain.from_vector(K, n - 1, [Fraction(i % 5, 3) for i in range(len(edges))])
     assert iota(trivialization(iota(eta))) == iota(eta)
-    d = K.boundary_matrix(n)
-    assert sum(1 for a in factored if a in (d, d.transpose())) == 1
+    # H_0 and the top H^2 have a zero out-map and hand over the factorization
+    # of the incoming boundary (d_1, and d_2 transposed) instead of a new one.
+    K.homology(0)
+    K.cohomology(n)
+    for m in (1, n):
+        d = K.boundary_matrix(m)
+        assert sum(1 for a in factored if a in (d, d.transpose())) == 1
 
 
 def test_failed_invariant_is_an_internal_fault(monkeypatch):
@@ -244,6 +251,30 @@ def test_low_degree_characters():
     assert g + g == LowDegreeChar(K, 0, Cochain(K, 0, {v: 4 for v in K.simplices(0)}, "Z"))
     neg = LowDegreeChar(K, -1)
     assert neg.is_zero()
+
+
+def test_low_degree_characters_are_the_degree_zero_case():
+    K = fixtures.circle()
+    c = Cochain(K, 0, {v: 2 for v in K.simplices(0)}, "Z")
+    g = LowDegreeChar(K, 0, c)
+    assert isinstance(g, DiffChar)
+    assert g.curvature == g.mu == g.cocycle == c
+    assert g.lift == zero_cochain(K, -1)
+    with pytest.raises(AttributeError):
+        g.cocycle = c
+    assert character(c, zero_cochain(K, -1)) == g
+    assert isinstance(g.scale(3), LowDegreeChar)
+    assert g.scale(2) == g + g
+    assert -g == LowDegreeChar(K, 0, c.scale(-1))
+    assert char_class(g) == IntegralClass(K, 0, c)
+    assert not char_class(g).is_zero()
+    # Pulled back to a point: the constant 2 there.
+    pt = fixtures.point()
+    to_vertex = SimplicialMap(pt, K, [1])
+    assert pullback(to_vertex, g) == LowDegreeChar(pt, 0, Cochain(pt, 0, {(0,): 2}, "Z"))
+    assert pullback(to_vertex, LowDegreeChar(K, -1)) == LowDegreeChar(pt, -1)
+    with pytest.raises(NotCocycle):
+        LowDegreeChar(K, 0, Cochain(K, 0, {(0,): 1}, "Z"))
 
 
 def test_random_generators_are_well_formed():

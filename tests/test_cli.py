@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -12,11 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import diffchar
 from diffchar import fixtures, io
 from diffchar.cli import main
 from diffchar.simplicial import identity_map, mapping_cone, staircase_product
 from diffchar.cochain import Cochain
-from diffchar.characters import iota, random_character
+from diffchar.characters import LowDegreeChar, iota, random_character
 from diffchar.relative import find_section
 
 
@@ -193,6 +195,66 @@ def test_boundary_fiber_integrate_command(capsys, tmp_path):
     rel = io.rel_character_from_json(rep["result"]["relative"], cone)
     cov = io.cochain_from_json(rep["result"]["cov"], S1)
     assert rel.cov == cov
+
+
+def test_boundary_fiber_integrate_over_a_closed_fiber(capsys):
+    code, rep = _run(capsys, ["boundary-fiber-integrate", "--character", "ixi",
+                              "--complex", "S1_3", "--fiber", "S1_3"])
+    assert code == 0
+    over = io.character_from_json(rep["result"]["over_boundary"], fixtures.circle())
+    assert over.degree == 2
+    assert over.is_zero()
+
+
+# Each command fed a well-formed character of degree 0 or -1.  "{char}" is
+# a character file on the complex named next to it, "{map}" the identity
+# map of S1_3.
+_LOW_DEGREE_ARGS = {
+    "eval": ("S1_3", ["eval", "--character", "{char}", "--complex", "S1_3",
+                      "--chain", "v1_minus_v0"]),
+    "product": ("S1_3", ["product", "--character", "{char}", "--character", "i",
+                         "--complex", "S1_3"]),
+    "xproduct": ("S1_3", ["xproduct", "--character", "i", "--character", "{char}",
+                          "--complex", "S1_3", "--complex", "S1_3"]),
+    "fiber-integrate point": ("S1_3 x point", [
+        "fiber-integrate", "--character", "{char}", "--complex", "S1_3",
+        "--fiber", "point"]),
+    "fiber-integrate interval": ("S1_3 x interval", [
+        "fiber-integrate", "--character", "{char}", "--complex", "S1_3",
+        "--fiber", "interval"]),
+    "boundary-fiber-integrate": ("S1_3 x interval", [
+        "boundary-fiber-integrate", "--character", "{char}", "--complex", "S1_3"]),
+    "find-section": ("S1_3", ["find-section", "--character", "{char}", "--map", "{map}",
+                              "--map-source", "S1_3", "--complex", "S1_3"]),
+    "holonomy": ("S1_3", ["holonomy", "--character", "{char}", "--map", "{map}",
+                          "--map-source", "S1_3", "--complex", "S1_3",
+                          "--chain", "v1_minus_v0"]),
+}
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+@pytest.mark.parametrize("command", sorted(_LOW_DEGREE_ARGS))
+def test_low_degree_characters_are_input_not_faults(capsys, tmp_path, command, degree):
+    where, template = _LOW_DEGREE_ARGS[command]
+    S1 = fixtures.circle()
+    K = S1 if where == "S1_3" else staircase_product(
+        S1, fixtures.complex_by_name(where.split(" x ")[1]))
+    values = {v: 2 for v in K.simplices(0)} if degree == 0 else {}
+    char = tmp_path / "char.json"
+    char.write_text(json.dumps(io.character_to_json(
+        LowDegreeChar(K, degree, Cochain(K, degree, values, "Z")))))
+    id_map = tmp_path / "id.json"
+    id_map.write_text(json.dumps(io.map_to_json(identity_map(S1))))
+    argv = [a.format(char=char, map=id_map) for a in template]
+    code = main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert isinstance(rep, dict)
+    assert code in (0, 1, 2), rep
+    if command == "find-section":
+        assert code == 2
+    if command == "fiber-integrate point" and degree == -1:
+        assert code == 0
+        assert rep["result"]["character"] == io.character_to_json(LowDegreeChar(S1, -1))
 
 
 def test_find_section_success(capsys):
@@ -421,10 +483,14 @@ def test_reports_are_byte_identical(capsys, tmp_path):
 
 
 def test_console_entry_point_runs():
+    # The child imports the package this test imported, also when only
+    # pytest's `pythonpath` setting put it on sys.path.
+    src = os.path.dirname(os.path.dirname(diffchar.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from diffchar.cli import main; "
          "sys.exit(main(['eval', '--character', 'i', '--chain', 'v1_minus_v0']))"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["phase"] == "1/3"

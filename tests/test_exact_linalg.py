@@ -21,7 +21,7 @@ from diffchar.exact_linalg import (
     solve_integer,
     solve_rational,
     kernel_basis,
-    cycle_splitting,
+    CycleSplitting,
     QuotientPresentation,
 )
 from diffchar.simplicial import Complex, staircase_product
@@ -169,16 +169,6 @@ def test_kernel_basis_spans_kernel(rows):
     assert len(basis) == a.cols - rational_rank(rows)
 
 
-class _StubComplex:
-    """Minimal complexlike: only boundary_matrix is consulted."""
-
-    def __init__(self, matrices):
-        self._m = matrices
-
-    def boundary_matrix(self, n):
-        return self._m[n]
-
-
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
@@ -187,7 +177,7 @@ def _dot(u, v):
 @given(small_matrices, st.data())
 def test_cycle_splitting_properties(rows, data):
     a = mat(rows) if rows else IntMatrix.zero(0, 0)
-    split = cycle_splitting(_StubComplex({1: a}), 1)
+    split = CycleSplitting(a)
     z = a.cols - rational_rank(rows)
     chains = st.lists(st.integers(-4, 4), min_size=a.cols, max_size=a.cols)
     v, w = data.draw(chains), data.draw(chains)

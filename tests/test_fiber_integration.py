@@ -7,7 +7,7 @@ import random
 import pytest
 
 from diffchar import fixtures
-from diffchar.cochain import slant_fiber
+from diffchar.cochain import Cochain, slant_fiber
 from diffchar.simplicial import (
     SimplicialMap,
     fundamental_cycle,
@@ -76,6 +76,49 @@ def test_full_degree_drop_gives_low_degree_character():
     assert isinstance(out, LowDegreeChar)
     assert out.degree == 0
     assert out.cocycle == slant_fiber(h.mu, tr.fiber_chain).as_integer()
+
+
+def test_low_degree_characters_integrate_like_any_other():
+    S1 = fixtures.circle()
+    pt = fixtures.point()
+    E = staircase_product(S1, pt)
+    tr = product_transfer(S1, pt, total=E)
+    g = LowDegreeChar(E, 0, Cochain(E, 0, {v: 2 for v in E.simplices(0)}, "Z"))
+    assert fiber_integrate(g, tr) == LowDegreeChar(
+        S1, 0, Cochain(S1, 0, {v: 2 for v in S1.simplices(0)}, "Z")
+    )
+    below = fiber_integrate(LowDegreeChar(E, -1), tr)
+    assert below.degree == -1 and below.is_zero()
+    T2 = fixtures.torus()
+    one = LowDegreeChar(T2, 0, Cochain(T2, 0, {v: 1 for v in T2.simplices(0)}, "Z"))
+    over_circle = fiber_integrate(one, product_transfer(S1, S1, total=T2))
+    assert over_circle.degree == -1 and over_circle.is_zero()
+
+
+def test_shuffle_of_a_zero_chain_keeps_its_degree():
+    T2 = fixtures.torus()
+    S1 = fixtures.circle()
+    edge = S1.chain(1, {S1.simplices(1)[0]: 1})
+    zero = S1.chain(1, {})
+    assert ez(edge, zero, T2).degree == 2
+    assert ez(zero, edge, T2).degree == 2
+    # Integrating over a zero fiber chain gives the zero cochain a degree down.
+    slant = slant_fiber(fixtures.torus_character().curvature, zero)
+    assert slant.degree == 1 and slant.is_zero()
+
+
+def test_closed_fiber_has_zero_boundary_integral():
+    T2 = fixtures.torus()
+    S1 = fixtures.circle()
+    tr = product_transfer(S1, S1, total=T2)
+    rng = random.Random(89)
+    for k in (1, 2, 3):
+        for _ in range(3):
+            h = random_character(T2, k, rng)
+            out = boundary_fiber_integrate(h, tr)
+            assert out.over_boundary.degree == k
+            assert out.over_boundary.is_zero()
+            assert project(out.relative) == out.over_boundary
 
 
 def test_orientation_reversal():
