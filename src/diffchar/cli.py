@@ -17,6 +17,7 @@ from diffchar import fixtures, io
 from diffchar.simplicial import (
     NotFundamentalChain,
     mapping_cone,
+    product_face_count,
     staircase_product,
 )
 from diffchar.characters import (
@@ -197,9 +198,17 @@ def _cmd_product(args):
     return _report("product", inputs, {"character": io.character_to_json(hf)}), 0
 
 
+def _staircase_product(left, right):
+    """The staircase product of two inputs, refused unbuilt past io.MAX_FACES."""
+    faces = product_face_count(left, right)
+    if faces > io.MAX_FACES:
+        raise InputError(f"the product would have {faces} faces, more than {io.MAX_FACES}")
+    return staircase_product(left, right)
+
+
 def _cmd_xproduct(args):
     tokens, h, f = _two_characters(args)
-    P = staircase_product(h.complex, f.complex)
+    P = _staircase_product(h.complex, f.complex)
     hf = external_product(h, f, P)
     inputs = {"character": tokens}
     result = {
@@ -212,7 +221,7 @@ def _cmd_xproduct(args):
 def _transfer_from_args(args):
     base = _resolve_complex(args.complex)
     fiber = _resolve_complex(args.fiber or "interval")
-    return product_transfer(base, fiber, total=staircase_product(base, fiber))
+    return product_transfer(base, fiber, total=_staircase_product(base, fiber))
 
 
 def _total_space_character(args, transfer):

@@ -10,6 +10,8 @@ precision Python integers and fractions.Fraction; there is no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 
 
@@ -39,6 +41,16 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+
+    @classmethod
+    def _trusted(cls, rows, cols, data):
+        """A matrix the library built itself: `data` is already a tuple of
+        `rows` int tuples of length `cols`, so nothing is checked."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -83,11 +95,8 @@ class IntMatrix:
         ]
 
     def transpose(self):
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return IntMatrix._trusted(self.cols, self.rows, data)
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -123,38 +132,100 @@ def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _sparse_identity(n):
+    return [{i: 1} for i in range(n)]
+
+
+def _dense(length, vec):
+    out = [0] * length
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
 class SnfDecomposition:
     """Factorization A = U * D * V with U, V unimodular and D diagonal.
 
-    The diagonal entries of D are nonnegative and satisfy d1 | d2 | ... .
-    u_inv and v_inv are the exact inverses of U and V, tracked during the
-    reduction so that solving never needs a separate inversion step.
+    The diagonal of D is `factors` (the invariant factors d1 | d2 | ..., all
+    positive, `rank` of them) followed by zeros.  The four transforms are
+    kept sparse, as lists of {index: value} dicts: U by columns, U^{-1} by
+    rows, V by rows and V^{-1} by columns.  Callers read them through the
+    methods below; `transpose` swaps their roles without copying anything.
+    The dense matrices U, D, V, u_inv and v_inv are built on demand, for
+    checks and statistics only.
     """
 
-    __slots__ = ("matrix", "U", "D", "V", "u_inv", "v_inv", "rank")
+    __slots__ = ("rows", "cols", "rank", "factors", "_u", "_u_inv", "_v", "_v_inv")
 
-    def __init__(self, matrix, U, D, V, u_inv, v_inv):
-        self.matrix = matrix
-        self.U = U
-        self.D = D
-        self.V = V
-        self.u_inv = u_inv
-        self.v_inv = v_inv
-        self.rank = sum(1 for d in self.diagonal() if d)
+    def __init__(self, rows, cols, factors, u_cols, u_inv_rows, v_rows, v_inv_cols):
+        self.rows = rows
+        self.cols = cols
+        self.rank = len(factors)
+        self.factors = factors
+        self._u = u_cols
+        self._u_inv = u_inv_rows
+        self._v = v_rows
+        self._v_inv = v_inv_cols
 
     def diagonal(self):
-        return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]
+        return list(self.factors) + [0] * (min(self.rows, self.cols) - self.rank)
 
     def transpose(self):
-        """The factorization A^T = V^T * D^T * U^T, with no new reduction."""
+        """The factorization A^T = V^T * D^T * U^T, sharing this one's storage."""
         return SnfDecomposition(
-            self.matrix.transpose(),
-            self.V.transpose(),
-            self.D.transpose(),
-            self.U.transpose(),
-            self.v_inv.transpose(),
-            self.u_inv.transpose(),
+            self.cols, self.rows, self.factors, self._v, self._v_inv, self._u, self._u_inv
         )
+
+    def apply_u_inv(self, vec):
+        """U^{-1} vec; accepts ints or Fractions."""
+        return [sum(x * vec[j] for j, x in row.items()) for row in self._u_inv]
+
+    def apply_v_inv(self, vec):
+        """V^{-1} vec; accepts ints or Fractions, and keeps vec's type of zero."""
+        zero = vec[0] * 0 if vec else 0
+        return _accumulate(self.cols, vec, self._v_inv, zero)
+
+    def u_column(self, k):
+        return _dense(self.rows, self._u[k])
+
+    def u_inv_row(self, k):
+        return _dense(self.rows, self._u_inv[k])
+
+    def kernel_rows(self):
+        """Rows rank: of V, sparse: the coordinates of the kernel part."""
+        return self._v[self.rank:]
+
+    def kernel_columns(self):
+        """Columns rank: of V^{-1}, sparse: a basis of the integer kernel."""
+        return self._v_inv[self.rank:]
+
+    @property
+    def U(self):
+        return _square(self.rows, self._u).transpose()
+
+    @property
+    def u_inv(self):
+        return _square(self.rows, self._u_inv)
+
+    @property
+    def V(self):
+        return _square(self.cols, self._v)
+
+    @property
+    def v_inv(self):
+        return _square(self.cols, self._v_inv).transpose()
+
+    @property
+    def D(self):
+        rows = [[0] * self.cols for _ in range(self.rows)]
+        for i, d in enumerate(self.factors):
+            rows[i][i] = d
+        return IntMatrix._trusted(self.rows, self.cols, tuple(map(tuple, rows)))
+
+
+def _square(n, vectors):
+    """The n x n IntMatrix whose rows are the given sparse vectors."""
+    return IntMatrix._trusted(n, n, tuple(tuple(_dense(n, v)) for v in vectors))
 
 
 def _pivot(S, p, rows, cols):
@@ -184,16 +255,15 @@ def _add_row(M, i, j, t):
     M[i] = [a + t * b for a, b in zip(M[i], M[j])]
 
 
-def smith_normal_form(A):
-    """Smith normal form with unimodular transforms and their inverses.
+def _dense_smith(S, rows, cols):
+    """Dense Smith reduction of S (a list of row lists), done in place.
 
     Pivoting picks the minimal-absolute-value entry of the working submatrix.
     The invariant A = U * S * V holds after every elementary step.  U and
     V^{-1} are held transposed during the reduction, so that every update of
     a transform, after a row step or a column step alike, is a row operation.
+    Returns (S, U^T, U^{-1}, V, V^{-1 T}) as lists of row lists.
     """
-    rows, cols = A.rows, A.cols
-    S = [list(row) for row in A.data]
     Ut, Ui = _identity_rows(rows), _identity_rows(rows)
     V, Vit = _identity_rows(cols), _identity_rows(cols)
 
@@ -263,14 +333,122 @@ def smith_normal_form(A):
             for M in (S, Ut, Ui):
                 M[p] = [-x for x in M[p]]
         p += 1
+    return S, Ut, Ui, V, Vit
 
+
+def _axpy(target, t, source):
+    """target += t * source, on sparse {index: value} vectors."""
+    get = target.get
+    for k, x in source.items():
+        y = get(k, 0) + t * x
+        if y:
+            target[k] = y
+        else:
+            del target[k]
+
+
+def smith_normal_form(A):
+    """Smith normal form of an IntMatrix, with sparse unimodular transforms.
+
+    Boundary matrices are almost all +-1 pivots (Dumas, Heckenbach, Saunders
+    and Welker, 2003), so the reduction first eliminates on unit pivots, in
+    a Markowitz-style order: the column with the fewest nonzeros first, then
+    its shortest row holding a unit, ties broken by index.  Each pivot clears
+    its column by row steps and its row by column steps, on sparse rows.
+    Only the block left when no unit pivot remains goes through the dense
+    reduction, whose transforms are folded back into the sparse ones.
+    """
+    rows, cols = A.rows, A.cols
+    S = [dict(compress(enumerate(r), r)) for r in A.data]
+    in_col = [set() for _ in range(cols)]
+    for i, row in enumerate(S):
+        for j in row:
+            in_col[j].add(i)
+    # L and L^{-1}, the row steps so far, and R and R^{-1}, the column
+    # steps, with L A R the working matrix S.
+    L, L_inv = _sparse_identity(rows), _sparse_identity(rows)
+    R, R_inv = _sparse_identity(cols), _sparse_identity(cols)
+    pivots = []
+    heap = [(len(c), j) for j, c in enumerate(in_col) if c]
+    heapify(heap)
+    while heap:
+        count, j = heappop(heap)
+        col = in_col[j]
+        if count != len(col):
+            continue
+        best = None
+        for r in col:
+            if S[r][j] in (1, -1) and (best is None or (len(S[r]), r) < best):
+                best = (len(S[r]), r)
+        if best is None:
+            # Parked: a later row step that changes the column pushes it again.
+            continue
+        i = best[1]
+        pivot_row = S[i]
+        e = pivot_row[j]
+        touched = set(pivot_row)
+        touched.discard(j)
+        for r in [r for r in col if r != i]:
+            row = S[r]
+            t = -row[j] * e
+            for c, x in pivot_row.items():
+                y = row.get(c, 0) + t * x
+                if y:
+                    if c not in row:
+                        in_col[c].add(r)
+                    row[c] = y
+                else:
+                    del row[c]
+                    in_col[c].discard(r)
+            _axpy(L[r], t, L[i])
+            _axpy(L_inv[i], -t, L_inv[r])
+        for c, x in pivot_row.items():
+            in_col[c].discard(i)
+            if c != j:
+                t = -x * e
+                _axpy(R[c], t, R[j])
+                _axpy(R_inv[j], -t, R_inv[c])
+        S[i] = {}
+        pivots.append((i, j))
+        if e < 0:
+            # D gets +1; the sign goes to this column of U and row of U^{-1}.
+            for vec in (L[i], L_inv[i]):
+                for k in vec:
+                    vec[k] = -vec[k]
+        for c in touched:
+            heappush(heap, (len(in_col[c]), c))
+
+    # What is left has no unit entry; reduce it densely and fold it back.
+    res_rows = [r for r in range(rows) if S[r]]
+    res_cols = [c for c in range(cols) if in_col[c]]
+    residue = []
+    if res_rows:
+        block = [[S[r].get(c, 0) for c in res_cols] for r in res_rows]
+        B, Ut, Ui, V, Vit = _dense_smith(block, len(res_rows), len(res_cols))
+        for vectors, indices, coeffs in (
+            (L, res_rows, Ui), (L_inv, res_rows, Ut), (R, res_cols, Vit), (R_inv, res_cols, V)
+        ):
+            old = [vectors[b] for b in indices]
+            for index, row in zip(indices, coeffs):
+                vectors[index] = acc = {}
+                for c, vec in zip(row, old):
+                    if c:
+                        _axpy(acc, c, vec)
+        residue = [B[a][a] for a in range(min(len(res_rows), len(res_cols))) if B[a][a]]
+
+    # Pivots first, then the residual block, then the rows and columns left zero.
+    row_order = [i for i, _ in pivots] + res_rows
+    col_order = [j for _, j in pivots] + res_cols
+    row_order += sorted(set(range(rows)).difference(row_order))
+    col_order += sorted(set(range(cols)).difference(col_order))
     return SnfDecomposition(
-        A,
-        IntMatrix(rows, rows, zip(*Ut)),
-        IntMatrix(rows, cols, S),
-        IntMatrix(cols, cols, V),
-        IntMatrix(rows, rows, Ui),
-        IntMatrix(cols, cols, zip(*Vit)),
+        rows,
+        cols,
+        [1] * len(pivots) + residue,
+        [L_inv[i] for i in row_order],
+        [L[i] for i in row_order],
+        [R_inv[j] for j in col_order],
+        [R[j] for j in col_order],
     )
 
 
@@ -283,21 +461,17 @@ def _factored(snf_or_matrix):
 def _solve(snf_or_matrix, b, zero, divide):
     """x with A x = b, where divide(c, d) solves d y = c or returns None."""
     snf = _factored(snf_or_matrix)
-    rows, cols = snf.D.rows, snf.D.cols
-    if len(b) != rows:
+    if len(b) != snf.rows:
         raise ValueError("right-hand side length does not match matrix rows")
-    c = snf.u_inv.apply(b)
-    y = [zero] * cols
-    for i in range(rows):
-        d = snf.D.data[i][i] if i < cols else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            y[i] = divide(c[i], d)
-            if y[i] is None:
-                return None
-    return snf.v_inv.apply(y)
+    c = snf.apply_u_inv(b)
+    if any(c[snf.rank:]):
+        return None
+    y = [zero] * snf.cols
+    for i, d in enumerate(snf.factors):
+        y[i] = divide(c[i], d)
+        if y[i] is None:
+            return None
+    return snf.apply_v_inv(y)
 
 
 def solve_integer(snf_or_matrix, b):
@@ -322,7 +496,7 @@ def kernel_basis(snf_or_matrix):
     below work.
     """
     snf = _factored(snf_or_matrix)
-    return [snf.v_inv.column(j) for j in range(snf.rank, snf.D.cols)]
+    return [_dense(snf.cols, col) for col in snf.kernel_columns()]
 
 
 class CycleSplitting:
@@ -332,8 +506,8 @@ class CycleSplitting:
     -> 0 splits because the boundary lattice is free.  With the boundary
     matrix factored as U * D * V of rank r, the rows r: of V give the
     coordinates of a chain's cycle part and the columns r: of V^{-1} are a
-    basis of the cycles.  Only these kernel rows and columns are kept, sparse,
-    as lists of (index, value) pairs; the projection onto cycles is
+    basis of the cycles.  Only these kernel rows and columns are read, as the
+    factorization's sparse {index: value} dicts; the projection onto cycles is
     `combine(coordinates(v))`, and it fixes exactly the cycles.
     """
 
@@ -341,13 +515,9 @@ class CycleSplitting:
 
     def __init__(self, snf_or_matrix):
         snf = _factored(snf_or_matrix)
-        kernel = range(snf.rank, snf.D.cols)
         self.snf = snf
-        self._rows = [[(j, x) for j, x in enumerate(snf.V.data[t]) if x] for t in kernel]
-        self._cols = [
-            [(i, row[t]) for i, row in enumerate(snf.v_inv.data) if row[t]]
-            for t in kernel
-        ]
+        self._rows = snf.kernel_rows()
+        self._cols = snf.kernel_columns()
 
     @property
     def cycle_basis(self):
@@ -356,27 +526,43 @@ class CycleSplitting:
 
     def coordinates(self, v):
         """V[r:] v: coordinates of the cycle part of a chain in the cycle basis."""
-        return [sum(x * v[j] for j, x in row) for row in self._rows]
+        return [sum(x * v[j] for j, x in row.items()) for row in self._rows]
 
     def combine(self, c):
         """V^{-1}[:, r:] c: the cycle with coordinates c."""
-        return _accumulate(self.snf.D.cols, c, self._cols)
+        return _accumulate(self.snf.cols, c, self._cols)
 
     def periods(self, a):
         """V^{-1}[:, r:]^T a: the values of a cochain on the basis cycles."""
-        return [sum(x * a[i] for i, x in col) for col in self._cols]
+        return [sum(x * a[i] for i, x in col.items()) for col in self._cols]
 
     def dual(self, w):
         """V[r:]^T w: the cochain with periods w that vanishes on the complement."""
-        return _accumulate(self.snf.D.cols, w, self._rows)
+        return _accumulate(self.snf.cols, w, self._rows)
+
+    def relations(self, matrix):
+        """The columns of `matrix`, whose rows are indexed like the chains,
+        written in cycle coordinates: V[r:] * matrix, as an IntMatrix."""
+        by_position = [[] for _ in range(self.snf.cols)]
+        for t, row in enumerate(self._rows):
+            for j, x in row.items():
+                by_position[j].append((t, x))
+        out = [[0] * matrix.cols for _ in self._rows]
+        for j, row in enumerate(matrix.data):
+            targets = by_position[j]
+            if targets:
+                for c, x in compress(enumerate(row), row):
+                    for t, y in targets:
+                        out[t][c] += x * y
+        return IntMatrix._trusted(len(out), matrix.cols, tuple(map(tuple, out)))
 
 
-def _accumulate(length, coeffs, vectors):
+def _accumulate(length, coeffs, vectors, zero=0):
     """sum(c * v) over sparse vectors v, as a dense list of the given length."""
-    out = [0] * length
+    out = [zero] * length
     for c, vec in zip(coeffs, vectors):
         if c:
-            for i, x in vec:
+            for i, x in vec.items():
                 out[i] += c * x
     return out
 
@@ -408,11 +594,10 @@ class QuotientPresentation:
 
     def __init__(self, out, in_):
         """`out` is a CycleSplitting, a matrix or its SnfDecomposition; `in_`
-        is a matrix or its SnfDecomposition."""
+        is a matrix, or its SnfDecomposition when `out` is zero."""
         kernel = out if isinstance(out, CycleSplitting) else CycleSplitting(out)
-        in_matrix = in_.matrix if isinstance(in_, SnfDecomposition) else in_
-        n = kernel.snf.D.cols
-        if n != in_matrix.rows:
+        n = kernel.snf.cols
+        if n != in_.rows:
             raise ValueError("boundary matrices do not compose")
         z = n - kernel.snf.rank
         if kernel.snf.rank == 0:
@@ -422,23 +607,22 @@ class QuotientPresentation:
             rel_snf = _factored(in_)
         else:
             # Image generators of in_, written in cycle-basis coordinates.
-            images = [kernel.coordinates(col) for col in in_matrix.transpose().data]
-            rel_snf = smith_normal_form(IntMatrix(in_matrix.cols, z, images).transpose())
+            rel_snf = smith_normal_form(kernel.relations(in_))
         s = rel_snf.rank
         self.kernel = kernel
         self._rel_snf = rel_snf
         self._rel_rank = s
-        self._torsion_indices = [i for i in range(s) if rel_snf.D.data[i][i] > 1]
-        self.torsion = [rel_snf.D.data[i][i] for i in self._torsion_indices]
+        self._torsion_indices = [i for i, d in enumerate(rel_snf.factors) if d > 1]
+        self.torsion = [rel_snf.factors[i] for i in self._torsion_indices]
         self.betti = z - s
         self.generators = [
-            kernel.combine(rel_snf.U.column(i))
+            kernel.combine(rel_snf.u_column(i))
             for i in self._torsion_indices + list(range(s, z))
         ]
 
     def kernel_coordinates(self, vec):
         """Coordinates of vec in the cycle basis; None when it is not in the kernel."""
-        if len(vec) != self.kernel.snf.D.cols:
+        if len(vec) != self.kernel.snf.cols:
             raise ValueError("vector length does not match the chain group")
         y = self.kernel.coordinates(vec)
         return y if self.kernel.combine(y) == list(vec) else None
@@ -453,7 +637,7 @@ class QuotientPresentation:
         y = self.kernel_coordinates(vec)
         if y is None:
             raise ValueError("vector is not in the kernel")
-        return self._rel_snf.u_inv.apply(y)
+        return self._rel_snf.apply_u_inv(y)
 
     def coordinates(self, vec):
         """(free coordinates, torsion residues) of the class of a kernel vector."""
@@ -473,7 +657,7 @@ class QuotientPresentation:
     def torsion_functional(self, index):
         """The cochain whose value on a cycle is its adapted coordinate at the
         index-th torsion position; it vanishes on the complement of the cycles."""
-        return self.kernel.dual(self._rel_snf.u_inv.data[self._torsion_indices[index]])
+        return self.kernel.dual(self._rel_snf.u_inv_row(self._torsion_indices[index]))
 
     def is_zero(self, vec):
         free, tors = self.coordinates(vec)

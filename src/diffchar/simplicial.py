@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from diffchar.exact_linalg import (
     IntMatrix,
@@ -144,7 +145,7 @@ class Complex(_Factorizations):
                 face = s[:i] + s[i + 1 :]
                 if face:
                     data[row_index[face]][j] += -1 if i % 2 else 1
-        return IntMatrix(len(rows), len(cols), data)
+        return IntMatrix._trusted(len(rows), len(cols), tuple(map(tuple, data)))
 
     def chain(self, degree, coeffs=None):
         return Chain(self, degree, coeffs or {})
@@ -509,6 +510,22 @@ def staircase_product(left, right, name=""):
     return ProductComplex(left, right, name)
 
 
+def product_face_count(left, right):
+    """The number of faces of staircase_product(left, right), unbuilt.
+
+    A face projects onto a p-simplex of the left factor and a q-simplex of
+    the right one, and over each such pair lie as many faces as there are
+    paths from (0, 0) to (p, q) by unit steps right, up and diagonally: the
+    Delannoy number sum_k C(p, k) C(q, k) 2^k.
+    """
+    return sum(
+        len(left.simplices(p)) * len(right.simplices(q))
+        * sum(comb(p, k) * comb(q, k) << k for k in range(min(p, q) + 1))
+        for p in range(left.dim + 1)
+        for q in range(right.dim + 1)
+    )
+
+
 def product_map(left_map, right_map, source, target):
     """The map (u,v) -> (left u, right v) between staircase products.
 
@@ -785,12 +802,10 @@ class MappingCone(_Factorizations):
             self.phi.matrix(n - 1) if n - 1 >= 0 else IntMatrix.zero(rows_x, 0)
         )
         da = A.boundary_matrix(n - 1) if n - 1 >= 1 else IntMatrix.zero(rows_a, cols_a)
-        data = []
-        for i in range(rows_x):
-            data.append(list(dx.data[i]) + list(phi_block.data[i]))
+        data = [dx.data[i] + phi_block.data[i] for i in range(rows_x)]
         for i in range(rows_a):
-            data.append([0] * cols_x + [-x for x in da.data[i]])
-        return IntMatrix(rows_x + rows_a, cols_x + cols_a, data)
+            data.append((0,) * cols_x + tuple(-x for x in da.data[i]))
+        return IntMatrix._trusted(rows_x + rows_a, cols_x + cols_a, tuple(data))
 
     def chain(self, degree, x_coeffs=None, a_coeffs=None):
         X, A = self.phi.target, self.phi.source

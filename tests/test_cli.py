@@ -424,6 +424,30 @@ def test_vertex_count_bound_fails_fast(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+
+@pytest.mark.parametrize("command", ["xproduct", "fiber-integrate",
+                                     "boundary-fiber-integrate"])
+def test_oversized_products_fail_fast(capsys, tmp_path, command):
+    # Each 1,000-vertex circle is well under the face bound; their staircase
+    # product would have 6,000,000 faces and is refused unbuilt.
+    n = 1000
+    K = tmp_path / "circle.json"
+    K.write_text(json.dumps({"vertices": n,
+                             "simplices": [[i, i + 1] for i in range(n - 1)] + [[0, n - 1]]}))
+    h = tmp_path / "zero.json"
+    h.write_text(json.dumps({"degree": 0, "cocycle": {"degree": 0, "values": {}}}))
+    if command == "xproduct":
+        argv = ["--complex", str(K), "--complex", str(K),
+                "--character", str(h), "--character", str(h)]
+    else:
+        argv = ["--complex", str(K), "--fiber", str(K), "--character", str(h)]
+    start = time.perf_counter()
+    code, rep = _run(capsys, [command, *argv])
+    assert code == 2
+    assert "6000000 faces" in rep["error"]
+    assert time.perf_counter() - start < 1.0
+
+
 _json_documents = st.recursive(
     st.none() | st.booleans() | st.integers(-64, 64) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)

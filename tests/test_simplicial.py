@@ -19,6 +19,7 @@ from diffchar.simplicial import (
     fundamental_cycle,
     identity_map,
     mapping_cone,
+    product_face_count,
     product_map,
     staircase_product,
     tensor,
@@ -254,3 +255,13 @@ def test_components():
     two = fixtures.two_points()
     assert len(two.components()) == 2
     assert len(fixtures.torus().components()) == 1
+
+
+def test_product_face_count_predicts_the_built_product():
+    names = ["point", "interval", "S1_3", "S2_4", "T2_9", "RP2_6", "Klein_K"]
+    for a in names:
+        for b in names:
+            A, B = fixtures.complex_by_name(a), fixtures.complex_by_name(b)
+            P = staircase_product(A, B)
+            assert product_face_count(A, B) == sum(1 for _ in P.all_simplices())
+    assert product_face_count(fixtures.torus(), fixtures.projective_plane()) == 6804

@@ -1,0 +1,181 @@
+"""The sparse unit-pivot Smith engine against the dense reduction and the oracle.
+
+`smith_normal_form` eliminates on +-1 pivots and hands only the leftover
+block to the dense routine `_dense_smith`.  Both must give the invariant
+factors of tests/oracle.py and valid unimodular transforms on any matrix,
+and on the boundary matrices of random flag complexes in particular.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import diffchar
+from diffchar import fixtures, io
+from diffchar.characters import iota, trivialization
+from diffchar.cochain import Cochain
+from diffchar.exact_linalg import (
+    IntMatrix,
+    SnfDecomposition,
+    _dense_smith,
+    smith_normal_form,
+    solve_integer,
+)
+from diffchar.simplicial import staircase_product
+from oracle import invariant_factors, rational_rank
+from test_exact_linalg import flag_complexes
+
+
+@st.composite
+def matrices(draw):
+    """Small integer matrices, with or without unit entries, some of whose
+    rows and columns are zeroed, including the empty shapes."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.sampled_from([0, 0, 2, -2, 3, -3, 4, 6]),
+        st.sampled_from([0, 0, 0, 1, -1]),
+    ]))
+    data = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    zero_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    data = [
+        [0 if zero_rows[i] or zero_cols[j] else x for j, x in enumerate(row)]
+        for i, row in enumerate(data)
+    ]
+    return IntMatrix(rows, cols, data)
+
+
+def _is_identity(m):
+    return m == IntMatrix.identity(m.rows)
+
+
+def _check_sparse(a):
+    snf = smith_normal_form(a)
+    assert (snf.rows, snf.cols) == (a.rows, a.cols)
+    assert snf.U.mul(snf.D).mul(snf.V) == a
+    assert _is_identity(snf.U.mul(snf.u_inv))
+    assert _is_identity(snf.V.mul(snf.v_inv))
+    return snf
+
+
+def _check_dense(a):
+    S, Ut, Ui, V, Vit = _dense_smith([list(r) for r in a.data], a.rows, a.cols)
+    U = IntMatrix(a.rows, a.rows, Ut).transpose()
+    D = IntMatrix(a.rows, a.cols, S)
+    V, v_inv = IntMatrix(a.cols, a.cols, V), IntMatrix(a.cols, a.cols, Vit).transpose()
+    assert U.mul(D).mul(V) == a
+    assert _is_identity(U.mul(IntMatrix(a.rows, a.rows, Ui)))
+    assert _is_identity(V.mul(v_inv))
+    diagonal = [S[i][i] for i in range(min(a.rows, a.cols))]
+    assert all(S[i][j] == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+    return [d for d in diagonal if d]
+
+
+def _agree(a):
+    snf = _check_sparse(a)
+    want = invariant_factors(a.data)
+    assert snf.factors == want
+    assert _check_dense(a) == want
+    assert snf.rank == rational_rank(a.data)
+    assert snf.diagonal() == want + [0] * (min(a.rows, a.cols) - len(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_sparse_and_dense_engines_agree_on_random_matrices(a):
+    _agree(a)
+    _agree(a.transpose())
+
+
+@settings(max_examples=40, deadline=None)
+@given(flag_complexes())
+def test_engines_agree_on_flag_complex_boundaries(K):
+    for n in range(1, K.dim + 1):
+        d = K.boundary_matrix(n)
+        _agree(d)
+        _agree(d.transpose())
+
+
+def test_transpose_shares_the_sparse_storage():
+    snf = smith_normal_form(fixtures.projective_plane().boundary_matrix(2))
+    t = snf.transpose()
+    assert (t.rows, t.cols, t.rank, t.factors) == (snf.cols, snf.rows, snf.rank, snf.factors)
+    assert t._u is snf._v and t._u_inv is snf._v_inv
+    assert t._v is snf._u and t._v_inv is snf._u_inv
+    back = t.transpose()
+    assert (back.rows, back.cols, back.rank) == (snf.rows, snf.cols, snf.rank)
+    for name in ("factors", "_u", "_u_inv", "_v", "_v_inv"):
+        assert getattr(back, name) is getattr(snf, name)
+
+
+@pytest.mark.parametrize("pair", [("S1_3", "RP2_6"), ("Klein_K", "S1_3")])
+def test_callers_never_build_the_dense_views(monkeypatch, pair):
+    def refuse(self):
+        raise AssertionError("dense view built")
+
+    for name in ("U", "D", "V", "u_inv", "v_inv"):
+        monkeypatch.setattr(SnfDecomposition, name, property(refuse))
+    monkeypatch.setattr(IntMatrix, "mul", lambda self, other: refuse(self))
+    P = staircase_product(*(fixtures.complex_by_name(name) for name in pair))
+    for n in range(P.dim + 1):
+        hom, coh = P.homology(n), P.cohomology(n)
+        for group in (hom, coh):
+            for g in group.generators:
+                group.coordinates(g)
+            for i in range(len(group.torsion)):
+                group.torsion_functional(i)
+        for d, g in zip(hom.torsion, hom.generators):
+            x = solve_integer(P.boundary_snf(n + 1), [d * v for v in g])
+            assert x is not None
+        if n >= 1:
+            values = [Fraction(i % 7, 5) for i in range(len(P.simplices(n - 1)))]
+            h = iota(Cochain.from_vector(P, n - 1, values))
+            assert iota(trivialization(h)) == h
+
+
+def test_large_product_boundary_factors():
+    # d_3 of T2_9 x RP2_6: the dense engine took over a minute on it.
+    P = staircase_product(fixtures.torus(), fixtures.projective_plane())
+    snf = smith_normal_form(P.boundary_matrix(3))
+    assert (snf.rows, snf.cols) == (2268, 2700)
+    assert snf.rank == 1620
+    assert [d for d in snf.factors if d != 1] == [2, 2]
+
+
+def test_public_matrix_constructor_checks_its_input():
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, [[1, 2]])
+    with pytest.raises(ValueError):
+        IntMatrix(-1, 0, [])
+    with pytest.raises(ValueError):
+        IntMatrix(0, -2, [])
+    for bad in (Fraction(1, 2), 1.0):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, [[1, bad]])
+
+
+def test_reports_do_not_depend_on_hash_seeds(tmp_path):
+    P = staircase_product(fixtures.klein_bottle(), fixtures.circle())
+    path = tmp_path / "product.json"
+    path.write_text(io.dumps(io.complex_to_json(P)))
+    src = os.path.dirname(os.path.dirname(diffchar.__file__))
+    argvs = [["homology", "--complex", str(path), "--degree", str(n)] for n in (1, 2)]
+    argvs.append(["verify", "--suite", "bb-oracle"])
+    outputs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs[seed] = [
+            subprocess.run([sys.executable, "-m", "diffchar.cli", *argv],
+                           capture_output=True, env=env, check=True).stdout
+            for argv in argvs
+        ]
+    assert outputs["0"] == outputs["1"]
