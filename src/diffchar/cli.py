@@ -35,7 +35,6 @@ from diffchar.fiber_integration import (
 )
 from diffchar.relative import NoSection, find_section
 from diffchar.holonomy import DimensionMismatch, holonomy
-from diffchar.verify import UnknownSuite, run_suite, suite_names
 
 
 class InputError(Exception):
@@ -296,6 +295,9 @@ def _cmd_holonomy(args):
 
 
 def _cmd_verify(args):
+    # Imported here so that the other subcommands do not pay for compiling it.
+    from diffchar.verify import UnknownSuite, run_suite, suite_names
+
     if args.suite is None:
         raise InputError(
             "--suite is required; available: " + ", ".join(suite_names())

@@ -24,9 +24,17 @@ class InvariantViolation(Exception):
 
 
 class IntMatrix:
-    """Dense matrix of Python ints, stored row-major as tuples."""
+    """Integer matrix stored by its nonzeros: `entries[i]` is the
+    {column: value} dict of row i, with no zero values.
 
-    __slots__ = ("rows", "cols", "data")
+    The public constructor takes dense rows and checks them; the library
+    builds its matrices with `_trusted` from sparse rows, so making, copying,
+    transposing and reducing a matrix costs time and memory in its nonzeros,
+    not in rows x cols.  `data` is a dense tuple-of-tuples view built on
+    demand, for checks and reports only.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, data):
         if rows < 0 or cols < 0:
@@ -40,92 +48,49 @@ class IntMatrix:
                     raise TypeError("IntMatrix entries must be int")
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.entries = tuple(dict(compress(enumerate(r), r)) for r in data)
 
     @classmethod
-    def _trusted(cls, rows, cols, data):
-        """A matrix the library built itself: `data` is already a tuple of
-        `rows` int tuples of length `cols`, so nothing is checked."""
+    def _trusted(cls, rows, cols, entries):
+        """A matrix the library built itself: `entries` is a tuple of `rows`
+        {column: nonzero int} dicts with columns in range(cols), which no one
+        mutates afterwards, so nothing is checked."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.data = data
+        m.entries = entries
         return m
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, _identity_rows(n))
+        return cls._trusted(n, n, tuple(_sparse_identity(n)))
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._trusted(rows, cols, ({},) * rows)
+
+    @property
+    def data(self):
+        """The dense rows, as a tuple of int tuples."""
+        return tuple(tuple(_dense(self.cols, row)) for row in self.entries)
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("matrix dimensions do not compose")
-        rows = []
-        for i in range(self.rows):
-            a = self.data[i]
-            rows.append(
-                [
-                    sum(a[k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix(self.rows, other.cols, rows)
-
-    def apply(self, vec):
-        """Matrix times column vector; accepts ints or Fractions."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match matrix columns")
-        return [
-            sum(self.data[i][j] * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        ]
-
     def transpose(self):
-        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return IntMatrix._trusted(self.cols, self.rows, data)
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def det(self):
-        """Determinant via fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return IntMatrix._trusted(self.cols, self.rows, tuple(out))
 
 
 def _identity_rows(n):
@@ -217,15 +182,14 @@ class SnfDecomposition:
 
     @property
     def D(self):
-        rows = [[0] * self.cols for _ in range(self.rows)]
-        for i, d in enumerate(self.factors):
-            rows[i][i] = d
-        return IntMatrix._trusted(self.rows, self.cols, tuple(map(tuple, rows)))
+        rows = [{i: d} for i, d in enumerate(self.factors)]
+        rows += [{}] * (self.rows - self.rank)
+        return IntMatrix._trusted(self.rows, self.cols, tuple(rows))
 
 
 def _square(n, vectors):
     """The n x n IntMatrix whose rows are the given sparse vectors."""
-    return IntMatrix._trusted(n, n, tuple(tuple(_dense(n, v)) for v in vectors))
+    return IntMatrix._trusted(n, n, tuple(map(dict, vectors)))
 
 
 def _pivot(S, p, rows, cols):
@@ -359,7 +323,7 @@ def smith_normal_form(A):
     reduction, whose transforms are folded back into the sparse ones.
     """
     rows, cols = A.rows, A.cols
-    S = [dict(compress(enumerate(r), r)) for r in A.data]
+    S = list(map(dict, A.entries))
     in_col = [set() for _ in range(cols)]
     for i, row in enumerate(S):
         for j in row:
@@ -543,18 +507,14 @@ class CycleSplitting:
     def relations(self, matrix):
         """The columns of `matrix`, whose rows are indexed like the chains,
         written in cycle coordinates: V[r:] * matrix, as an IntMatrix."""
-        by_position = [[] for _ in range(self.snf.cols)]
-        for t, row in enumerate(self._rows):
+        rows = matrix.entries
+        out = []
+        for row in self._rows:
+            acc = {}
             for j, x in row.items():
-                by_position[j].append((t, x))
-        out = [[0] * matrix.cols for _ in self._rows]
-        for j, row in enumerate(matrix.data):
-            targets = by_position[j]
-            if targets:
-                for c, x in compress(enumerate(row), row):
-                    for t, y in targets:
-                        out[t][c] += x * y
-        return IntMatrix._trusted(len(out), matrix.cols, tuple(map(tuple, out)))
+                _axpy(acc, x, rows[j])
+            out.append(acc)
+        return IntMatrix._trusted(len(out), matrix.cols, tuple(out))
 
 
 def _accumulate(length, coeffs, vectors, zero=0):

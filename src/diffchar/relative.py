@@ -332,20 +332,17 @@ def _pushforward_kernel_lattice(phi, degree, gens):
     """
     X = phi.target
     pres_x = X.homology(degree)
+    free = pres_x.free_positions()
     tors_pos = pres_x.torsion_positions()
-    tors = pres_x.torsion
     columns = [
         pres_x.adapted_coordinates(phi.push_chain(g).to_vector()) for g in gens
     ]
-    rows = []
-    for i in pres_x.free_positions():
-        rows.append([col[i] for col in columns] + [0] * len(tors))
-    for idx, ti in enumerate(tors_pos):
-        rows.append(
-            [col[ti] for col in columns]
-            + [tors[idx] if jj == idx else 0 for jj in range(len(tors))]
-        )
-    matrix = IntMatrix(len(rows), len(gens) + len(tors), rows)
+    entries = [
+        {j: col[i] for j, col in enumerate(columns) if col[i]} for i in free + tors_pos
+    ]
+    for idx, d in enumerate(pres_x.torsion):
+        entries[len(free) + idx][len(gens) + idx] = d
+    matrix = IntMatrix._trusted(len(entries), len(gens) + len(tors_pos), tuple(entries))
     return [vec[: len(gens)] for vec in kernel_basis(matrix)]
 
 

@@ -49,6 +49,7 @@ class _Factorizations:
     Each boundary matrix is built and reduced to Smith normal form once; the
     coboundary factorization is the transpose of that reduction, and the
     cycle splittings and (co)homology presentations are built from these.
+    A staircase product keeps its two projection maps in the same memo.
     """
 
     def _cached(self, kind, n, build):
@@ -139,13 +140,12 @@ class Complex(_Factorizations):
         rows = self.simplices(n - 1)
         cols = self.simplices(n)
         row_index = {s: i for i, s in enumerate(rows)}
-        data = [[0] * len(cols) for _ in rows]
-        for j, s in enumerate(cols):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                if face:
-                    data[row_index[face]][j] += -1 if i % 2 else 1
-        return IntMatrix._trusted(len(rows), len(cols), tuple(map(tuple, data)))
+        entries = [{} for _ in rows]
+        if n > 0:
+            for j, s in enumerate(cols):
+                for i in range(len(s)):
+                    entries[row_index[s[:i] + s[i + 1 :]]][j] = -1 if i % 2 else 1
+        return IntMatrix._trusted(len(rows), len(cols), tuple(entries))
 
     def chain(self, degree, coeffs=None):
         return Chain(self, degree, coeffs or {})
@@ -404,12 +404,12 @@ class SimplicialMap:
         rows = self.target.simplices(n)
         cols = self.source.simplices(n)
         row_index = {s: i for i, s in enumerate(rows)}
-        data = [[0] * len(cols) for _ in rows]
+        entries = [{} for _ in rows]
         for j, s in enumerate(cols):
             sign, image = self.push_simplex(s)
             if sign != 0:
-                data[row_index[image]][j] += sign
-        return IntMatrix(len(rows), len(cols), data)
+                entries[row_index[image]][j] = sign
+        return IntMatrix._trusted(len(rows), len(cols), tuple(entries))
 
     def __repr__(self):
         return f"SimplicialMap({list(self.vertex_map)})"
@@ -484,13 +484,15 @@ class ProductComplex(Complex):
         return divmod(w, self.right.num_vertices)
 
     def projection_left(self):
-        return SimplicialMap(
-            self, self.left, [self.decode(w)[0] for w in range(self.num_vertices)]
-        )
+        return self._cached("projection", 0, lambda: self._projection(0))
 
     def projection_right(self):
+        return self._cached("projection", 1, lambda: self._projection(1))
+
+    def _projection(self, k):
+        target = (self.left, self.right)[k]
         return SimplicialMap(
-            self, self.right, [self.decode(w)[1] for w in range(self.num_vertices)]
+            self, target, [self.decode(w)[k] for w in range(self.num_vertices)]
         )
 
     def include_at_right(self, v0):
@@ -798,14 +800,17 @@ class MappingCone(_Factorizations):
         rows_x, cols_x = dx.rows, dx.cols
         cols_a = len(A.simplices(n - 1)) if n - 1 >= 0 else 0
         rows_a = len(A.simplices(n - 2)) if n - 2 >= 0 else 0
-        phi_block = (
-            self.phi.matrix(n - 1) if n - 1 >= 0 else IntMatrix.zero(rows_x, 0)
-        )
-        da = A.boundary_matrix(n - 1) if n - 1 >= 1 else IntMatrix.zero(rows_a, cols_a)
-        data = [dx.data[i] + phi_block.data[i] for i in range(rows_x)]
-        for i in range(rows_a):
-            data.append((0,) * cols_x + tuple(-x for x in da.data[i]))
-        return IntMatrix._trusted(rows_x + rows_a, cols_x + cols_a, tuple(data))
+        # Block rows [dx | phi] over [0 | -da], the right blocks' columns
+        # shifted past the cols_x columns of dx.
+        entries = [dict(row) for row in dx.entries]
+        if n - 1 >= 0:
+            for row, block in zip(entries, self.phi.matrix(n - 1).entries):
+                for j, x in block.items():
+                    row[cols_x + j] = x
+        if n - 1 >= 1:
+            for block in A.boundary_matrix(n - 1).entries:
+                entries.append({cols_x + j: -x for j, x in block.items()})
+        return IntMatrix._trusted(rows_x + rows_a, cols_x + cols_a, tuple(entries))
 
     def chain(self, degree, x_coeffs=None, a_coeffs=None):
         X, A = self.phi.target, self.phi.source

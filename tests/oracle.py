@@ -5,11 +5,17 @@ a classic reduce-and-recurse loop that tracks no transform matrices and
 shares no code with the package.  Homology ranks and torsion follow from
 boundary matrices alone: betti_n = dim C_n - rank d_n - rank d_{n+1}, and
 the torsion of H_n is the list of invariant factors of d_{n+1} exceeding 1.
+
+The dense matrix helpers at the end (product, matrix times vector, column,
+determinant) work on the `data` view of an IntMatrix with textbook loops;
+the package itself only ever reads a matrix's nonzeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from diffchar.exact_linalg import IntMatrix
 
 
 def rational_rank(rows):
@@ -100,3 +106,53 @@ def homology_rank_and_torsion(boundary_out_rows, boundary_in_rows, chain_dim):
     betti = chain_dim - rational_rank(boundary_out_rows) - rational_rank(boundary_in_rows)
     torsion = [d for d in invariant_factors(boundary_in_rows) if d > 1]
     return betti, torsion
+
+
+def matmul(a, b):
+    """The product a * b of two IntMatrix objects."""
+    if a.cols != b.rows:
+        raise ValueError("matrix dimensions do not compose")
+    x, y = a.data, b.data
+    rows = [
+        [sum(x[i][k] * y[k][j] for k in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    return IntMatrix(a.rows, b.cols, rows)
+
+
+def apply(a, vec):
+    """Matrix times column vector; accepts ints or Fractions."""
+    if len(vec) != a.cols:
+        raise ValueError("vector length does not match matrix columns")
+    return [sum(x * v for x, v in zip(row, vec)) for row in a.data]
+
+
+def column(a, j):
+    return [row[j] for row in a.data]
+
+
+def det(a):
+    """Determinant via fraction-free Bareiss elimination."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = [list(row) for row in a.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

@@ -518,3 +518,13 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["phase"] == "1/3"
+
+def test_importing_the_cli_leaves_the_verify_suites_unloaded():
+    src = os.path.dirname(os.path.dirname(diffchar.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diffchar.cli; print('diffchar.verify' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

@@ -228,6 +228,15 @@ def test_product_map_factors():
         product_map(identity_map(S1), incl, W, staircase_product(iv, S1))
 
 
+def test_product_projections_are_built_once():
+    P = staircase_product(fixtures.circle(), fixtures.interval())
+    assert P.projection_left() is P.projection_left()
+    assert P.projection_right() is P.projection_right()
+    for w in range(P.num_vertices):
+        u, v = P.decode(w)
+        assert (P.projection_left().vertex_map[w], P.projection_right().vertex_map[w]) == (u, v)
+
+
 def test_mapping_cone_relative_homology():
     """The cone of the equator inclusion computes relative homology."""
     cone = fixtures.equator_cone()
