@@ -325,32 +325,44 @@ _COMMANDS = {
 }
 
 
+# Commands that take two factors, so --complex and --character accumulate.
+_LIST_COMMANDS = ("product", "xproduct")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="diffchar",
         description="Exact differential characters on finite simplicial complexes.",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--complex", action="append" if name in ("product", "xproduct") else None,
-                       default=None, help="fixture name or JSON file")
-        p.add_argument("--character", action="append" if name in ("product", "xproduct") else None,
-                       default=None, help="fixture name or JSON file")
-        p.add_argument("--chain", default=None, help="fixture name or JSON file")
-        p.add_argument("--map", default=None, help="fixture name or JSON file")
-        p.add_argument("--out", default=None, help="also write the report here")
-        p.add_argument("--suite", default=None, help="verification suite name")
-        p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--cochain", default=None, help="JSON file")
-        p.add_argument("--fiber", default=None, help="fiber complex (default interval)")
-        p.add_argument("--map-source", dest="map_source", default=None,
-                       help="source complex for a map file")
+    parser.add_argument("cmd", choices=_COMMANDS, metavar="command",
+                        help="one of: " + ", ".join(_COMMANDS))
+    parser.add_argument("--complex", action="append", help="fixture name or JSON file")
+    parser.add_argument("--character", action="append", help="fixture name or JSON file")
+    parser.add_argument("--chain", help="fixture name or JSON file")
+    parser.add_argument("--map", help="fixture name or JSON file")
+    parser.add_argument("--out", help="also write the report here")
+    parser.add_argument("--suite", help="verification suite name")
+    parser.add_argument("--degree", type=int)
+    parser.add_argument("--cochain", help="JSON file")
+    parser.add_argument("--fiber", help="fiber complex (default interval)")
+    parser.add_argument("--map-source", dest="map_source",
+                        help="source complex for a map file")
     return parser
 
 
-def main(argv=None):
+def _parse(argv):
+    """Parsed arguments; outside _LIST_COMMANDS the last --complex and
+    --character given win."""
     args = _build_parser().parse_args(argv)
+    if args.cmd not in _LIST_COMMANDS:
+        for name in ("complex", "character"):
+            values = getattr(args, name)
+            setattr(args, name, values[-1] if values else None)
+    return args
+
+
+def main(argv=None):
+    args = _parse(argv)
     try:
         report, status = _COMMANDS[args.cmd](args)
     except InputError as exc:

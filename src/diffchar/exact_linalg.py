@@ -352,6 +352,11 @@ def smith_normal_form(A):
         e = pivot_row[j]
         touched = set(pivot_row)
         touched.discard(j)
+        # This pivot's column of U is the pivot column as it stands, and its
+        # row of V is e times the pivot row.
+        L_inv[i] = {r: S[r][j] for r in col}
+        R_inv[j] = {c: x * e for c, x in pivot_row.items()}
+        source = L[i]
         for r in [r for r in col if r != i]:
             row = S[r]
             t = -row[j] * e
@@ -364,21 +369,32 @@ def smith_normal_form(A):
                 else:
                     del row[c]
                     in_col[c].discard(r)
-            _axpy(L[r], t, L[i])
-            _axpy(L_inv[i], -t, L_inv[r])
+            # U^{-1}: L[r] += t * L[i].
+            target = L[r]
+            for k, v in source.items():
+                y = target.get(k, 0) + t * v
+                if y:
+                    target[k] = y
+                else:
+                    del target[k]
+        source = R[j]
         for c, x in pivot_row.items():
             in_col[c].discard(i)
             if c != j:
+                # V^{-1}: R[c] += t * R[j].
                 t = -x * e
-                _axpy(R[c], t, R[j])
-                _axpy(R_inv[j], -t, R_inv[c])
+                target = R[c]
+                for k, v in source.items():
+                    y = target.get(k, 0) + t * v
+                    if y:
+                        target[k] = y
+                    else:
+                        del target[k]
         S[i] = {}
         pivots.append((i, j))
         if e < 0:
-            # D gets +1; the sign goes to this column of U and row of U^{-1}.
-            for vec in (L[i], L_inv[i]):
-                for k in vec:
-                    vec[k] = -vec[k]
+            # D gets +1; the sign goes to this row of U^{-1}, as to U above.
+            L[i] = {k: -x for k, x in L[i].items()}
         for c in touched:
             heappush(heap, (len(in_col[c]), c))
 
@@ -508,13 +524,33 @@ class CycleSplitting:
         """The columns of `matrix`, whose rows are indexed like the chains,
         written in cycle coordinates: V[r:] * matrix, as an IntMatrix."""
         rows = matrix.entries
-        out = []
-        for row in self._rows:
-            acc = {}
-            for j, x in row.items():
-                _axpy(acc, x, rows[j])
-            out.append(acc)
-        return IntMatrix._trusted(len(out), matrix.cols, tuple(out))
+        return IntMatrix._trusted(
+            len(self._rows), matrix.cols, tuple(_combination(row, rows) for row in self._rows)
+        )
+
+    def lift(self, rel_snf):
+        """The factorization of a matrix whose columns are cycles, read off the
+        factorization U_N * D * V of its `relations`.
+
+        The matrix is K * U_N * D * V, with K = V^{-1}[:, r:] the cycle basis;
+        completing K * U_N by the complement columns V^{-1}[:, :r] gives a
+        unimodular U, whose inverse stacks U_N^{-1} * V[r:] over V[:r].
+        """
+        snf = self.snf
+        r = snf.rank
+        u_cols = [_combination(col, self._cols) for col in rel_snf._u] + snf._v_inv[:r]
+        u_inv_rows = [_combination(row, self._rows) for row in rel_snf._u_inv] + snf._v[:r]
+        return SnfDecomposition(
+            snf.cols, rel_snf.cols, rel_snf.factors, u_cols, u_inv_rows, rel_snf._v, rel_snf._v_inv
+        )
+
+
+def _combination(coeffs, vectors):
+    """sum(c * vectors[k] for k, c in coeffs), on sparse {index: value} vectors."""
+    acc = {}
+    for k, c in coeffs.items():
+        _axpy(acc, c, vectors[k])
+    return acc
 
 
 def _accumulate(length, coeffs, vectors, zero=0):
@@ -528,8 +564,8 @@ def _accumulate(length, coeffs, vectors, zero=0):
 
 
 def cycle_splitting(complex, n):
-    """CycleSplitting of C_n, from the complex's boundary factorization."""
-    return CycleSplitting(complex.boundary_snf(n))
+    """CycleSplitting of C_n: ker d_n = ker N_n, so it reads N_n's factorization."""
+    return CycleSplitting(complex.relation_snf(n))
 
 
 class QuotientPresentation:
@@ -552,22 +588,17 @@ class QuotientPresentation:
         "_torsion_indices",
     )
 
-    def __init__(self, out, in_):
-        """`out` is a CycleSplitting, a matrix or its SnfDecomposition; `in_`
-        is a matrix, or its SnfDecomposition when `out` is zero."""
-        kernel = out if isinstance(out, CycleSplitting) else CycleSplitting(out)
-        n = kernel.snf.cols
-        if n != in_.rows:
+    def __init__(self, kernel, relations):
+        """`kernel` is the CycleSplitting of `out` (or `out`, a matrix or its
+        SnfDecomposition, to split); `relations` are the image generators of
+        `in`, written in the kernel's cycle coordinates: an SnfDecomposition,
+        or a matrix to factor."""
+        if not isinstance(kernel, CycleSplitting):
+            kernel = CycleSplitting(kernel)
+        rel_snf = _factored(relations)
+        z = kernel.snf.cols - kernel.snf.rank
+        if rel_snf.rows != z:
             raise ValueError("boundary matrices do not compose")
-        z = n - kernel.snf.rank
-        if kernel.snf.rank == 0:
-            # No reduction step ran, so V is the identity, the cycle basis is
-            # the standard basis, and the relations are in_ itself: a
-            # factorization of it is used as is.
-            rel_snf = _factored(in_)
-        else:
-            # Image generators of in_, written in cycle-basis coordinates.
-            rel_snf = smith_normal_form(kernel.relations(in_))
         s = rel_snf.rank
         self.kernel = kernel
         self._rel_snf = rel_snf
@@ -640,32 +671,32 @@ def homology(complex, n):
     """H_n as a QuotientPresentation of ker d_n / im d_{n+1}.
 
     `complex` is a simplicial complex or a mapping cone: it keeps the memo
-    of boundary_matrix, boundary_snf, coboundary_snf and splitting.
-    Generator chains are reconstructed by the caller from `generators` since
-    only the caller knows the basis.
+    of relation_snf, boundary_snf, coboundary_snf and splitting.  The
+    relations of H_n are N_{n+1}, d_{n+1} in the cycle coordinates of C_n,
+    whose factorization degree n + 1 makes anyway.  Generator chains are
+    reconstructed by the caller from `generators` since only the caller
+    knows the basis.
     """
-    kernel = complex.splitting(n)
-    # A zero out-map makes the next boundary the relation matrix itself, so
-    # its (memoized) factorization is handed over instead of a new reduction.
-    inn = (
-        complex.boundary_snf(n + 1)
-        if kernel.snf.rank == 0
-        else complex.boundary_matrix(n + 1)
-    )
-    return QuotientPresentation(kernel, inn)
+    return QuotientPresentation(complex.splitting(n), complex.relation_snf(n + 1))
 
 
 def cohomology(complex, k):
-    """Integral cohomology in degree k of the dual complex.
+    """Integral cohomology in degree k of the dual complex, with no
+    elimination of its own.
 
     Cochains in degree k are vectors indexed by k-simplices; the coboundary
-    is the transpose of the boundary one degree up, and so is its SNF.
+    d_{k+1}^T is factored as the transpose of boundary_snf(k + 1), whose U
+    is [K * U_N | V_k^{-1}[:, :r]] (see CycleSplitting.lift), V_k the V of
+    boundary_snf(k) = U_k * D_k * V_k.  In the cocycle coordinates of that
+    factorization, the relations d_k^T = V_k^T * D_k^T * U_k^T come out as
+    [0 ; diag(d) * U_k^T[:r]], d the r factors of D_k: a row permutation,
+    the factors d and V = U_k^T make a Smith normal form as it stands.
     """
-    out = complex.coboundary_snf(k)
-    # As in homology: with a zero out-map, reuse the incoming factorization.
-    inn = (
-        complex.coboundary_snf(k - 1)
-        if out.rank == 0
-        else complex.boundary_matrix(k).transpose()
-    )
-    return QuotientPresentation(out, inn)
+    kernel = CycleSplitting(complex.coboundary_snf(k))
+    below = complex.boundary_snf(k)
+    z = kernel.snf.cols - kernel.snf.rank
+    r = below.rank
+    # Row i < r of D_k lands in row z - r + i; the zero rows come first.
+    perm = [{z - r + i: 1} for i in range(r)] + [{i: 1} for i in range(z - r)]
+    relations = SnfDecomposition(z, below.rows, below.factors, perm, perm, below._u, below._u_inv)
+    return QuotientPresentation(kernel, relations)

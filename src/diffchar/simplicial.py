@@ -46,10 +46,13 @@ class _Factorizations:
     """One memo per complex-like object, keyed by (kind, degree).
 
     Subclasses provide boundary_matrix(n) and start with an empty `_memo`.
-    Each boundary matrix is built and reduced to Smith normal form once; the
-    coboundary factorization is the transpose of that reduction, and the
-    cycle splittings and (co)homology presentations are built from these.
-    A staircase product keeps its two projection maps in the same memo.
+    Each degree n runs one Smith elimination, of N_n: the boundary d_n
+    written in the cycle coordinates of C_{n-1} (d_n itself when C_{n-1} is
+    zero), a matrix with a row per cycle of C_{n-1} rather than per chain.
+    Since ker d_n = ker N_n, that one factorization gives the cycle splitting
+    of C_n, the relations of H_{n-1}, and, with the splitting of C_{n-1}, the
+    factorization of d_n, whose transpose is the coboundary's.  A staircase
+    product keeps its two projection maps in the same memo.
     """
 
     def _cached(self, kind, n, build):
@@ -58,8 +61,24 @@ class _Factorizations:
             self._memo[key] = build()
         return self._memo[key]
 
+    def relation_snf(self, n):
+        """SNF of N_n, the one elimination of degree n."""
+
+        def build():
+            d = self.boundary_matrix(n)
+            return smith_normal_form(d if d.rows == 0 else self.splitting(n - 1).relations(d))
+
+        return self._cached("relations", n, build)
+
     def boundary_snf(self, n):
-        return self._cached("snf", n, lambda: smith_normal_form(self.boundary_matrix(n)))
+        """SNF of d_n, assembled from relation_snf(n) without a new elimination."""
+
+        def build():
+            if self.boundary_matrix(n).rows == 0:
+                return self.relation_snf(n)
+            return self.splitting(n - 1).lift(self.relation_snf(n))
+
+        return self._cached("snf", n, build)
 
     def coboundary_snf(self, k):
         """SNF of the coboundary C^k -> C^{k+1}, read off boundary_snf(k + 1)."""

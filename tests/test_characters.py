@@ -110,7 +110,7 @@ def test_iota_and_trivialization_round_trip():
         trivialization(fixtures.winding_character())
 
 
-def test_one_factorization_per_boundary_matrix(monkeypatch):
+def test_one_factorization_per_degree(monkeypatch):
     rp2 = fixtures.projective_plane()
     # A fresh copy: the fixture complexes share their memo across tests.
     K = Complex(rp2.num_vertices, rp2.simplices(2))
@@ -131,13 +131,18 @@ def test_one_factorization_per_boundary_matrix(monkeypatch):
     edges = K.simplices(n - 1)
     eta = Cochain.from_vector(K, n - 1, [Fraction(i % 5, 3) for i in range(len(edges))])
     assert iota(trivialization(iota(eta))) == iota(eta)
-    # H_0 and the top H^2 have a zero out-map and hand over the factorization
-    # of the incoming boundary (d_1, and d_2 transposed) instead of a new one.
     K.homology(0)
     K.cohomology(n)
-    for m in (1, n):
-        d = K.boundary_matrix(m)
-        assert sum(1 for a in factored if a in (d, d.transpose())) == 1
+    calls = list(factored)
+    # Each call factored N_m, d_m in the cycle coordinates of C_{m-1} (d_0
+    # itself, which has no rows), and no degree was factored twice.
+    relations = [K.boundary_matrix(0)] + [
+        K.splitting(m - 1).relations(K.boundary_matrix(m)) for m in range(1, K.dim + 2)
+    ]
+    assert factored == calls
+    degrees = [[m for m, N in enumerate(relations) if a == N] for a in calls]
+    assert all(len(found) == 1 for found in degrees)
+    assert sorted(m for (m,) in degrees) == list(range(K.dim + 2))
 
 
 def test_failed_invariant_is_an_internal_fault(monkeypatch):
