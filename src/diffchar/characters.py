@@ -66,14 +66,17 @@ class IntegralClass:
     __slots__ = ("complex", "degree", "representative", "free", "torsion_residues")
 
     def __init__(self, complex, degree, representative):
+        if representative.complex != complex or representative.degree != degree:
+            raise ValueError("class representative lives on another complex or degree")
         if not representative.is_integer_valued():
             raise NotCocycle("class representative must be an integer cochain")
         rep_vec = [int(x) for x in representative.to_vector()]
         coh = complex.cohomology(degree)
-        coords = coh.kernel_coordinates(rep_vec)
-        if coords is None:
-            raise NotCocycle("class representative must be a cocycle")
-        free, tors = coh.coordinates(rep_vec)
+        try:
+            free, tors = coh.coordinates(rep_vec)
+        except ValueError:
+            # The length matches, so the vector is not in the kernel.
+            raise NotCocycle("class representative must be a cocycle") from None
         self.complex = complex
         self.degree = degree
         self.representative = representative

@@ -93,10 +93,6 @@ class IntMatrix:
         return IntMatrix._trusted(self.cols, self.rows, tuple(out))
 
 
-def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _sparse_identity(n):
     return [{i: 1} for i in range(n)]
 
@@ -192,114 +188,6 @@ def _square(n, vectors):
     return IntMatrix._trusted(n, n, tuple(map(dict, vectors)))
 
 
-def _pivot(S, p, rows, cols):
-    """Position of a nonzero entry of minimal absolute value in S[p:, p:].
-
-    Ties break on the lexicographically smallest (row, column) so the whole
-    reduction, and everything derived from it, is deterministic.
-    """
-    best = None
-    best_abs = None
-    for i in range(p, rows):
-        row = S[i]
-        for j in range(p, cols):
-            x = row[j]
-            if x != 0:
-                ax = -x if x < 0 else x
-                if best_abs is None or ax < best_abs:
-                    best = (i, j)
-                    best_abs = ax
-                    if ax == 1:
-                        return best
-    return best
-
-
-def _add_row(M, i, j, t):
-    """M.row[i] += t * M.row[j], on a matrix held as a list of row lists."""
-    M[i] = [a + t * b for a, b in zip(M[i], M[j])]
-
-
-def _dense_smith(S, rows, cols):
-    """Dense Smith reduction of S (a list of row lists), done in place.
-
-    Pivoting picks the minimal-absolute-value entry of the working submatrix.
-    The invariant A = U * S * V holds after every elementary step.  U and
-    V^{-1} are held transposed during the reduction, so that every update of
-    a transform, after a row step or a column step alike, is a row operation.
-    Returns (S, U^T, U^{-1}, V, V^{-1 T}) as lists of row lists.
-    """
-    Ut, Ui = _identity_rows(rows), _identity_rows(rows)
-    V, Vit = _identity_rows(cols), _identity_rows(cols)
-
-    def row_add(i, j, t):
-        # S.row[i] += t * S.row[j], so U.col[j] -= t * U.col[i].
-        _add_row(S, i, j, t)
-        _add_row(Ui, i, j, t)
-        _add_row(Ut, j, i, -t)
-
-    def col_add(i, j, t):
-        # S.col[i] += t * S.col[j], so V.row[j] -= t * V.row[i].  Above row p
-        # both columns are zero, so only rows p: of S change.
-        for row in S[p:]:
-            row[i] += t * row[j]
-        _add_row(V, j, i, -t)
-        _add_row(Vit, i, j, t)
-
-    p = 0
-    limit = min(rows, cols)
-    while p < limit:
-        pos = _pivot(S, p, rows, cols)
-        if pos is None:
-            break
-        while True:
-            i, j = pos
-            if i != p:
-                for M in (S, Ut, Ui):
-                    M[p], M[i] = M[i], M[p]
-            if j != p:
-                for row in S[p:]:
-                    row[p], row[j] = row[j], row[p]
-                for M in (V, Vit):
-                    M[p], M[j] = M[j], M[p]
-            d = S[p][p]
-            dirty = False
-            for r in range(p + 1, rows):
-                if S[r][p] != 0:
-                    q = S[r][p] // d
-                    if q != 0:
-                        row_add(r, p, -q)
-                    if S[r][p] != 0:
-                        dirty = True
-            for c in range(p + 1, cols):
-                if S[p][c] != 0:
-                    q = S[p][c] // d
-                    if q != 0:
-                        col_add(c, p, -q)
-                    if S[p][c] != 0:
-                        dirty = True
-            if dirty:
-                pos = _pivot(S, p, rows, cols)
-                continue
-            # Row and column are clear; enforce divisibility of the rest.  A
-            # unit divides everything, so only other pivots need the scan.
-            d = S[p][p]
-            if d == 1 or d == -1:
-                break
-            culprit = next(
-                (r for r in range(p + 1, rows) if any(x % d for x in S[r][p + 1:])),
-                None,
-            )
-            if culprit is None:
-                break
-            row_add(p, culprit, 1)
-            pos = (p, p)
-        if S[p][p] < 0:
-            for M in (S, Ut, Ui):
-                M[p] = [-x for x in M[p]]
-        p += 1
-    return S, Ut, Ui, V, Vit
-
-
 def _axpy(target, t, source):
     """target += t * source, on sparse {index: value} vectors."""
     get = target.get
@@ -319,8 +207,11 @@ def smith_normal_form(A):
     a Markowitz-style order: the column with the fewest nonzeros first, then
     its shortest row holding a unit, ties broken by index.  Each pivot clears
     its column by row steps and its row by column steps, on sparse rows.
-    Only the block left when no unit pivot remains goes through the dense
-    reduction, whose transforms are folded back into the sparse ones.
+    When no unit entry is left, the same sparse rows are reduced Euclid
+    style on an entry of least absolute value, ties broken by row and then
+    column: remainders become the next pivot, and a row holding an entry
+    the cleared pivot does not divide is added to the pivot row, so that
+    d1 | d2 | ....
     """
     rows, cols = A.rows, A.cols
     S = list(map(dict, A.entries))
@@ -398,33 +289,83 @@ def smith_normal_form(A):
         for c in touched:
             heappush(heap, (len(in_col[c]), c))
 
-    # What is left has no unit entry; reduce it densely and fold it back.
-    res_rows = [r for r in range(rows) if S[r]]
-    res_cols = [c for c in range(cols) if in_col[c]]
-    residue = []
-    if res_rows:
-        block = [[S[r].get(c, 0) for c in res_cols] for r in res_rows]
-        B, Ut, Ui, V, Vit = _dense_smith(block, len(res_rows), len(res_cols))
-        for vectors, indices, coeffs in (
-            (L, res_rows, Ui), (L_inv, res_rows, Ut), (R, res_cols, Vit), (R_inv, res_cols, V)
-        ):
-            old = [vectors[b] for b in indices]
-            for index, row in zip(indices, coeffs):
-                vectors[index] = acc = {}
-                for c, vec in zip(row, old):
-                    if c:
-                        _axpy(acc, c, vec)
-        residue = [B[a][a] for a in range(min(len(res_rows), len(res_cols))) if B[a][a]]
+    # No unit entry is left: the rest is reduced Euclid style, on the same
+    # sparse rows, with the transforms updated step by step.
+    factors = [1] * len(pivots)
 
-    # Pivots first, then the residual block, then the rows and columns left zero.
-    row_order = [i for i, _ in pivots] + res_rows
-    col_order = [j for _, j in pivots] + res_cols
-    row_order += sorted(set(range(rows)).difference(row_order))
-    col_order += sorted(set(range(cols)).difference(col_order))
+    def put(r, c, y):
+        row = S[r]
+        if y:
+            if c not in row:
+                in_col[c].add(r)
+            row[c] = y
+        else:
+            del row[c]
+            in_col[c].discard(r)
+
+    def row_step(r, i, t):
+        # S[r] += t * S[i], so L[r] += t * L[i] and U's column i -= t * its column r.
+        for c, x in S[i].items():
+            put(r, c, S[r].get(c, 0) + t * x)
+        _axpy(L[r], t, L[i])
+        _axpy(L_inv[i], -t, L_inv[r])
+
+    def col_step(c, j, t):
+        # S's column c += t * its column j, so R[c] += t * R[j] and V's row j
+        # -= t * its row c.
+        for r in in_col[j]:
+            put(r, c, S[r].get(c, 0) + t * S[r][j])
+        _axpy(R[c], t, R[j])
+        _axpy(R_inv[j], -t, R_inv[c])
+
+    def least():
+        return min((abs(x), r, c) for r in live for c, x in S[r].items())[1:]
+
+    live = [r for r in range(rows) if S[r]]
+    seen_rows, seen_cols = set(live), {c for c in range(cols) if in_col[c]}
+    while live:
+        i, j = least()
+        while True:
+            d = S[i][j]
+            for r in [r for r in in_col[j] if r != i]:
+                q = S[r][j] // d
+                if q:
+                    row_step(r, i, -q)
+            for c in [c for c in S[i] if c != j]:
+                q = S[i][c] // d
+                if q:
+                    col_step(c, j, -q)
+            if len(S[i]) > 1 or len(in_col[j]) > 1:
+                i, j = least()
+                continue
+            # Row and column are clear.  A row holding an entry d does not
+            # divide joins the pivot row, so that d divides every later factor.
+            culprit = next((r for r in live if any(x % d for x in S[r].values())), None)
+            if culprit is None:
+                break
+            row_step(i, culprit, 1)
+        if d < 0:
+            # D gets -d; the sign goes to this row of U^{-1} and column of U.
+            L[i] = {k: -x for k, x in L[i].items()}
+            L_inv[i] = {k: -x for k, x in L_inv[i].items()}
+        S[i] = {}
+        in_col[j].clear()
+        pivots.append((i, j))
+        factors.append(abs(d))
+        live = [r for r in live if S[r]]
+
+    # Pivots first, then the rows and columns left zero: those the non-unit
+    # phase saw before the others, each by index.
+    row_order = [i for i, _ in pivots]
+    col_order = [j for _, j in pivots]
+    row_order += sorted(
+        set(range(rows)).difference(row_order), key=lambda r: (r not in seen_rows, r))
+    col_order += sorted(
+        set(range(cols)).difference(col_order), key=lambda c: (c not in seen_cols, c))
     return SnfDecomposition(
         rows,
         cols,
-        [1] * len(pivots) + residue,
+        factors,
         [L_inv[i] for i in row_order],
         [L[i] for i in row_order],
         [R_inv[j] for j in col_order],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from diffchar.simplicial import Complex, SimplicialMap
+from diffchar.simplicial import Complex, SimplicialMap, maximal_simplices
 from diffchar.cochain import Cochain
 from diffchar.characters import DiffChar, LowDegreeChar
 from diffchar.relative import RelChar
@@ -69,28 +69,11 @@ def _require(obj, field, kind, shape=None):
     return value
 
 
-def _maximal_simplices(complex):
-    out = []
-    for s in complex.all_simplices():
-        has_coface = False
-        for w in range(complex.num_vertices):
-            if w in s:
-                continue
-            coface = tuple(sorted(s + (w,)))
-            if complex.has_simplex(coface):
-                has_coface = True
-                break
-        if not has_coface:
-            out.append(list(s))
-    out.sort(key=lambda s: (len(s), s))
-    return out
-
-
 def complex_to_json(complex):
     return {
         "name": complex.name,
         "vertices": complex.num_vertices,
-        "simplices": _maximal_simplices(complex),
+        "simplices": [list(s) for s in maximal_simplices(complex)],
     }
 
 

@@ -632,6 +632,17 @@ def _facets(t):
     return [t[:i] + t[i + 1 :] for i in range(len(t))]
 
 
+def maximal_simplices(complex):
+    """The simplices that are a face of no other, by dimension and then
+    lexicographically: those that are not a facet of a simplex one
+    dimension up."""
+    out = []
+    for n in range(complex.dim + 1):
+        facets = {face for t in complex.simplices(n + 1) for face in _facets(t)}
+        out += [s for s in complex.simplices(n) if s not in facets]
+    return out
+
+
 def _top_cofaces(complex):
     """Each facet of a top simplex -> [(top simplex, incidence sign)]."""
     cofaces = {}
@@ -656,13 +667,9 @@ def fundamental_cycle(complex):
         raise NotManifold("empty complex")
     tops = complex.simplices(d)
     top_set = set(tops)
-    # Purity: every maximal simplex must be top-dimensional, that is, every
-    # simplex below the top is a facet of one a dimension up.
-    for n in range(d):
-        facets = {face for t in complex.simplices(n + 1) for face in _facets(t)}
-        for s in complex.simplices(n):
-            if s not in facets:
-                raise NotManifold(f"simplex {s} is maximal but has dimension {n}")
+    for s in maximal_simplices(complex):
+        if len(s) <= d:
+            raise NotManifold(f"simplex {s} is maximal but has dimension {len(s) - 1}")
     if d == 0:
         return Chain(complex, 0, {s: 1 for s in tops})
     cofaces = _top_cofaces(complex)

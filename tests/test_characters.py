@@ -64,6 +64,24 @@ def test_constructor_validation():
         DiffChar(zero_cochain(S1, 0), zero_cochain(S1, -1))
 
 
+def test_integral_class_refuses_a_representative_from_elsewhere():
+    S1, S2 = fixtures.circle(), fixtures.sphere()
+    path = fixtures.path_complex(3)
+    # Same lengths as the cochains the classes need, so only the complex or
+    # the degree tells them apart.
+    on_path = Cochain(path, 1, {(0, 1): 1})
+    assert len(path.simplices(1)) == len(S1.simplices(1))
+    with pytest.raises(ValueError, match="another complex or degree"):
+        IntegralClass(S1, 1, on_path)
+    c0 = Cochain(S2, 0, {v: 1 for v in S2.simplices(0)})
+    assert len(S2.simplices(0)) == len(S2.simplices(2))
+    with pytest.raises(ValueError, match="another complex or degree"):
+        IntegralClass(S2, 2, c0)
+    with pytest.raises(NotCocycle):
+        IntegralClass(S1, 0, Cochain(S1, 0, {(0,): 1}))
+    assert IntegralClass(S1, 0, Cochain(S1, 0, {v: 3 for v in S1.simplices(0)})).free == (3,)
+
+
 def test_evaluate_requires_cycles_one_degree_down():
     i = fixtures.winding_character()
     S1 = fixtures.circle()

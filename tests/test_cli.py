@@ -448,6 +448,23 @@ def test_oversized_products_fail_fast(capsys, tmp_path, command):
     assert time.perf_counter() - start < 1.0
 
 
+def test_product_of_many_isolated_vertices_is_written_fast(capsys, tmp_path):
+    # 4,000 isolated vertices pass every io.MAX_FACES check; writing out the
+    # maximal simplices of their product with a point took 12 s when each
+    # simplex was tested against every vertex as a coface.
+    n = 4000
+    K = tmp_path / "vertices.json"
+    K.write_text(json.dumps({"vertices": n, "simplices": [[i] for i in range(n)]}))
+    h = tmp_path / "zero.json"
+    h.write_text(json.dumps({"degree": 0, "cocycle": {"degree": 0, "values": {}}}))
+    start = time.perf_counter()
+    code, rep = _run(capsys, ["xproduct", "--complex", str(K), "--complex", "point",
+                              "--character", str(h), "--character", str(h)])
+    assert code == 0
+    assert rep["result"]["product_complex"]["simplices"] == [[i] for i in range(n)]
+    assert time.perf_counter() - start < 3.0
+
+
 _json_documents = st.recursive(
     st.none() | st.booleans() | st.integers(-64, 64) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)

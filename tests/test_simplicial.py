@@ -12,6 +12,7 @@ from diffchar.simplicial import (
     TensorChain,
     NonOrientable,
     NotFundamentalChain,
+    NotManifold,
     SimplicialMap,
     alexander_whitney,
     compose_maps,
@@ -19,6 +20,7 @@ from diffchar.simplicial import (
     fundamental_cycle,
     identity_map,
     mapping_cone,
+    maximal_simplices,
     product_face_count,
     product_map,
     staircase_product,
@@ -179,6 +181,20 @@ def test_nonorientable_surfaces_refuse_orientation():
         fundamental_cycle(fixtures.projective_plane())
     with pytest.raises(NonOrientable):
         fundamental_cycle(fixtures.klein_bottle())
+
+
+def test_maximal_simplices_and_purity():
+    # A triangle with a dangling edge, an isolated vertex and a vertex that
+    # only the dangling edge meets.
+    K = Complex(6, [(0, 1, 2), (2, 3), (5,)])
+    assert maximal_simplices(K) == [(5,), (2, 3), (0, 1, 2)]
+    with pytest.raises(NotManifold, match=r"simplex \(5,\) is maximal but has dimension 0"):
+        fundamental_cycle(K)
+    with pytest.raises(NotManifold, match="dimension 1"):
+        fundamental_cycle(Complex(4, [(0, 1, 2), (2, 3)]))
+    for K in SURFACES:
+        assert maximal_simplices(K) == list(K.simplices(K.dim))
+    assert maximal_simplices(Complex(0, [])) == []
 
 
 def test_validate_fundamental_chain():
