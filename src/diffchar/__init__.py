@@ -66,8 +66,8 @@ from diffchar.characters import (
 from diffchar.products import (
     internal_product,
     external_product,
-    KunnethSplitting,
-    kunneth_splitting,
+    kunneth_split,
+    kunneth_decompose,
     bb_evaluate,
 )
 from diffchar.fiber_integration import (

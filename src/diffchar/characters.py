@@ -173,7 +173,7 @@ class DiffChar:
         self.degree = curvature.degree
         self.curvature = curvature
         self.lift = lift
-        self.mu = mu.as_integer()
+        self.mu = mu
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -224,7 +224,7 @@ class LowDegreeChar(DiffChar):
         if degree > 0:
             raise ValueError("LowDegreeChar is for degrees <= 0")
         if degree < 0 or cocycle is None:
-            cocycle = zero_cochain(complex, degree, "Z")
+            cocycle = zero_cochain(complex, degree)
         if cocycle.degree != degree or cocycle.complex != complex:
             raise ValueError("cocycle degree or complex mismatch")
         if not cocycle.is_integer_valued():
@@ -233,7 +233,7 @@ class LowDegreeChar(DiffChar):
             raise NotCocycle("low-degree characters carry cocycles")
         self.complex = complex
         self.degree = degree
-        self.curvature = self.mu = cocycle.as_integer()
+        self.curvature = self.mu = cocycle
         self.lift = zero_cochain(complex, degree - 1)
 
     @property
@@ -280,7 +280,7 @@ def flat_character(u):
     """Inclusion of circle-coefficient classes as flat characters."""
     if isinstance(u, FlatClass):
         u = u.cochain
-    return DiffChar(zero_cochain(u.complex, u.degree + 1, "Q"), u)
+    return DiffChar(zero_cochain(u.complex, u.degree + 1), u)
 
 
 j = flat_character
@@ -303,7 +303,7 @@ def trivialization(h):
     )
     if t_vec is None:
         raise InvariantViolation("zero class must be an integral coboundary")
-    t = Cochain.from_vector(h.complex, k - 1, t_vec, "Z")
+    t = Cochain.from_vector(h.complex, k - 1, t_vec)
     return h.lift + t
 
 
@@ -335,6 +335,8 @@ def evaluate_torsion(h, cycle):
     For N minimal with N*z a boundary, pick dx = N*z and return
     (curvature(x) - mu(x)) / N mod 1.  Must agree with evaluate on the nose.
     """
+    if cycle.complex != h.complex:
+        raise ValueError("pairing across different complexes")
     if cycle.degree != h.degree - 1:
         raise ValueError("cycle degree does not match character degree")
     if not cycle.is_cycle():
@@ -367,12 +369,14 @@ def integral_decomposition(a):
     # The cochain with a's periods that vanishes on the complement of the
     # cycles: integer valued, since the periods are.
     m_vec = split.dual(split.periods(vec))
-    m = Cochain.from_vector(K, a.degree, m_vec, "Q").as_integer()
+    m = Cochain.from_vector(K, a.degree, m_vec)
+    if not m.is_integer_valued():
+        raise InvariantViolation("integral periods must give an integer cochain")
     rhs = [x - y for x, y in zip(vec, m.to_vector())]
     r_vec = solve_rational(K.coboundary_snf(a.degree - 1), rhs)
     if r_vec is None:
         raise InvariantViolation("cochain vanishing on cycles must be a coboundary")
-    r = Cochain.from_vector(K, a.degree - 1, r_vec, "Q")
+    r = Cochain.from_vector(K, a.degree - 1, r_vec)
     return m, r
 
 
@@ -388,7 +392,7 @@ def fractional_torsion_class(K, degree, index=0, numerator=1):
         raise IndexError("no such torsion factor")
     d = hom.torsion[index]
     values = [Fraction(numerator * x, d) for x in hom.torsion_functional(index)]
-    return FlatClass(Cochain.from_vector(K, degree, values, "Q"))
+    return FlatClass(Cochain.from_vector(K, degree, values))
 
 
 # Random draws: integer coefficients in [-_SPAN, _SPAN] ([-_FLAT_SPAN,
@@ -410,21 +414,21 @@ def random_character(K, k, rng):
     below = K.simplices(k - 1)
     if below:
         t_vec = [rng.randint(-_SPAN, _SPAN) for _ in below]
-        t = Cochain.from_vector(K, k - 1, t_vec, "Z")
+        t = Cochain.from_vector(K, k - 1, t_vec)
         mu_vec = [a + int(b) for a, b in zip(mu_vec, coboundary(t).to_vector())]
-    mu = Cochain.from_vector(K, k, mu_vec, "Q")
+    mu = Cochain.from_vector(K, k, mu_vec)
     lift_vals = [
         Fraction(rng.randint(-2 * _DENOM, 2 * _DENOM), rng.randint(1, _DENOM))
         for _ in below
     ]
-    lift = Cochain.from_vector(K, k - 1, lift_vals, "Q")
+    lift = Cochain.from_vector(K, k - 1, lift_vals)
     return DiffChar(mu + coboundary(lift), lift)
 
 
 def random_flat_character(K, k, rng):
     """Random flat character: torsion duals plus integers plus a coboundary."""
     below = K.simplices(k - 1)
-    lift = zero_cochain(K, k - 1, "Q")
+    lift = zero_cochain(K, k - 1)
     hom = K.homology(k - 1)
     for idx, d in enumerate(hom.torsion):
         c = rng.randint(0, d - 1)
@@ -432,17 +436,15 @@ def random_flat_character(K, k, rng):
             lift = lift + fractional_torsion_class(K, k - 1, idx, c).cochain
     if below:
         ints = Cochain.from_vector(
-            K, k - 1, [rng.randint(-_FLAT_SPAN, _FLAT_SPAN) for _ in below], "Z"
+            K, k - 1, [rng.randint(-_FLAT_SPAN, _FLAT_SPAN) for _ in below]
         )
         lift = lift + ints
     if k - 2 >= 0:
         lower = K.simplices(k - 2)
         if lower:
-            r = Cochain.from_vector(
-                K,
-                k - 2,
-                [Fraction(rng.randint(-_DENOM, _DENOM), rng.randint(1, _DENOM)) for _ in lower],
-                "Q",
-            )
+            r_vals = [
+                Fraction(rng.randint(-_DENOM, _DENOM), rng.randint(1, _DENOM)) for _ in lower
+            ]
+            r = Cochain.from_vector(K, k - 2, r_vals)
             lift = lift + coboundary(r)
     return flat_character(lift)

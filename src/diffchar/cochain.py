@@ -1,9 +1,9 @@
 """Rational and integer cochains with cup products and fiber slant.
 
-Values are fractions.Fraction throughout; a ring tag records when a cochain
-is promised to be integer valued.  The cup product uses front/back faces on
-the ordered vertex lists, so it is strictly associative and natural exactly
-for weakly monotone simplicial maps.
+Values are fractions.Fraction throughout; whether a cochain is integral is
+read from its values (`is_integer_valued`), never stored.  The cup product
+uses front/back faces on the ordered vertex lists, so it is strictly
+associative and natural exactly for weakly monotone simplicial maps.
 """
 
 from __future__ import annotations
@@ -28,9 +28,14 @@ def _coerce(x):
 class Cochain:
     """Simplicial cochain of a fixed degree with exact rational values."""
 
-    __slots__ = ("complex", "degree", "values", "ring")
+    __slots__ = ("complex", "degree", "values")
 
     def __init__(self, complex, degree, values=None, ring="Q"):
+        """Check and store the nonzero values.
+
+        `ring` is an input check only: "Z" rejects a non-integer value, "Q"
+        accepts any.  Nothing of it is stored.
+        """
         if ring not in ("Z", "Q"):
             raise ValueError("ring must be 'Z' or 'Q'")
         self.complex = complex
@@ -48,7 +53,6 @@ class Cochain:
             if x != 0:
                 clean[s] = x
         self.values = clean
-        self.ring = ring
 
     @classmethod
     def from_vector(cls, complex, degree, vec, ring="Q"):
@@ -69,10 +73,6 @@ class Cochain:
     def is_integer_valued(self):
         return all(x.denominator == 1 for x in self.values.values())
 
-    def as_integer(self):
-        """The same cochain retagged as integral; fails on true fractions."""
-        return Cochain(self.complex, self.degree, self.values, "Z")
-
     def __eq__(self, other):
         return (
             isinstance(other, Cochain)
@@ -81,30 +81,22 @@ class Cochain:
             and self.values == other.values
         )
 
-    def _join_ring(self, other):
-        return "Z" if self.ring == "Z" and other.ring == "Z" else "Q"
-
     def __add__(self, other):
         self._check_compatible(other)
         out = dict(self.values)
         for s, x in other.values.items():
             out[s] = out.get(s, Fraction(0)) + x
-        return Cochain(self.complex, self.degree, out, self._join_ring(other))
+        return Cochain(self.complex, self.degree, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Cochain(
-            self.complex, self.degree, {s: -x for s, x in self.values.items()}, self.ring
-        )
+        return Cochain(self.complex, self.degree, {s: -x for s, x in self.values.items()})
 
     def scale(self, a):
         a = _coerce(a)
-        ring = self.ring if a.denominator == 1 else "Q"
-        return Cochain(
-            self.complex, self.degree, {s: a * x for s, x in self.values.items()}, ring
-        )
+        return Cochain(self.complex, self.degree, {s: a * x for s, x in self.values.items()})
 
     def _check_compatible(self, other):
         if self.complex != other.complex or self.degree != other.degree:
@@ -112,11 +104,11 @@ class Cochain:
 
     def __repr__(self):
         terms = " + ".join(f"{x}*{list(s)}" for s, x in sorted(self.values.items()))
-        return f"Cochain(deg {self.degree}, {self.ring}: {terms or '0'})"
+        return f"Cochain(deg {self.degree}: {terms or '0'})"
 
 
-def zero_cochain(complex, degree, ring="Q"):
-    return Cochain(complex, degree, {}, ring)
+def zero_cochain(complex, degree):
+    return Cochain(complex, degree, {})
 
 
 def coboundary(a):
@@ -131,7 +123,7 @@ def coboundary(a):
                 total += -v if i % 2 else v
         if total != 0:
             out[s] = total
-    return Cochain(a.complex, a.degree + 1, out, a.ring)
+    return Cochain(a.complex, a.degree + 1, out)
 
 
 def cup(a, b):
@@ -150,7 +142,7 @@ def cup(a, b):
         x = front * back
         if x != 0:
             out[s] = x
-    return Cochain(a.complex, p + q, out, a._join_ring(b))
+    return Cochain(a.complex, p + q, out)
 
 
 def cup_1(a, b):
@@ -165,7 +157,7 @@ def cup_1(a, b):
         raise ValueError("cup_1 of cochains on different complexes")
     p, q = a.degree, b.degree
     if p < 1 or q < 1:
-        return zero_cochain(a.complex, p + q - 1, a._join_ring(b))
+        return zero_cochain(a.complex, p + q - 1)
     out = {}
     for s in a.complex.simplices(p + q - 1):
         total = Fraction(0)
@@ -183,7 +175,7 @@ def cup_1(a, b):
             total += sign * va * vb
         if total != 0:
             out[s] = total
-    return Cochain(a.complex, p + q - 1, out, a._join_ring(b))
+    return Cochain(a.complex, p + q - 1, out)
 
 
 def pair(a, c):
@@ -214,7 +206,7 @@ def pullback(phi, a):
         v = a.values.get(image)
         if v is not None and v != 0:
             out[s] = sign * v
-    return Cochain(phi.source, a.degree, out, a.ring)
+    return Cochain(phi.source, a.degree, out)
 
 
 def slant_fiber(b, fiber_chain):
@@ -239,7 +231,7 @@ def slant_fiber(b, fiber_chain):
         v = pair(b, ez(base.chain(m, {s: 1}), fiber_chain, product))
         if v != 0:
             out[s] = v
-    return Cochain(base, m, out, b.ring)
+    return Cochain(base, m, out)
 
 
 def has_integral_periods(a):

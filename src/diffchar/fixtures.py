@@ -99,14 +99,9 @@ def winding_character():
     """Degree-1 character on the circle with winding class 1."""
     S1 = circle()
     curvature = Cochain(
-        S1,
-        1,
-        {(0, 1): Fraction(1, 3), (1, 2): Fraction(1, 3), (0, 2): Fraction(-1, 3)},
-        "Q",
+        S1, 1, {(0, 1): Fraction(1, 3), (1, 2): Fraction(1, 3), (0, 2): Fraction(-1, 3)}
     )
-    lift = Cochain(
-        S1, 0, {(0,): Fraction(0), (1,): Fraction(1, 3), (2,): Fraction(2, 3)}, "Q"
-    )
+    lift = Cochain(S1, 0, {(0,): Fraction(0), (1,): Fraction(1, 3), (2,): Fraction(2, 3)})
     return DiffChar(curvature, lift)
 
 

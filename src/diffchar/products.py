@@ -3,8 +3,9 @@
 The internal product pairs a character with a character on the same complex;
 the external product works on the staircase product of two complexes and is
 the internal product of the two pullbacks.  A Kunneth splitting of product
-cycles drives an evaluation formula for external products that never touches
-the product character's lift, giving an independent cross-check.
+cycles (kunneth_split, kunneth_decompose) drives an evaluation formula for
+external products that never touches the product character's lift, giving an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from diffchar.simplicial import (
     alexander_whitney,
     eilenberg_zilber,
     staircase_product,
-    tensor,
 )
 from diffchar.cochain import cup, pair, pullback as pullback_cochain
 from diffchar.characters import (
@@ -69,77 +69,68 @@ def _projected_simplex(K, s):
     return K.chain_from_vector(n, split.combine(split.coordinates(e)))
 
 
-class KunnethSplitting:
-    """Chain-level splitting of cycles on a staircase product.
-
-    The split map sends a cycle through the front/back decomposition and then
-    projects both tensor legs onto cycles; the include map is the shuffle
-    map.  Include-then-split is the identity on tensors of cycles, so
-    splitting a cycle captures its class up to a torsion remainder.
-    """
-
-    def __init__(self, product):
-        if not isinstance(product, ProductComplex):
-            raise TypeError("KunnethSplitting needs a ProductComplex")
-        self.product = product
-
-    def _projected_terms(self, z):
-        """One (coefficient, left cycle, right cycle) per front/back term."""
-        left, right = self.product.left, self.product.right
-        terms = []
-        for (s, t), c in alexander_whitney(z).coeffs.items():
-            ys, yt = _projected_simplex(left, s), _projected_simplex(right, t)
-            if ys.is_zero() or yt.is_zero():
-                continue
+def _projected_terms(z):
+    """One (coefficient, left cycle, right cycle) per front/back term of z."""
+    P = z.complex
+    terms = []
+    for (s, t), c in alexander_whitney(z).coeffs.items():
+        ys, yt = _projected_simplex(P.left, s), _projected_simplex(P.right, t)
+        if not (ys.is_zero() or yt.is_zero()):
             terms.append((c, ys, yt))
-        return terms
+    return terms
 
-    def _tensor_of(self, terms):
-        out = TensorChain(self.product.left, self.product.right, {})
-        for c, ys, yt in terms:
-            out = out + tensor(ys.scale(c), yt)
-        return out
 
-    def split(self, z):
-        """Tensor of cycles: both legs of every front/back term projected."""
-        return self._tensor_of(self._projected_terms(z))
+def _tensor_of(P, terms):
+    """The sum of c * (left cycle) x (right cycle) over the terms, in one dict."""
+    coeffs = {}
+    for c, ys, yt in terms:
+        for s, a in ys.coeffs.items():
+            for t, b in yt.coeffs.items():
+                coeffs[(s, t)] = coeffs.get((s, t), 0) + c * a * b
+    return TensorChain(P.left, P.right, coeffs)
 
-    def include(self, tensor_chain):
-        return eilenberg_zilber(tensor_chain, self.product)
 
-    def decompose(self, z):
-        """Split a product cycle into included tensor terms plus a filling.
+def kunneth_split(z):
+    """Chain-level Kunneth splitting of a cycle on a staircase product.
 
-        Returns a KunnethDecomposition with the elementary tensor terms of
-        the split, the included projection, the remainder cycle, the order N
-        of its class, and a chain filling N times the remainder.
-        """
-        if not z.is_cycle():
-            raise NotACycle("Kunneth decomposition needs a cycle")
-        terms = self._projected_terms(z)
-        split = self._tensor_of(terms)
-        if split.coeffs:
-            projected = self.include(split)
-        else:
-            projected = self.product.chain(z.degree, {})
-        remainder = z - projected
-        m = z.degree
-        order = self.product.homology(m).class_order(remainder.to_vector())
-        if order == 0:
-            raise NotTorsion("remainder class should always be torsion")
-        scaled = [order * x for x in remainder.to_vector()]
-        fill_vec = solve_integer(self.product.boundary_snf(m + 1), scaled)
-        if fill_vec is None:
-            raise InvariantViolation("a multiple of the torsion remainder must bound")
-        filling = self.product.chain_from_vector(m + 1, fill_vec)
-        return KunnethDecomposition(z, terms, projected, remainder, order, filling)
+    Sends the cycle through the front/back decomposition and projects both
+    tensor legs onto cycles.  The include map is eilenberg_zilber, and
+    include-then-split is the identity on tensors of cycles, so splitting a
+    cycle captures its class up to a torsion remainder.
+    """
+    return _tensor_of(z.complex, _projected_terms(z))
+
+
+def kunneth_decompose(z):
+    """Split a product cycle into included tensor terms plus a filling.
+
+    Returns a KunnethDecomposition with the elementary tensor terms of the
+    split, the included projection, the remainder cycle, the order N of its
+    class, and a chain filling N times the remainder.
+    """
+    if not z.is_cycle():
+        raise NotACycle("Kunneth decomposition needs a cycle")
+    P = z.complex
+    m = z.degree
+    terms = _projected_terms(z)
+    split = _tensor_of(P, terms)
+    projected = eilenberg_zilber(split, P) if split.coeffs else P.chain(m, {})
+    remainder = z - projected
+    order = P.homology(m).class_order(remainder.to_vector())
+    if order == 0:
+        raise NotTorsion("remainder class should always be torsion")
+    scaled = [order * x for x in remainder.to_vector()]
+    fill_vec = solve_integer(P.boundary_snf(m + 1), scaled)
+    if fill_vec is None:
+        raise InvariantViolation("a multiple of the torsion remainder must bound")
+    filling = P.chain_from_vector(m + 1, fill_vec)
+    return KunnethDecomposition(terms, projected, remainder, order, filling)
 
 
 class KunnethDecomposition:
-    __slots__ = ("cycle", "terms", "projected", "remainder", "order", "filling")
+    __slots__ = ("terms", "projected", "remainder", "order", "filling")
 
-    def __init__(self, cycle, terms, projected, remainder, order, filling):
-        self.cycle = cycle
+    def __init__(self, terms, projected, remainder, order, filling):
         self.terms = terms
         self.projected = projected
         self.remainder = remainder
@@ -147,29 +138,26 @@ class KunnethDecomposition:
         self.filling = filling
 
 
-def kunneth_splitting(product):
-    return KunnethSplitting(product)
-
-
-def bb_evaluate(h, f, z, product=None, splitting=None):
+def bb_evaluate(h, f, z, product=None):
     """External product evaluation that bypasses the product lift.
 
     Splits the cycle into shuffle images of tensors of cycles plus a torsion
     remainder.  Tensor terms evaluate through the factors alone; the
     remainder evaluates through a filling of a multiple, using only the
-    product curvature and integral cocycle.
+    product curvature and integral cocycle.  `product`, when given, must be
+    the cycle's own complex.
     """
     if product is None:
         product = z.complex
+    elif z.complex != product:
+        raise ValueError("cycle does not live on the given product")
     if not isinstance(product, ProductComplex):
         raise TypeError("bb_evaluate needs a cycle on a ProductComplex")
     if product.left != h.complex or product.right != f.complex:
         raise ValueError("cycle does not live on the product of the factors")
     if z.degree != h.degree + f.degree - 1:
         raise ValueError("cycle degree does not match the product degree")
-    if splitting is None:
-        splitting = KunnethSplitting(product)
-    dec = splitting.decompose(z)
+    dec = kunneth_decompose(z)
     k, l = h.degree, f.degree
     total = Fraction(0)
     for c, y_left, y_right in dec.terms:

@@ -98,8 +98,8 @@ class RelChar:
         self.cov = cov
         self.lift_x = lift_x
         self.lift_a = lift_a
-        self.mu_x = mu_x.as_integer()
-        self.mu_a = mu_a.as_integer()
+        self.mu_x = mu_x
+        self.mu_a = mu_a
 
     def _check_compatible(self, other):
         if self.cone != other.cone or self.degree != other.degree:
@@ -189,19 +189,19 @@ def incl_flat(g, cone):
             raise ValueError("expected a degree-0 character on A")
         return RelChar(
             cone,
-            zero_cochain(X, 1, "Q"),
-            zero_cochain(A, 0, "Q"),
-            zero_cochain(X, 0, "Q"),
-            zero_cochain(A, -1, "Q"),
+            zero_cochain(X, 1),
+            zero_cochain(A, 0),
+            zero_cochain(X, 0),
+            zero_cochain(A, -1),
         )
     if g.complex != A:
         raise ValueError("character does not live on the cone's source")
     k = g.degree + 1
     return RelChar(
         cone,
-        zero_cochain(X, k, "Q"),
+        zero_cochain(X, k),
         -g.curvature,
-        zero_cochain(X, k - 1, "Q"),
+        zero_cochain(X, k - 1),
         g.lift,
     )
 
@@ -228,7 +228,7 @@ def cov_inverse(theta, cone=None):
         coboundary(theta),
         theta,
         theta,
-        zero_cochain(X, theta.degree - 1, "Q"),
+        zero_cochain(X, theta.degree - 1),
     )
 
 
@@ -257,7 +257,7 @@ def find_section(h, cone):
             "character class pulls back nontrivially",
             IntegralClass(A, k, pulled_mu),
         )
-    t = Cochain.from_vector(A, k - 1, t_vec, "Z")
+    t = Cochain.from_vector(A, k - 1, t_vec)
     theta = pullback_cochain(phi, h.lift) + t
     if k == 1:
         shift = {}
@@ -269,8 +269,8 @@ def find_section(h, cone):
                 for u in comp:
                     shift[(u,)] = -n
         if shift:
-            theta = theta + Cochain(A, 0, shift, "Z")
-    return RelChar(cone, h.curvature, theta, h.lift, zero_cochain(A, k - 2, "Q"))
+            theta = theta + Cochain(A, 0, shift)
+    return RelChar(cone, h.curvature, theta, h.lift, zero_cochain(A, k - 2))
 
 
 def descend_kernel(f):

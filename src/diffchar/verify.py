@@ -55,7 +55,6 @@ from diffchar.products import (
     bb_evaluate,
     external_product,
     internal_product,
-    kunneth_splitting,
 )
 from diffchar.fiber_integration import (
     TransferData,
@@ -123,12 +122,12 @@ def run_diagram33():
                 if k == 1:
                     c = rng.randint(-3, 3)
                     eta0 = Cochain.from_vector(
-                        K, 0, [Fraction(c)] * len(K.simplices(0)), "Q"
+                        K, 0, [Fraction(c)] * len(K.simplices(0))
                     )
                 else:
                     g0 = random_character(K, k - 1, rng)
                     eta0 = Cochain.from_vector(
-                        K, k - 1, [Fraction(x) for x in g0.mu.to_vector()], "Q"
+                        K, k - 1, [Fraction(x) for x in g0.mu.to_vector()]
                     ) + coboundary(g0.lift)
                 ok_i = ok_i and iota(eta0).is_zero()
                 # (ii) class zero means a trivialization exists and round-trips
@@ -260,7 +259,6 @@ def run_bb_oracle():
          fixtures.projective_plane(), 1, 2),
     ]
     for P, L, R, k, kp in configs:
-        splitting = kunneth_splitting(P)
         degree = k + kp - 1
         basis = P.splitting(degree).cycle_basis
         mismatches = 0
@@ -270,7 +268,7 @@ def run_bb_oracle():
             hf = external_product(h, f, P)
             for vec in basis:
                 z = P.chain_from_vector(degree, vec)
-                if bb_evaluate(h, f, z, product=P, splitting=splitting) != evaluate(hf, z):
+                if bb_evaluate(h, f, z, product=P) != evaluate(hf, z):
                     mismatches += 1
         checks.append(
             _check(
@@ -513,9 +511,9 @@ def run_relative_exact():
     cone_eq = fixtures.equator_cone()
     S1 = fixtures.circle()
     eta13 = Cochain.from_vector(
-        S1, 1, [Fraction(1, 3) if e == (0, 1) else Fraction(0) for e in S1.simplices(1)], "Q"
+        S1, 1, [Fraction(1, 3) if e == (0, 1) else Fraction(0) for e in S1.simplices(1)]
     )
-    flat_g = DiffChar(zero_cochain(S1, 2, "Q"), eta13)
+    flat_g = DiffChar(zero_cochain(S1, 2), eta13)
     wobble = incl_flat(flat_g, cone_eq)
     distinct = (not wobble.is_zero()) and wobble.cov.is_zero() \
         and not pushforward_injective(cone_eq.phi, 1)

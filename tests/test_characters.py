@@ -212,6 +212,21 @@ def test_evaluate_torsion_agrees_where_defined():
                     assert evaluate_torsion(h, z) == evaluate(h, z)
 
 
+def test_evaluate_torsion_refuses_a_cycle_on_another_complex():
+    """Klein_K and T2_9 both have 27 edges, so the vectors have the right length."""
+    K, T2 = fixtures.klein_bottle(), fixtures.torus()
+    assert len(K.simplices(1)) == len(T2.simplices(1))
+    h = random_character(K, 2, random.Random(3))
+    basis = T2.splitting(1).cycle_basis
+    assert len(basis) == 19
+    for vec in basis:
+        z = T2.chain_from_vector(1, vec)
+        with pytest.raises(ValueError, match="different complexes"):
+            evaluate(h, z)
+        with pytest.raises(ValueError, match="different complexes"):
+            evaluate_torsion(h, z)
+
+
 def test_evaluate_torsion_refuses_infinite_order():
     i = fixtures.winding_character()
     S1 = fixtures.circle()
@@ -260,10 +275,23 @@ def test_integral_decomposition():
     h = random_character(K, 1, rng)
     a = h.mu + coboundary(random_character(K, 1, rng).lift)
     m, r = integral_decomposition(a)
-    assert m.ring == "Z"
+    assert m.is_integer_valued()
     assert m + coboundary(r) == a
     with pytest.raises(NotIntegralPeriods):
         integral_decomposition(h.curvature.scale(Fraction(1, 3)))
+
+
+def test_integral_decomposition_checks_the_integer_part(monkeypatch):
+    """A fractional integer part is an internal fault, not bad input."""
+    a = random_character(fixtures.torus(), 1, random.Random(19)).mu
+    dual = exact_linalg.CycleSplitting.dual
+
+    def halved(self, w):
+        return [Fraction(1, 2)] + list(dual(self, w))[1:]
+
+    monkeypatch.setattr(exact_linalg.CycleSplitting, "dual", halved)
+    with pytest.raises(InvariantViolation):
+        integral_decomposition(a)
 
 
 def test_low_degree_characters():
@@ -305,6 +333,6 @@ def test_random_generators_are_well_formed():
     for K in (fixtures.torus(), fixtures.klein_bottle()):
         for k in (1, 2):
             h = random_character(K, k, rng)
-            assert h.degree == k and h.mu.ring == "Z"
+            assert h.degree == k and h.mu.is_integer_valued()
             g = random_flat_character(K, k, rng)
             assert g.curvature.is_zero()

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffchar import fixtures
+from diffchar.io import FormatError, cochain_from_json, cochain_to_json
 from diffchar.cochain import (
     Cochain,
     coboundary,
@@ -28,6 +30,7 @@ from diffchar.simplicial import (
     fundamental_cycle,
     staircase_product,
 )
+from test_exact_linalg import clique_complex, flag_complexes
 
 
 def random_cochain(K, degree, rng, denom=4, span=8):
@@ -219,7 +222,94 @@ def test_integral_periods_and_closedness():
 
 def test_zero_cochain_ring_tags():
     K = fixtures.point()
-    z = zero_cochain(K, 0, "Z")
-    assert z.ring == "Z" and z.is_zero()
+    z = zero_cochain(K, 0)
+    assert z.is_integer_valued() and z.is_zero()
     with pytest.raises(ValueError):
-        zero_cochain(K, 0, "R")
+        Cochain(K, 0, {}, "R")
+
+
+# -- integrality is read from the values ------------------------------------
+
+_INTS = st.integers(-5, 5)
+_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _draw_cochain(data, K, degree, values=_INTS):
+    n = len(K.simplices(degree))
+    return Cochain.from_vector(K, degree, data.draw(st.lists(values, min_size=n, max_size=n)))
+
+
+def _draw_degrees(data, K):
+    p = data.draw(st.integers(0, K.dim))
+    return p, data.draw(st.integers(0, K.dim - p))
+
+
+@st.composite
+def monotone_maps(draw):
+    """A weakly monotone simplicial map into a random flag complex.
+
+    The source is the clique complex of a random graph whose edges go to
+    vertices or edges of the target; the target is a flag complex, so every
+    clique goes to a simplex.
+    """
+    L = draw(flag_complexes(max_vertices=5))
+    n = draw(st.integers(1, 6))
+    vm = sorted(draw(st.lists(st.integers(0, L.num_vertices - 1), min_size=n, max_size=n)))
+    allowed = [
+        (u, v) for u, v in combinations(range(n), 2)
+        if vm[u] == vm[v] or L.has_simplex((vm[u], vm[v]))
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
+    K = clique_complex(n, {e for e, k in zip(allowed, keep) if k})
+    return SimplicialMap(K, L, vm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_complexes(), st.data())
+def test_integral_inputs_give_integral_results(K, data):
+    p, q = _draw_degrees(data, K)
+    a, a2, b = _draw_cochain(data, K, p), _draw_cochain(data, K, p), _draw_cochain(data, K, q)
+    n = data.draw(st.integers(-4, 4))
+    for c in (a + a2, a - a2, -a, a.scale(n), coboundary(a), cup(a, b), cup_1(a, b), cup_1(b, a)):
+        assert c.is_integer_valued()
+
+
+@settings(max_examples=60, deadline=None)
+@given(monotone_maps(), st.data())
+def test_pullback_along_monotone_maps_keeps_integrality_and_cup(phi, data):
+    p, q = _draw_degrees(data, phi.target)
+    a, b = _draw_cochain(data, phi.target, p), _draw_cochain(data, phi.target, q)
+    assert pullback(phi, a).is_integer_valued()
+    assert pullback(phi, cup(a, b)) == cup(pullback(phi, a), pullback(phi, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_complexes(), st.data())
+def test_half_of_an_odd_value_is_not_integral(K, data):
+    p = data.draw(st.integers(0, K.dim))
+    a = _draw_cochain(data, K, p)
+    s = data.draw(st.sampled_from(K.simplices(p)))
+    odd = a + Cochain(K, p, {s: 1 - a.value(s) % 2})
+    assert odd.is_integer_valued()
+    assert not odd.scale(Fraction(1, 2)).is_integer_valued()
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_complexes(), st.data())
+def test_leibniz_on_random_rational_cochains(K, data):
+    p, q = _draw_degrees(data, K)
+    a, b = _draw_cochain(data, K, p, _FRACTIONS), _draw_cochain(data, K, q, _FRACTIONS)
+    rhs = cup(coboundary(a), b) + cup(a, coboundary(b)).scale((-1) ** p)
+    assert coboundary(cup(a, b)) == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(flag_complexes(), st.data())
+def test_integral_cochains_round_trip_through_json(K, data):
+    p = data.draw(st.integers(0, K.dim))
+    a = _draw_cochain(data, K, p)
+    assert cochain_from_json(cochain_to_json(a), K, "Z") == a
+    s = data.draw(st.sampled_from(K.simplices(p)))
+    half = a + Cochain(K, p, {s: Fraction(1, 2)})
+    with pytest.raises(FormatError, match="non-integer value"):
+        cochain_from_json(cochain_to_json(half), K, "Z")

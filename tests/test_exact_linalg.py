@@ -246,7 +246,11 @@ def flag_complexes(draw, max_vertices=7):
     n = draw(st.integers(1, max_vertices))
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = {e for e, k in zip(pairs, keep) if k}
+    return clique_complex(n, {e for e, k in zip(pairs, keep) if k})
+
+
+def clique_complex(n, edges):
+    """The flag complex on vertices 0..n-1 of a set of sorted edge pairs."""
     cliques = [
         s
         for size in range(1, n + 1)

@@ -9,7 +9,13 @@ import pytest
 
 from diffchar import fixtures
 from diffchar.cochain import Cochain, coboundary, cup, cup_1, pair
-from diffchar.simplicial import ez, fundamental_cycle, staircase_product, tensor
+from diffchar.simplicial import (
+    eilenberg_zilber,
+    ez,
+    fundamental_cycle,
+    staircase_product,
+    tensor,
+)
 from diffchar.characters import (
     IntegralClass,
     LowDegreeChar,
@@ -26,7 +32,8 @@ from diffchar.products import (
     bb_evaluate,
     external_product,
     internal_product,
-    kunneth_splitting,
+    kunneth_decompose,
+    kunneth_split,
 )
 
 
@@ -131,21 +138,19 @@ def test_external_product_definition_matches_pullback_cup():
 def test_kunneth_split_include_round_trip():
     T2 = fixtures.torus()
     S1 = fixtures.circle()
-    sp = kunneth_splitting(T2)
     z = fundamental_cycle(S1)
     v0 = S1.chain(0, {(0,): 1})
     for t in (tensor(z, v0), tensor(v0, z), tensor(z, z)):
-        assert sp.split(sp.include(t)) == t
+        assert kunneth_split(eilenberg_zilber(t, T2)) == t
 
 
 def test_kunneth_decompose_invariants():
     T2 = fixtures.torus()
-    sp = kunneth_splitting(T2)
     rng = random.Random(23)
     basis = T2.splitting(1).cycle_basis
     for vec in basis[:6]:
         z = T2.chain_from_vector(1, vec)
-        dec = sp.decompose(z)
+        dec = kunneth_decompose(z)
         assert dec.projected + dec.remainder == z
         assert dec.remainder.is_cycle()
         assert dec.order >= 1
@@ -154,28 +159,40 @@ def test_kunneth_decompose_invariants():
 
 def test_bb_evaluate_matches_direct_evaluation_samples():
     T2 = fixtures.torus()
-    sp = kunneth_splitting(T2)
     rng = random.Random(29)
     S1 = fixtures.circle()
     h = random_character(S1, 1, rng)
     f = random_character(S1, 1, rng)
     hf = external_product(h, f, T2)
     for z in (fixtures.gamma_first(), fixtures.gamma_second()):
-        assert bb_evaluate(h, f, z, product=T2, splitting=sp) == evaluate(hf, z)
+        assert bb_evaluate(h, f, z, product=T2) == evaluate(hf, z)
     for vec in T2.splitting(1).cycle_basis:
         z = T2.chain_from_vector(1, vec)
-        assert bb_evaluate(h, f, z, product=T2, splitting=sp) == evaluate(hf, z)
+        assert bb_evaluate(h, f, z, product=T2) == evaluate(hf, z)
 
 
 def test_bb_evaluate_mixed_degree_sample():
     S1 = fixtures.circle()
     RP2 = fixtures.projective_plane()
     P = staircase_product(S1, RP2)
-    sp = kunneth_splitting(P)
     rng = random.Random(31)
     h = random_character(S1, 1, rng)
     f = random_character(RP2, 2, rng)
     hf = external_product(h, f, P)
     for vec in P.splitting(2).cycle_basis[:8]:
         z = P.chain_from_vector(2, vec)
-        assert bb_evaluate(h, f, z, product=P, splitting=sp) == evaluate(hf, z)
+        assert bb_evaluate(h, f, z, product=P) == evaluate(hf, z)
+
+
+def test_bb_evaluate_refuses_a_cycle_off_the_given_product():
+    S1 = fixtures.circle()
+    T2 = fixtures.torus()
+    P = staircase_product(S1, fixtures.projective_plane())
+    rng = random.Random(37)
+    h = random_character(S1, 1, rng)
+    f = random_character(S1, 1, rng)
+    cycles = [P.chain_from_vector(1, vec) for vec in P.splitting(1).cycle_basis]
+    for z in cycles + [fundamental_cycle(S1)]:
+        with pytest.raises(ValueError, match="given product") as info:
+            bb_evaluate(h, f, z, T2)
+        assert type(info.value) is ValueError

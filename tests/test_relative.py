@@ -43,8 +43,8 @@ def test_constructor_rejects_open_curvature():
     X, A = cone.phi.target, cone.phi.source
     bad = Cochain(X, 1, {(0, 1): Fraction(1, 2)}, "Q")
     with pytest.raises(NotConeClosed):
-        RelChar(cone, bad, zero_cochain(A, 0, "Q"),
-                zero_cochain(X, 0, "Q"), zero_cochain(A, -1, "Q"))
+        RelChar(cone, bad, zero_cochain(A, 0),
+                zero_cochain(X, 0), zero_cochain(A, -1))
 
 
 def test_constructor_rejects_mismatched_cov():
@@ -52,8 +52,8 @@ def test_constructor_rejects_mismatched_cov():
     X, A = cone.phi.target, cone.phi.source
     cov = Cochain(A, 0, {(0,): Fraction(1, 5)}, "Q")
     with pytest.raises(NotConeClosed):
-        RelChar(cone, zero_cochain(X, 1, "Q"), cov,
-                zero_cochain(X, 0, "Q"), zero_cochain(A, -1, "Q"))
+        RelChar(cone, zero_cochain(X, 1), cov,
+                zero_cochain(X, 0), zero_cochain(A, -1))
 
 
 def test_constructor_rejects_fractional_residue():
@@ -63,8 +63,8 @@ def test_constructor_rejects_fractional_residue():
 
     lift_x = Cochain(X, 0, {(0,): Fraction(1, 2)}, "Q")
     with pytest.raises(NotIntegrallyCompatible):
-        RelChar(cone, zero_cochain(X, 1, "Q"), zero_cochain(A, 0, "Q"),
-                lift_x, zero_cochain(A, -1, "Q"))
+        RelChar(cone, zero_cochain(X, 1), zero_cochain(A, 0),
+                lift_x, zero_cochain(A, -1))
 
 
 def test_cov_inverse_projects_to_iota():
@@ -182,7 +182,7 @@ def test_equal_cov_does_not_force_equality_otherwise():
     cone = fixtures.equator_cone()
     assert not pushforward_injective(cone.phi, 1)
     eta = Cochain(S1, 1, {(0, 1): Fraction(1, 3)}, "Q")
-    wobble = incl_flat(DiffChar(zero_cochain(S1, 2, "Q"), eta), cone)
+    wobble = incl_flat(DiffChar(zero_cochain(S1, 2), eta), cone)
     assert wobble.cov.is_zero()
     assert not wobble.is_zero()
     rng = random.Random(23)

@@ -2,7 +2,10 @@
 
 Arithmetic is exact, so no module holds a float literal or calls `float`;
 mathematical invariants raise exceptions, so no module uses `assert`, which
-`python -O` strips.
+`python -O` strips.  Integrality of a cochain is read from its values, so no
+module reads a `.ring` attribute or calls `as_integer`, and only `io`, where
+cochains enter, passes a ring argument to `Cochain`, `Cochain.from_vector`
+or `cochain_from_json`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,33 @@ def _violations(tree):
             yield node.lineno, "float() call"
 
 
+# The position of the ring argument of each cochain entry point.
+_RING_POSITION = {"Cochain": 3, "from_vector": 3, "cochain_from_json": 2}
+
+
+def _callee(func):
+    """The name a call goes to; `Cochain.from_vector` counts, `x.from_vector` not."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if not isinstance(func, ast.Attribute):
+        return None
+    on_cochain = isinstance(func.value, ast.Name) and func.value.id == "Cochain"
+    return None if func.attr == "from_vector" and not on_cochain else func.attr
+
+
+def _ring_violations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("ring", "as_integer"):
+            yield node.lineno, f"attribute .{node.attr}"
+        elif isinstance(node, ast.Call):
+            name = _callee(node.func)
+            if name in _RING_POSITION and (
+                len(node.args) > _RING_POSITION[name]
+                or any(k.arg == "ring" for k in node.keywords)
+            ):
+                yield node.lineno, f"ring argument to {name}"
+
+
 def test_no_asserts_or_floats_in_the_package():
     assert {p.name for p in SOURCES} >= {"exact_linalg.py", "characters.py", "cli.py"}
     found = [
@@ -38,4 +68,28 @@ def test_the_rules_catch_each_violation():
     source = "assert x\ny = 0.5\nz = float(y)\nw = 2j\n"
     assert [what for _, what in sorted(_violations(ast.parse(source)))] == [
         "assert statement", "float literal 0.5", "float() call", "float literal 2j",
+    ]
+
+
+def test_integrality_is_read_from_the_values():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        for line, what in _ring_violations(ast.parse(path.read_text(), str(path)))
+        if not (path.name == "io.py" and what.startswith("ring argument"))
+    ]
+    assert found == []
+
+
+def test_the_ring_rule_catches_each_violation():
+    source = (
+        "a.ring\nb.as_integer()\nCochain(K, 0, v, 'Z')\nCochain(K, 0, v, ring='Q')\n"
+        "Cochain.from_vector(K, 0, w, 'Z')\nio.cochain_from_json(o, K, 'Z')\n"
+        "Cochain(K, 0, v)\nCochain.from_vector(K, 0, w)\nK.chain_from_vector(0, w)\n"
+        "cochain_from_json(o, K)\nx.from_vector(K, 0, w, 'Z')\n"
+    )
+    assert [what for _, what in sorted(_ring_violations(ast.parse(source)))] == [
+        "attribute .ring", "attribute .as_integer", "ring argument to Cochain",
+        "ring argument to Cochain", "ring argument to from_vector",
+        "ring argument to cochain_from_json",
     ]
