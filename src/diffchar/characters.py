@@ -56,6 +56,15 @@ class NotCocycle(ValueError):
     """Integer cocycle data required."""
 
 
+def _check_cycle_degree(h, degree, cycles="cycles"):
+    """A degree-k character evaluates on (k-1)-cycles; refuse any other degree."""
+    if degree != h.degree - 1:
+        raise ValueError(
+            f"a degree-{h.degree} character evaluates on {cycles} of degree "
+            f"{h.degree - 1}, not {degree}"
+        )
+
+
 def _mod1(x):
     return Fraction(x) % 1
 
@@ -257,10 +266,7 @@ def character(curvature, lift):
 
 def evaluate(h, cycle):
     """Value of the character on a cycle, as a Fraction in [0,1)."""
-    if cycle.degree != h.degree - 1:
-        raise ValueError(
-            f"cycle degree {cycle.degree} does not match character degree {h.degree}"
-        )
+    _check_cycle_degree(h, cycle.degree)
     if not cycle.is_cycle():
         raise NotACycle("characters evaluate on cycles only")
     return _mod1(pair(h.lift, cycle))
@@ -337,8 +343,7 @@ def evaluate_torsion(h, cycle):
     """
     if cycle.complex != h.complex:
         raise ValueError("pairing across different complexes")
-    if cycle.degree != h.degree - 1:
-        raise ValueError("cycle degree does not match character degree")
+    _check_cycle_degree(h, cycle.degree)
     if not cycle.is_cycle():
         raise NotACycle("torsion evaluation needs a cycle")
     K = h.complex

@@ -365,10 +365,7 @@ def main(argv=None):
     args = _parse(argv)
     try:
         report, status = _COMMANDS[args.cmd](args)
-    except InputError as exc:
-        _emit({"command": args.cmd, "error": str(exc)}, args.out)
-        return 2
-    except (fixtures.UnknownFixture, ValueError) as exc:
+    except (InputError, fixtures.UnknownFixture, ValueError) as exc:
         _emit({"command": args.cmd, "error": str(exc)}, args.out)
         return 2
     except Exception as exc:

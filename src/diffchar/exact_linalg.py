@@ -5,6 +5,12 @@ else in this module: integer linear solving, kernel bases, the splitting of a
 chain group into cycles plus a complement, and finitely generated homology
 groups presented by boundary matrices.  All arithmetic uses arbitrary
 precision Python integers and fractions.Fraction; there is no floating point.
+
+Vectors and transforms are sparse {index: value} dicts, and outside the
+elimination itself every product with them is one of three loop kernels:
+`_dots` (sparse rows times a dense vector), `_combination` (a sparse
+combination of sparse vectors) and `_accumulate` (a dense combination of
+sparse vectors).  `_axpy` is the row and column step of the Euclid phase.
 """
 
 from __future__ import annotations
@@ -138,19 +144,13 @@ class SnfDecomposition:
         )
 
     def apply_u_inv(self, vec):
-        """U^{-1} vec; accepts ints or Fractions."""
-        return [sum(x * vec[j] for j, x in row.items()) for row in self._u_inv]
+        """U^{-1} vec; accepts ints or Fractions, with the result types of _dots."""
+        return _dots(self._u_inv, vec)
 
     def apply_v_inv(self, vec):
         """V^{-1} vec; accepts ints or Fractions, and keeps vec's type of zero."""
         zero = vec[0] * 0 if vec else 0
         return _accumulate(self.cols, vec, self._v_inv, zero)
-
-    def u_column(self, k):
-        return _dense(self.rows, self._u[k])
-
-    def u_inv_row(self, k):
-        return _dense(self.rows, self._u_inv[k])
 
     def kernel_rows(self):
         """Rows rank: of V, sparse: the coordinates of the kernel part."""
@@ -241,8 +241,6 @@ def smith_normal_form(A):
         i = best[1]
         pivot_row = S[i]
         e = pivot_row[j]
-        touched = set(pivot_row)
-        touched.discard(j)
         # This pivot's column of U is the pivot column as it stands, and its
         # row of V is e times the pivot row.
         L_inv[i] = {r: S[r][j] for r in col}
@@ -268,9 +266,12 @@ def smith_normal_form(A):
                     target[k] = y
                 else:
                     del target[k]
+        # The row steps above left the pivot row as it was, so each of its
+        # other columns is pushed with its final count, unless it emptied.
         source = R[j]
         for c, x in pivot_row.items():
-            in_col[c].discard(i)
+            col = in_col[c]
+            col.discard(i)
             if c != j:
                 # V^{-1}: R[c] += t * R[j].
                 t = -x * e
@@ -281,13 +282,13 @@ def smith_normal_form(A):
                         target[k] = y
                     else:
                         del target[k]
+                if col:
+                    heappush(heap, (len(col), c))
         S[i] = {}
         pivots.append((i, j))
         if e < 0:
             # D gets +1; the sign goes to this row of U^{-1}, as to U above.
             L[i] = {k: -x for k, x in L[i].items()}
-        for c in touched:
-            heappush(heap, (len(in_col[c]), c))
 
     # No unit entry is left: the rest is reduced Euclid style, on the same
     # sparse rows, with the transforms updated step by step.
@@ -447,7 +448,7 @@ class CycleSplitting:
 
     def coordinates(self, v):
         """V[r:] v: coordinates of the cycle part of a chain in the cycle basis."""
-        return [sum(x * v[j] for j, x in row.items()) for row in self._rows]
+        return _dots(self._rows, v)
 
     def combine(self, c):
         """V^{-1}[:, r:] c: the cycle with coordinates c."""
@@ -455,7 +456,7 @@ class CycleSplitting:
 
     def periods(self, a):
         """V^{-1}[:, r:]^T a: the values of a cochain on the basis cycles."""
-        return [sum(x * a[i] for i, x in col.items()) for col in self._cols]
+        return _dots(self._cols, a)
 
     def dual(self, w):
         """V[r:]^T w: the cochain with periods w that vanishes on the complement."""
@@ -486,11 +487,32 @@ class CycleSplitting:
         )
 
 
+def _dots(rows, vec):
+    """[row . vec for row in rows], each sparse row against a dense vec.
+
+    Starts every sum at the int 0, as sum() does: an empty row gives 0, and
+    Fraction entries give Fractions.
+    """
+    out = []
+    for row in rows:
+        acc = 0
+        for j, x in row.items():
+            acc += x * vec[j]
+        out.append(acc)
+    return out
+
+
 def _combination(coeffs, vectors):
-    """sum(c * vectors[k] for k, c in coeffs), on sparse {index: value} vectors."""
+    """The sum of c * vectors[k] over the items k: c of coeffs, all sparse."""
     acc = {}
+    get = acc.get
     for k, c in coeffs.items():
-        _axpy(acc, c, vectors[k])
+        for i, x in vectors[k].items():
+            y = get(i, 0) + c * x
+            if y:
+                acc[i] = y
+            else:
+                del acc[i]
     return acc
 
 
@@ -547,8 +569,9 @@ class QuotientPresentation:
         self._torsion_indices = [i for i, d in enumerate(rel_snf.factors) if d > 1]
         self.torsion = [rel_snf.factors[i] for i in self._torsion_indices]
         self.betti = z - s
+        n = kernel.snf.cols
         self.generators = [
-            kernel.combine(rel_snf.u_column(i))
+            _dense(n, _combination(rel_snf._u[i], kernel._cols))
             for i in self._torsion_indices + list(range(s, z))
         ]
 
@@ -574,7 +597,7 @@ class QuotientPresentation:
     def coordinates(self, vec):
         """(free coordinates, torsion residues) of the class of a kernel vector."""
         w = self.adapted_coordinates(vec)
-        free = tuple(w[i] for i in self.free_positions())
+        free = tuple(w[self._rel_rank:])
         tors = tuple(w[i] % d for i, d in zip(self._torsion_indices, self.torsion))
         return free, tors
 
@@ -589,7 +612,8 @@ class QuotientPresentation:
     def torsion_functional(self, index):
         """The cochain whose value on a cycle is its adapted coordinate at the
         index-th torsion position; it vanishes on the complement of the cycles."""
-        return self.kernel.dual(self._rel_snf.u_inv_row(self._torsion_indices[index]))
+        w = self._rel_snf._u_inv[self._torsion_indices[index]]
+        return _dense(self.kernel.snf.cols, _combination(w, self.kernel._rows))
 
     def is_zero(self, vec):
         free, tors = self.coordinates(vec)

@@ -252,6 +252,10 @@ _MAPS = {
 class UnknownFixture(KeyError):
     """The requested bundled fixture name does not exist."""
 
+    def __str__(self):
+        # The message itself, not KeyError's quoted repr of it.
+        return self.args[0]
+
 
 def _lookup(table, name, kind):
     try:

@@ -24,6 +24,7 @@ from diffchar.characters import (
     IntegralClass,
     LowDegreeChar,
     NotIntegrallyCompatible,
+    _check_cycle_degree,
     _mod1,
     integral_decomposition,
 )
@@ -168,8 +169,7 @@ def evaluate_rel(f, cone_chain):
     """Value on a cone cycle, as a Fraction in [0,1)."""
     if cone_chain.cone != f.cone:
         raise ValueError("chain lives on a different mapping cone")
-    if cone_chain.degree != f.degree - 1:
-        raise ValueError("cone chain degree does not match character degree")
+    _check_cycle_degree(f, cone_chain.degree, "cone cycles")
     if not cone_chain.is_cycle():
         raise NotAConeCycle("relative characters evaluate on cone cycles only")
     return _mod1(f._lift_pair_on(cone_chain))

@@ -85,8 +85,17 @@ def test_integral_class_refuses_a_representative_from_elsewhere():
 def test_evaluate_requires_cycles_one_degree_down():
     i = fixtures.winding_character()
     S1 = fixtures.circle()
-    with pytest.raises(ValueError):
+    message = "a degree-1 character evaluates on cycles of degree 0, not 1"
+    with pytest.raises(ValueError) as raised:
         evaluate(i, fixtures.circle_cycle())
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        evaluate_torsion(i, fixtures.circle_cycle())
+    assert str(raised.value) == message
+    h = fixtures.rp2_flat_character()
+    with pytest.raises(ValueError) as raised:
+        evaluate_torsion(h, fixtures.torsion_loop().boundary())
+    assert str(raised.value) == "a degree-2 character evaluates on cycles of degree 1, not 0"
     with pytest.raises(NotACycle):
         evaluate(iota(i.curvature), S1.chain(1, {(0, 1): 1}))
 

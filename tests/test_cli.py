@@ -119,7 +119,7 @@ def test_eval_torus_loops(capsys):
 def test_eval_degree_mismatch_is_an_input_error(capsys):
     code, rep = _run(capsys, ["eval", "--character", "i", "--chain", "circle_fund"])
     assert code == 2
-    assert "error" in rep
+    assert rep["error"] == "a degree-1 character evaluates on cycles of degree 0, not 1"
 
 
 def test_eval_rejects_non_cycles(capsys, tmp_path):
@@ -298,8 +298,19 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_unknown_fixture_is_an_input_error(capsys):
+    """The error is the plain sentence, not KeyError's quoted repr of it."""
     code, rep = _run(capsys, ["homology", "--complex", "S3_9000", "--degree", "1"])
     assert code == 2
+    assert rep["error"] == (
+        "unknown complex 'S3_9000'; bundled: Klein_K, RP2_6, S1_3, S1_6, S2_4, S2_4', "
+        "S2_4p, T2_9, interval, point, two_points"
+    )
+    code, rep = _run(capsys, ["eval", "--character", "i", "--chain", "vertex_difference"])
+    assert code == 2
+    assert rep["error"] == (
+        "unknown chain 'vertex_difference'; bundled: circle_fund, gamma1, gamma2, "
+        "torsion_loop, torus_fund, v1_minus_v0"
+    )
 
 
 def test_malformed_json_reports_the_line(capsys, tmp_path):

@@ -86,6 +86,9 @@ def test_evaluation_needs_a_cone_cycle():
     open_chain = cone.chain(1, x_coeffs={(0, 1): 1})
     with pytest.raises(NotAConeCycle):
         evaluate_rel(f, open_chain)
+    with pytest.raises(ValueError) as raised:
+        evaluate_rel(f, cone.chain(0, x_coeffs={(0,): 1}))
+    assert str(raised.value) == "a degree-2 character evaluates on cone cycles of degree 1, not 0"
 
 
 def test_boundary_evaluation_law():

@@ -5,7 +5,9 @@ mathematical invariants raise exceptions, so no module uses `assert`, which
 `python -O` strips.  Integrality of a cochain is read from its values, so no
 module reads a `.ring` attribute or calls `as_integer`, and only `io`, where
 cochains enter, passes a ring argument to `Cochain`, `Cochain.from_vector`
-or `cochain_from_json`.
+or `cochain_from_json`.  Every sparse product in `exact_linalg` goes through
+its shared loop kernels, so that module sums no comprehension over a sparse
+vector's `.items()`.
 """
 
 from __future__ import annotations
@@ -92,4 +94,33 @@ def test_the_ring_rule_catches_each_violation():
         "attribute .ring", "attribute .as_integer", "ring argument to Cochain",
         "ring argument to Cochain", "ring argument to from_vector",
         "ring argument to cochain_from_json",
+    ]
+
+
+def _sums_over_items(tree):
+    """Calls sum(<comprehension>) whose comprehension iterates some x.items()."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum" and node.args
+                and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))):
+            continue
+        if any(isinstance(g.iter, ast.Call) and isinstance(g.iter.func, ast.Attribute)
+               and g.iter.func.attr == "items" for g in node.args[0].generators):
+            yield node.lineno, "sum over .items()"
+
+
+def test_sparse_products_go_through_the_kernels():
+    path = next(p for p in SOURCES if p.name == "exact_linalg.py")
+    assert list(_sums_over_items(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_the_kernel_rule_catches_each_violation():
+    source = (
+        "a = [sum(x * v[j] for j, x in row.items()) for row in rows]\n"
+        "b = sum([x * a[i] for i, x in col.items()])\n"
+        "c = sum(x for x in row.values())\n"
+        "d = min((abs(x), c) for c, x in row.items())\n"
+    )
+    assert sorted(_sums_over_items(ast.parse(source))) == [
+        (1, "sum over .items()"), (2, "sum over .items()"),
     ]
