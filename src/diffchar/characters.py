@@ -5,6 +5,16 @@ with a rational (k-1)-cochain lift whose failure to trivialize the curvature
 is an integer cocycle.  Evaluation on cycles lands in Q/Z, represented as
 Fractions in [0,1).  Degrees k <= 0 degenerate to integral cohomology
 classes carried by an integer cocycle.
+
+Characters are checked where they enter: `DiffChar(...)`,
+`LowDegreeChar(...)` and `character(...)` check that the curvature is closed
+and that mu = curvature - d(lift) is integral, and so do `iota` and
+`flat_character`, which take cochains from the user.  A character the
+library derives from checked ones (sums, multiples, pullbacks, fiber
+integrals, projections, `from_curvature`, `random_character`, internal
+products) is built by `_derived` with its mu carried along, unchecked;
+`products.internal_product` alone recomputes its mu and raises
+InvariantViolation if that is not integral.
 """
 
 from __future__ import annotations
@@ -12,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from diffchar.exact_linalg import InvariantViolation, solve_integer, solve_rational
-from diffchar.simplicial import Chain
 from diffchar.cochain import (
     Cochain,
     coboundary,
@@ -186,18 +195,20 @@ class DiffChar:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return character(self.curvature + other.curvature, self.lift + other.lift)
+        return _derived(
+            self.curvature + other.curvature, self.lift + other.lift, self.mu + other.mu
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return character(-self.curvature, -self.lift)
+        return _derived(-self.curvature, -self.lift, -self.mu)
 
     def scale(self, n):
         if not isinstance(n, int):
             raise TypeError("characters scale by integers")
-        return character(self.curvature.scale(n), self.lift.scale(n))
+        return _derived(self.curvature.scale(n), self.lift.scale(n), self.mu.scale(n))
 
     def _check_compatible(self, other):
         if self.complex != other.complex or self.degree != other.degree:
@@ -264,6 +275,23 @@ def character(curvature, lift):
     return LowDegreeChar(curvature.complex, curvature.degree, curvature)
 
 
+def _derived(curvature, lift, mu):
+    """The character (curvature, lift) built from checked ones, given its mu.
+
+    Derived characters need no check: mu = curvature - d(lift) is additive,
+    natural under pullback and commutes with integration over a closed fiber,
+    so the caller passes the mu it carried along, and the curvature is closed
+    because it differs from the cocycle mu by a coboundary.
+    """
+    h = object.__new__(DiffChar if curvature.degree >= 1 else LowDegreeChar)
+    h.complex = curvature.complex
+    h.degree = curvature.degree
+    h.curvature = curvature
+    h.lift = lift
+    h.mu = mu
+    return h
+
+
 def evaluate(h, cycle):
     """Value of the character on a cycle, as a Fraction in [0,1)."""
     _check_cycle_degree(h, cycle.degree)
@@ -323,15 +351,20 @@ def from_curvature(omega):
     """
     if not is_closed(omega):
         raise NotClosed("curvature must be closed")
-    return DiffChar(omega, integral_decomposition(omega)[1])
+    m, r = integral_decomposition(omega)
+    if omega.degree < 1:
+        raise ValueError("degree must be at least 1; use LowDegreeChar below")
+    return _derived(omega, r, m)
 
 
 def pullback(phi, h):
     """Character pullback along a simplicial map."""
     if h.complex != phi.target:
         raise ValueError("character does not live on the map's target")
-    return character(
-        pullback_cochain(phi, h.curvature), pullback_cochain(phi, h.lift)
+    return _derived(
+        pullback_cochain(phi, h.curvature),
+        pullback_cochain(phi, h.lift),
+        pullback_cochain(phi, h.mu),
     )
 
 
@@ -427,7 +460,7 @@ def random_character(K, k, rng):
         for _ in below
     ]
     lift = Cochain.from_vector(K, k - 1, lift_vals)
-    return DiffChar(mu + coboundary(lift), lift)
+    return _derived(mu + coboundary(lift), lift, mu)
 
 
 def random_flat_character(K, k, rng):

@@ -14,19 +14,8 @@ import sys
 from fractions import Fraction
 
 from diffchar import fixtures, io
-from diffchar.simplicial import (
-    NotFundamentalChain,
-    mapping_cone,
-    product_face_count,
-    staircase_product,
-)
-from diffchar.characters import (
-    NotACycle,
-    NotIntegrallyCompatible,
-    evaluate,
-    flat_character,
-    iota,
-)
+from diffchar.simplicial import mapping_cone, product_face_count, staircase_product
+from diffchar.characters import NotACycle, evaluate, flat_character, iota
 from diffchar.products import external_product, internal_product
 from diffchar.fiber_integration import (
     boundary_fiber_integrate,
@@ -34,7 +23,7 @@ from diffchar.fiber_integration import (
     product_transfer,
 )
 from diffchar.relative import NoSection, find_section
-from diffchar.holonomy import DimensionMismatch, holonomy
+from diffchar.holonomy import holonomy
 
 
 class InputError(Exception):
@@ -167,11 +156,7 @@ def _cmd_j(args):
     K = _resolve_complex(args.complex)
     if args.cochain is None:
         raise InputError("--cochain is required for j")
-    u = io.cochain_from_json(_load_json(args.cochain), K)
-    try:
-        h = flat_character(u)
-    except NotIntegrallyCompatible as exc:
-        raise InputError(str(exc))
+    h = flat_character(io.cochain_from_json(_load_json(args.cochain), K))
     inputs = {"complex": args.complex, "cochain": args.cochain}
     return _report("j", inputs, {"character": io.character_to_json(h)}), 0
 
@@ -239,22 +224,14 @@ def _total_space_character(args, transfer):
 
 def _cmd_fiber_integrate(args):
     tr = _transfer_from_args(args)
-    h = _total_space_character(args, tr)
-    try:
-        out = fiber_integrate(h, tr)
-    except NotFundamentalChain as exc:
-        raise InputError(str(exc))
+    out = fiber_integrate(_total_space_character(args, tr), tr)
     inputs = {"character": args.character, "complex": args.complex, "fiber": args.fiber}
     return _report("fiber-integrate", inputs, {"character": io.character_to_json(out)}), 0
 
 
 def _cmd_boundary_fiber_integrate(args):
     tr = _transfer_from_args(args)
-    h = _total_space_character(args, tr)
-    try:
-        out = boundary_fiber_integrate(h, tr)
-    except NotFundamentalChain as exc:
-        raise InputError(str(exc))
+    out = boundary_fiber_integrate(_total_space_character(args, tr), tr)
     result = {
         "over_boundary": io.character_to_json(out.over_boundary),
         "cov": io.cochain_to_json(out.cov),
@@ -285,11 +262,7 @@ def _cmd_find_section(args):
 def _cmd_holonomy(args):
     phi = _resolve_map(args.map, args.map_source, args.complex)
     h = _resolve_character(args.character, args.complex)
-    z = _resolve_chain(args.chain, phi.source)
-    try:
-        value = holonomy(h, phi, z)
-    except (DimensionMismatch, NotACycle, ValueError) as exc:
-        raise InputError(str(exc))
+    value = holonomy(h, phi, _resolve_chain(args.chain, phi.source))
     inputs = {"character": args.character, "map": args.map, "chain": args.chain}
     return _report("holonomy", inputs, {"phase": _phase(value)}), 0
 

@@ -4,13 +4,20 @@ Values are fractions.Fraction throughout; whether a cochain is integral is
 read from its values (`is_integer_valued`), never stored.  The cup product
 uses front/back faces on the ordered vertex lists, so it is strictly
 associative and natural exactly for weakly monotone simplicial maps.
+
+Cochains are checked where they enter: `Cochain(...)` and
+`io.cochain_from_json` check every simplex and value, `Cochain.from_vector`
+coerces each value (and with ring "Z" runs the full check).  Every operation
+here builds its result from checked cochains through the trusted
+`Cochain._of`, which checks nothing and only drops zeros; the arithmetic is
+the one of `simplicial.LinearCombination`, shared with chains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from diffchar.simplicial import ProductComplex, ez
+from diffchar.simplicial import Chain, LinearCombination, ProductComplex, ez
 
 
 class DegreeUnderflow(ValueError):
@@ -25,10 +32,18 @@ def _coerce(x):
     raise TypeError(f"cochain values must be int or Fraction, got {type(x)!r}")
 
 
-class Cochain:
-    """Simplicial cochain of a fixed degree with exact rational values."""
+class Cochain(LinearCombination):
+    """Simplicial cochain of a fixed degree with exact rational values.
 
-    __slots__ = ("complex", "degree", "values")
+    `coeffs` maps each simplex to its nonzero Fraction value.  The
+    constructor checks every simplex and value, for input; the operations
+    below build their results unchecked through `Cochain._of`.
+    """
+
+    __slots__ = ("complex", "degree")
+    _space = ("complex", "degree")
+    _zero = Fraction(0)
+    _mismatch = "cochains live on different complexes or degrees"
 
     def __init__(self, complex, degree, values=None, ring="Q"):
         """Check and store the nonzero values.
@@ -52,63 +67,39 @@ class Cochain:
                 raise ValueError(f"integer cochain with non-integer value {x}")
             if x != 0:
                 clean[s] = x
-        self.values = clean
+        self.coeffs = clean
 
     @classmethod
     def from_vector(cls, complex, degree, vec, ring="Q"):
+        """The cochain with these values on the degree's simplices, in order.
+
+        The simplices come from the basis, so only the values are checked;
+        ring "Z" runs the constructor's full check.
+        """
         basis = complex.simplices(degree)
         if len(vec) != len(basis):
             raise ValueError("vector length does not match simplex count")
-        return cls(complex, degree, dict(zip(basis, vec)), ring)
+        if ring != "Q":
+            return cls(complex, degree, dict(zip(basis, vec)), ring)
+        return cls._of(complex, degree, {s: _coerce(x) for s, x in zip(basis, vec)})
 
     def value(self, s):
-        return self.values.get(tuple(s), Fraction(0))
-
-    def to_vector(self):
-        return [self.values.get(s, Fraction(0)) for s in self.complex.simplices(self.degree)]
-
-    def is_zero(self):
-        return not self.values
+        return self.coeffs.get(tuple(s), Fraction(0))
 
     def is_integer_valued(self):
-        return all(x.denominator == 1 for x in self.values.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.complex == other.complex
-            and self.degree == other.degree
-            and self.values == other.values
-        )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.values)
-        for s, x in other.values.items():
-            out[s] = out.get(s, Fraction(0)) + x
-        return Cochain(self.complex, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Cochain(self.complex, self.degree, {s: -x for s, x in self.values.items()})
+        return all(x.denominator == 1 for x in self.coeffs.values())
 
     def scale(self, a):
         a = _coerce(a)
-        return Cochain(self.complex, self.degree, {s: a * x for s, x in self.values.items()})
-
-    def _check_compatible(self, other):
-        if self.complex != other.complex or self.degree != other.degree:
-            raise ValueError("cochains live on different complexes or degrees")
+        return Cochain._of(self.complex, self.degree, {s: a * x for s, x in self.coeffs.items()})
 
     def __repr__(self):
-        terms = " + ".join(f"{x}*{list(s)}" for s, x in sorted(self.values.items()))
+        terms = " + ".join(f"{x}*{list(s)}" for s, x in sorted(self.coeffs.items()))
         return f"Cochain(deg {self.degree}: {terms or '0'})"
 
 
 def zero_cochain(complex, degree):
-    return Cochain(complex, degree, {})
+    return Cochain._of(complex, degree, {})
 
 
 def coboundary(a):
@@ -118,12 +109,11 @@ def coboundary(a):
         total = Fraction(0)
         for i in range(len(s)):
             face = s[:i] + s[i + 1 :]
-            v = a.values.get(face)
+            v = a.coeffs.get(face)
             if v is not None:
                 total += -v if i % 2 else v
-        if total != 0:
-            out[s] = total
-    return Cochain(a.complex, a.degree + 1, out)
+        out[s] = total
+    return Cochain._of(a.complex, a.degree + 1, out)
 
 
 def cup(a, b):
@@ -133,16 +123,14 @@ def cup(a, b):
     p, q = a.degree, b.degree
     out = {}
     for s in a.complex.simplices(p + q):
-        front = a.values.get(s[: p + 1])
+        front = a.coeffs.get(s[: p + 1])
         if front is None:
             continue
-        back = b.values.get(s[p:])
+        back = b.coeffs.get(s[p:])
         if back is None:
             continue
-        x = front * back
-        if x != 0:
-            out[s] = x
-    return Cochain(a.complex, p + q, out)
+        out[s] = front * back
+    return Cochain._of(a.complex, p + q, out)
 
 
 def cup_1(a, b):
@@ -165,17 +153,16 @@ def cup_1(a, b):
             j = i + q
             left = s[: i + 1] + s[j:]
             mid = s[i : j + 1]
-            va = a.values.get(left)
+            va = a.coeffs.get(left)
             if va is None:
                 continue
-            vb = b.values.get(mid)
+            vb = b.coeffs.get(mid)
             if vb is None:
                 continue
             sign = -1 if ((p - i) * (q + 1)) % 2 else 1
             total += sign * va * vb
-        if total != 0:
-            out[s] = total
-    return Cochain(a.complex, p + q - 1, out)
+        out[s] = total
+    return Cochain._of(a.complex, p + q - 1, out)
 
 
 def pair(a, c):
@@ -188,7 +175,7 @@ def pair(a, c):
         )
     total = Fraction(0)
     for s, n in c.coeffs.items():
-        v = a.values.get(s)
+        v = a.coeffs.get(s)
         if v is not None:
             total += n * v
     return total
@@ -203,10 +190,10 @@ def pullback(phi, a):
         sign, image = phi.push_simplex(s)
         if sign == 0:
             continue
-        v = a.values.get(image)
-        if v is not None and v != 0:
+        v = a.coeffs.get(image)
+        if v is not None:
             out[s] = sign * v
-    return Cochain(phi.source, a.degree, out)
+    return Cochain._of(phi.source, a.degree, out)
 
 
 def slant_fiber(b, fiber_chain):
@@ -228,10 +215,8 @@ def slant_fiber(b, fiber_chain):
     base = product.left
     out = {}
     for s in base.simplices(m):
-        v = pair(b, ez(base.chain(m, {s: 1}), fiber_chain, product))
-        if v != 0:
-            out[s] = v
-    return Cochain(base, m, out)
+        out[s] = pair(b, ez(Chain._of(base, m, {s: 1}), fiber_chain, product))
+    return Cochain._of(base, m, out)
 
 
 def has_integral_periods(a):

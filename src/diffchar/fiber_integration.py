@@ -18,14 +18,8 @@ from diffchar.simplicial import (
     staircase_product,
     validate_fundamental_chain,
 )
-from diffchar.cochain import pullback as pullback_cochain, slant_fiber
-from diffchar.characters import (
-    DiffChar,
-    LowDegreeChar,
-    NotClosed,
-    iota,
-    pullback,
-)
+from diffchar.cochain import pullback as pullback_cochain, slant_fiber, zero_cochain
+from diffchar.characters import NotClosed, _derived, iota, pullback
 from diffchar.relative import cov_inverse
 
 
@@ -124,7 +118,9 @@ def fiber_integrate(h, transfer):
 
     Degree drops by the fiber degree; the critical case returns the
     degree-0 class of the integrated integral cocycle, lower cases zero.
-    Characters of degree <= 0 fall into these two cases.
+    Characters of degree <= 0 fall into these two cases.  Over a closed
+    fiber chain the slant commutes with the coboundary, so the result's
+    integral cocycle is the slant of h's.
     """
     if h.complex != transfer.total:
         raise ValueError("character does not live on the total space")
@@ -137,10 +133,11 @@ def fiber_integrate(h, transfer):
     base = transfer.base
     k = h.degree
     if k > n:
-        return DiffChar(slant_fiber(h.curvature, cF), slant_fiber(h.lift, cF))
-    if k == n:
-        return LowDegreeChar(base, 0, slant_fiber(h.mu, cF))
-    return LowDegreeChar(base, k - n)
+        return _derived(
+            slant_fiber(h.curvature, cF), slant_fiber(h.lift, cF), slant_fiber(h.mu, cF)
+        )
+    mu = slant_fiber(h.mu, cF) if k == n else zero_cochain(base, k - n)
+    return _derived(mu, zero_cochain(base, k - n - 1), mu)
 
 
 class BoundaryIntegration:

@@ -130,7 +130,7 @@ def cochain_to_json(cochain):
         "degree": cochain.degree,
         "values": {
             simplex_key(s): fraction_to_str(v)
-            for s, v in sorted(cochain.values.items())
+            for s, v in sorted(cochain.coeffs.items())
         },
     }
 

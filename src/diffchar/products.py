@@ -20,15 +20,8 @@ from diffchar.simplicial import (
     eilenberg_zilber,
     staircase_product,
 )
-from diffchar.cochain import cup, pair, pullback as pullback_cochain
-from diffchar.characters import (
-    NotACycle,
-    NotTorsion,
-    _mod1,
-    character,
-    evaluate,
-    pullback,
-)
+from diffchar.cochain import coboundary, cup, pair, pullback as pullback_cochain
+from diffchar.characters import NotACycle, _derived, _mod1, evaluate, pullback
 
 
 def internal_product(h, f):
@@ -37,15 +30,21 @@ def internal_product(h, f):
     Curvature is the cup product of curvatures; the lift mixes the first
     lift with the second curvature and the first integral cocycle with the
     second lift.  The integral cocycle of the result is the cup product of
-    the integral cocycles, on the nose.  The same formula covers degree <= 0
-    factors: their lifts, and all their cochains below degree 0, are zero.
+    the integral cocycles, on the nose; it is computed here as
+    curvature - d(lift) all the same, so that checks comparing it with the
+    cup of the factors' cocycles compare two computations.  The same formula
+    covers degree <= 0 factors: their lifts, and all their cochains below
+    degree 0, are zero.
     """
     if h.complex != f.complex:
         raise ValueError("internal product needs characters on one complex")
     k = h.degree
     curv = cup(h.curvature, f.curvature)
     lift = cup(h.lift, f.curvature) + cup(h.mu, f.lift).scale(-1 if k % 2 else 1)
-    return character(curv, lift)
+    mu = curv - coboundary(lift)
+    if not mu.is_integer_valued():
+        raise InvariantViolation("the product's curvature - d(lift) must be integral")
+    return _derived(curv, lift, mu)
 
 
 def external_product(h, f, product=None):
@@ -87,7 +86,7 @@ def _tensor_of(P, terms):
         for s, a in ys.coeffs.items():
             for t, b in yt.coeffs.items():
                 coeffs[(s, t)] = coeffs.get((s, t), 0) + c * a * b
-    return TensorChain(P.left, P.right, coeffs)
+    return TensorChain._of(P.left, P.right, coeffs)
 
 
 def kunneth_split(z):
@@ -118,7 +117,7 @@ def kunneth_decompose(z):
     remainder = z - projected
     order = P.homology(m).class_order(remainder.to_vector())
     if order == 0:
-        raise NotTorsion("remainder class should always be torsion")
+        raise InvariantViolation("remainder class should always be torsion")
     scaled = [order * x for x in remainder.to_vector()]
     fill_vec = solve_integer(P.boundary_snf(m + 1), scaled)
     if fill_vec is None:

@@ -25,6 +25,7 @@ from diffchar.characters import (
     LowDegreeChar,
     NotIntegrallyCompatible,
     _check_cycle_degree,
+    _derived,
     _mod1,
     integral_decomposition,
 )
@@ -208,7 +209,7 @@ def incl_flat(g, cone):
 
 def project(f):
     """Forget the relative data: the absolute character (curvature, X lift)."""
-    return DiffChar(f.curvature, f.lift_x)
+    return _derived(f.curvature, f.lift_x, f.mu_x)
 
 
 def cov_inverse(theta, cone=None):

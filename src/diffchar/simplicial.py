@@ -24,11 +24,11 @@ from diffchar.exact_linalg import (
 )
 
 
-class NotManifold(Exception):
+class NotManifold(ValueError):
     """The complex is not a pseudomanifold of its dimension."""
 
 
-class NonOrientable(Exception):
+class NonOrientable(ValueError):
     """No coherent orientation of the top-dimensional simplices exists."""
 
 
@@ -173,7 +173,7 @@ class Complex(_Factorizations):
         basis = self.simplices(degree)
         if len(vec) != len(basis):
             raise ValueError("vector length does not match simplex count")
-        return Chain(self, degree, dict(zip(basis, vec)))
+        return Chain._of(self, degree, dict(zip(basis, vec)))
 
     def components(self):
         """Connected components as sorted vertex lists."""
@@ -200,10 +200,71 @@ class Complex(_Factorizations):
         return comps
 
 
-class Chain:
+class LinearCombination:
+    """A finite sum of cells with nonzero coefficients, over a fixed space.
+
+    Chain, TensorChain and Cochain share this arithmetic.  `coeffs` maps each
+    cell to its nonzero coefficient; `_space` names the attributes that fix
+    the space (complex and degree, or the two factors of a tensor).  Each
+    subclass checks cells and coefficients in its own constructor, where
+    input enters; the library builds every result of its operations on
+    checked values with the trusted `_of`, which only drops zeros.
+    """
+
+    __slots__ = ("coeffs",)
+    _space = ()
+    _zero = 0
+
+    @classmethod
+    def _of(cls, *args):
+        """The combination with the given space attributes and coefficients,
+        unchecked: args are the `_space` attributes in order, then the dict."""
+        *space, coeffs = args
+        out = object.__new__(cls)
+        for name, value in zip(cls._space, space):
+            setattr(out, name, value)
+        out.coeffs = {k: c for k, c in coeffs.items() if c}
+        return out
+
+    def _spaces(self):
+        return [getattr(self, name) for name in self._space]
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._spaces() == other._spaces()
+            and self.coeffs == other.coeffs
+        )
+
+    def __add__(self, other):
+        space = self._spaces()
+        if space != other._spaces():
+            raise ValueError(self._mismatch)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return self._of(*space, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(*self._spaces(), {k: -c for k, c in self.coeffs.items()})
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def to_vector(self):
+        """Coefficients in the basis of the degree's simplices (not for tensors)."""
+        return [self.coeffs.get(s, self._zero) for s in self.complex.simplices(self.degree)]
+
+
+class Chain(LinearCombination):
     """Integer simplicial chain of a fixed degree."""
 
-    __slots__ = ("complex", "degree", "coeffs")
+    __slots__ = ("complex", "degree")
+    _space = ("complex", "degree")
+    _mismatch = "chains live on different complexes or degrees"
 
     def __init__(self, complex, degree, coeffs):
         self.complex = complex
@@ -221,69 +282,40 @@ class Chain:
                 clean[s] = clean.get(s, 0) + c
         self.coeffs = {s: c for s, c in clean.items() if c != 0}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain)
-            and self.complex == other.complex
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) + c
-        return Chain(self.complex, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Chain(self.complex, self.degree, {s: -c for s, c in self.coeffs.items()})
-
     def scale(self, n):
         if not isinstance(n, int):
             raise TypeError("chain scaling must be by int")
-        return Chain(self.complex, self.degree, {s: n * c for s, c in self.coeffs.items()})
-
-    def _check_compatible(self, other):
-        if self.complex != other.complex or self.degree != other.degree:
-            raise ValueError("chains live on different complexes or degrees")
-
-    def is_zero(self):
-        return not self.coeffs
+        return Chain._of(self.complex, self.degree, {s: n * c for s, c in self.coeffs.items()})
 
     def boundary(self):
         if self.degree == 0:
-            return Chain(self.complex, -1, {})
+            return Chain._of(self.complex, -1, {})
         out = {}
         for s, c in self.coeffs.items():
             for i in range(len(s)):
                 face = s[:i] + s[i + 1 :]
                 sign = -1 if i % 2 else 1
                 out[face] = out.get(face, 0) + sign * c
-        return Chain(self.complex, self.degree - 1, out)
+        return Chain._of(self.complex, self.degree - 1, out)
 
     def is_cycle(self):
         return self.boundary().is_zero()
-
-    def to_vector(self):
-        return [self.coeffs.get(s, 0) for s in self.complex.simplices(self.degree)]
 
     def __repr__(self):
         terms = " + ".join(f"{c}*{list(s)}" for s, c in sorted(self.coeffs.items()))
         return f"Chain(deg {self.degree}: {terms or '0'})"
 
 
-class TensorChain:
+class TensorChain(LinearCombination):
     """Integer chain on a tensor product of two complexes.
 
     Terms are pairs (left simplex, right simplex) of possibly mixed
     bidegrees; the total degree of a term is the sum of the two dimensions.
     """
 
-    __slots__ = ("left", "right", "coeffs")
+    __slots__ = ("left", "right")
+    _space = ("left", "right")
+    _mismatch = "tensor chains on different products"
 
     def __init__(self, left, right, coeffs):
         self.left = left
@@ -302,39 +334,13 @@ class TensorChain:
                 clean[key] = clean.get(key, 0) + c
         self.coeffs = {k: c for k, c in clean.items() if c != 0}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorChain)
-            and self.left == other.left
-            and self.right == other.right
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        if self.left != other.left or self.right != other.right:
-            raise ValueError("tensor chains on different products")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return TensorChain(self.left, self.right, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorChain(self.left, self.right, {k: -c for k, c in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
     def boundary(self):
         """Tensor differential: d(s@t) = ds@t + (-1)^{dim s} s@dt."""
         out = {}
 
         def bump(s, t, c):
-            if c != 0:
-                key = (s, t)
-                out[key] = out.get(key, 0) + c
+            key = (s, t)
+            out[key] = out.get(key, 0) + c
 
         for (s, t), c in self.coeffs.items():
             p = len(s) - 1
@@ -347,7 +353,7 @@ class TensorChain:
                 for i in range(len(t)):
                     face = t[:i] + t[i + 1 :]
                     bump(s, face, sign * (-1 if i % 2 else 1) * c)
-        return TensorChain(self.left, self.right, out)
+        return TensorChain._of(self.left, self.right, out)
 
     def __repr__(self):
         terms = " + ".join(
@@ -362,7 +368,7 @@ def tensor(chain_left, chain_right):
     for s, a in chain_left.coeffs.items():
         for t, b in chain_right.coeffs.items():
             coeffs[(s, t)] = coeffs.get((s, t), 0) + a * b
-    return TensorChain(chain_left.complex, chain_right.complex, coeffs)
+    return TensorChain._of(chain_left.complex, chain_right.complex, coeffs)
 
 
 class SimplicialMap:
@@ -416,7 +422,7 @@ class SimplicialMap:
             sign, image = self.push_simplex(s)
             if sign != 0:
                 out[image] = out.get(image, 0) + sign * c
-        return Chain(self.target, chain.degree, out)
+        return Chain._of(self.target, chain.degree, out)
 
     def matrix(self, n):
         """Matrix of the induced chain map in degree n."""
@@ -604,7 +610,7 @@ def _shuffle(tensor_chain, product, degree):
         for sign, pairs in _staircase(len(s) - 1, len(t) - 1):
             key = tuple(product.encode(s[a], t[b]) for a, b in pairs)
             out[key] = out.get(key, 0) + sign * c
-    return Chain(product, degree, out)
+    return Chain._of(product, degree, out)
 
 
 def alexander_whitney(chain):
@@ -625,7 +631,7 @@ def alexander_whitney(chain):
                 continue
             key = (tuple(front), tuple(back))
             out[key] = out.get(key, 0) + c
-    return TensorChain(product.left, product.right, out)
+    return TensorChain._of(product.left, product.right, out)
 
 
 def _facets(t):
@@ -671,7 +677,7 @@ def fundamental_cycle(complex):
         if len(s) <= d:
             raise NotManifold(f"simplex {s} is maximal but has dimension {len(s) - 1}")
     if d == 0:
-        return Chain(complex, 0, {s: 1 for s in tops})
+        return Chain._of(complex, 0, {s: 1 for s in tops})
     cofaces = _top_cofaces(complex)
     for face, incident in cofaces.items():
         if len(incident) > 2:
@@ -701,10 +707,10 @@ def fundamental_cycle(complex):
                         queue.append(other)
     if set(orientation) != top_set:
         raise InvariantViolation("orientation search missed a top simplex")
-    return Chain(complex, d, orientation)
+    return Chain._of(complex, d, orientation)
 
 
-class NotFundamentalChain(Exception):
+class NotFundamentalChain(ValueError):
     """The chain is not a coherently oriented cover of the top simplices."""
 
 

@@ -524,6 +524,31 @@ def test_internal_fault_exits_3_with_a_report(capsys, monkeypatch):
     assert "InvariantViolation" in rep["error"]
 
 
+def test_a_broken_kunneth_invariant_is_an_internal_fault(capsys, monkeypatch):
+    from diffchar.exact_linalg import QuotientPresentation
+
+    monkeypatch.setattr(QuotientPresentation, "class_order", lambda self, vec: 0)
+    code, rep = _run(capsys, ["verify", "--suite", "bb-oracle"])
+    assert code == 3
+    assert rep["internal"] is True
+    assert rep["error"] == "InvariantViolation: remainder class should always be torsion"
+
+
+@pytest.mark.parametrize("command, fiber, message", [
+    ("fiber-integrate", "Klein_K", "orientation conflict across face (3, 8)"),
+    ("fiber-integrate", "nonpure", "simplex (2, 3) is maximal but has dimension 1"),
+    ("boundary-fiber-integrate", "RP2_6", "orientation conflict across face (2, 5)"),
+])
+def test_bad_fibers_are_input_errors(capsys, tmp_path, command, fiber, message):
+    if fiber == "nonpure":
+        fiber = tmp_path / "nonpure.json"
+        fiber.write_text('{"vertices": 4, "simplices": [[0, 1, 2], [2, 3]]}')
+    code, rep = _run(capsys, [command, "--character", "ixi", "--complex", "S1_3",
+                              "--fiber", str(fiber)])
+    assert code == 2
+    assert rep == {"command": command, "error": message}
+
+
 def test_reports_are_byte_identical(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

@@ -7,7 +7,10 @@ module reads a `.ring` attribute or calls `as_integer`, and only `io`, where
 cochains enter, passes a ring argument to `Cochain`, `Cochain.from_vector`
 or `cochain_from_json`.  Every sparse product in `exact_linalg` goes through
 its shared loop kernels, so that module sums no comprehension over a sparse
-vector's `.items()`.
+vector's `.items()`.  Input is checked where it enters, so the modules that
+only derive values from checked ones (`cochain`, `products`,
+`fiber_integration`) call no checking constructor: they build chains and
+cochains through `_of` and characters through `_derived`.
 """
 
 from __future__ import annotations
@@ -123,4 +126,46 @@ def test_the_kernel_rule_catches_each_violation():
     )
     assert sorted(_sums_over_items(ast.parse(source))) == [
         (1, "sum over .items()"), (2, "sum over .items()"),
+    ]
+
+
+_CHECKED_CONSTRUCTORS = {"Cochain", "Chain", "TensorChain", "DiffChar", "LowDegreeChar",
+                         "character"}
+_DERIVING_MODULES = ("cochain.py", "products.py", "fiber_integration.py")
+
+
+def _checked_constructions(tree):
+    """Calls of a checking constructor, by plain name or as a module attribute."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else (
+            func.attr if isinstance(func, ast.Attribute) else None)
+        if name in _CHECKED_CONSTRUCTORS:
+            yield node.lineno, f"{name}() call"
+
+
+def test_derived_values_skip_the_checking_constructors():
+    paths = [p for p in SOURCES if p.name in _DERIVING_MODULES]
+    assert len(paths) == len(_DERIVING_MODULES)
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in paths
+        for line, what in _checked_constructions(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_constructor_rule_catches_each_violation():
+    source = (
+        "Cochain(K, 0, v)\nChain(K, 0, c)\nTensorChain(K, L, c)\nDiffChar(a, b)\n"
+        "LowDegreeChar(K, 0)\ncharacter(a, b)\nsimplicial.Chain(K, 0, c)\n"
+        "Cochain._of(K, 0, v)\nChain._of(K, 0, c)\n_derived(a, b, m)\n"
+        "K.chain(0, c)\nCochain.from_vector(K, 0, w)\n"
+    )
+    assert sorted(_checked_constructions(ast.parse(source))) == [
+        (1, "Cochain() call"), (2, "Chain() call"), (3, "TensorChain() call"),
+        (4, "DiffChar() call"), (5, "LowDegreeChar() call"), (6, "character() call"),
+        (7, "Chain() call"),
     ]
