@@ -9,10 +9,12 @@ classes carried by an integer cocycle.
 Characters are checked where they enter: `DiffChar(...)`,
 `LowDegreeChar(...)` and `character(...)` check that the curvature is closed
 and that mu = curvature - d(lift) is integral, and so do `iota` and
-`flat_character`, which take cochains from the user.  A character the
-library derives from checked ones (sums, multiples, pullbacks, fiber
-integrals, projections, `from_curvature`, `random_character`, internal
-products) is built by `_derived` with its mu carried along, unchecked;
+`flat_character`, which take cochains from the user; `FlatClass(...)` checks
+that its coboundary is integral.  A character the library derives from
+checked ones (sums, multiples, pullbacks, fiber integrals, projections,
+`from_curvature`, `random_character`, internal products) is built by
+`_derived` with its mu carried along, unchecked, and so are the sums of flat
+classes and `flat_holonomy_class`; the group law is `simplicial.DirectSum`'s.
 `products.internal_product` alone recomputes its mu and raises
 InvariantViolation if that is not integral.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from diffchar.exact_linalg import InvariantViolation, solve_integer, solve_rational
+from diffchar.simplicial import DirectSum
 from diffchar.cochain import (
     Cochain,
     coboundary,
@@ -122,7 +125,7 @@ class IntegralClass:
         )
 
 
-class FlatClass:
+class FlatClass(DirectSum):
     """A cohomology class with circle-group coefficients, degree d.
 
     Carried by a rational d-cochain whose coboundary is integral; two
@@ -131,6 +134,10 @@ class FlatClass:
     """
 
     __slots__ = ("complex", "degree", "cochain")
+    _space = ("complex", "degree")
+    _parts = ("cochain",)
+    _mismatch = "flat classes on different complexes or degrees"
+    _scale_type = "flat classes scale by integers"
 
     def __init__(self, cochain):
         if not coboundary(cochain).is_integer_valued():
@@ -150,15 +157,6 @@ class FlatClass:
     def is_zero(self):
         return has_integral_periods(self.cochain)
 
-    def __add__(self, other):
-        return FlatClass(self.cochain + other.cochain)
-
-    def __neg__(self):
-        return FlatClass(-self.cochain)
-
-    def __sub__(self, other):
-        return FlatClass(self.cochain - other.cochain)
-
     def evaluate(self, cycle):
         if not cycle.is_cycle():
             raise NotACycle("flat classes evaluate on cycles only")
@@ -168,10 +166,14 @@ class FlatClass:
         return f"FlatClass(deg {self.degree}, {self.cochain!r})"
 
 
-class DiffChar:
+class DiffChar(DirectSum):
     """Differential character; degree k >= 1 here, k <= 0 in LowDegreeChar."""
 
     __slots__ = ("complex", "degree", "curvature", "lift", "mu")
+    _space = ("complex", "degree")
+    _parts = ("curvature", "lift", "mu")
+    _mismatch = "characters on different complexes or degrees"
+    _scale_type = "characters scale by integers"
 
     def __init__(self, curvature, lift):
         if curvature.complex != lift.complex:
@@ -193,26 +195,10 @@ class DiffChar:
         self.lift = lift
         self.mu = mu
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        return _derived(
-            self.curvature + other.curvature, self.lift + other.lift, self.mu + other.mu
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _derived(-self.curvature, -self.lift, -self.mu)
-
-    def scale(self, n):
-        if not isinstance(n, int):
-            raise TypeError("characters scale by integers")
-        return _derived(self.curvature.scale(n), self.lift.scale(n), self.mu.scale(n))
-
-    def _check_compatible(self, other):
-        if self.complex != other.complex or self.degree != other.degree:
-            raise ValueError("characters on different complexes or degrees")
+    @classmethod
+    def _of(cls, space, parts):
+        """Through `_derived`, so that degree <= 0 gives a LowDegreeChar."""
+        return _derived(*parts)
 
     def __eq__(self, other):
         """Identical curvature and lift difference with integral periods."""
@@ -284,11 +270,8 @@ def _derived(curvature, lift, mu):
     because it differs from the cocycle mu by a coboundary.
     """
     h = object.__new__(DiffChar if curvature.degree >= 1 else LowDegreeChar)
-    h.complex = curvature.complex
-    h.degree = curvature.degree
-    h.curvature = curvature
-    h.lift = lift
-    h.mu = mu
+    h.complex, h.degree = curvature.complex, curvature.degree
+    h.curvature, h.lift, h.mu = curvature, lift, mu
     return h
 
 
@@ -324,7 +307,8 @@ def flat_holonomy_class(h):
     """The circle-coefficient class of a flat character."""
     if not h.curvature.is_zero():
         raise NotFlat("character has nonzero curvature")
-    return FlatClass(h.lift)
+    # d(lift) = -mu is integral, since the curvature vanishes.
+    return FlatClass._of((h.complex, h.degree - 1), (h.lift,))
 
 
 def trivialization(h):

@@ -196,13 +196,14 @@ def pullback(phi, a):
     return Cochain._of(phi.source, a.degree, out)
 
 
-def slant_fiber(b, fiber_chain):
+def slant_fiber(b, fiber_chain, product=None):
     """Integrate a cochain on a staircase product over a chain in the fiber.
 
     For b of degree k on K x F and a fiber chain of degree n, the result is
-    the degree k-n cochain c -> b(EZ(c @ fiber_chain)) on K.
+    the degree k-n cochain c -> b(EZ(c @ fiber_chain)) on K.  The product
+    defaults to b's complex, which may be a plain complex equal to point x F.
     """
-    product = b.complex
+    product = b.complex if product is None else product
     if not isinstance(product, ProductComplex):
         raise TypeError("slant_fiber needs a cochain on a ProductComplex")
     if fiber_chain.complex != product.right:

@@ -88,7 +88,7 @@ def combined_transfer(left_transfer, right_transfer):
                 right_transfer.total.encode(x2, f2),
             )
         )
-    swap = SimplicialMap(total, target, vm)
+    swap = SimplicialMap._of(total, target, vm)
     return TransferData(total, chain), swap
 
 
@@ -110,7 +110,7 @@ def rebracket_map(flat_total, nested_total):
         x, ff = flat_total.decode(w)
         f1, f2 = FF.decode(ff)
         vm.append(nested_total.encode(XF1.encode(x, f1), f2))
-    return SimplicialMap(flat_total, nested_total, vm)
+    return SimplicialMap._of(flat_total, nested_total, vm)
 
 
 def fiber_integrate(h, transfer):
@@ -128,15 +128,13 @@ def fiber_integrate(h, transfer):
         raise NotClosed(
             "fiber chain has a boundary; use boundary_fiber_integrate"
         )
-    cF = transfer.fiber_chain
+    cF, total = transfer.fiber_chain, transfer.total
     n = transfer.fiber_degree
     base = transfer.base
     k = h.degree
     if k > n:
-        return _derived(
-            slant_fiber(h.curvature, cF), slant_fiber(h.lift, cF), slant_fiber(h.mu, cF)
-        )
-    mu = slant_fiber(h.mu, cF) if k == n else zero_cochain(base, k - n)
+        return _derived(*(slant_fiber(c, cF, total) for c in (h.curvature, h.lift, h.mu)))
+    mu = slant_fiber(h.mu, cF, total) if k == n else zero_cochain(base, k - n)
     return _derived(mu, zero_cochain(base, k - n - 1), mu)
 
 
@@ -166,7 +164,7 @@ def boundary_fiber_integrate(h, transfer):
     n = transfer.fiber_degree
     over_boundary = fiber_integrate(h, transfer.boundary_transfer())
     sign = -1 if (k - n) % 2 else 1
-    cov = slant_fiber(h.curvature, transfer.fiber_chain).scale(sign)
+    cov = slant_fiber(h.curvature, transfer.fiber_chain, transfer.total).scale(sign)
     relative = cov_inverse(cov)
     return BoundaryIntegration(over_boundary, cov, relative)
 

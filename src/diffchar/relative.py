@@ -4,6 +4,11 @@ A degree-k relative character for phi: A -> X is a quadruple: a curvature on
 X, a covariant cochain on A one degree down, and a pair of lifts (on X and
 A) whose failure to trivialize the pair is integral.  Evaluation happens on
 cone cycles and lands in Q/Z.
+
+`RelChar(...)` checks its data where it enters; the relative characters and
+characters this module derives (the group law of `simplicial.DirectSum`,
+`incl_flat`, `cov_inverse`, `find_section`, `descend_kernel`) are built
+unchecked with their integral cocycles in closed form.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from diffchar.exact_linalg import kernel_basis, IntMatrix, solve_integer
-from diffchar.simplicial import identity_map, mapping_cone
+from diffchar.simplicial import DirectSum, identity_map, mapping_cone
 from diffchar.cochain import (
     Cochain,
     coboundary,
@@ -20,7 +25,6 @@ from diffchar.cochain import (
     zero_cochain,
 )
 from diffchar.characters import (
-    DiffChar,
     IntegralClass,
     LowDegreeChar,
     NotIntegrallyCompatible,
@@ -54,20 +58,18 @@ class KernelConditionFailed(ValueError):
     """descend_kernel needs the underlying absolute character to vanish."""
 
 
-class RelChar:
-    """Relative differential character of degree k >= 1."""
+class RelChar(DirectSum):
+    """Relative differential character of degree k >= 1.
 
-    __slots__ = (
-        "cone",
-        "phi",
-        "degree",
-        "curvature",
-        "cov",
-        "lift_x",
-        "lift_a",
-        "mu_x",
-        "mu_a",
-    )
+    Its parts, integral cocycles mu_x = curvature - d(lift_x) and
+    mu_a = cov - phi^*(lift_x) + d(lift_a) included, are linear in it.
+    """
+
+    __slots__ = ("cone", "degree", "curvature", "cov", "lift_x", "lift_a", "mu_x", "mu_a")
+    _space = ("cone", "degree")
+    _parts = ("curvature", "cov", "lift_x", "lift_a", "mu_x", "mu_a")
+    _mismatch = "relative characters do not match"
+    _scale_type = "relative characters scale by integers"
 
     def __init__(self, cone, curvature, cov, lift_x, lift_a):
         phi = cone.phi
@@ -94,7 +96,6 @@ class RelChar:
                 "pair minus cone coboundary of the lifts must be integral"
             )
         self.cone = cone
-        self.phi = phi
         self.degree = k
         self.curvature = curvature
         self.cov = cov
@@ -103,36 +104,9 @@ class RelChar:
         self.mu_x = mu_x
         self.mu_a = mu_a
 
-    def _check_compatible(self, other):
-        if self.cone != other.cone or self.degree != other.degree:
-            raise ValueError("relative characters do not match")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return RelChar(
-            self.cone,
-            self.curvature + other.curvature,
-            self.cov + other.cov,
-            self.lift_x + other.lift_x,
-            self.lift_a + other.lift_a,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RelChar(self.cone, -self.curvature, -self.cov, -self.lift_x, -self.lift_a)
-
-    def scale(self, n):
-        if not isinstance(n, int):
-            raise TypeError("relative characters scale by integers")
-        return RelChar(
-            self.cone,
-            self.curvature.scale(n),
-            self.cov.scale(n),
-            self.lift_x.scale(n),
-            self.lift_a.scale(n),
-        )
+    @property
+    def phi(self):
+        return self.cone.phi
 
     def _lift_pair_on(self, cone_chain):
         return pair(self.lift_x, cone_chain.x_part) + pair(self.lift_a, cone_chain.a_part)
@@ -181,30 +155,21 @@ def incl_flat(g, cone):
 
     Sends a degree (k-1) character on A to the degree k relative character
     with zero X data, covariant part minus the curvature, and A lift the
-    lift of g.  Degree-0 characters on A go to zero in degree 1.
+    lift of g.  Degree-0 characters on A go to zero in degree 1.  The
+    integral cocycles are mu_x = 0 and mu_a = -mu of g.
     """
     phi = cone.phi
     A, X = phi.source, phi.target
     if isinstance(g, LowDegreeChar):
         if g.complex != A or g.degree != 0:
             raise ValueError("expected a degree-0 character on A")
-        return RelChar(
-            cone,
-            zero_cochain(X, 1),
-            zero_cochain(A, 0),
-            zero_cochain(X, 0),
-            zero_cochain(A, -1),
-        )
+        g = LowDegreeChar(A, 0)
     if g.complex != A:
         raise ValueError("character does not live on the cone's source")
     k = g.degree + 1
-    return RelChar(
-        cone,
-        zero_cochain(X, k),
-        -g.curvature,
-        zero_cochain(X, k - 1),
-        g.lift,
-    )
+    zero = zero_cochain(X, k)
+    parts = (zero, -g.curvature, zero_cochain(X, k - 1), g.lift, zero, -g.mu)
+    return RelChar._of((cone, k), parts)
 
 
 def project(f):
@@ -216,21 +181,21 @@ def cov_inverse(theta, cone=None):
     """Relative character on the cone of the identity with given covariant part.
 
     Any rational cochain theta on X yields a valid quadruple
-    (d theta, theta, theta, 0); its projection is iota(theta).
+    (d theta, theta, theta, 0), with both integral cocycles zero; its
+    projection is iota(theta).
     """
     X = theta.complex
     if cone is None:
         cone = mapping_cone(identity_map(X))
-    else:
-        if cone.phi.source != X or cone.phi.target != X or cone.phi != identity_map(X):
-            raise ValueError("cone must be the mapping cone of the identity on X")
-    return RelChar(
-        cone,
-        coboundary(theta),
-        theta,
-        theta,
-        zero_cochain(X, theta.degree - 1),
-    )
+    elif (cone.phi.source != X or cone.phi.target != X
+          or cone.phi.vertex_map != tuple(range(X.num_vertices))):
+        raise ValueError("cone must be the mapping cone of the identity on X")
+    k = theta.degree + 1
+    if k < 1:
+        raise ValueError("relative characters start in degree 1")
+    parts = (coboundary(theta), theta, theta, zero_cochain(X, k - 2),
+             zero_cochain(X, k), zero_cochain(X, k - 1))
+    return RelChar._of((cone, k), parts)
 
 
 def find_section(h, cone):
@@ -240,7 +205,8 @@ def find_section(h, cone):
     cocycle; the covariant part is the pulled back lift plus t.  Raises
     NoSection carrying the obstruction class when no t exists.  In degree 1
     the covariant part is normalized to [0,1) at the least vertex of each
-    component of A.
+    component of A.  The integral cocycles are mu_x = mu of h and mu_a = t,
+    plus that integer shift in degree 1.
     """
     phi = cone.phi
     A, X = phi.source, phi.target
@@ -270,8 +236,10 @@ def find_section(h, cone):
                 for u in comp:
                     shift[(u,)] = -n
         if shift:
-            theta = theta + Cochain(A, 0, shift)
-    return RelChar(cone, h.curvature, theta, h.lift, zero_cochain(A, k - 2))
+            shift = Cochain._of(A, 0, shift)
+            theta, t = theta + shift, t + shift
+    parts = (h.curvature, theta, h.lift, zero_cochain(A, k - 2), h.mu, t)
+    return RelChar._of((cone, k), parts)
 
 
 def descend_kernel(f):
@@ -280,7 +248,6 @@ def descend_kernel(f):
     Given f with project(f) the zero character, produce g on A a degree down
     with incl_flat(g) == f.  In degree 1 only the zero character descends.
     """
-    cone = f.cone
     phi = f.phi
     A = phi.source
     k = f.degree
@@ -293,9 +260,10 @@ def descend_kernel(f):
         raise KernelConditionFailed(
             "in degree 1 only the zero relative character descends"
         )
-    s_a = integral_decomposition(f.lift_x)[1]
+    # lift_x = m + d(s_a) with m integral; then mu = -mu_a - phi^*(m).
+    m, s_a = integral_decomposition(f.lift_x)
     b_prime = f.lift_a - pullback_cochain(phi, s_a)
-    return DiffChar(-f.cov, b_prime)
+    return _derived(-f.cov, b_prime, -f.mu_a - pullback_cochain(phi, m))
 
 
 def flat_class_pulled_back(u, phi):

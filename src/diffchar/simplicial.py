@@ -5,6 +5,10 @@ closed under faces.  The staircase triangulation of a product comes with the
 shuffle (Eilenberg-Zilber) and front/back (Alexander-Whitney) chain maps; the
 sign conventions are pinned by the mechanized identities in the test suite,
 not by transcription.
+
+Values are checked where they enter (`Chain`, `TensorChain`, `ConeChain`,
+`SimplicialMap`); results the library derives are built by the trusted
+`_of` of `LinearCombination`, `DirectSum` and `SimplicialMap`.
 """
 
 from __future__ import annotations
@@ -259,6 +263,64 @@ class LinearCombination:
         return [self.coeffs.get(s, self._zero) for s in self.complex.simplices(self.degree)]
 
 
+class DirectSum:
+    """A value made of linear parts over a fixed space, added part by part.
+
+    Cone chains, characters, relative characters and flat classes share this
+    group law.  `_space` names the attributes that fix the space (a complex
+    or cone and a degree), `_parts` the linear parts (chains or cochains);
+    `_mismatch` and `_scale_type` are the error texts.  Each subclass checks
+    its parts in its own constructor, where input enters; results of the
+    operations, and other values the library derives from checked ones, are
+    built with the trusted `_of`, which checks nothing.
+    """
+
+    __slots__ = ()
+    _space = ()
+    _parts = ()
+
+    @classmethod
+    def _of(cls, space, parts):
+        """The value with these `_space` attributes and parts, unchecked."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._space + cls._parts, (*space, *parts)):
+            setattr(out, name, value)
+        return out
+
+    def _spaces(self):
+        return [getattr(self, name) for name in self._space]
+
+    def _values(self):
+        return [getattr(self, name) for name in self._parts]
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._spaces() == other._spaces()
+            and self._values() == other._values()
+        )
+
+    def __add__(self, other):
+        space = self._spaces()
+        if space != other._spaces():
+            raise ValueError(self._mismatch)
+        return self._of(space, [a + b for a, b in zip(self._values(), other._values())])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(self._spaces(), [-a for a in self._values()])
+
+    def scale(self, n):
+        if not isinstance(n, int):
+            raise TypeError(self._scale_type)
+        return self._of(self._spaces(), [a.scale(n) for a in self._values()])
+
+    def is_zero(self):
+        return all(a.is_zero() for a in self._values())
+
+
 class Chain(LinearCombination):
     """Integer simplicial chain of a fixed degree."""
 
@@ -393,6 +455,16 @@ class SimplicialMap:
         self.target = target
         self.vertex_map = vertex_map
 
+    @classmethod
+    def _of(cls, source, target, vertex_map):
+        """The map with this vertex map, unchecked: for maps the library builds
+        from valid data (identities, composites, projections, inclusions)."""
+        out = object.__new__(cls)
+        out.source = source
+        out.target = target
+        out.vertex_map = tuple(vertex_map)
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialMap)
@@ -444,15 +516,13 @@ def compose_maps(outer, inner):
     """outer after inner."""
     if inner.target != outer.source:
         raise ValueError("maps do not compose")
-    return SimplicialMap(
-        inner.source,
-        outer.target,
-        [outer.vertex_map[w] for w in inner.vertex_map],
+    return SimplicialMap._of(
+        inner.source, outer.target, [outer.vertex_map[w] for w in inner.vertex_map]
     )
 
 
 def identity_map(complex):
-    return SimplicialMap(complex, complex, list(range(complex.num_vertices)))
+    return SimplicialMap._of(complex, complex, range(complex.num_vertices))
 
 
 @lru_cache(maxsize=None)
@@ -516,19 +586,19 @@ class ProductComplex(Complex):
 
     def _projection(self, k):
         target = (self.left, self.right)[k]
-        return SimplicialMap(
+        return SimplicialMap._of(
             self, target, [self.decode(w)[k] for w in range(self.num_vertices)]
         )
 
     def include_at_right(self, v0):
         """Inclusion u -> (u, v0) of the left factor."""
-        return SimplicialMap(
+        return SimplicialMap._of(
             self.left, self, [self.encode(u, v0) for u in range(self.left.num_vertices)]
         )
 
     def include_at_left(self, u0):
         """Inclusion v -> (u0, v) of the right factor."""
-        return SimplicialMap(
+        return SimplicialMap._of(
             self.right, self, [self.encode(u0, v) for v in range(self.right.num_vertices)]
         )
 
@@ -581,7 +651,7 @@ def transpose_map(product, flipped):
     for w in range(product.num_vertices):
         u, v = product.decode(w)
         vm.append(flipped.encode(v, u))
-    return SimplicialMap(product, flipped, vm)
+    return SimplicialMap._of(product, flipped, vm)
 
 
 def eilenberg_zilber(tensor_chain, product):
@@ -744,7 +814,7 @@ def validate_fundamental_chain(chain):
     return chain
 
 
-class ConeChain:
+class ConeChain(DirectSum):
     """Chain of the mapping cone of phi: a pair (s on X, t on A).
 
     In cone degree k the pair is (s in C_k(X), t in C_{k-1}(A)) and the cone
@@ -752,6 +822,10 @@ class ConeChain:
     """
 
     __slots__ = ("cone", "degree", "x_part", "a_part")
+    _space = ("cone", "degree")
+    _parts = ("x_part", "a_part")
+    _mismatch = "cone chains do not match"
+    _scale_type = "cone chains scale by integers"
 
     def __init__(self, cone, degree, x_part, a_part):
         if x_part.complex != cone.phi.target or x_part.degree != degree:
@@ -763,39 +837,13 @@ class ConeChain:
         self.x_part = x_part
         self.a_part = a_part
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConeChain)
-            and self.cone == other.cone
-            and self.degree == other.degree
-            and self.x_part == other.x_part
-            and self.a_part == other.a_part
-        )
-
-    def __add__(self, other):
-        if self.cone != other.cone or self.degree != other.degree:
-            raise ValueError("cone chains do not match")
-        return ConeChain(
-            self.cone, self.degree, self.x_part + other.x_part, self.a_part + other.a_part
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ConeChain(self.cone, self.degree, -self.x_part, -self.a_part)
-
     def boundary(self):
         phi = self.cone.phi
         x = self.x_part.boundary() + phi.push_chain(self.a_part)
-        return ConeChain(self.cone, self.degree - 1, x, -self.a_part.boundary())
+        return ConeChain._of((self.cone, self.degree - 1), (x, -self.a_part.boundary()))
 
     def is_cycle(self):
-        b = self.boundary()
-        return b.x_part.is_zero() and b.a_part.is_zero()
-
-    def is_zero(self):
-        return self.x_part.is_zero() and self.a_part.is_zero()
+        return self.boundary().is_zero()
 
     def to_vector(self):
         return self.x_part.to_vector() + self.a_part.to_vector()
@@ -848,14 +896,14 @@ class MappingCone(_Factorizations):
         X, A = self.phi.target, self.phi.source
         x = Chain(X, degree, x_coeffs or {})
         a = Chain(A, degree - 1, a_coeffs or {})
-        return ConeChain(self, degree, x, a)
+        return ConeChain._of((self, degree), (x, a))
 
     def chain_from_vector(self, degree, vec):
         X, A = self.phi.target, self.phi.source
         nx = len(X.simplices(degree))
         x = X.chain_from_vector(degree, vec[:nx])
         a = A.chain_from_vector(degree - 1, vec[nx:])
-        return ConeChain(self, degree, x, a)
+        return ConeChain._of((self, degree), (x, a))
 
     def __repr__(self):
         return f"MappingCone({self.phi!r})"

@@ -466,7 +466,7 @@ def run_relative_exact():
                     if exc.witness.is_zero():
                         ok_gate = False
                 # every kernel instance descends and the round trip closes
-                g = random_character(A, k, rng) if k >= 1 else None
+                g = random_character(A, k, rng)
                 f = incl_flat(g, cone)
                 if not project(f).is_zero():
                     ok_pi = False
@@ -523,12 +523,10 @@ def run_relative_exact():
     ok_junction = True
     for _ in range(5):
         u = flat_holonomy_class(random_flat_character(RP2, 2, rng))
-        pulled_ok = flat_class_pulled_back(u, identity_map(RP2))
-        if not pulled_ok:
+        if not flat_class_pulled_back(u, identity_map(RP2)):
             ok_junction = False
-    if not flat_class_pulled_back(flat_holonomy_class(flat_g), cone_eq.phi):
-        pass  # the winding class does not extend over the disk directions
-    else:
+    # the winding class does not extend over the disk directions
+    if flat_class_pulled_back(flat_holonomy_class(flat_g), cone_eq.phi):
         ok_junction = False
     checks.append(_check("pulled-back test separates extendable flat classes", ok_junction))
     return checks

@@ -19,6 +19,11 @@ from diffchar.cli import main
 from diffchar.simplicial import identity_map, mapping_cone, staircase_product
 from diffchar.cochain import Cochain
 from diffchar.characters import LowDegreeChar, iota, random_character
+from diffchar.fiber_integration import (
+    boundary_fiber_integrate,
+    fiber_integrate,
+    product_transfer,
+)
 from diffchar.relative import find_section
 
 
@@ -204,6 +209,37 @@ def test_boundary_fiber_integrate_over_a_closed_fiber(capsys):
     over = io.character_from_json(rep["result"]["over_boundary"], fixtures.circle())
     assert over.degree == 2
     assert over.is_zero()
+
+
+# A fixture character on a plain complex equal to a degenerate product:
+# S1_3 and RP2_6 are point x S1_3, S1_3 x point and RP2_6 x point.
+_DEGENERATE_PRODUCTS = [("i", "point", "S1_3"), ("i", "S1_3", "point"),
+                        ("ju", "RP2_6", "point")]
+
+
+@pytest.mark.parametrize("command", ["fiber-integrate", "boundary-fiber-integrate"])
+@pytest.mark.parametrize("character, base, fiber", _DEGENERATE_PRODUCTS)
+def test_characters_on_degenerate_products_integrate(capsys, command, character, base,
+                                                     fiber):
+    """The answer is the one for the character read onto the product itself."""
+    code, rep = _run(capsys, [command, "--character", character, "--complex", base,
+                              "--fiber", fiber])
+    assert code == 0, rep
+    B, F = fixtures.complex_by_name(base), fixtures.complex_by_name(fiber)
+    tr = product_transfer(B, F, total=staircase_product(B, F))
+    h = io.character_from_json(
+        io.character_to_json(fixtures.character_by_name(character)), tr.total)
+    if command == "fiber-integrate":
+        want = {"character": io.character_to_json(fiber_integrate(h, tr))}
+    else:
+        out = boundary_fiber_integrate(h, tr)
+        want = {"over_boundary": io.character_to_json(out.over_boundary),
+                "cov": io.cochain_to_json(out.cov),
+                "relative": io.rel_character_to_json(out.relative)}
+    assert rep["result"] == want
+    if (command, base) == ("fiber-integrate", "point"):
+        assert want["character"] == {
+            "degree": 0, "cocycle": {"degree": 0, "values": {"[0]": "1"}}}
 
 
 # Each command fed a well-formed character of degree 0 or -1.  "{char}" is

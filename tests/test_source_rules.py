@@ -10,7 +10,11 @@ its shared loop kernels, so that module sums no comprehension over a sparse
 vector's `.items()`.  Input is checked where it enters, so the modules that
 only derive values from checked ones (`cochain`, `products`,
 `fiber_integration`) call no checking constructor: they build chains and
-cochains through `_of` and characters through `_derived`.
+cochains through `_of` and characters through `_derived`; likewise
+`relative` builds no checked character or relative character, and
+`fiber_integration` no checked simplicial map.  The group law lives in two
+base classes, `LinearCombination` and `DirectSum`, so no other class defines
+`+`, `-` or unary `-`, and none keeps a compatibility check of its own.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ _CHECKED_CONSTRUCTORS = {"Cochain", "Chain", "TensorChain", "DiffChar", "LowDegr
 _DERIVING_MODULES = ("cochain.py", "products.py", "fiber_integration.py")
 
 
-def _checked_constructions(tree):
+def _checked_constructions(tree, names=_CHECKED_CONSTRUCTORS):
     """Calls of a checking constructor, by plain name or as a module attribute."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -142,7 +146,7 @@ def _checked_constructions(tree):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None)
-        if name in _CHECKED_CONSTRUCTORS:
+        if name in names:
             yield node.lineno, f"{name}() call"
 
 
@@ -168,4 +172,77 @@ def test_the_constructor_rule_catches_each_violation():
         (1, "Cochain() call"), (2, "Chain() call"), (3, "TensorChain() call"),
         (4, "DiffChar() call"), (5, "LowDegreeChar() call"), (6, "character() call"),
         (7, "Chain() call"),
+    ]
+
+
+# Library-derived values these modules build, and the checking constructors
+# they therefore must not call.
+_TRUSTED_BUILDS = {"relative.py": {"RelChar", "DiffChar"},
+                   "fiber_integration.py": {"SimplicialMap"}}
+
+
+def test_relative_characters_and_maps_skip_the_checking_constructors():
+    paths = {p.name: p for p in SOURCES if p.name in _TRUSTED_BUILDS}
+    assert set(paths) == set(_TRUSTED_BUILDS)
+    found = [
+        f"{name}:{line}: {what}"
+        for name, path in paths.items()
+        for line, what in _checked_constructions(
+            ast.parse(path.read_text(), str(path)), _TRUSTED_BUILDS[name])
+    ]
+    assert found == []
+
+
+def test_the_trusted_build_rule_catches_each_violation():
+    source = (
+        "RelChar(cone, a, b, x, y)\nrelative.DiffChar(a, b)\nSimplicialMap(K, L, vm)\n"
+        "RelChar._of(s, p)\nSimplicialMap._of(K, L, vm)\n_derived(a, b, m)\n"
+        "LowDegreeChar(K, 0)\n"
+    )
+    names = {"RelChar", "DiffChar", "SimplicialMap"}
+    assert sorted(_checked_constructions(ast.parse(source), names)) == [
+        (1, "RelChar() call"), (2, "DiffChar() call"), (3, "SimplicialMap() call"),
+    ]
+
+
+_GROUP_LAW = {"__add__", "__sub__", "__neg__"}
+_GROUP_LAW_BASES = {"LinearCombination", "DirectSum"}
+
+
+def _own_group_laws(tree):
+    """Methods of the group law outside the two base classes, and any
+    `_check_compatible`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            if item.name == "_check_compatible" or (
+                item.name in _GROUP_LAW and node.name not in _GROUP_LAW_BASES
+            ):
+                yield item.lineno, f"{node.name}.{item.name}"
+
+
+def test_one_group_law():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        for line, what in _own_group_laws(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_group_law_rule_catches_each_violation():
+    source = (
+        "class DirectSum:\n    def __add__(self, o): pass\n    def __neg__(self): pass\n"
+        "class RelChar(DirectSum):\n    def __add__(self, o): pass\n"
+        "    def __sub__(self, o): pass\n    def scale(self, n): pass\n"
+        "class FlatClass(DirectSum):\n    def __neg__(self): pass\n"
+        "    def _check_compatible(self, o): pass\n"
+        "def __add__(a, b): pass\n"
+    )
+    assert sorted(_own_group_laws(ast.parse(source))) == [
+        (5, "RelChar.__add__"), (6, "RelChar.__sub__"), (9, "FlatClass.__neg__"),
+        (10, "FlatClass._check_compatible"),
     ]
