@@ -407,14 +407,14 @@ def fractional_torsion_class(K, degree, index=0, numerator=1):
 
     Built from the adapted coordinate functional of that generator; its
     coboundary is integral because boundaries have adapted coordinates
-    divisible by the torsion order.
+    divisible by the torsion order, so the class is built unchecked.
     """
     hom = K.homology(degree)
     if index >= len(hom.torsion):
         raise IndexError("no such torsion factor")
     d = hom.torsion[index]
     values = [Fraction(numerator * x, d) for x in hom.torsion_functional(index)]
-    return FlatClass(Cochain.from_vector(K, degree, values))
+    return FlatClass._of((K, degree), (Cochain.from_vector(K, degree, values),))
 
 
 # Random draws: integer coefficients in [-_SPAN, _SPAN] ([-_FLAT_SPAN,

@@ -116,10 +116,11 @@ class SnfDecomposition:
     The diagonal of D is `factors` (the invariant factors d1 | d2 | ..., all
     positive, `rank` of them) followed by zeros.  The four transforms are
     kept sparse, as lists of {index: value} dicts: U by columns, U^{-1} by
-    rows, V by rows and V^{-1} by columns.  Callers read them through the
-    methods below; `transpose` swaps their roles without copying anything.
-    The dense matrices U, D, V, u_inv and v_inv are built on demand, for
-    checks and statistics only.
+    rows, V by rows and V^{-1} by columns (the U of a `CycleSplitting.lift`
+    builds its first `rank` columns on first read).  Callers read them
+    through the methods below; `transpose` swaps their roles without copying
+    anything.  The dense matrices U, D, V, u_inv and v_inv are built on
+    demand, for checks and statistics only.
     """
 
     __slots__ = ("rows", "cols", "rank", "factors", "_u", "_u_inv", "_v", "_v_inv")
@@ -220,9 +221,10 @@ def smith_normal_form(A):
         for j in row:
             in_col[j].add(i)
     # L and L^{-1}, the row steps so far, and R and R^{-1}, the column
-    # steps, with L A R the working matrix S.
-    L, L_inv = _sparse_identity(rows), _sparse_identity(rows)
-    R, R_inv = _sparse_identity(cols), _sparse_identity(cols)
+    # steps, with L A R the working matrix S.  Unit pivots set their rows of
+    # L^{-1} and R^{-1} outright; the rest start as identity rows below.
+    L, L_inv = _sparse_identity(rows), [None] * rows
+    R, R_inv = _sparse_identity(cols), [None] * cols
     pivots = []
     heap = [(len(c), j) for j, c in enumerate(in_col) if c]
     heapify(heap)
@@ -293,6 +295,10 @@ def smith_normal_form(A):
     # No unit entry is left: the rest is reduced Euclid style, on the same
     # sparse rows, with the transforms updated step by step.
     factors = [1] * len(pivots)
+    for inverse in (L_inv, R_inv):
+        for k, vec in enumerate(inverse):
+            if vec is None:
+                inverse[k] = {k: 1}
 
     def put(r, c, y):
         row = S[r]
@@ -477,14 +483,45 @@ class CycleSplitting:
         The matrix is K * U_N * D * V, with K = V^{-1}[:, r:] the cycle basis;
         completing K * U_N by the complement columns V^{-1}[:, :r] gives a
         unimodular U, whose inverse stacks U_N^{-1} * V[r:] over V[:r].
+        The library reads only the columns s: of U (s the rank of U_N), as
+        cocycle coordinates, so K * U_N[:, :s] is built on first read.
         """
         snf = self.snf
         r = snf.rank
-        u_cols = [_combination(col, self._cols) for col in rel_snf._u] + snf._v_inv[:r]
+        s = rel_snf.rank
+        cols = self._cols
+        tail = [_combination(col, cols) for col in rel_snf._u[s:]] + snf._v_inv[:r]
+        u_cols = _LazyHead(rel_snf._u[:s], cols, tail)
         u_inv_rows = [_combination(row, self._rows) for row in rel_snf._u_inv] + snf._v[:r]
         return SnfDecomposition(
             snf.cols, rel_snf.cols, rel_snf.factors, u_cols, u_inv_rows, rel_snf._v, rel_snf._v_inv
         )
+
+
+class _LazyHead:
+    """The read-only list [_combination(c, vectors) for c in head] + tail.
+    The head is built on first read; a slice within the tail does not."""
+
+    __slots__ = ("_head", "_vectors", "_tail", "_items")
+
+    def __init__(self, head, vectors, tail):
+        self._head, self._vectors, self._tail, self._items = head, vectors, tail, None
+
+    def __len__(self):
+        return len(self._head) + len(self._tail)
+
+    def __getitem__(self, key):
+        if self._items is None:
+            s = len(self._head)
+            if isinstance(key, slice):
+                start, stop, step = key.indices(len(self))
+                if step == 1 and start >= s:
+                    return self._tail[start - s:max(start, stop) - s]
+            self._items = [_combination(c, self._vectors) for c in self._head] + self._tail
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self[:])
 
 
 def _dots(rows, vec):
@@ -504,6 +541,9 @@ def _dots(rows, vec):
 
 def _combination(coeffs, vectors):
     """The sum of c * vectors[k] over the items k: c of coeffs, all sparse."""
+    if len(coeffs) == 1:
+        ((k, c),) = coeffs.items()
+        return {i: c * x for i, x in vectors[k].items()}
     acc = {}
     get = acc.get
     for k, c in coeffs.items():
@@ -549,6 +589,7 @@ class QuotientPresentation:
         "_rel_snf",
         "_rel_rank",
         "_torsion_indices",
+        "_class_rows",
     )
 
     def __init__(self, kernel, relations):
@@ -567,6 +608,8 @@ class QuotientPresentation:
         self._rel_snf = rel_snf
         self._rel_rank = s
         self._torsion_indices = [i for i, d in enumerate(rel_snf.factors) if d > 1]
+        u_inv = rel_snf._u_inv
+        self._class_rows = [u_inv[i] for i in self._torsion_indices] + u_inv[s:]
         self.torsion = [rel_snf.factors[i] for i in self._torsion_indices]
         self.betti = z - s
         n = kernel.snf.cols
@@ -589,17 +632,20 @@ class QuotientPresentation:
         orders; relation-lattice vectors show up as entries divisible by the
         corresponding orders.
         """
+        return self._rel_snf.apply_u_inv(self._cycle_coordinates(vec))
+
+    def coordinates(self, vec):
+        """(free coordinates, torsion residues) of the class of a kernel
+        vector: of its adapted coordinates, only these entries are computed."""
+        w = _dots(self._class_rows, self._cycle_coordinates(vec))
+        t = len(self.torsion)
+        return tuple(w[t:]), tuple(x % d for x, d in zip(w, self.torsion))
+
+    def _cycle_coordinates(self, vec):
         y = self.kernel_coordinates(vec)
         if y is None:
             raise ValueError("vector is not in the kernel")
-        return self._rel_snf.apply_u_inv(y)
-
-    def coordinates(self, vec):
-        """(free coordinates, torsion residues) of the class of a kernel vector."""
-        w = self.adapted_coordinates(vec)
-        free = tuple(w[self._rel_rank:])
-        tors = tuple(w[i] % d for i, d in zip(self._torsion_indices, self.torsion))
-        return free, tors
+        return y
 
     def torsion_positions(self):
         """Positions of the torsion coordinates within adapted_coordinates."""

@@ -162,12 +162,17 @@ class Complex(_Factorizations):
     def _build_boundary(self, n):
         rows = self.simplices(n - 1)
         cols = self.simplices(n)
-        row_index = {s: i for i, s in enumerate(rows)}
+        index = self._index
         entries = [{} for _ in rows]
         if n > 0:
+            # combinations(s, n) drops s[n] first, then s[n - 1], ..., s[0]:
+            # the face without s[i] has sign (-1)^i.
+            first = -1 if n % 2 else 1
             for j, s in enumerate(cols):
-                for i in range(len(s)):
-                    entries[row_index[s[:i] + s[i + 1 :]]][j] = -1 if i % 2 else 1
+                sign = first
+                for face in combinations(s, n):
+                    entries[index[face]][j] = sign
+                    sign = -sign
         return IntMatrix._trusted(len(rows), len(cols), tuple(entries))
 
     def chain(self, degree, coeffs=None):

@@ -21,6 +21,7 @@ from diffchar.characters import (
     FlatClass,
     character,
     flat_holonomy_class,
+    fractional_torsion_class,
     from_curvature,
     iota,
     pullback,
@@ -281,6 +282,23 @@ def test_flat_classes_match_their_checked_rebuilds(K, data):
         rebuilt = FlatClass(v.cochain)
         assert (rebuilt.complex, rebuilt.degree) == (v.complex, v.degree)
         assert rebuilt == v
+
+
+def test_fractional_torsion_classes_match_their_checked_rebuilds():
+    RP2, S1 = fixtures.complex_by_name("RP2_6"), fixtures.complex_by_name("S1_3")
+    seen = 0
+    for K in (RP2, fixtures.complex_by_name("Klein_K"), staircase_product(S1, RP2)):
+        for k in range(K.dim + 1):
+            for i, d in enumerate(K.homology(k).torsion):
+                for numerator in range(d + 1):
+                    u = fractional_torsion_class(K, k, i, numerator)
+                    _check_cochain(u.cochain)
+                    rebuilt = FlatClass(u.cochain)
+                    assert (rebuilt.complex, rebuilt.degree) == (u.complex, u.degree)
+                    assert rebuilt == u
+                    assert u.is_zero() == (numerator % d == 0)
+                    seen += 1
+    assert seen == 3 + 3 + 2 * 3
 
 
 @settings(max_examples=30, deadline=None)

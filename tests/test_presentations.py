@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffchar import fixtures
-from diffchar.exact_linalg import IntMatrix, solve_integer
-from diffchar.simplicial import Complex, SimplicialMap, mapping_cone
+from diffchar.exact_linalg import IntMatrix, _combination, _LazyHead, solve_integer
+from diffchar.simplicial import Complex, SimplicialMap, mapping_cone, staircase_product
 from oracle import apply, homology_rank_and_torsion, invariant_factors, matmul, rational_rank
 from test_exact_linalg import flag_complexes
 
@@ -56,6 +56,14 @@ def mapping_cones(draw):
     ]
     A = Complex(m, cliques)
     return mapping_cone(SimplicialMap(A, X, f)), max(X.dim, A.dim + 1)
+
+
+@st.composite
+def staircase_products(draw):
+    """The staircase product of two small random flag complexes."""
+    K, L = draw(flag_complexes(max_vertices=3)), draw(flag_complexes(max_vertices=3))
+    P = staircase_product(K, L)
+    return P, P.dim
 
 
 def _in_image(a, b):
@@ -164,3 +172,135 @@ def test_torsion_cone_in_every_degree():
     hexagon = _fresh("S1_6")
     doubled = SimplicialMap(hexagon, _fresh("S1_3"), [0, 1, 2, 0, 1, 2])
     _check_every_degree(mapping_cone(doubled), 2, draw)
+
+
+# Class coordinates read only the torsion and free rows of U_N^{-1}; they
+# must be the free entries and the reduced torsion entries of the adapted
+# coordinates, for kernel vectors, and refuse any other vector.
+
+
+def _check_class_coordinates(K, top, draw):
+    for n in range(top + 2):
+        d_out, d_in = K.boundary_matrix(n), K.boundary_matrix(n + 1)
+        for group, out in ((K.homology(n), d_out), (K.cohomology(n), d_in.transpose())):
+            z = group.kernel.snf.cols - group.kernel.snf.rank
+            v = group.kernel.combine(draw(z, (-3, -1, 0, 0, 1, 2)))
+            assert not any(apply(out, v))
+            w = group.adapted_coordinates(v)
+            free = tuple(w[i] for i in group.free_positions())
+            tors = tuple(w[i] % d for i, d in zip(group.torsion_positions(), group.torsion))
+            assert group.coordinates(v) == (free, tors)
+            j = next((j for j in range(out.cols) if any(j in row for row in out.entries)), None)
+            if j is not None:
+                v[j] += 1
+                with pytest.raises(ValueError):
+                    group.coordinates(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flag_complexes_with_top(), st.data())
+def test_class_coordinates_on_flag_complexes(complex_and_top, data):
+    _check_class_coordinates(*complex_and_top, _drawing(data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mapping_cones(), st.data())
+def test_class_coordinates_on_mapping_cones(cone_and_top, data):
+    _check_class_coordinates(*cone_and_top, _drawing(data))
+
+
+@settings(max_examples=15, deadline=None)
+@given(staircase_products(), st.data())
+def test_class_coordinates_on_staircase_products(product_and_top, data):
+    _check_class_coordinates(*product_and_top, _drawing(data))
+
+
+@pytest.mark.parametrize("name", ["RP2_6", "Klein_K"])
+def test_class_coordinates_on_torsion_fixtures(name):
+    K = _fresh(name)
+    _check_class_coordinates(K, K.dim, _seeded(name))
+
+
+# The first columns of a lifted U are built on first read.  Reading the
+# tail first, as cohomology does, must leave the factorization as it is
+# when the whole U is read first.
+
+
+def _transforms(snf):
+    return [list(map(dict, t)) for t in (snf._u, snf._u_inv, snf._v, snf._v_inv)]
+
+
+def _check_lifts_after_cohomology(make, top):
+    """Returns the number of degrees whose U had a head left to build."""
+    lazy = 0
+    for n in range(1, top + 2):
+        tail_first, fresh = make(), make()
+        tail_first.cohomology(n - 1)
+        snf = tail_first.boundary_snf(n)
+        if isinstance(snf._u, _LazyHead) and snf._u._head:
+            assert snf._u._items is None
+            lazy += 1
+        assert _transforms(snf) == _transforms(fresh.boundary_snf(n))
+        _check_factorization(snf, tail_first.boundary_matrix(n))
+    return lazy
+
+
+@settings(max_examples=30, deadline=None)
+@given(flag_complexes_with_top())
+def test_lifts_read_after_cohomology_on_flag_complexes(complex_and_top):
+    K, top = complex_and_top
+    _check_lifts_after_cohomology(lambda: Complex(K.num_vertices, K.all_simplices()), top)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mapping_cones())
+def test_lifts_read_after_cohomology_on_mapping_cones(cone_and_top):
+    cone, top = cone_and_top
+    phi = cone.phi
+    _check_lifts_after_cohomology(lambda: mapping_cone(phi), top)
+
+
+@pytest.mark.parametrize("pair", [("S1_3", "RP2_6"), ("Klein_K", "S1_3")])
+def test_lifts_read_after_cohomology_on_torsion_products(pair):
+    left, right = (_fresh(name) for name in pair)
+    assert _check_lifts_after_cohomology(lambda: staircase_product(left, right), 3) == 3
+
+
+_sparse_vectors = st.dictionaries(
+    st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_sparse_vectors, min_size=1, max_size=4).flatmap(lambda vectors: st.tuples(
+    st.just(vectors),
+    st.lists(st.dictionaries(st.integers(0, len(vectors) - 1),
+                             st.integers(-2, 2).filter(bool), max_size=3), max_size=4),
+    st.lists(_sparse_vectors, max_size=4),
+)))
+def test_lazy_head_reads_like_a_list(drawn):
+    vectors, head, tail = drawn
+    plain = [_combination(c, vectors) for c in head] + tail
+    n = len(plain)
+
+    def fresh():
+        return _LazyHead(head, vectors, tail)
+
+    assert len(fresh()) == n
+    assert list(fresh()) == plain
+    for k in range(-n, n):
+        assert fresh()[k] == plain[k]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            fresh()[k]
+    bounds = [None] + list(range(-n - 1, n + 2))
+    for start in bounds:
+        for stop in bounds:
+            for step in (None, 1, 2, -1, -3):
+                assert fresh()[start:stop:step] == plain[start:stop:step]
+    # Slices within the tail, as cocycle coordinates read it, leave the
+    # head unbuilt.
+    lazy = fresh()
+    assert lazy[len(head):] == tail
+    assert lazy[len(head) + 1:n + 2] == tail[1:]
+    assert lazy[n:len(head)] == []
+    assert lazy._items is None

@@ -15,6 +15,10 @@ cochains through `_of` and characters through `_derived`; likewise
 `fiber_integration` no checked simplicial map.  The group law lives in two
 base classes, `LinearCombination` and `DirectSum`, so no other class defines
 `+`, `-` or unary `-`, and none keeps a compatibility check of its own.
+Library code reads factorizations and matrices only through their sparse
+storage, so no module reads a dense view (`.U`, `.V`, `.D`, `.u_inv`,
+`.v_inv` or `IntMatrix.data`): a dense view builds a rows x cols grid and
+forces the first columns of a lifted U, which nothing else builds.
 """
 
 from __future__ import annotations
@@ -245,4 +249,35 @@ def test_the_group_law_rule_catches_each_violation():
     assert sorted(_own_group_laws(ast.parse(source))) == [
         (5, "RelChar.__add__"), (6, "RelChar.__sub__"), (9, "FlatClass.__neg__"),
         (10, "FlatClass._check_compatible"),
+    ]
+
+
+_DENSE_VIEWS = {"U", "V", "D", "u_inv", "v_inv", "data"}
+
+
+def _dense_view_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _DENSE_VIEWS:
+            yield node.lineno, f"dense view .{node.attr}"
+
+
+def test_no_module_reads_a_dense_view():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        for line, what in _dense_view_reads(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_dense_view_rule_catches_each_violation():
+    source = (
+        "snf.U\nsnf.V\nsnf.D\nsnf.u_inv\nsnf.v_inv\nA.data\nK.boundary_snf(1).U.rows\n"
+        "snf._u\nsnf._v_inv\nA.entries\nsnf.apply_u_inv(b)\ndata.draw(x)\n"
+        "def U(self): pass\n"
+    )
+    assert sorted(_dense_view_reads(ast.parse(source))) == [
+        (1, "dense view .U"), (2, "dense view .V"), (3, "dense view .D"),
+        (4, "dense view .u_inv"), (5, "dense view .v_inv"), (6, "dense view .data"),
+        (7, "dense view .U"),
     ]
