@@ -363,18 +363,24 @@ def evaluate_torsion(h, cycle):
     _check_cycle_degree(h, cycle.degree)
     if not cycle.is_cycle():
         raise NotACycle("torsion evaluation needs a cycle")
-    K = h.complex
-    k = h.degree
-    hom = K.homology(k - 1)
-    order = hom.class_order(cycle.to_vector())
+    order, x = torsion_filling(cycle)
     if order == 0:
         raise NotTorsion("cycle class has infinite order")
-    scaled = [order * x for x in cycle.to_vector()]
-    x_vec = solve_integer(K.boundary_snf(k), scaled)
-    if x_vec is None:
-        raise InvariantViolation("order * cycle must bound")
-    x = K.chain_from_vector(k, x_vec)
     return _mod1(Fraction(pair(h.curvature, x) - pair(h.mu, x), order))
+
+
+def torsion_filling(cycle):
+    """(N, x) with N the order of the cycle's class and dx = N * cycle; (0, None)
+    when the class has infinite order."""
+    K, n = cycle.complex, cycle.degree
+    vec = cycle.to_vector()
+    order = K.homology(n).class_order(vec)
+    if order == 0:
+        return 0, None
+    x_vec = solve_integer(K.boundary_snf(n + 1), [order * v for v in vec])
+    if x_vec is None:
+        raise InvariantViolation("a multiple of a torsion cycle must bound")
+    return order, K.chain_from_vector(n + 1, x_vec)
 
 
 def integral_decomposition(a):
@@ -410,7 +416,7 @@ def fractional_torsion_class(K, degree, index=0, numerator=1):
     divisible by the torsion order, so the class is built unchecked.
     """
     hom = K.homology(degree)
-    if index >= len(hom.torsion):
+    if not 0 <= index < len(hom.torsion):
         raise IndexError("no such torsion factor")
     d = hom.torsion[index]
     values = [Fraction(numerator * x, d) for x in hom.torsion_functional(index)]

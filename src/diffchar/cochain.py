@@ -222,8 +222,7 @@ def slant_fiber(b, fiber_chain, product=None):
 
 def has_integral_periods(a):
     """Integer pairing with every cycle in the cochain's degree."""
-    periods = a.complex.splitting(a.degree).periods(a.to_vector())
-    return all(Fraction(p).denominator == 1 for p in periods)
+    return a.complex.splitting(a.degree).integral_periods(a.to_vector())
 
 
 def is_closed(a):

@@ -464,6 +464,10 @@ class CycleSplitting:
         """V^{-1}[:, r:]^T a: the values of a cochain on the basis cycles."""
         return _dots(self._cols, a)
 
+    def integral_periods(self, a):
+        """Whether a cochain takes integer values on every cycle."""
+        return all(Fraction(p).denominator == 1 for p in self.periods(a))
+
     def dual(self, w):
         """V[r:]^T w: the cochain with periods w that vanishes on the complement."""
         return _accumulate(self.snf.cols, w, self._rows)

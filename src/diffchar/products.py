@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from diffchar.exact_linalg import InvariantViolation, solve_integer
+from diffchar.exact_linalg import InvariantViolation
 from diffchar.simplicial import (
     ProductComplex,
     TensorChain,
@@ -21,7 +21,7 @@ from diffchar.simplicial import (
     staircase_product,
 )
 from diffchar.cochain import coboundary, cup, pair, pullback as pullback_cochain
-from diffchar.characters import NotACycle, _derived, _mod1, evaluate, pullback
+from diffchar.characters import NotACycle, _derived, _mod1, evaluate, pullback, torsion_filling
 
 
 def internal_product(h, f):
@@ -115,14 +115,9 @@ def kunneth_decompose(z):
     split = _tensor_of(P, terms)
     projected = eilenberg_zilber(split, P) if split.coeffs else P.chain(m, {})
     remainder = z - projected
-    order = P.homology(m).class_order(remainder.to_vector())
+    order, filling = torsion_filling(remainder)
     if order == 0:
         raise InvariantViolation("remainder class should always be torsion")
-    scaled = [order * x for x in remainder.to_vector()]
-    fill_vec = solve_integer(P.boundary_snf(m + 1), scaled)
-    if fill_vec is None:
-        raise InvariantViolation("a multiple of the torsion remainder must bound")
-    filling = P.chain_from_vector(m + 1, fill_vec)
     return KunnethDecomposition(terms, projected, remainder, order, filling)
 
 

@@ -133,8 +133,7 @@ class RelChar(DirectSum):
     def _integral_on_cycles(self, lift_x, lift_a):
         """Whether the lift pair pairs integrally with every cone cycle."""
         split = self.cone.splitting(self.degree - 1)
-        periods = split.periods(lift_x.to_vector() + lift_a.to_vector())
-        return all(Fraction(p).denominator == 1 for p in periods)
+        return split.integral_periods(lift_x.to_vector() + lift_a.to_vector())
 
     def __repr__(self):
         return f"RelChar(deg {self.degree} for {self.phi!r})"

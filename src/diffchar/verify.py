@@ -1,9 +1,12 @@
 """Verification suites: the executable form of the library's contracts.
 
 Each suite runs a deterministic batch of identity checks (fixed seeds, fixed
-fixture order) and returns a structured report.  A check that fails carries
-a witness dict with enough data to reproduce it; the CLI turns the overall
-result into its exit status.
+fixture order) and hands every condition it evaluates to one `_Recorder`,
+with the check's name and the instance; a check passes when all of its
+conditions hold.  Its first failing condition becomes its witness: the suite
+seed, the instance index, the fixture and the degrees drawn, and, for two
+compared cochains or characters (any `DirectSum` of cochains), lhs - rhs part
+by part as JSON cochains.  Nothing is built for a condition that holds.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 from diffchar import fixtures
 from diffchar.simplicial import (
     Complex,
+    DirectSum,
     SimplicialMap,
     fundamental_cycle,
     identity_map,
@@ -37,7 +41,6 @@ from diffchar.cochain import (
 from diffchar.characters import (
     DiffChar,
     IntegralClass,
-    LowDegreeChar,
     NoTrivialization,
     char_class,
     evaluate,
@@ -51,11 +54,7 @@ from diffchar.characters import (
     random_flat_character,
     trivialization,
 )
-from diffchar.products import (
-    bb_evaluate,
-    external_product,
-    internal_product,
-)
+from diffchar.products import bb_evaluate, external_product, internal_product
 from diffchar.fiber_integration import (
     TransferData,
     boundary_fiber_integrate,
@@ -74,18 +73,69 @@ from diffchar.relative import (
     pushforward_injective,
 )
 from diffchar.holonomy import Filling, Phased, holonomy, transition_factor, hermitian_pairing
-from diffchar.io import cochain_to_json
+from diffchar.io import cochain_to_json, fraction_to_str
 
 
 class UnknownSuite(KeyError):
     """The requested verification suite does not exist."""
 
 
-def _check(name, passed, witness=None):
-    entry = {"name": name, "pass": bool(passed)}
-    if witness is not None and not passed:
-        entry["witness"] = witness
-    return entry
+class _Recorder:
+    """The checks of one suite run, in the order they are first declared or
+    evaluated, each kept as a report entry {"name", "pass"[, "witness"]}."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._entries = {}
+
+    def declare(self, label, *names):
+        """Report the checks `name [label]` here, in this order, also those
+        that no instance reaches; returns their full names."""
+        full = [f"{name} [{label}]" for name in names]
+        for name in full:
+            self._entries[name] = {"name": name, "pass": True}
+        return full
+
+    def check(self, name, passed, instance, compared=None):
+        """Record one condition of check `name`; returns whether it holds."""
+        entry = self._entries.setdefault(name, {"name": name, "pass": True})
+        if not passed and entry["pass"]:
+            entry["pass"] = False
+            entry["witness"] = {"seed": self.seed, **instance}
+            if compared is not None:
+                entry["witness"]["discrepancy"] = _discrepancy(*compared)
+        return bool(passed)
+
+    def equal(self, name, lhs, rhs, instance):
+        """Record the condition lhs == rhs of check `name`."""
+        return self.check(name, lhs == rhs, instance, (lhs, rhs))
+
+    @property
+    def checks(self):
+        return list(self._entries.values())
+
+    @staticmethod
+    def report(suite, checks):
+        return {"suite": suite, "pass": all(c["pass"] for c in checks), "checks": checks}
+
+
+def _at(index, fixture, **degrees):
+    """The instance a condition is evaluated on, as its witness names it."""
+    return {"instance": index, "fixture": fixture, "degrees": degrees}
+
+
+def _discrepancy(lhs, rhs):
+    """What separates two compared values: both numbers, or lhs - rhs part
+    by part (a cochain is its own one part), or both reprs for values with
+    no difference (integral classes) or none in one space."""
+    if isinstance(lhs, (int, Fraction)):
+        return {"lhs": fraction_to_str(lhs), "rhs": fraction_to_str(rhs)}
+    try:
+        if not isinstance(lhs, DirectSum):
+            return {"cochain": cochain_to_json(lhs - rhs)}
+        return {n: cochain_to_json(getattr(lhs, n) - getattr(rhs, n)) for n in lhs._parts}
+    except (TypeError, ValueError):  # no `-`, or the group law's space mismatch
+        return {"lhs": repr(lhs), "rhs": repr(rhs)}
 
 
 def _surface_fixtures():
@@ -102,22 +152,24 @@ def _surface_fixtures():
 
 
 def run_diagram33():
-    checks = []
-    rng = random.Random(20260813)
+    rec = _Recorder(20260813)
+    rng = random.Random(rec.seed)
     for K in _surface_fixtures():
         for k in (1, 2, 3):
-            ok_i = ok_ii = ok_iii = ok_iv = ok_v = True
-            for _ in range(3):
+            kernel, triv, flat, lifting, curv = rec.declare(f"{K.name} deg {k}",
+                "iota kernel/class", "trivialization", "flat classes", "curvature lifting", "curv of iota")
+            for i in range(3):
+                at = _at(i, K.name, k=k)
                 h = random_character(K, k, rng)
                 eta = h.lift
                 # (v) curvature of iota is the coboundary
-                ok_v = ok_v and iota(eta).curvature == coboundary(eta)
+                rec.equal(curv, iota(eta).curvature, coboundary(eta), at)
                 # (i) class of iota vanishes; iota kills exactly the closed
                 # integral-period cochains
-                ok_i = ok_i and char_class(iota(eta)).is_zero()
+                rec.check(kernel, char_class(iota(eta)).is_zero(), at)
                 vanish = iota(eta).is_zero()
                 flatness = is_closed(eta) and has_integral_periods(eta)
-                ok_i = ok_i and (vanish == flatness)
+                rec.check(kernel, vanish == flatness, at)
                 # closed with integral periods: on the nose in the kernel
                 if k == 1:
                     c = rng.randint(-3, 3)
@@ -129,47 +181,43 @@ def run_diagram33():
                     eta0 = Cochain.from_vector(
                         K, k - 1, [Fraction(x) for x in g0.mu.to_vector()]
                     ) + coboundary(g0.lift)
-                ok_i = ok_i and iota(eta0).is_zero()
+                rec.check(kernel, iota(eta0).is_zero(), at)
                 # (ii) class zero means a trivialization exists and round-trips
                 triv_h = iota(eta)
-                eta2 = trivialization(triv_h)
-                ok_ii = ok_ii and iota(eta2) == triv_h
+                rec.equal(triv, iota(trivialization(triv_h)), triv_h, at)
                 if not char_class(h).is_zero():
                     try:
                         trivialization(h)
-                        ok_ii = False
                     except NoTrivialization:
                         pass
+                    else:
+                        rec.check(triv, False, at)
                 # (iii) flat characters are exactly the circle-class ones
                 g = random_flat_character(K, k, rng)
-                ok_iii = ok_iii and g.curvature.is_zero()
-                ok_iii = ok_iii and flat_character(flat_holonomy_class(g)) == g
+                rec.check(flat, g.curvature.is_zero(), at)
+                rec.equal(flat, flat_character(flat_holonomy_class(g)), g, at)
                 # (iv) from_curvature is a right inverse of taking curvature
-                ok_iv = ok_iv and from_curvature(h.curvature).curvature == h.curvature
-            label = f"{K.name} deg {k}"
-            checks.append(_check(f"iota kernel/class [{label}]", ok_i))
-            checks.append(_check(f"trivialization [{label}]", ok_ii))
-            checks.append(_check(f"flat classes [{label}]", ok_iii))
-            checks.append(_check(f"curvature lifting [{label}]", ok_iv))
-            checks.append(_check(f"curv of iota [{label}]", ok_v))
+                rec.equal(lifting, from_curvature(h.curvature).curvature, h.curvature, at)
     # torsion evaluation story on the two nonorientable fixtures
     RP2 = fixtures.projective_plane()
     z = fixtures.torsion_loop()
     ju = fixtures.rp2_flat_character()
-    checks.append(_check("j(u) on torsion loop is 1/2", evaluate(ju, z) == Fraction(1, 2)))
+    rec.equal("j(u) on torsion loop is 1/2", evaluate(ju, z), Fraction(1, 2),
+              _at(0, RP2.name, k=ju.degree))
     for K in (RP2, fixtures.klein_bottle()):
-        agree = True
+        (agree,) = rec.declare(K.name, "torsion formula agrees")
         for k in (1, 2):
             basis = K.splitting(k - 1).cycle_basis
-            for _ in range(4):
+            for i in range(4):
+                at = _at(i, K.name, k=k)
                 h = random_character(K, k, rng)
-                for vec in basis:
+                for j, vec in enumerate(basis):
                     zz = K.chain_from_vector(k - 1, vec)
                     order = K.homology(k - 1).class_order(zz.to_vector())
-                    if order > 0 and evaluate_torsion(h, zz) != evaluate(h, zz):
-                        agree = False
-        checks.append(_check(f"torsion formula agrees [{K.name}]", agree))
-    return checks
+                    if order > 0:
+                        rec.equal(agree, evaluate_torsion(h, zz), evaluate(h, zz),
+                                  dict(at, cycle=j))
+    return rec.checks
 
 
 # -- product-axioms ----------------------------------------------------------
@@ -189,67 +237,55 @@ def _monotone_maps_into(K):
 
 
 def run_product_axioms(instances=100):
-    checks = []
-    rng = random.Random(9157)
+    rec = _Recorder(9157)
+    rng = random.Random(rec.seed)
     for K in _surface_fixtures():
-        ok = {
-            "bilinearity": True,
-            "associativity": True,
-            "naturality": True,
-            "class and curvature multiplicative": True,
-            "iota compatibility": True,
-            "flat compatibility": True,
-            "commutativity defect": True,
-        }
+        bilinear, assoc, natural, mult, iota_compat, flat_compat, commut = rec.declare(
+            K.name, "bilinearity", "associativity", "naturality", "class and curvature multiplicative",
+            "iota compatibility", "flat compatibility", "commutativity defect")
         maps = _monotone_maps_into(K)
-        for _ in range(instances):
+        for i in range(instances):
             k = rng.choice([1, 2])
             l = rng.choice([1, 2])
             h = random_character(K, k, rng)
             h2 = random_character(K, k, rng)
             f = random_character(K, l, rng)
-            g = random_character(K, rng.choice([1, 2]), rng)
+            m = rng.choice([1, 2])
+            g = random_character(K, m, rng)
+            at = _at(i, K.name, k=k, l=l, m=m)
             hf = internal_product(h, f)
-            if internal_product(h + h2, f) != hf + internal_product(h2, f):
-                ok["bilinearity"] = False
-            if internal_product(f, h + h2) != internal_product(f, h) + internal_product(f, h2):
-                ok["bilinearity"] = False
+            rec.equal(bilinear, internal_product(h + h2, f), hf + internal_product(h2, f), at)
+            rec.equal(bilinear, internal_product(f, h + h2),
+                      internal_product(f, h) + internal_product(f, h2), at)
             lhs = internal_product(hf, g)
             rhs = internal_product(h, internal_product(f, g))
-            if lhs.curvature != rhs.curvature or lhs.lift != rhs.lift:
-                ok["associativity"] = False
+            rec.equal(assoc, lhs.curvature, rhs.curvature, at)
+            rec.equal(assoc, lhs.lift, rhs.lift, at)
             phi = maps[rng.randrange(len(maps))]
-            if pullback(phi, hf) != internal_product(pullback(phi, h), pullback(phi, f)):
-                ok["naturality"] = False
-            if char_class(hf) != IntegralClass(K, k + l, cup(h.mu, f.mu)):
-                ok["class and curvature multiplicative"] = False
-            if hf.curvature != cup(h.curvature, f.curvature):
-                ok["class and curvature multiplicative"] = False
+            rec.equal(natural, pullback(phi, hf),
+                      internal_product(pullback(phi, h), pullback(phi, f)), at)
+            rec.equal(mult, char_class(hf), IntegralClass(K, k + l, cup(h.mu, f.mu)), at)
+            rec.equal(mult, hf.curvature, cup(h.curvature, f.curvature), at)
             rho = h2.lift
-            if internal_product(iota(rho), f) != iota(cup(rho, f.curvature)):
-                ok["iota compatibility"] = False
+            rec.equal(iota_compat, internal_product(iota(rho), f), iota(cup(rho, f.curvature)), at)
             u = random_flat_character(K, k, rng).lift
-            if internal_product(flat_character(u), f) != flat_character(cup(u, f.mu)):
-                ok["flat compatibility"] = False
+            rec.equal(flat_compat, internal_product(flat_character(u), f),
+                      flat_character(cup(u, f.mu)), at)
             sign = -1 if (k * l) % 2 else 1
             defect = hf - internal_product(f, h).scale(sign)
-            if not char_class(defect).is_zero():
-                ok["commutativity defect"] = False
-            elif defect != iota(trivialization(defect)):
-                ok["commutativity defect"] = False
-            elif defect.curvature != coboundary(cup_1(f.curvature, h.curvature)).scale(-1):
-                ok["commutativity defect"] = False
-        for name, passed in ok.items():
-            checks.append(_check(f"{name} [{K.name}]", passed))
-    return checks
+            if (rec.check(commut, char_class(defect).is_zero(), at)
+                    and rec.equal(commut, defect, iota(trivialization(defect)), at)):
+                rec.equal(commut, defect.curvature,
+                          coboundary(cup_1(f.curvature, h.curvature)).scale(-1), at)
+    return rec.checks
 
 
 # -- bb-oracle ---------------------------------------------------------------
 
 
 def run_bb_oracle():
-    checks = []
-    rng = random.Random(40961)
+    rec = _Recorder(40961)
+    rng = random.Random(rec.seed)
     S1 = fixtures.circle()
     configs = [
         (fixtures.torus(), S1, fixtures.circle(), 1, 1),
@@ -260,32 +296,26 @@ def run_bb_oracle():
     ]
     for P, L, R, k, kp in configs:
         degree = k + kp - 1
+        (formula,) = rec.declare(f"{P.name} k={k} k'={kp}", f"bb formula on Z_{degree} basis")
         basis = P.splitting(degree).cycle_basis
-        mismatches = 0
-        for _ in range(2):
+        for i in range(2):
+            at = _at(i, P.name, k=k, kp=kp)
             h = random_character(L, k, rng)
             f = random_character(R, kp, rng)
             hf = external_product(h, f, P)
-            for vec in basis:
+            for j, vec in enumerate(basis):
                 z = P.chain_from_vector(degree, vec)
-                if bb_evaluate(h, f, z, product=P) != evaluate(hf, z):
-                    mismatches += 1
-        checks.append(
-            _check(
-                f"bb formula on Z_{degree} basis [{P.name} k={k} k'={kp}]",
-                mismatches == 0,
-                {"mismatches": mismatches, "basis": len(basis)},
-            )
-        )
-    return checks
+                rec.equal(formula, bb_evaluate(h, f, z, product=P), evaluate(hf, z),
+                          dict(at, cycle=j))
+    return rec.checks
 
 
 # -- fiber-axioms ------------------------------------------------------------
 
 
 def run_fiber_axioms():
-    checks = []
-    rng = random.Random(7321)
+    rec = _Recorder(7321)
+    rng = random.Random(rec.seed)
     S1 = fixtures.circle()
     bases = [S1, fixtures.torus()]
     fibers = [fixtures.point(), fixtures.two_points(), S1]
@@ -294,128 +324,98 @@ def run_fiber_axioms():
             E = staircase_product(base, F)
             tr = product_transfer(base, F, total=E)
             n = tr.fiber_degree
-            label = f"{base.name} x {F.name}"
-            ok_curv = ok_iota = ok_nat = ok_rev = True
+            curv, iota_compat, reversal, natural = rec.declare(f"{base.name} x {F.name}",
+                "curvature compatibility", "iota compatibility", "orientation reversal", "naturality")
             for k in (n + 1, n + 2):
-                for _ in range(3):
+                for i in range(3):
+                    at = _at(i, E.name, k=k)
                     h = random_character(E, k, rng)
                     ph = fiber_integrate(h, tr)
-                    if ph.curvature != slant_fiber(h.curvature, tr.fiber_chain):
-                        ok_curv = False
+                    rec.equal(curv, ph.curvature, slant_fiber(h.curvature, tr.fiber_chain), at)
                     b = random_character(E, k, rng).lift
-                    if fiber_integrate(iota(b), tr) != iota(slant_fiber(b, tr.fiber_chain)):
-                        ok_iota = False
+                    rec.equal(iota_compat, fiber_integrate(iota(b), tr),
+                              iota(slant_fiber(b, tr.fiber_chain)), at)
                     rev = product_transfer(base, F, fiber_chain=tr.fiber_chain.scale(-1), total=E)
-                    if fiber_integrate(h, rev) != -ph:
-                        ok_rev = False
-            for g in _monotone_maps_into(base):
+                    rec.equal(reversal, fiber_integrate(h, rev), -ph, at)
+            for i, g in enumerate(_monotone_maps_into(base)):
                 Y = g.source
                 EY = staircase_product(Y, F)
                 gx = product_map(g, identity_map(F), EY, E)
                 trY = product_transfer(Y, F, fiber_chain=tr.fiber_chain, total=EY)
                 h = random_character(E, n + 1, rng)
-                if fiber_integrate(pullback(gx, h), trY) != pullback(g, fiber_integrate(h, tr)):
-                    ok_nat = False
-            checks.append(_check(f"curvature compatibility [{label}]", ok_curv))
-            checks.append(_check(f"iota compatibility [{label}]", ok_iota))
-            checks.append(_check(f"orientation reversal [{label}]", ok_rev))
-            checks.append(_check(f"naturality [{label}]", ok_nat))
+                rec.equal(natural, fiber_integrate(pullback(gx, h), trY),
+                          pullback(g, fiber_integrate(h, tr)), _at(i, E.name, k=n + 1))
     # functoriality of iterated integration
-    ok_fun = True
-    for F1, F2 in [(fixtures.point(), S1), (fixtures.two_points(), S1),
-                   (S1, fixtures.point()), (S1, S1)]:
+    for i, (F1, F2) in enumerate([(fixtures.point(), S1), (fixtures.two_points(), S1),
+                                  (S1, fixtures.point()), (S1, S1)]):
         XF1 = staircase_product(S1, F1)
         nested = staircase_product(XF1, F2)
         FF = staircase_product(F1, F2)
         flat = staircase_product(S1, FF)
         rb = rebracket_map(flat, nested)
         c1, c2 = fundamental_cycle(F1), fundamental_cycle(F2)
-        h = random_character(nested, c1.degree + c2.degree + 1, rng)
+        k = c1.degree + c2.degree + 1
+        h = random_character(nested, k, rng)
         lhs = fiber_integrate(fiber_integrate(h, TransferData(nested, c2)), TransferData(XF1, c1))
         rhs = fiber_integrate(pullback(rb, h), TransferData(flat, ez(c1, c2, FF)))
-        if lhs != rhs:
-            ok_fun = False
-    checks.append(_check("functoriality of iterated fibers", ok_fun))
+        rec.equal("functoriality of iterated fibers", lhs, rhs, _at(i, nested.name, k=k))
     # the bundled example: integrating the torus character gives the circle one
-    tr = product_transfer(S1, S1, total=fixtures.torus())
-    checks.append(
-        _check(
-            "integrating i x i over the second circle returns i",
-            fiber_integrate(fixtures.torus_character(), tr) == fixtures.winding_character(),
-        )
-    )
-    return checks
+    T2 = fixtures.torus()
+    tr = product_transfer(S1, S1, total=T2)
+    rec.equal("integrating i x i over the second circle returns i",
+              fiber_integrate(fixtures.torus_character(), tr), fixtures.winding_character(),
+              _at(0, T2.name, k=2))
+    return rec.checks
 
 
 # -- boundary-fiber ----------------------------------------------------------
 
 
 def run_boundary_fiber(instances=50):
-    checks = []
-    rng = random.Random(5077)
+    rec = _Recorder(5077)
+    rng = random.Random(rec.seed)
     iv = fixtures.interval()
     cI = fundamental_cycle(iv)
     for base in (fixtures.circle(), fixtures.torus()):
         E = staircase_product(base, iv)
         tr = product_transfer(base, iv, fiber_chain=cI, total=E)
-        ok_iota_form = ok_deg1 = ok_proj = True
-        for _ in range(instances):
+        iota_form, proj, endpoints = rec.declare(
+            base.name, "boundary integral is iota of the curvature integral",
+            "relative output projects to the boundary integral", "degree-1 endpoint quotient")
+        for i in range(instances):
             k = rng.choice([1, 2])
+            at = _at(i, E.name, k=k)
             h = random_character(E, k, rng)
             out = boundary_fiber_integrate(h, tr)
             sign = -1 if (k - 1) % 2 else 1
-            if out.over_boundary != iota(slant_fiber(h.curvature, cI).scale(sign)):
-                ok_iota_form = False
-            if project(out.relative) != out.over_boundary:
-                ok_proj = False
+            rec.equal(iota_form, out.over_boundary,
+                      iota(slant_fiber(h.curvature, cI).scale(sign)), at)
+            rec.equal(proj, project(out.relative), out.over_boundary, at)
             if k == 1:
                 top = pullback(E.include_at_right(1), h)
                 bottom = pullback(E.include_at_right(0), h)
-                if out.over_boundary != top - bottom:
-                    ok_deg1 = False
-        checks.append(_check(f"boundary integral is iota of the curvature integral [{base.name}]", ok_iota_form))
-        checks.append(_check(f"relative output projects to the boundary integral [{base.name}]", ok_proj))
-        checks.append(_check(f"degree-1 endpoint quotient [{base.name}]", ok_deg1))
-    return checks
+                rec.equal(endpoints, out.over_boundary, top - bottom, at)
+    return rec.checks
 
 
 # -- updown ------------------------------------------------------------------
 
 
-def _character_witness(tag, lhs, rhs):
-    if isinstance(lhs, LowDegreeChar) or isinstance(rhs, LowDegreeChar):
-        return {
-            "instance": tag,
-            "lhs": cochain_to_json(lhs.cocycle),
-            "rhs": cochain_to_json(rhs.cocycle),
-        }
-    return {
-        "instance": tag,
-        "curvature discrepancy": cochain_to_json(lhs.curvature - rhs.curvature),
-        "lift discrepancy": cochain_to_json(lhs.lift - rhs.lift),
-    }
-
-
 def run_updown():
-    checks = []
-    rng = random.Random(66191)
+    rec = _Recorder(66191)
+    rng = random.Random(rec.seed)
     S1 = fixtures.circle()
     T2 = fixtures.torus()
     tr = product_transfer(S1, S1, total=T2)
     pi = T2.projection_left()
     for k in (1, 2):
         for l in (1, 2):
-            ok = True
-            witness = None
-            for _ in range(3):
+            for i in range(3):
                 h = random_character(S1, k, rng)
                 f = random_character(T2, l, rng)
                 lhs = fiber_integrate(internal_product(pullback(pi, h), f), tr)
                 rhs = internal_product(h, fiber_integrate(f, tr))
-                if lhs != rhs:
-                    ok = False
-                    witness = _character_witness(f"k={k} l={l}", lhs, rhs)
-            checks.append(_check(f"projection formula k={k} l={l}", ok, witness))
+                rec.equal(f"projection formula k={k} l={l}", lhs, rhs, _at(i, T2.name, k=k, l=l))
     comb, swap = combined_transfer(tr, tr)
     base_prod = comb.total.left
     for k in (1, 2):
@@ -427,18 +427,16 @@ def run_updown():
             rhs = external_product(fiber_integrate(h, tr), fiber_integrate(f, tr), base_prod)
             if (l - 1) % 2:
                 rhs = -rhs
-            ok = lhs == rhs
-            witness = None if ok else _character_witness(f"k={k} l={l}", lhs, rhs)
-            checks.append(_check(f"fiber product formula k={k} l={l}", ok, witness))
-    return checks
+            rec.equal(f"fiber product formula k={k} l={l}", lhs, rhs, _at(0, T2.name, k=k, l=l))
+    return rec.checks
 
 
 # -- relative-exact ----------------------------------------------------------
 
 
 def run_relative_exact():
-    checks = []
-    rng = random.Random(31511)
+    rec = _Recorder(31511)
+    rng = random.Random(rec.seed)
     pairs = [
         ("equator in S2_4p", fixtures.equator_cone()),
         ("torsion loop in RP2_6", fixtures.torsion_loop_cone()),
@@ -446,65 +444,59 @@ def run_relative_exact():
     for label, cone in pairs:
         phi = cone.phi
         X, A = phi.target, phi.source
-        ok_gate = ok_proj = ok_descend = ok_pi = True
-        section_found = obstructed = 0
+        gate, proj, kernel, descend = rec.declare(
+            label, "section exists iff class pulls back to zero", "sections project to the input",
+            "inclusion lands in the projection kernel", "kernel instances descend")
         for k in (1, 2):
-            for _ in range(8):
+            for i in range(8):
+                at = _at(i, label, k=k)
                 h = random_character(X, k, rng)
                 pulled = IntegralClass(A, k, pullback_cochain(phi, h.mu))
                 try:
                     s = find_section(h, cone)
-                    section_found += 1
-                    if not pulled.is_zero():
-                        ok_gate = False
-                    if project(s) != h:
-                        ok_proj = False
                 except NoSection as exc:
-                    obstructed += 1
-                    if pulled.is_zero():
-                        ok_gate = False
-                    if exc.witness.is_zero():
-                        ok_gate = False
+                    rec.check(gate, not pulled.is_zero(), at)
+                    rec.check(gate, not exc.witness.is_zero(), at)
+                else:
+                    rec.check(gate, pulled.is_zero(), at)
+                    rec.equal(proj, project(s), h, at)
                 # every kernel instance descends and the round trip closes
                 g = random_character(A, k, rng)
                 f = incl_flat(g, cone)
-                if not project(f).is_zero():
-                    ok_pi = False
+                rec.check(kernel, project(f).is_zero(), at)
                 back = descend_kernel(f)
-                if incl_flat(back, cone) != f:
-                    ok_descend = False
-        checks.append(_check(f"section exists iff class pulls back to zero [{label}]", ok_gate))
-        checks.append(_check(f"sections project to the input [{label}]", ok_proj))
-        checks.append(_check(f"inclusion lands in the projection kernel [{label}]", ok_pi))
-        checks.append(_check(f"kernel instances descend [{label}]", ok_descend))
+                rec.equal(descend, incl_flat(back, cone), f, at)
     # both outcomes must actually occur: the identity cone on RP2_6 with the
     # flat order-2 character is obstructed, the suspension pair never is
     RP2 = fixtures.projective_plane()
     cone_id = mapping_cone(identity_map(RP2))
+    on_id = "identity cone on RP2_6"
     ju = fixtures.rp2_flat_character()
+    both = "order-2 class obstructs, its double does not"
     try:
         find_section(ju, cone_id)
-        both = False
     except NoSection as exc:
-        both = not exc.witness.is_zero()
+        rec.check(both, not exc.witness.is_zero(), _at(0, on_id, k=ju.degree))
+    else:
+        rec.check(both, False, _at(0, on_id, k=ju.degree))
     try:
         find_section(ju + ju, cone_id)
     except NoSection:
-        both = False
-    checks.append(_check("order-2 class obstructs, its double does not", both))
+        rec.check(both, False, _at(1, on_id, k=ju.degree))
     # uniqueness: for degree-k sections the hypothesis is injectivity of the
     # pushforward two degrees down; the identity cone is the clean instance
-    ok_unique = pushforward_injective(identity_map(RP2), 0) \
-        and pushforward_injective(identity_map(RP2), 1)
+    unique = "sections with equal covariant part coincide (injective pushforward)"
+    rec.check(unique, pushforward_injective(identity_map(RP2), 0)
+              and pushforward_injective(identity_map(RP2), 1), _at(0, on_id))
     for k in (2, 3):
-        for _ in range(4):
+        for i in range(4):
+            at = _at(i, on_id, k=k)
             h = iota(random_character(RP2, k, rng).lift)
             s1 = find_section(h, cone_id)
             g = random_flat_character(RP2, k - 1, rng)
             s2 = s1 + incl_flat(g, cone_id)
-            if s2.cov != s1.cov or s2 != s1:
-                ok_unique = False
-    checks.append(_check("sections with equal covariant part coincide (injective pushforward)", ok_unique))
+            if rec.equal(unique, s2.cov, s1.cov, at):
+                rec.equal(unique, s2, s1, at)
     # non-injective contrast: a flat circle character whose class does not
     # extend over the suspension feeds a nonzero kernel element with zero
     # covariant part, so equal-cov sections are not unique there
@@ -515,39 +507,39 @@ def run_relative_exact():
     )
     flat_g = DiffChar(zero_cochain(S1, 2), eta13)
     wobble = incl_flat(flat_g, cone_eq)
-    distinct = (not wobble.is_zero()) and wobble.cov.is_zero() \
-        and not pushforward_injective(cone_eq.phi, 1)
-    checks.append(_check("non-injective pushforward admits distinct equal-cov sections", distinct))
+    rec.check("non-injective pushforward admits distinct equal-cov sections",
+              (not wobble.is_zero()) and wobble.cov.is_zero()
+              and not pushforward_injective(cone_eq.phi, 1),
+              _at(0, "equator in S2_4p", k=flat_g.degree))
     # the q/z long exact sequence junction: vanishing inclusion means the
     # flat class is pulled back
-    ok_junction = True
-    for _ in range(5):
+    junction = "pulled-back test separates extendable flat classes"
+    for i in range(5):
         u = flat_holonomy_class(random_flat_character(RP2, 2, rng))
-        if not flat_class_pulled_back(u, identity_map(RP2)):
-            ok_junction = False
+        rec.check(junction, flat_class_pulled_back(u, identity_map(RP2)), _at(i, on_id, k=2))
     # the winding class does not extend over the disk directions
-    if flat_class_pulled_back(flat_holonomy_class(flat_g), cone_eq.phi):
-        ok_junction = False
-    checks.append(_check("pulled-back test separates extendable flat classes", ok_junction))
-    return checks
+    rec.check(junction, not flat_class_pulled_back(flat_holonomy_class(flat_g), cone_eq.phi),
+              _at(0, "equator in S2_4p", k=flat_g.degree))
+    return rec.checks
 
 
 # -- holonomy ----------------------------------------------------------------
 
 
 def run_holonomy():
-    checks = []
-    rng = random.Random(8887)
+    rec = _Recorder(8887)
+    rng = random.Random(rec.seed)
     S1 = fixtures.circle()
     T2 = fixtures.torus()
     hh = fixtures.torus_character()
+    on_T2 = _at(0, T2.name, k=hh.degree)
     z = fixtures.circle_cycle()
     emb1 = T2.include_at_right(0)
     emb2 = T2.include_at_left(0)
-    checks.append(_check("holonomy along the first circle factor", holonomy(hh, emb1, z) == 0))
-    checks.append(_check("holonomy along the second circle factor", holonomy(hh, emb2, z) == 0))
+    rec.equal("holonomy along the first circle factor", holonomy(hh, emb1, z), 0, on_T2)
+    rec.equal("holonomy along the second circle factor", holonomy(hh, emb2, z), 0, on_T2)
     collapse = SimplicialMap(S1, T2, [T2.encode(0, 0)] * 3)
-    checks.append(_check("collapsed image has zero holonomy", holonomy(hh, collapse, z) == 0))
+    rec.equal("collapsed image has zero holonomy", holonomy(hh, collapse, z), 0, on_T2)
     # disjoint union of two circles: holonomy adds
     two_circles = Complex(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "S1+S1")
     zz = fundamental_cycle(two_circles)
@@ -555,11 +547,12 @@ def run_holonomy():
     lift_sum = holonomy(hh, sheets, zz)
     part1 = holonomy(hh, SimplicialMap(S1, T2, [T2.encode(u, 0) for u in (0, 1, 2)]), z)
     part2 = holonomy(hh, SimplicialMap(S1, T2, [T2.encode(u, 1) for u in (0, 1, 2)]), z)
-    checks.append(_check("holonomy additive over disjoint union", lift_sum == (part1 + part2) % 1))
+    rec.equal("holonomy additive over disjoint union", lift_sum, (part1 + part2) % 1, on_T2)
     # transition factors: flat degree-2 characters on the circle are exactly
     # parallel transports along paths
     eta = random_character(S1, 2, rng).lift
     h2 = iota(eta)
+    on_S1 = _at(0, S1.name, k=h2.degree)
     iv = fixtures.interval()
     cI = fundamental_cycle(iv)
     path2 = fixtures.path_complex(2)
@@ -568,26 +561,27 @@ def run_holonomy():
     around = Filling(SimplicialMap(path2, S1, [0, 2, 1]), cP)
     stopover = Filling(SimplicialMap(path2, S1, [0, 1, 1]), cP)
     fac = transition_factor(h2, around, direct)
-    checks.append(_check("edge-path factor is the loop pairing", fac == pair(eta, z) % 1))
-    checks.append(_check("factor of a filling against itself", transition_factor(h2, direct, direct) == 0))
+    rec.equal("edge-path factor is the loop pairing", fac, pair(eta, z) % 1, on_S1)
+    rec.equal("factor of a filling against itself", transition_factor(h2, direct, direct), 0, on_S1)
     t_ab = transition_factor(h2, direct, around)
     t_bc = transition_factor(h2, around, stopover)
     t_ac = transition_factor(h2, direct, stopover)
-    checks.append(_check("cocycle law over three fillings", (t_ab + t_bc) % 1 == t_ac))
+    rec.equal("cocycle law over three fillings", (t_ab + t_bc) % 1, t_ac, on_S1)
     unit = hermitian_pairing(h2, direct, Phased(Fraction(1), Fraction(0)), direct, Phased(Fraction(1), Fraction(0)))
-    checks.append(_check("pairing of a filling with itself is the unit", unit.modulus == 1 and unit.phase == 0))
+    rec.check("pairing of a filling with itself is the unit",
+              unit.modulus == 1 and unit.phase == 0, on_S1)
     c1 = Phased(Fraction(2), Fraction(1, 3))
     c2 = Phased(Fraction(3, 2), Fraction(1, 4))
     amp = hermitian_pairing(h2, direct, c1, around, c2)
-    checks.append(_check("pairing phase is the transition factor plus coefficient phases",
-                         amp.phase == (c1.phase - c2.phase + transition_factor(h2, around, direct)) % 1))
+    rec.equal("pairing phase is the transition factor plus coefficient phases",
+              amp.phase, (c1.phase - c2.phase + transition_factor(h2, around, direct)) % 1, on_S1)
     # equivalence invariance: replace (direct, c) by the around-filling with
     # the transported coefficient
     moved = Phased(Fraction(1), transition_factor(h2, around, direct))
     inv = hermitian_pairing(h2, around, moved, direct, Phased(Fraction(1), Fraction(0)))
     base_amp = hermitian_pairing(h2, direct, Phased(Fraction(1), Fraction(0)), direct, Phased(Fraction(1), Fraction(0)))
-    checks.append(_check("pairing invariant under equivalent replacement",
-                         inv.modulus == base_amp.modulus and inv.phase == base_amp.phase))
+    rec.check("pairing invariant under equivalent replacement",
+              inv.modulus == base_amp.modulus and inv.phase == base_amp.phase, on_S1)
     # cobordism: a cylinder in the torus between two parallel circles; the
     # holonomy difference of the ends is the curvature flux through it
     W = staircase_product(S1, iv)
@@ -597,11 +591,11 @@ def run_holonomy():
     ends = Phi.push_chain(cW.boundary())
     top_cycle = T2.include_at_right(1).push_chain(z)
     bottom_cycle = T2.include_at_right(0).push_chain(z)
-    two_ended = ends in (top_cycle - bottom_cycle, bottom_cycle - top_cycle)
-    checks.append(_check("cylinder boundary is the two end circles", two_ended))
-    flux_ok = evaluate(hh, ends) == pair(hh.curvature, Phi.push_chain(cW)) % 1
-    checks.append(_check("holonomy difference of the ends equals the flux", flux_ok))
-    return checks
+    rec.check("cylinder boundary is the two end circles",
+              ends in (top_cycle - bottom_cycle, bottom_cycle - top_cycle), on_T2)
+    rec.equal("holonomy difference of the ends equals the flux",
+              evaluate(hh, ends), pair(hh.curvature, Phi.push_chain(cW)) % 1, on_T2)
+    return rec.checks
 
 
 SUITES = {
@@ -627,9 +621,4 @@ def run_suite(name):
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(suite_names())}"
         ) from None
-    checks = runner()
-    return {
-        "suite": name,
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
-    }
+    return _Recorder.report(name, runner())

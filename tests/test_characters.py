@@ -36,6 +36,7 @@ from diffchar.characters import (
     pullback,
     random_character,
     random_flat_character,
+    torsion_filling,
     trivialization,
 )
 
@@ -200,6 +201,23 @@ def test_flat_characters_and_their_classes():
     assert flat_character(u.cochain.scale(2)).is_zero()
     with pytest.raises(NotFlat):
         flat_holonomy_class(fixtures.winding_character())
+
+
+def test_fractional_torsion_class_refuses_a_missing_factor():
+    RP2 = fixtures.projective_plane()
+    assert RP2.homology(1).torsion == [2]
+    for index in (-1, -2, 1):
+        with pytest.raises(IndexError, match="no such torsion factor"):
+            fractional_torsion_class(RP2, 1, index)
+
+
+def test_torsion_filling():
+    z = fixtures.torsion_loop()
+    order, x = torsion_filling(z)
+    assert order == 2
+    assert x.degree == 2 and x.boundary() == z.scale(2)
+    S1 = fixtures.circle()
+    assert torsion_filling(fundamental_cycle(S1)) == (0, None)
 
 
 def test_flat_evaluation_on_torsion_loop():

@@ -550,9 +550,9 @@ def test_malformed_json_never_faults(capsys, tmp_path, document):
 
 
 def test_internal_fault_exits_3_with_a_report(capsys, monkeypatch):
-    from diffchar import products
+    from diffchar import characters
 
-    monkeypatch.setattr(products, "solve_integer", lambda snf, b: None)
+    monkeypatch.setattr(characters, "solve_integer", lambda snf, b: None)
     code, rep = _run(capsys, ["verify", "--suite", "bb-oracle"])
     assert code == 3
     assert rep["command"] == "verify"

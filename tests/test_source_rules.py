@@ -18,7 +18,9 @@ base classes, `LinearCombination` and `DirectSum`, so no other class defines
 Library code reads factorizations and matrices only through their sparse
 storage, so no module reads a dense view (`.U`, `.V`, `.D`, `.u_inv`,
 `.v_inv` or `IntMatrix.data`): a dense view builds a rows x cols grid and
-forces the first columns of a lifted U, which nothing else builds.
+forces the first columns of a lifted U, which nothing else builds.  Every
+`verify` check goes through one recorder, which keeps its witness, so no
+code in `verify` outside `_Recorder` names a "pass" key.
 """
 
 from __future__ import annotations
@@ -280,4 +282,40 @@ def test_the_dense_view_rule_catches_each_violation():
         (1, "dense view .U"), (2, "dense view .V"), (3, "dense view .D"),
         (4, "dense view .u_inv"), (5, "dense view .v_inv"), (6, "dense view .data"),
         (7, "dense view .U"),
+    ]
+
+
+def _pass_keys_outside(tree, owner="_Recorder"):
+    """Every "pass" string outside the class `owner`: a check entry is a dict
+    with a "pass" key, so only that class may write one."""
+    inside = {id(n) for c in ast.walk(tree)
+              if isinstance(c, ast.ClassDef) and c.name == owner for n in ast.walk(c)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value == "pass" and id(node) not in inside:
+            yield node.lineno, '"pass" outside the recorder'
+
+
+def test_only_the_recorder_writes_check_entries():
+    path = next(p for p in SOURCES if p.name == "verify.py")
+    assert list(_pass_keys_outside(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_the_recorder_rule_catches_each_violation():
+    source = (
+        "class _Recorder:\n"
+        "    def check(self, name):\n"
+        "        entry = {'name': name, 'pass': True}\n"
+        "        entry['pass'] = False\n"
+        "checks.append({'name': n, 'pass': ok})\n"
+        "entry['pass'] = False\n"
+        "done = dict([('name', n), ('pass', ok)])\n"
+        "entry.update(passed=True)\n"
+        "class Other:\n"
+        "    x = {'pass': 1}\n"
+        "if ok:\n"
+        "    pass\n"
+    )
+    assert sorted(_pass_keys_outside(ast.parse(source))) == [
+        (5, '"pass" outside the recorder'), (6, '"pass" outside the recorder'),
+        (7, '"pass" outside the recorder'), (10, '"pass" outside the recorder'),
     ]
