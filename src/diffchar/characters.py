@@ -333,11 +333,11 @@ def from_curvature(omega):
     curvature exactly when the periods are integral, and the lift solves the
     remaining rational coboundary equation.
     """
+    if omega.degree < 1:
+        raise ValueError("degree must be at least 1; use LowDegreeChar below")
     if not is_closed(omega):
         raise NotClosed("curvature must be closed")
     m, r = integral_decomposition(omega)
-    if omega.degree < 1:
-        raise ValueError("degree must be at least 1; use LowDegreeChar below")
     return _derived(omega, r, m)
 
 

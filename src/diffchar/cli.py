@@ -343,13 +343,20 @@ def main(argv=None):
         return 2
     except Exception as exc:
         # Not bad input but a fault of the program, such as an
-        # InvariantViolation: reported, with its traceback on stderr.  The
-        # import stays here so that cold starts do not pay for it.
+        # InvariantViolation: reported, with its traceback on stderr.  A
+        # verify suite that raised (a SuiteFault) names the exception and the
+        # instance in flight.  The imports stay here so that cold starts do
+        # not pay for them.
         import traceback
 
         traceback.print_exc()
-        error = f"{type(exc).__name__}: {exc}"
-        _emit({"command": args.cmd, "error": error, "internal": True}, args.out)
+        fault = {"command": args.cmd, "error": f"{type(exc).__name__}: {exc}", "internal": True}
+        if args.cmd == "verify":
+            from diffchar.verify import SuiteFault
+
+            if isinstance(exc, SuiteFault):
+                fault.update(error=str(exc), witness=exc.witness)
+        _emit(fault, args.out)
         return 3
     _emit(report, args.out)
     return status

@@ -103,17 +103,17 @@ def zero_cochain(complex, degree):
 
 
 def coboundary(a):
-    """(da)(s) = a(boundary of s)."""
-    out = {}
-    for s in a.complex.simplices(a.degree + 1):
-        total = Fraction(0)
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            v = a.coeffs.get(face)
-            if v is not None:
-                total += -v if i % 2 else v
-        out[s] = total
-    return Cochain._of(a.complex, a.degree + 1, out)
+    """(da)(s) = a(boundary of s): the rows of d_{k+1} summed over a's support."""
+    K, k = a.complex, a.degree
+    rows = K.boundary_matrix(k + 1).entries
+    totals = {}
+    for s, v in a.coeffs.items():
+        for j, sign in rows[K.index_of(s)].items():
+            w = v if sign > 0 else -v
+            t = totals.get(j)
+            totals[j] = w if t is None else t + w
+    cofaces = K.simplices(k + 1)
+    return Cochain._of(K, k + 1, {cofaces[j]: totals[j] for j in sorted(totals)})
 
 
 def cup(a, b):
@@ -182,14 +182,13 @@ def pair(a, c):
 
 
 def pullback(phi, a):
-    """Cochain pullback along a simplicial map, dual to the chain pushforward."""
+    """Cochain pullback along a simplicial map, dual to the chain pushforward:
+    (phi^* a)(s) = sign * a(image) from the map's push table; a collapsed
+    image (None) carries no value."""
     if a.complex != phi.target:
         raise ValueError("cochain does not live on the map's target")
     out = {}
-    for s in phi.source.simplices(a.degree):
-        sign, image = phi.push_simplex(s)
-        if sign == 0:
-            continue
+    for s, (sign, image) in zip(phi.source.simplices(a.degree), phi.push_table(a.degree)):
         v = a.coeffs.get(image)
         if v is not None:
             out[s] = sign * v

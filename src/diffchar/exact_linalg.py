@@ -67,14 +67,6 @@ class IntMatrix:
         m.entries = entries
         return m
 
-    @classmethod
-    def identity(cls, n):
-        return cls._trusted(n, n, tuple(_sparse_identity(n)))
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls._trusted(rows, cols, ({},) * rows)
-
     @property
     def data(self):
         """The dense rows, as a tuple of int tuples."""

@@ -46,24 +46,30 @@ def _validate_simplex(simplex, num_vertices):
         raise ValueError(f"simplex {simplex} is not strictly increasing")
 
 
-class _Factorizations:
-    """One memo per complex-like object, keyed by (kind, degree).
+class _Memo:
+    """The memoized tables of one complex, cone or map, in a `_memo` dict
+    keyed by (kind, degree) that each subclass starts empty."""
 
-    Subclasses provide boundary_matrix(n) and start with an empty `_memo`.
-    Each degree n runs one Smith elimination, of N_n: the boundary d_n
-    written in the cycle coordinates of C_{n-1} (d_n itself when C_{n-1} is
-    zero), a matrix with a row per cycle of C_{n-1} rather than per chain.
-    Since ker d_n = ker N_n, that one factorization gives the cycle splitting
-    of C_n, the relations of H_{n-1}, and, with the splitting of C_{n-1}, the
-    factorization of d_n, whose transpose is the coboundary's.  A staircase
-    product keeps its two projection maps in the same memo.
-    """
+    __slots__ = ()
 
     def _cached(self, kind, n, build):
         key = (kind, n)
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+
+class _Factorizations(_Memo):
+    """The factorizations of a complex-like object, memoized by degree.
+
+    Subclasses provide boundary_matrix(n).  Each degree n runs one Smith
+    elimination, of N_n: the boundary d_n written in the cycle coordinates of
+    C_{n-1} (d_n itself when C_{n-1} is zero), a matrix with a row per cycle
+    of C_{n-1} rather than per chain.  Since ker d_n = ker N_n, that one
+    factorization gives the cycle splitting of C_n, the relations of H_{n-1},
+    and, with the splitting of C_{n-1}, the factorization of d_n, whose
+    transpose is the coboundary's.
+    """
 
     def relation_snf(self, n):
         """SNF of N_n, the one elimination of degree n."""
@@ -118,8 +124,7 @@ class Complex(_Factorizations):
             seen.add(s)
             by_dim.setdefault(len(s) - 1, []).append(s)
             if len(s) > 1:
-                for i in range(len(s)):
-                    stack.append(s[:i] + s[i + 1 :])
+                stack.extend(combinations(s, len(s) - 1))
         self._by_dim = {d: tuple(sorted(ss)) for d, ss in sorted(by_dim.items())}
         self._index = {
             s: i for d, ss in self._by_dim.items() for i, s in enumerate(ss)
@@ -160,13 +165,13 @@ class Complex(_Factorizations):
         return self._cached("boundary", n, lambda: self._build_boundary(n))
 
     def _build_boundary(self, n):
+        """The face rule, written only here: the face without s[i] has sign (-1)^i."""
         rows = self.simplices(n - 1)
         cols = self.simplices(n)
         index = self._index
         entries = [{} for _ in rows]
         if n > 0:
-            # combinations(s, n) drops s[n] first, then s[n - 1], ..., s[0]:
-            # the face without s[i] has sign (-1)^i.
+            # combinations(s, n) drops s[n] first, then s[n - 1], ..., s[0].
             first = -1 if n % 2 else 1
             for j, s in enumerate(cols):
                 sign = first
@@ -174,6 +179,11 @@ class Complex(_Factorizations):
                     entries[index[face]][j] = sign
                     sign = -sign
         return IntMatrix._trusted(len(rows), len(cols), tuple(entries))
+
+    def _facet_rows(self, n):
+        """Row j of the transposed d_n: {face index: sign} of the j-th n-simplex,
+        in reverse drop order; read reversed, the face without s[0] comes first."""
+        return self._cached("facets", n, lambda: self.boundary_matrix(n).transpose().entries)
 
     def chain(self, degree, coeffs=None):
         return Chain(self, degree, coeffs or {})
@@ -355,15 +365,16 @@ class Chain(LinearCombination):
         return Chain._of(self.complex, self.degree, {s: n * c for s, c in self.coeffs.items()})
 
     def boundary(self):
-        if self.degree == 0:
-            return Chain._of(self.complex, -1, {})
+        K, n = self.complex, self.degree
+        if n == 0:
+            return Chain._of(K, -1, {})
+        faces, rows, index = K.simplices(n - 1), K._facet_rows(n), K._index
         out = {}
         for s, c in self.coeffs.items():
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                sign = -1 if i % 2 else 1
+            for i, sign in reversed(rows[index[s]].items()):
+                face = faces[i]
                 out[face] = out.get(face, 0) + sign * c
-        return Chain._of(self.complex, self.degree - 1, out)
+        return Chain._of(K, n - 1, out)
 
     def is_cycle(self):
         return self.boundary().is_zero()
@@ -409,18 +420,19 @@ class TensorChain(LinearCombination):
             key = (s, t)
             out[key] = out.get(key, 0) + c
 
+        L, R = self.left, self.right
         for (s, t), c in self.coeffs.items():
-            p = len(s) - 1
+            p, q = len(s) - 1, len(t) - 1
             if p > 0:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    bump(face, t, (-1 if i % 2 else 1) * c)
-            if len(t) - 1 > 0:
-                sign = -1 if p % 2 else 1
-                for i in range(len(t)):
-                    face = t[:i] + t[i + 1 :]
-                    bump(s, face, sign * (-1 if i % 2 else 1) * c)
-        return TensorChain._of(self.left, self.right, out)
+                faces = L.simplices(p - 1)
+                for i, sign in reversed(L._facet_rows(p)[L._index[s]].items()):
+                    bump(faces[i], t, sign * c)
+            if q > 0:
+                koszul = -1 if p % 2 else 1
+                faces = R.simplices(q - 1)
+                for i, sign in reversed(R._facet_rows(q)[R._index[t]].items()):
+                    bump(s, faces[i], koszul * sign * c)
+        return TensorChain._of(L, R, out)
 
     def __repr__(self):
         terms = " + ".join(
@@ -438,10 +450,10 @@ def tensor(chain_left, chain_right):
     return TensorChain._of(chain_left.complex, chain_right.complex, coeffs)
 
 
-class SimplicialMap:
+class SimplicialMap(_Memo):
     """Vertex map carrying simplices to simplices (collapses allowed)."""
 
-    __slots__ = ("source", "target", "vertex_map")
+    __slots__ = ("source", "target", "vertex_map", "_memo")
 
     def __init__(self, source, target, vertex_map):
         vertex_map = tuple(vertex_map)
@@ -459,6 +471,7 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.vertex_map = vertex_map
+        self._memo = {}
 
     @classmethod
     def _of(cls, source, target, vertex_map):
@@ -468,6 +481,7 @@ class SimplicialMap:
         out.source = source
         out.target = target
         out.vertex_map = tuple(vertex_map)
+        out._memo = {}
         return out
 
     def __eq__(self, other):
@@ -478,25 +492,34 @@ class SimplicialMap:
             and self.vertex_map == other.vertex_map
         )
 
-    def push_simplex(self, s):
-        """(sign, image simplex) or (0, None) when the image collapses."""
-        image = [self.vertex_map[v] for v in s]
-        if len(set(image)) != len(image):
-            return 0, None
-        sign = 1
-        # Parity of the permutation sorting the image vertex list.
-        for i in range(len(image)):
-            for j in range(i + 1, len(image)):
-                if image[i] > image[j]:
-                    sign = -sign
-        return sign, tuple(sorted(image))
+    def push_table(self, n):
+        """(sign, image) of each source n-simplex in basis order, (0, None) where
+        the image collapses: phi_* read forwards, phi^* read backwards."""
+        return self._cached("push", n, lambda: self._build_push(n))
+
+    def _build_push(self, n):
+        """The image rule, written only here: the sign is the parity of sorting the image."""
+        table = []
+        for s in self.source.simplices(n):
+            image = [self.vertex_map[v] for v in s]
+            if len(set(image)) != len(image):
+                table.append((0, None))
+                continue
+            sign = 1
+            for i in range(len(image)):
+                for j in range(i + 1, len(image)):
+                    if image[i] > image[j]:
+                        sign = -sign
+            table.append((sign, tuple(sorted(image))))
+        return tuple(table)
 
     def push_chain(self, chain):
         if chain.complex != self.source:
             raise ValueError("chain does not live on the source complex")
+        table, index = self.push_table(chain.degree), self.source._index
         out = {}
         for s, c in chain.coeffs.items():
-            sign, image = self.push_simplex(s)
+            sign, image = table[index[s]]
             if sign != 0:
                 out[image] = out.get(image, 0) + sign * c
         return Chain._of(self.target, chain.degree, out)
@@ -504,14 +527,13 @@ class SimplicialMap:
     def matrix(self, n):
         """Matrix of the induced chain map in degree n."""
         rows = self.target.simplices(n)
-        cols = self.source.simplices(n)
-        row_index = {s: i for i, s in enumerate(rows)}
+        index = self.target._index
         entries = [{} for _ in rows]
-        for j, s in enumerate(cols):
-            sign, image = self.push_simplex(s)
+        table = self.push_table(n)
+        for j, (sign, image) in enumerate(table):
             if sign != 0:
-                entries[row_index[image]][j] = sign
-        return IntMatrix._trusted(len(rows), len(cols), tuple(entries))
+                entries[index[image]][j] = sign
+        return IntMatrix._trusted(len(rows), len(table), tuple(entries))
 
     def __repr__(self):
         return f"SimplicialMap({list(self.vertex_map)})"
@@ -709,28 +731,26 @@ def alexander_whitney(chain):
     return TensorChain._of(product.left, product.right, out)
 
 
-def _facets(t):
-    return [t[:i] + t[i + 1 :] for i in range(len(t))]
-
-
 def maximal_simplices(complex):
     """The simplices that are a face of no other, by dimension and then
-    lexicographically: those that are not a facet of a simplex one
-    dimension up."""
+    lexicographically: those whose row of d_{n+1} is empty."""
     out = []
     for n in range(complex.dim + 1):
-        facets = {face for t in complex.simplices(n + 1) for face in _facets(t)}
-        out += [s for s in complex.simplices(n) if s not in facets]
+        cofaces = complex.boundary_matrix(n + 1).entries
+        out += [s for s, row in zip(complex.simplices(n), cofaces) if not row]
     return out
 
 
-def _top_cofaces(complex):
-    """Each facet of a top simplex -> [(top simplex, incidence sign)]."""
-    cofaces = {}
-    for t in complex.simplices(complex.dim):
-        for i, face in enumerate(_facets(t)):
-            cofaces.setdefault(face, []).append((t, -1 if i % 2 else 1))
-    return cofaces
+def _refuse_crowded_faces(complex, error, cofaces_named):
+    """Raise error for the first facet of a top simplex, in their order, that
+    has more than two top cofaces."""
+    d = complex.dim
+    cofaces = complex.boundary_matrix(d).entries
+    for row in complex._facet_rows(d):
+        for i in reversed(row):
+            if len(cofaces[i]) > 2:
+                face = complex.simplices(d - 1)[i]
+                raise error(f"face {face} has {len(cofaces[i])} {cofaces_named}")
 
 
 def fundamental_cycle(complex):
@@ -747,18 +767,16 @@ def fundamental_cycle(complex):
     if d < 0:
         raise NotManifold("empty complex")
     tops = complex.simplices(d)
-    top_set = set(tops)
     for s in maximal_simplices(complex):
         if len(s) <= d:
             raise NotManifold(f"simplex {s} is maximal but has dimension {len(s) - 1}")
     if d == 0:
         return Chain._of(complex, 0, {s: 1 for s in tops})
-    cofaces = _top_cofaces(complex)
-    for face, incident in cofaces.items():
-        if len(incident) > 2:
-            raise NotManifold(f"face {face} has {len(incident)} cofaces")
+    _refuse_crowded_faces(complex, NotManifold, "cofaces")
+    faces, cofaces = complex.simplices(d - 1), complex.boundary_matrix(d).entries
+    facets = complex._facet_rows(d)
     orientation = {}
-    for start in tops:
+    for start in range(len(tops)):
         if start in orientation:
             continue
         orientation[start] = 1
@@ -766,23 +784,22 @@ def fundamental_cycle(complex):
         while queue:
             t = queue.popleft()
             eps = orientation[t]
-            for i, face in enumerate(_facets(t)):
-                s1 = -1 if i % 2 else 1
-                for other, s2 in cofaces[face]:
+            for face, s1 in reversed(facets[t].items()):
+                for other, s2 in cofaces[face].items():
                     if other == t:
                         continue
                     needed = -eps * s1 * s2
                     if other in orientation:
                         if orientation[other] != needed:
                             raise NonOrientable(
-                                f"orientation conflict across face {face}"
+                                f"orientation conflict across face {faces[face]}"
                             )
                     else:
                         orientation[other] = needed
                         queue.append(other)
-    if set(orientation) != top_set:
+    if len(orientation) != len(tops):
         raise InvariantViolation("orientation search missed a top simplex")
-    return Chain._of(complex, d, orientation)
+    return Chain._of(complex, d, {tops[t]: eps for t, eps in orientation.items()})
 
 
 class NotFundamentalChain(ValueError):
@@ -806,11 +823,7 @@ def validate_fundamental_chain(chain):
         if chain.coeffs.get(s, 0) not in (1, -1):
             raise NotFundamentalChain(f"top simplex {s} has coefficient not +-1")
     if d > 0:
-        for face, incident in _top_cofaces(complex).items():
-            if len(incident) > 2:
-                raise NotFundamentalChain(
-                    f"face {face} has {len(incident)} top cofaces"
-                )
+        _refuse_crowded_faces(complex, NotFundamentalChain, "top cofaces")
         for s, c in chain.boundary().coeffs.items():
             if c not in (1, -1):
                 raise NotFundamentalChain(
@@ -880,22 +893,15 @@ class MappingCone(_Factorizations):
         return self._cached("boundary", n, lambda: self._build_boundary(n))
 
     def _build_boundary(self, n):
-        X, A = self.phi.target, self.phi.source
-        dx = X.boundary_matrix(n)
-        rows_x, cols_x = dx.rows, dx.cols
-        cols_a = len(A.simplices(n - 1)) if n - 1 >= 0 else 0
-        rows_a = len(A.simplices(n - 2)) if n - 2 >= 0 else 0
-        # Block rows [dx | phi] over [0 | -da], the right blocks' columns
-        # shifted past the cols_x columns of dx.
+        # Block rows [d_X | phi_*] over [0 | -d_A], the A columns shifted past
+        # the columns of d_X; the blocks are empty in degrees A does not have.
+        A, dx = self.phi.source, self.phi.target.boundary_matrix(n)
         entries = [dict(row) for row in dx.entries]
-        if n - 1 >= 0:
-            for row, block in zip(entries, self.phi.matrix(n - 1).entries):
-                for j, x in block.items():
-                    row[cols_x + j] = x
-        if n - 1 >= 1:
-            for block in A.boundary_matrix(n - 1).entries:
-                entries.append({cols_x + j: -x for j, x in block.items()})
-        return IntMatrix._trusted(rows_x + rows_a, cols_x + cols_a, tuple(entries))
+        for row, block in zip(entries, self.phi.matrix(n - 1).entries):
+            row.update((dx.cols + j, x) for j, x in block.items())
+        entries += [{dx.cols + j: -x for j, x in block.items()}
+                    for block in A.boundary_matrix(n - 1).entries]
+        return IntMatrix._trusted(len(entries), dx.cols + len(A.simplices(n - 1)), tuple(entries))
 
     def chain(self, degree, x_coeffs=None, a_coeffs=None):
         X, A = self.phi.target, self.phi.source

@@ -7,10 +7,12 @@ conditions hold.  Its first failing condition becomes its witness: the suite
 seed, the instance index, the fixture and the degrees drawn, and, for two
 compared cochains or characters (any `DirectSum` of cochains), lhs - rhs part
 by part as JSON cochains.  Nothing is built for a condition that holds.
+A suite that raises stops with a `SuiteFault` naming the instance in flight.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -80,6 +82,15 @@ class UnknownSuite(KeyError):
     """The requested verification suite does not exist."""
 
 
+class SuiteFault(Exception):
+    """A suite raised: an internal fault, never bad input.  The message names
+    the exception, `witness` the seed and the instance in flight, if any."""
+
+    def __init__(self, cause, witness):
+        super().__init__(f"{type(cause).__name__}: {cause}")
+        self.witness = witness
+
+
 class _Recorder:
     """The checks of one suite run, in the order they are first declared or
     evaluated, each kept as a report entry {"name", "pass"[, "witness"]}."""
@@ -87,10 +98,18 @@ class _Recorder:
     def __init__(self, seed):
         self.seed = seed
         self._entries = {}
+        self.in_flight = {}
+
+    def at(self, index, fixture, **degrees):
+        """The instance the work that follows is on, as its witness names it;
+        it stays in flight until the next `at` or `declare`."""
+        self.in_flight = {"instance": index, "fixture": fixture, "degrees": degrees}
+        return self.in_flight
 
     def declare(self, label, *names):
         """Report the checks `name [label]` here, in this order, also those
         that no instance reaches; returns their full names."""
+        self.in_flight = {}
         full = [f"{name} [{label}]" for name in names]
         for name in full:
             self._entries[name] = {"name": name, "pass": True}
@@ -119,9 +138,24 @@ class _Recorder:
         return {"suite": suite, "pass": all(c["pass"] for c in checks), "checks": checks}
 
 
-def _at(index, fixture, **degrees):
-    """The instance a condition is evaluated on, as its witness names it."""
-    return {"instance": index, "fixture": fixture, "degrees": degrees}
+def _suite(seed):
+    """The runner of a suite body(rec, rng, **options): a fresh recorder and
+    random draws with this seed; it returns the recorder's checks, or raises
+    a SuiteFault if the body raises."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(**options):
+            rec = _Recorder(seed)
+            try:
+                body(rec, random.Random(seed), **options)
+            except Exception as exc:
+                raise SuiteFault(exc, {"seed": seed, **rec.in_flight}) from exc
+            return rec.checks
+
+        return run
+
+    return wrap
 
 
 def _discrepancy(lhs, rhs):
@@ -151,15 +185,14 @@ def _surface_fixtures():
 # -- diagram33 ---------------------------------------------------------------
 
 
-def run_diagram33():
-    rec = _Recorder(20260813)
-    rng = random.Random(rec.seed)
+@_suite(20260813)
+def run_diagram33(rec, rng):
     for K in _surface_fixtures():
         for k in (1, 2, 3):
             kernel, triv, flat, lifting, curv = rec.declare(f"{K.name} deg {k}",
                 "iota kernel/class", "trivialization", "flat classes", "curvature lifting", "curv of iota")
             for i in range(3):
-                at = _at(i, K.name, k=k)
+                at = rec.at(i, K.name, k=k)
                 h = random_character(K, k, rng)
                 eta = h.lift
                 # (v) curvature of iota is the coboundary
@@ -202,14 +235,14 @@ def run_diagram33():
     RP2 = fixtures.projective_plane()
     z = fixtures.torsion_loop()
     ju = fixtures.rp2_flat_character()
-    rec.equal("j(u) on torsion loop is 1/2", evaluate(ju, z), Fraction(1, 2),
-              _at(0, RP2.name, k=ju.degree))
+    at = rec.at(0, RP2.name, k=ju.degree)
+    rec.equal("j(u) on torsion loop is 1/2", evaluate(ju, z), Fraction(1, 2), at)
     for K in (RP2, fixtures.klein_bottle()):
         (agree,) = rec.declare(K.name, "torsion formula agrees")
         for k in (1, 2):
             basis = K.splitting(k - 1).cycle_basis
             for i in range(4):
-                at = _at(i, K.name, k=k)
+                at = rec.at(i, K.name, k=k)
                 h = random_character(K, k, rng)
                 for j, vec in enumerate(basis):
                     zz = K.chain_from_vector(k - 1, vec)
@@ -217,7 +250,6 @@ def run_diagram33():
                     if order > 0:
                         rec.equal(agree, evaluate_torsion(h, zz), evaluate(h, zz),
                                   dict(at, cycle=j))
-    return rec.checks
 
 
 # -- product-axioms ----------------------------------------------------------
@@ -236,9 +268,8 @@ def _monotone_maps_into(K):
     return maps
 
 
-def run_product_axioms(instances=100):
-    rec = _Recorder(9157)
-    rng = random.Random(rec.seed)
+@_suite(9157)
+def run_product_axioms(rec, rng, instances=100):
     for K in _surface_fixtures():
         bilinear, assoc, natural, mult, iota_compat, flat_compat, commut = rec.declare(
             K.name, "bilinearity", "associativity", "naturality", "class and curvature multiplicative",
@@ -247,12 +278,13 @@ def run_product_axioms(instances=100):
         for i in range(instances):
             k = rng.choice([1, 2])
             l = rng.choice([1, 2])
+            rec.at(i, K.name, k=k, l=l)
             h = random_character(K, k, rng)
             h2 = random_character(K, k, rng)
             f = random_character(K, l, rng)
             m = rng.choice([1, 2])
+            at = rec.at(i, K.name, k=k, l=l, m=m)
             g = random_character(K, m, rng)
-            at = _at(i, K.name, k=k, l=l, m=m)
             hf = internal_product(h, f)
             rec.equal(bilinear, internal_product(h + h2, f), hf + internal_product(h2, f), at)
             rec.equal(bilinear, internal_product(f, h + h2),
@@ -277,15 +309,13 @@ def run_product_axioms(instances=100):
                     and rec.equal(commut, defect, iota(trivialization(defect)), at)):
                 rec.equal(commut, defect.curvature,
                           coboundary(cup_1(f.curvature, h.curvature)).scale(-1), at)
-    return rec.checks
 
 
 # -- bb-oracle ---------------------------------------------------------------
 
 
-def run_bb_oracle():
-    rec = _Recorder(40961)
-    rng = random.Random(rec.seed)
+@_suite(40961)
+def run_bb_oracle(rec, rng):
     S1 = fixtures.circle()
     configs = [
         (fixtures.torus(), S1, fixtures.circle(), 1, 1),
@@ -299,7 +329,7 @@ def run_bb_oracle():
         (formula,) = rec.declare(f"{P.name} k={k} k'={kp}", f"bb formula on Z_{degree} basis")
         basis = P.splitting(degree).cycle_basis
         for i in range(2):
-            at = _at(i, P.name, k=k, kp=kp)
+            at = rec.at(i, P.name, k=k, kp=kp)
             h = random_character(L, k, rng)
             f = random_character(R, kp, rng)
             hf = external_product(h, f, P)
@@ -307,15 +337,13 @@ def run_bb_oracle():
                 z = P.chain_from_vector(degree, vec)
                 rec.equal(formula, bb_evaluate(h, f, z, product=P), evaluate(hf, z),
                           dict(at, cycle=j))
-    return rec.checks
 
 
 # -- fiber-axioms ------------------------------------------------------------
 
 
-def run_fiber_axioms():
-    rec = _Recorder(7321)
-    rng = random.Random(rec.seed)
+@_suite(7321)
+def run_fiber_axioms(rec, rng):
     S1 = fixtures.circle()
     bases = [S1, fixtures.torus()]
     fibers = [fixtures.point(), fixtures.two_points(), S1]
@@ -328,7 +356,7 @@ def run_fiber_axioms():
                 "curvature compatibility", "iota compatibility", "orientation reversal", "naturality")
             for k in (n + 1, n + 2):
                 for i in range(3):
-                    at = _at(i, E.name, k=k)
+                    at = rec.at(i, E.name, k=k)
                     h = random_character(E, k, rng)
                     ph = fiber_integrate(h, tr)
                     rec.equal(curv, ph.curvature, slant_fiber(h.curvature, tr.fiber_chain), at)
@@ -338,42 +366,43 @@ def run_fiber_axioms():
                     rev = product_transfer(base, F, fiber_chain=tr.fiber_chain.scale(-1), total=E)
                     rec.equal(reversal, fiber_integrate(h, rev), -ph, at)
             for i, g in enumerate(_monotone_maps_into(base)):
+                at = rec.at(i, E.name, k=n + 1)
                 Y = g.source
                 EY = staircase_product(Y, F)
                 gx = product_map(g, identity_map(F), EY, E)
                 trY = product_transfer(Y, F, fiber_chain=tr.fiber_chain, total=EY)
                 h = random_character(E, n + 1, rng)
                 rec.equal(natural, fiber_integrate(pullback(gx, h), trY),
-                          pullback(g, fiber_integrate(h, tr)), _at(i, E.name, k=n + 1))
+                          pullback(g, fiber_integrate(h, tr)), at)
     # functoriality of iterated integration
     for i, (F1, F2) in enumerate([(fixtures.point(), S1), (fixtures.two_points(), S1),
                                   (S1, fixtures.point()), (S1, S1)]):
         XF1 = staircase_product(S1, F1)
         nested = staircase_product(XF1, F2)
+        rec.at(i, nested.name)
         FF = staircase_product(F1, F2)
         flat = staircase_product(S1, FF)
         rb = rebracket_map(flat, nested)
         c1, c2 = fundamental_cycle(F1), fundamental_cycle(F2)
         k = c1.degree + c2.degree + 1
+        at = rec.at(i, nested.name, k=k)
         h = random_character(nested, k, rng)
         lhs = fiber_integrate(fiber_integrate(h, TransferData(nested, c2)), TransferData(XF1, c1))
         rhs = fiber_integrate(pullback(rb, h), TransferData(flat, ez(c1, c2, FF)))
-        rec.equal("functoriality of iterated fibers", lhs, rhs, _at(i, nested.name, k=k))
+        rec.equal("functoriality of iterated fibers", lhs, rhs, at)
     # the bundled example: integrating the torus character gives the circle one
     T2 = fixtures.torus()
+    at = rec.at(0, T2.name, k=2)
     tr = product_transfer(S1, S1, total=T2)
     rec.equal("integrating i x i over the second circle returns i",
-              fiber_integrate(fixtures.torus_character(), tr), fixtures.winding_character(),
-              _at(0, T2.name, k=2))
-    return rec.checks
+              fiber_integrate(fixtures.torus_character(), tr), fixtures.winding_character(), at)
 
 
 # -- boundary-fiber ----------------------------------------------------------
 
 
-def run_boundary_fiber(instances=50):
-    rec = _Recorder(5077)
-    rng = random.Random(rec.seed)
+@_suite(5077)
+def run_boundary_fiber(rec, rng, instances=50):
     iv = fixtures.interval()
     cI = fundamental_cycle(iv)
     for base in (fixtures.circle(), fixtures.torus()):
@@ -384,7 +413,7 @@ def run_boundary_fiber(instances=50):
             "relative output projects to the boundary integral", "degree-1 endpoint quotient")
         for i in range(instances):
             k = rng.choice([1, 2])
-            at = _at(i, E.name, k=k)
+            at = rec.at(i, E.name, k=k)
             h = random_character(E, k, rng)
             out = boundary_fiber_integrate(h, tr)
             sign = -1 if (k - 1) % 2 else 1
@@ -395,15 +424,13 @@ def run_boundary_fiber(instances=50):
                 top = pullback(E.include_at_right(1), h)
                 bottom = pullback(E.include_at_right(0), h)
                 rec.equal(endpoints, out.over_boundary, top - bottom, at)
-    return rec.checks
 
 
 # -- updown ------------------------------------------------------------------
 
 
-def run_updown():
-    rec = _Recorder(66191)
-    rng = random.Random(rec.seed)
+@_suite(66191)
+def run_updown(rec, rng):
     S1 = fixtures.circle()
     T2 = fixtures.torus()
     tr = product_transfer(S1, S1, total=T2)
@@ -411,15 +438,17 @@ def run_updown():
     for k in (1, 2):
         for l in (1, 2):
             for i in range(3):
+                at = rec.at(i, T2.name, k=k, l=l)
                 h = random_character(S1, k, rng)
                 f = random_character(T2, l, rng)
                 lhs = fiber_integrate(internal_product(pullback(pi, h), f), tr)
                 rhs = internal_product(h, fiber_integrate(f, tr))
-                rec.equal(f"projection formula k={k} l={l}", lhs, rhs, _at(i, T2.name, k=k, l=l))
+                rec.equal(f"projection formula k={k} l={l}", lhs, rhs, at)
     comb, swap = combined_transfer(tr, tr)
     base_prod = comb.total.left
     for k in (1, 2):
         for l in (1, 2):
+            at = rec.at(0, T2.name, k=k, l=l)
             h = random_character(T2, k, rng)
             f = random_character(T2, l, rng)
             hf = external_product(h, f, swap.target)
@@ -427,16 +456,14 @@ def run_updown():
             rhs = external_product(fiber_integrate(h, tr), fiber_integrate(f, tr), base_prod)
             if (l - 1) % 2:
                 rhs = -rhs
-            rec.equal(f"fiber product formula k={k} l={l}", lhs, rhs, _at(0, T2.name, k=k, l=l))
-    return rec.checks
+            rec.equal(f"fiber product formula k={k} l={l}", lhs, rhs, at)
 
 
 # -- relative-exact ----------------------------------------------------------
 
 
-def run_relative_exact():
-    rec = _Recorder(31511)
-    rng = random.Random(rec.seed)
+@_suite(31511)
+def run_relative_exact(rec, rng):
     pairs = [
         ("equator in S2_4p", fixtures.equator_cone()),
         ("torsion loop in RP2_6", fixtures.torsion_loop_cone()),
@@ -449,7 +476,7 @@ def run_relative_exact():
             "inclusion lands in the projection kernel", "kernel instances descend")
         for k in (1, 2):
             for i in range(8):
-                at = _at(i, label, k=k)
+                at = rec.at(i, label, k=k)
                 h = random_character(X, k, rng)
                 pulled = IntegralClass(A, k, pullback_cochain(phi, h.mu))
                 try:
@@ -473,24 +500,27 @@ def run_relative_exact():
     on_id = "identity cone on RP2_6"
     ju = fixtures.rp2_flat_character()
     both = "order-2 class obstructs, its double does not"
+    at = rec.at(0, on_id, k=ju.degree)
     try:
         find_section(ju, cone_id)
     except NoSection as exc:
-        rec.check(both, not exc.witness.is_zero(), _at(0, on_id, k=ju.degree))
+        rec.check(both, not exc.witness.is_zero(), at)
     else:
-        rec.check(both, False, _at(0, on_id, k=ju.degree))
+        rec.check(both, False, at)
+    at = rec.at(1, on_id, k=ju.degree)
     try:
         find_section(ju + ju, cone_id)
     except NoSection:
-        rec.check(both, False, _at(1, on_id, k=ju.degree))
+        rec.check(both, False, at)
     # uniqueness: for degree-k sections the hypothesis is injectivity of the
     # pushforward two degrees down; the identity cone is the clean instance
     unique = "sections with equal covariant part coincide (injective pushforward)"
+    at = rec.at(0, on_id)
     rec.check(unique, pushforward_injective(identity_map(RP2), 0)
-              and pushforward_injective(identity_map(RP2), 1), _at(0, on_id))
+              and pushforward_injective(identity_map(RP2), 1), at)
     for k in (2, 3):
         for i in range(4):
-            at = _at(i, on_id, k=k)
+            at = rec.at(i, on_id, k=k)
             h = iota(random_character(RP2, k, rng).lift)
             s1 = find_section(h, cone_id)
             g = random_flat_character(RP2, k - 1, rng)
@@ -506,33 +536,32 @@ def run_relative_exact():
         S1, 1, [Fraction(1, 3) if e == (0, 1) else Fraction(0) for e in S1.simplices(1)]
     )
     flat_g = DiffChar(zero_cochain(S1, 2), eta13)
+    at = rec.at(0, "equator in S2_4p", k=flat_g.degree)
     wobble = incl_flat(flat_g, cone_eq)
     rec.check("non-injective pushforward admits distinct equal-cov sections",
               (not wobble.is_zero()) and wobble.cov.is_zero()
-              and not pushforward_injective(cone_eq.phi, 1),
-              _at(0, "equator in S2_4p", k=flat_g.degree))
+              and not pushforward_injective(cone_eq.phi, 1), at)
     # the q/z long exact sequence junction: vanishing inclusion means the
     # flat class is pulled back
     junction = "pulled-back test separates extendable flat classes"
     for i in range(5):
+        at = rec.at(i, on_id, k=2)
         u = flat_holonomy_class(random_flat_character(RP2, 2, rng))
-        rec.check(junction, flat_class_pulled_back(u, identity_map(RP2)), _at(i, on_id, k=2))
+        rec.check(junction, flat_class_pulled_back(u, identity_map(RP2)), at)
     # the winding class does not extend over the disk directions
-    rec.check(junction, not flat_class_pulled_back(flat_holonomy_class(flat_g), cone_eq.phi),
-              _at(0, "equator in S2_4p", k=flat_g.degree))
-    return rec.checks
+    at = rec.at(0, "equator in S2_4p", k=flat_g.degree)
+    rec.check(junction, not flat_class_pulled_back(flat_holonomy_class(flat_g), cone_eq.phi), at)
 
 
 # -- holonomy ----------------------------------------------------------------
 
 
-def run_holonomy():
-    rec = _Recorder(8887)
-    rng = random.Random(rec.seed)
+@_suite(8887)
+def run_holonomy(rec, rng):
     S1 = fixtures.circle()
     T2 = fixtures.torus()
     hh = fixtures.torus_character()
-    on_T2 = _at(0, T2.name, k=hh.degree)
+    on_T2 = rec.at(0, T2.name, k=hh.degree)
     z = fixtures.circle_cycle()
     emb1 = T2.include_at_right(0)
     emb2 = T2.include_at_left(0)
@@ -552,7 +581,7 @@ def run_holonomy():
     # parallel transports along paths
     eta = random_character(S1, 2, rng).lift
     h2 = iota(eta)
-    on_S1 = _at(0, S1.name, k=h2.degree)
+    on_S1 = rec.at(0, S1.name, k=h2.degree)
     iv = fixtures.interval()
     cI = fundamental_cycle(iv)
     path2 = fixtures.path_complex(2)
@@ -584,6 +613,7 @@ def run_holonomy():
               inv.modulus == base_amp.modulus and inv.phase == base_amp.phase, on_S1)
     # cobordism: a cylinder in the torus between two parallel circles; the
     # holonomy difference of the ends is the curvature flux through it
+    on_T2 = rec.at(0, T2.name, k=hh.degree)
     W = staircase_product(S1, iv)
     incl = SimplicialMap(iv, S1, [0, 1])
     Phi = product_map(identity_map(S1), incl, W, T2)
@@ -595,7 +625,6 @@ def run_holonomy():
               ends in (top_cycle - bottom_cycle, bottom_cycle - top_cycle), on_T2)
     rec.equal("holonomy difference of the ends equals the flux",
               evaluate(hh, ends), pair(hh.curvature, Phi.push_chain(cW)) % 1, on_T2)
-    return rec.checks
 
 
 SUITES = {

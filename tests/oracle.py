@@ -6,9 +6,15 @@ shares no code with the package.  Homology ranks and torsion follow from
 boundary matrices alone: betti_n = dim C_n - rank d_n - rank d_{n+1}, and
 the torsion of H_n is the list of invariant factors of d_{n+1} exceeding 1.
 
-The dense matrix helpers at the end (product, matrix times vector, column,
-determinant) work on the `data` view of an IntMatrix with textbook loops;
-the package itself only ever reads a matrix's nonzeros.
+The chain operators are their per-simplex definitions: the boundary drops
+one vertex at a time with sign (-1)^i, the coboundary sums a cochain over
+the faces of each simplex, and a simplicial map pushes a simplex to its
+sorted image with the sign of the sorting permutation, found from its cycle
+count.  The package reads all four from memoized tables instead.
+
+The dense matrix helpers at the end (identity, zero, product, matrix times
+vector, column, determinant) work on the `data` view of an IntMatrix with
+textbook loops; the package itself only ever reads a matrix's nonzeros.
 """
 
 from __future__ import annotations
@@ -106,6 +112,86 @@ def homology_rank_and_torsion(boundary_out_rows, boundary_in_rows, chain_dim):
     betti = chain_dim - rational_rank(boundary_out_rows) - rational_rank(boundary_in_rows)
     torsion = [d for d in invariant_factors(boundary_in_rows) if d > 1]
     return betti, torsion
+
+
+def _nonzero(out):
+    return {k: c for k, c in out.items() if c}
+
+
+def faces(s):
+    """(sign, face) of each facet of the simplex s: without s[i], (-1)^i."""
+    return [((-1) ** i, s[:i] + s[i + 1:]) for i in range(len(s))] if len(s) > 1 else []
+
+
+def boundary(coeffs):
+    """The boundary of a chain given as {simplex: coefficient}."""
+    out = {}
+    for s, c in coeffs.items():
+        for sign, f in faces(s):
+            out[f] = out.get(f, 0) + sign * c
+    return _nonzero(out)
+
+
+def tensor_boundary(coeffs):
+    """d(s@t) = ds@t + (-1)^{dim s} s@dt on {(s, t): coefficient}."""
+    out = {}
+    for (s, t), c in coeffs.items():
+        for sign, f in faces(s):
+            out[(f, t)] = out.get((f, t), 0) + sign * c
+        for sign, f in faces(t):
+            out[(s, f)] = out.get((s, f), 0) + (-1) ** (len(s) - 1) * sign * c
+    return _nonzero(out)
+
+
+def coboundary(values, cofaces):
+    """(da)(t) = sum of sign * a(face) over the faces of each t in cofaces."""
+    return _nonzero({t: sum(sign * values.get(f, 0) for sign, f in faces(t)) for t in cofaces})
+
+
+def push_simplex(vertex_map, s):
+    """(sign, sorted image) of a simplex, or (0, None) if the image collapses;
+    the sign is (-1)^(length - number of cycles) of the sorting permutation."""
+    image = [vertex_map[v] for v in s]
+    if len(set(image)) < len(image):
+        return 0, None
+    order = sorted(range(len(image)), key=image.__getitem__)
+    seen, cycles = set(), 0
+    for i in range(len(order)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = order[i]
+    return (-1) ** (len(order) - cycles), tuple(sorted(image))
+
+
+def push(vertex_map, coeffs):
+    """The pushforward of a chain given as {simplex: coefficient}."""
+    out = {}
+    for s, c in coeffs.items():
+        sign, image = push_simplex(vertex_map, s)
+        if sign:
+            out[image] = out.get(image, 0) + sign * c
+    return _nonzero(out)
+
+
+def pull(vertex_map, values, simplices):
+    """(phi^* a)(s) = sign * a(image) for each source simplex s."""
+    out = {}
+    for s in simplices:
+        sign, image = push_simplex(vertex_map, s)
+        out[s] = sign * values.get(image, 0)
+    return _nonzero(out)
+
+
+def identity(n):
+    """The n x n identity IntMatrix."""
+    return IntMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zero(rows, cols):
+    """The rows x cols zero IntMatrix."""
+    return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
 
 
 def matmul(a, b):

@@ -191,6 +191,16 @@ def test_from_curvature():
     assert from_curvature(h.curvature).curvature == h.curvature
 
 
+@pytest.mark.parametrize("values", [[Fraction(1, 2)] * 3, [Fraction(1, 2), 0, 0]])
+def test_from_curvature_refuses_degree_zero_first(values):
+    # Constant 1/2 is closed with fractional periods, the other not closed:
+    # either way the degree is what is wrong.
+    omega = Cochain.from_vector(fixtures.circle(), 0, values)
+    with pytest.raises(ValueError, match="degree must be at least 1") as caught:
+        from_curvature(omega)
+    assert type(caught.value) is ValueError
+
+
 def test_flat_characters_and_their_classes():
     ju = fixtures.rp2_flat_character()
     assert ju.curvature.is_zero()

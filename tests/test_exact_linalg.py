@@ -30,9 +30,11 @@ from oracle import (
     column,
     det,
     homology_rank_and_torsion,
+    identity,
     invariant_factors,
     matmul,
     rational_rank,
+    zero,
 )
 
 
@@ -75,7 +77,7 @@ def test_snf_frozen_diag_2_3():
 
 def test_snf_empty_shapes():
     for rows, cols in [(0, 0), (0, 3), (3, 0)]:
-        a = IntMatrix.zero(rows, cols)
+        a = zero(rows, cols)
         snf = smith_normal_form(a)
         assert matmul(matmul(snf.U, snf.D), snf.V) == a
         assert snf.rank == 0
@@ -86,8 +88,8 @@ def _check_decomposition(a, snf=None):
     assert matmul(matmul(snf.U, snf.D), snf.V) == a
     assert abs(det(snf.U)) == 1
     assert abs(det(snf.V)) == 1
-    assert matmul(snf.U, snf.u_inv) == IntMatrix.identity(a.rows)
-    assert matmul(snf.V, snf.v_inv) == IntMatrix.identity(a.cols)
+    assert matmul(snf.U, snf.u_inv) == identity(a.rows)
+    assert matmul(snf.V, snf.v_inv) == identity(a.cols)
     diag = snf.diagonal()
     for i in range(len(diag) - 1):
         assert diag[i] >= 0
@@ -103,7 +105,7 @@ def _check_decomposition(a, snf=None):
 @settings(max_examples=100, deadline=None)
 @given(small_matrices | unitless_matrices)
 def test_snf_properties_random(rows):
-    a = mat(rows) if rows else IntMatrix.zero(0, 0)
+    a = mat(rows) if rows else zero(0, 0)
     snf = _check_decomposition(a)
     assert [d for d in snf.diagonal() if d != 0] == invariant_factors(rows)
     assert snf.rank == rational_rank(rows)
@@ -116,7 +118,7 @@ def test_snf_properties_random(rows):
 @settings(max_examples=40, deadline=None)
 @given(small_matrices, st.data())
 def test_solve_integer_on_solvable_systems(rows, data):
-    a = mat(rows) if rows else IntMatrix.zero(0, 0)
+    a = mat(rows) if rows else zero(0, 0)
     x = data.draw(
         st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols)
     )
@@ -129,7 +131,7 @@ def test_solve_integer_on_solvable_systems(rows, data):
 @settings(max_examples=40, deadline=None)
 @given(small_matrices, st.data())
 def test_solve_integer_verdict_matches_lattice_oracle(rows, data):
-    a = mat(rows) if rows else IntMatrix.zero(0, 0)
+    a = mat(rows) if rows else zero(0, 0)
     b = data.draw(
         st.lists(st.integers(-6, 6), min_size=a.rows, max_size=a.rows)
     )
@@ -170,7 +172,7 @@ def test_solvers_return_ints_and_fractions():
 @settings(max_examples=40, deadline=None)
 @given(small_matrices)
 def test_kernel_basis_spans_kernel(rows):
-    a = mat(rows) if rows else IntMatrix.zero(0, 0)
+    a = mat(rows) if rows else zero(0, 0)
     basis = kernel_basis(a)
     for vec in basis:
         assert all(x == 0 for x in apply(a, vec))
@@ -184,7 +186,7 @@ def _dot(u, v):
 @settings(max_examples=30, deadline=None)
 @given(small_matrices, st.data())
 def test_cycle_splitting_properties(rows, data):
-    a = mat(rows) if rows else IntMatrix.zero(0, 0)
+    a = mat(rows) if rows else zero(0, 0)
     split = CycleSplitting(a)
     z = a.cols - rational_rank(rows)
     chains = st.lists(st.integers(-4, 4), min_size=a.cols, max_size=a.cols)
@@ -213,8 +215,8 @@ def test_cycle_splitting_properties(rows, data):
 @given(small_matrices)
 def test_quotient_presentation_of_full_lattice_quotient(rows):
     """ker(0)/im(A) compared against the brute-force oracle."""
-    a = mat(rows) if rows else IntMatrix.zero(0, 0)
-    pres = QuotientPresentation(IntMatrix.zero(0, a.rows), a)
+    a = mat(rows) if rows else zero(0, 0)
+    pres = QuotientPresentation(zero(0, a.rows), a)
     betti = a.rows - rational_rank(rows)
     torsion = [d for d in invariant_factors(rows) if d > 1]
     assert pres.betti == betti
@@ -231,7 +233,7 @@ def test_quotient_presentation_of_full_lattice_quotient(rows):
 
 def test_quotient_presentation_coordinates_additive():
     a = mat([[2, 0], [0, 3]])
-    pres = QuotientPresentation(IntMatrix.zero(0, 2), a)
+    pres = QuotientPresentation(zero(0, 2), a)
     assert pres.torsion == [6]
     v = [1, 1]
     free1, tors1 = pres.coordinates(v)

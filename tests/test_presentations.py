@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffchar import fixtures
-from diffchar.exact_linalg import IntMatrix, _combination, _LazyHead, solve_integer
+from diffchar.exact_linalg import _combination, _LazyHead, solve_integer
 from diffchar.simplicial import Complex, SimplicialMap, mapping_cone, staircase_product
-from oracle import apply, homology_rank_and_torsion, invariant_factors, matmul, rational_rank
+from oracle import (
+    apply, homology_rank_and_torsion, identity, invariant_factors, matmul, rational_rank,
+)
 from test_exact_linalg import flag_complexes
 
 
@@ -99,8 +101,8 @@ def _check_group(group, out, in_):
 
 def _check_factorization(snf, a):
     assert matmul(matmul(snf.U, snf.D), snf.V) == a
-    assert matmul(snf.U, snf.u_inv) == IntMatrix.identity(a.rows)
-    assert matmul(snf.V, snf.v_inv) == IntMatrix.identity(a.cols)
+    assert matmul(snf.U, snf.u_inv) == identity(a.rows)
+    assert matmul(snf.V, snf.v_inv) == identity(a.cols)
 
 
 def _check_solves(snf, a, draw):

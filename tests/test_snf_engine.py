@@ -30,7 +30,7 @@ from diffchar.exact_linalg import (
 )
 from diffchar.relative import find_section, project, pushforward_injective
 from diffchar.simplicial import Complex, SimplicialMap, mapping_cone, staircase_product
-from oracle import invariant_factors, matmul, rational_rank
+from oracle import identity, invariant_factors, matmul, rational_rank
 from test_exact_linalg import flag_complexes
 
 
@@ -56,7 +56,7 @@ def matrices(draw):
 
 
 def _is_identity(m):
-    return m == IntMatrix.identity(m.rows)
+    return m == identity(m.rows)
 
 
 def _agree(a):

@@ -20,7 +20,13 @@ storage, so no module reads a dense view (`.U`, `.V`, `.D`, `.u_inv`,
 `.v_inv` or `IntMatrix.data`): a dense view builds a rows x cols grid and
 forces the first columns of a lifted U, which nothing else builds.  Every
 `verify` check goes through one recorder, which keeps its witness, so no
-code in `verify` outside `_Recorder` names a "pass" key.
+code in `verify` outside `_Recorder` names a "pass" key.  Each sign rule of
+the chain operators is written once: the face rule (the face without s[i]
+has sign (-1)^i) in `Complex._build_boundary`, the image rule (the parity of
+the permutation sorting an image) in `SimplicialMap._build_push`, and every
+other operator reads their memoized tables, so no module cuts a face out by
+slicing, `x[:i] + x[i + 1:]`, and no other function flips a sign per face or
+per inversion.
 """
 
 from __future__ import annotations
@@ -318,4 +324,110 @@ def test_the_recorder_rule_catches_each_violation():
     assert sorted(_pass_keys_outside(ast.parse(source))) == [
         (5, '"pass" outside the recorder'), (6, '"pass" outside the recorder'),
         (7, '"pass" outside the recorder'), (10, '"pass" outside the recorder'),
+    ]
+
+
+def _same(a, b):
+    return ast.dump(a) == ast.dump(b)
+
+
+def _is_face_slice(node):
+    """x[:i] + x[i + 1:]."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Subscript) and isinstance(node.right, ast.Subscript)):
+        return False
+    head, tail = node.left.slice, node.right.slice
+    return (isinstance(head, ast.Slice) and isinstance(tail, ast.Slice)
+            and head.lower is None and head.upper is not None and tail.upper is None
+            and isinstance(tail.lower, ast.BinOp) and isinstance(tail.lower.op, ast.Add)
+            and _same(tail.lower.left, head.upper) and _same(node.left.value, node.right.value))
+
+
+def _flips_a_sign(statements):
+    """Some statement is `x = -x` or `x *= -1`."""
+    for node in statements:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.UnaryOp) and isinstance(node.value.op, ast.USub)
+                and getattr(node.value.operand, "id", None) == node.targets[0].id):
+            return True
+        if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+                and isinstance(node.value, (ast.Constant, ast.UnaryOp))
+                and ast.literal_eval(node.value) == -1):
+            return True
+    return False
+
+
+def _is_combinations(call):
+    return isinstance(call, ast.Call) and (
+        getattr(call.func, "id", None) == "combinations"
+        or getattr(call.func, "attr", None) == "combinations")
+
+
+def _sign_rules(tree):
+    """(line, what, enclosing function) for each face slice, each loop over
+    the faces of a simplex (`combinations`) that flips a sign per face, and
+    each comparison of two entries of a sequence that flips a sign (the
+    inversion count of a parity loop)."""
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if _is_face_slice(node):
+            yield node.lineno, "face slicing", owner
+        elif (isinstance(node, ast.For) and _is_combinations(node.iter)
+              and _flips_a_sign(node.body)):
+            yield node.lineno, "face sign loop", owner
+        elif (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+              and isinstance(node.test.left, ast.Subscript)
+              and all(isinstance(c, ast.Subscript) for c in node.test.comparators)
+              and _flips_a_sign(node.body)):
+            yield node.lineno, "parity loop", owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, "")
+
+
+def test_each_sign_rule_is_written_once():
+    found = sorted(
+        (path.name, what, owner)
+        for path in SOURCES
+        for _, what, owner in _sign_rules(ast.parse(path.read_text(), str(path)))
+    )
+    assert found == [
+        ("simplicial.py", "face sign loop", "Complex._build_boundary"),
+        ("simplicial.py", "parity loop", "SimplicialMap._build_push"),
+    ]
+
+
+def test_the_sign_rule_catches_each_violation():
+    source = (
+        "def boundary(s, c):\n"
+        "    return [s[:i] + s[i + 1 :] for i in range(len(s))]\n"
+        "class Map:\n"
+        "    def push(self, image):\n"
+        "        sign = 1\n"
+        "        for i in range(len(image)):\n"
+        "            for j in range(i + 1, len(image)):\n"
+        "                if image[i] > image[j]:\n"
+        "                    sign *= -1\n"
+        "def faces(s, sign):\n"
+        "    for face in itertools.combinations(s, len(s) - 1):\n"
+        "        yield face, sign\n"
+        "        sign = -sign\n"
+        "def fine(s, t, i, rhs):\n"
+        "    head = s[:i] + s[i:]\n"
+        "    tail = s[:i] + t[i + 1:]\n"
+        "    for face in combinations(s, 2):\n"
+        "        rhs = rhs - face\n"
+        "    if s[0] > s[1]:\n"
+        "        rhs = -i\n"
+        "    for k in (1, 2):\n"
+        "        rhs = -rhs\n"
+    )
+    assert sorted(_sign_rules(ast.parse(source))) == [
+        (2, "face slicing", "boundary"),
+        (8, "parity loop", "Map.push"),
+        (11, "face sign loop", "faces"),
     ]

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffchar import verify
+from diffchar import characters, cochain, products, verify
 from diffchar.cli import main
 
 
@@ -47,9 +47,9 @@ def test_check_names_and_order_are_pinned(suite):
 def test_the_recorder_keeps_the_first_failure_of_each_check():
     rec = verify._Recorder(7)
     unreached, later = rec.declare("X", "never reached", "declared")
-    assert rec.check("first", True, verify._at(0, "X"))
-    assert not rec.equal(later, Fraction(1, 2), 0, verify._at(1, "X", k=2))
-    assert not rec.check(later, False, verify._at(2, "X", k=3))
+    assert rec.check("first", True, rec.at(0, "X"))
+    assert not rec.equal(later, Fraction(1, 2), 0, rec.at(1, "X", k=2))
+    assert not rec.check(later, False, rec.at(2, "X", k=3))
     assert rec.checks == [
         {"name": "never reached [X]", "pass": True},
         {"name": "declared [X]", "pass": False, "witness": {
@@ -119,3 +119,37 @@ def test_a_broken_formula_fails_with_a_witness(capsys, monkeypatch, suite, name,
         discrepancy = witness["discrepancy"]
         assert list(discrepancy) == sorted(parts)
         assert any(part["values"] for part in discrepancy.values())
+
+
+def test_a_fault_in_a_suite_names_the_last_instance_named():
+    @verify._suite(5)
+    def body(rec, rng, stop):
+        rec.at(2, "X", k=1)
+        if stop == "declared":
+            rec.declare("Y", "after")
+        raise ValueError("boom")
+
+    with pytest.raises(verify.SuiteFault, match="^ValueError: boom$") as caught:
+        body(stop="at")
+    assert caught.value.witness == {"seed": 5, "instance": 2, "fixture": "X",
+                                    "degrees": {"k": 1}}
+    with pytest.raises(verify.SuiteFault) as caught:
+        body(stop="declared")
+    assert caught.value.witness == {"seed": 5}
+
+
+def test_a_dropped_pullback_term_is_an_internal_fault_with_its_instance(capsys, monkeypatch):
+    pull = cochain.pullback
+
+    def dropped(phi, a):
+        b = pull(phi, a)
+        return cochain.Cochain._of(b.complex, b.degree, dict(list(b.coeffs.items())[:-1]))
+
+    for module in (characters, products):
+        monkeypatch.setattr(module, "pullback_cochain", dropped)
+    code = main(["verify", "--suite", "bb-oracle"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["internal"] is True
+    assert report["error"] == "InvariantViolation: the product's curvature - d(lift) must be integral"
+    assert report["witness"] == {"seed": SEEDS["bb-oracle"], "instance": 0, "fixture": "T2_9",
+                                 "degrees": {"k": 1, "kp": 1}}
