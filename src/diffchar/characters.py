@@ -3,8 +3,11 @@
 A degree-k character is a closed rational k-cochain (the curvature) together
 with a rational (k-1)-cochain lift whose failure to trivialize the curvature
 is an integer cocycle.  Evaluation on cycles lands in Q/Z, represented as
-Fractions in [0,1).  Degrees k <= 0 degenerate to integral cohomology
-classes carried by an integer cocycle.
+Fractions in [0,1), so two characters are equal when their curvatures agree
+and their lifts differ by a cochain with integral periods, and two flat
+classes when their cochains do; `simplicial.DirectSum` decides both from
+the parts each class declares.  Degrees k <= 0 degenerate to integral
+cohomology classes carried by an integer cocycle.
 
 Characters are checked where they enter: `DiffChar(...)`,
 `LowDegreeChar(...)` and `character(...)` check that the curvature is closed
@@ -28,7 +31,6 @@ from diffchar.simplicial import DirectSum
 from diffchar.cochain import (
     Cochain,
     coboundary,
-    has_integral_periods,
     is_closed,
     pair,
     pullback as pullback_cochain,
@@ -130,12 +132,12 @@ class FlatClass(DirectSum):
 
     Carried by a rational d-cochain whose coboundary is integral; two
     cochains represent the same class when their difference has integral
-    periods.
+    periods, which is `DirectSum`'s equality with the cochain as the lift.
     """
 
     __slots__ = ("complex", "degree", "cochain")
     _space = ("complex", "degree")
-    _parts = ("cochain",)
+    _parts = _lifts = ("cochain",)
     _mismatch = "flat classes on different complexes or degrees"
     _scale_type = "flat classes scale by integers"
 
@@ -146,16 +148,8 @@ class FlatClass(DirectSum):
         self.degree = cochain.degree
         self.cochain = cochain
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FlatClass)
-            and self.complex == other.complex
-            and self.degree == other.degree
-            and has_integral_periods(self.cochain - other.cochain)
-        )
-
-    def is_zero(self):
-        return has_integral_periods(self.cochain)
+    def _cycles(self):
+        return self.complex.splitting(self.degree)
 
     def evaluate(self, cycle):
         if not cycle.is_cycle():
@@ -172,6 +166,8 @@ class DiffChar(DirectSum):
     __slots__ = ("complex", "degree", "curvature", "lift", "mu")
     _space = ("complex", "degree")
     _parts = ("curvature", "lift", "mu")
+    _exact = ("curvature",)
+    _lifts = ("lift",)
     _mismatch = "characters on different complexes or degrees"
     _scale_type = "characters scale by integers"
 
@@ -200,18 +196,8 @@ class DiffChar(DirectSum):
         """Through `_derived`, so that degree <= 0 gives a LowDegreeChar."""
         return _derived(*parts)
 
-    def __eq__(self, other):
-        """Identical curvature and lift difference with integral periods."""
-        if not isinstance(other, DiffChar):
-            return NotImplemented
-        if self.complex != other.complex or self.degree != other.degree:
-            return False
-        if self.curvature != other.curvature:
-            return False
-        return has_integral_periods(self.lift - other.lift)
-
-    def is_zero(self):
-        return self.curvature.is_zero() and has_integral_periods(self.lift)
+    def _cycles(self):
+        return self.complex.splitting(self.degree - 1)
 
     def __repr__(self):
         return f"DiffChar(deg {self.degree} on {self.complex!r})"
@@ -316,9 +302,7 @@ def trivialization(h):
     k = h.degree
     if not char_class(h).is_zero():
         raise NoTrivialization("character class is nonzero")
-    t_vec = solve_integer(
-        h.complex.coboundary_snf(k - 1), [int(x) for x in h.mu.to_vector()]
-    )
+    t_vec = solve_integer(h.complex.coboundary_snf(k - 1), h.mu.to_vector())
     if t_vec is None:
         raise InvariantViolation("zero class must be an integral coboundary")
     t = Cochain.from_vector(h.complex, k - 1, t_vec)
@@ -389,18 +373,19 @@ def integral_decomposition(a):
     Returns (m, r) with a = m + dr, m integer valued.  Raises
     NotIntegralPeriods when no such splitting exists.
     """
-    if not has_integral_periods(a):
-        raise NotIntegralPeriods("cochain pairs non-integrally with a cycle")
     K = a.complex
     split = K.splitting(a.degree)
     vec = a.to_vector()
+    periods = split.periods(vec)
+    if any(p.denominator != 1 for p in periods):
+        raise NotIntegralPeriods("cochain pairs non-integrally with a cycle")
     # The cochain with a's periods that vanishes on the complement of the
     # cycles: integer valued, since the periods are.
-    m_vec = split.dual(split.periods(vec))
+    m_vec = split.dual(periods)
     m = Cochain.from_vector(K, a.degree, m_vec)
     if not m.is_integer_valued():
         raise InvariantViolation("integral periods must give an integer cochain")
-    rhs = [x - y for x, y in zip(vec, m.to_vector())]
+    rhs = [x - y for x, y in zip(vec, m_vec)]
     r_vec = solve_rational(K.coboundary_snf(a.degree - 1), rhs)
     if r_vec is None:
         raise InvariantViolation("cochain vanishing on cycles must be a coboundary")
@@ -443,7 +428,7 @@ def random_character(K, k, rng):
     if below:
         t_vec = [rng.randint(-_SPAN, _SPAN) for _ in below]
         t = Cochain.from_vector(K, k - 1, t_vec)
-        mu_vec = [a + int(b) for a, b in zip(mu_vec, coboundary(t).to_vector())]
+        mu_vec = [a + b for a, b in zip(mu_vec, coboundary(t).to_vector())]
     mu = Cochain.from_vector(K, k, mu_vec)
     lift_vals = [
         Fraction(rng.randint(-2 * _DENOM, 2 * _DENOM), rng.randint(1, _DENOM))

@@ -9,6 +9,7 @@ pass, 1 a check or verification failed, 2 bad input, 3 an internal fault.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -91,12 +92,11 @@ def _resolve_map(token, source_token, target_token):
     return fixtures.map_by_name(token)
 
 
-def _emit(report, out_path):
+def _emit(report, out):
     text = io.dumps(report)
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    if out is not None:
+        out.write(text)
 
 
 def _report(command, inputs, result):
@@ -335,11 +335,23 @@ def _parse(argv):
 
 
 def main(argv=None):
+    """Run one command; --out is opened first, so that an unwritable path is
+    bad input reported before any work, not a fault after it."""
     args = _parse(argv)
+    try:
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        _emit({"command": args.cmd, "error": f"cannot write {args.out}: {exc.strerror}"}, None)
+        return 2
+    with out or contextlib.nullcontext():
+        return _run(args, out)
+
+
+def _run(args, out):
     try:
         report, status = _COMMANDS[args.cmd](args)
     except (InputError, fixtures.UnknownFixture, ValueError) as exc:
-        _emit({"command": args.cmd, "error": str(exc)}, args.out)
+        _emit({"command": args.cmd, "error": str(exc)}, out)
         return 2
     except Exception as exc:
         # Not bad input but a fault of the program, such as an
@@ -356,9 +368,9 @@ def main(argv=None):
 
             if isinstance(exc, SuiteFault):
                 fault.update(error=str(exc), witness=exc.witness)
-        _emit(fault, args.out)
+        _emit(fault, out)
         return 3
-    _emit(report, args.out)
+    _emit(report, out)
     return status
 
 

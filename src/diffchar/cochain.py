@@ -1,9 +1,11 @@
 """Rational and integer cochains with cup products and fiber slant.
 
-Values are fractions.Fraction throughout; whether a cochain is integral is
-read from its values (`is_integer_valued`), never stored.  The cup product
-uses front/back faces on the ordered vertex lists, so it is strictly
-associative and natural exactly for weakly monotone simplicial maps.
+Each value is the exact number it is: an int, or a Fraction where the input
+or the arithmetic made one; `_coerce`, where values enter, alone decides
+this.  Whether a cochain is integral is read from its values
+(`is_integer_valued`), never stored.  The cup product uses front/back faces
+on the ordered vertex lists, so it is strictly associative and natural
+exactly for weakly monotone simplicial maps.
 
 Cochains are checked where they enter: `Cochain(...)` and
 `io.cochain_from_json` check every simplex and value, `Cochain.from_vector`
@@ -28,21 +30,20 @@ def _coerce(x):
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"cochain values must be int or Fraction, got {type(x)!r}")
 
 
 class Cochain(LinearCombination):
     """Simplicial cochain of a fixed degree with exact rational values.
 
-    `coeffs` maps each simplex to its nonzero Fraction value.  The
+    `coeffs` maps each simplex to its nonzero int or Fraction value.  The
     constructor checks every simplex and value, for input; the operations
     below build their results unchecked through `Cochain._of`.
     """
 
     __slots__ = ("complex", "degree")
     _space = ("complex", "degree")
-    _zero = Fraction(0)
     _mismatch = "cochains live on different complexes or degrees"
 
     def __init__(self, complex, degree, values=None, ring="Q"):
@@ -84,7 +85,7 @@ class Cochain(LinearCombination):
         return cls._of(complex, degree, {s: _coerce(x) for s, x in zip(basis, vec)})
 
     def value(self, s):
-        return self.coeffs.get(tuple(s), Fraction(0))
+        return self.coeffs.get(tuple(s), 0)
 
     def is_integer_valued(self):
         return all(x.denominator == 1 for x in self.coeffs.values())
@@ -148,7 +149,7 @@ def cup_1(a, b):
         return zero_cochain(a.complex, p + q - 1)
     out = {}
     for s in a.complex.simplices(p + q - 1):
-        total = Fraction(0)
+        total = 0
         for i in range(p):
             j = i + q
             left = s[: i + 1] + s[j:]
@@ -173,7 +174,7 @@ def pair(a, c):
         raise ValueError(
             f"pairing degree mismatch: cochain {a.degree}, chain {c.degree}"
         )
-    total = Fraction(0)
+    total = 0
     for s, n in c.coeffs.items():
         v = a.coeffs.get(s)
         if v is not None:

@@ -405,7 +405,7 @@ def solve_integer(snf_or_matrix, b):
 
 def solve_rational(snf_or_matrix, b):
     """Solve A x = b over the rationals; None when the system is inconsistent."""
-    return _solve(snf_or_matrix, [Fraction(x) for x in b], Fraction(0), Fraction)
+    return _solve(snf_or_matrix, b, Fraction(0), Fraction)
 
 
 def kernel_basis(snf_or_matrix):
@@ -458,7 +458,7 @@ class CycleSplitting:
 
     def integral_periods(self, a):
         """Whether a cochain takes integer values on every cycle."""
-        return all(Fraction(p).denominator == 1 for p in self.periods(a))
+        return all(p.denominator == 1 for p in self.periods(a))
 
     def dual(self, w):
         """V[r:]^T w: the cochain with periods w that vanishes on the complement."""

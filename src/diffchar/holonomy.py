@@ -29,10 +29,11 @@ class Phased:
     __slots__ = ("modulus", "phase")
 
     def __init__(self, modulus, phase=0):
-        modulus = Fraction(modulus)
+        if not (isinstance(modulus, (int, Fraction)) and isinstance(phase, (int, Fraction))):
+            raise TypeError("modulus and phase must be int or Fraction")
         if modulus < 0:
             raise ValueError("modulus must be nonnegative")
-        self.modulus = modulus
+        self.modulus = Fraction(modulus)
         self.phase = _mod1(phase) if modulus != 0 else Fraction(0)
 
     def __eq__(self, other):

@@ -3,7 +3,10 @@
 A degree-k relative character for phi: A -> X is a quadruple: a curvature on
 X, a covariant cochain on A one degree down, and a pair of lifts (on X and
 A) whose failure to trivialize the pair is integral.  Evaluation happens on
-cone cycles and lands in Q/Z.
+cone cycles and lands in Q/Z, so two relative characters are equal when
+their pairs (curvature, cov) agree and their lift pairs differ by integral
+periods on cone cycles; `simplicial.DirectSum` decides that from the parts
+`RelChar` declares.
 
 `RelChar(...)` checks its data where it enters; the relative characters and
 characters this module derives (the group law of `simplicial.DirectSum`,
@@ -68,6 +71,8 @@ class RelChar(DirectSum):
     __slots__ = ("cone", "degree", "curvature", "cov", "lift_x", "lift_a", "mu_x", "mu_a")
     _space = ("cone", "degree")
     _parts = ("curvature", "cov", "lift_x", "lift_a", "mu_x", "mu_a")
+    _exact = ("curvature", "cov")
+    _lifts = ("lift_x", "lift_a")
     _mismatch = "relative characters do not match"
     _scale_type = "relative characters scale by integers"
 
@@ -111,29 +116,8 @@ class RelChar(DirectSum):
     def _lift_pair_on(self, cone_chain):
         return pair(self.lift_x, cone_chain.x_part) + pair(self.lift_a, cone_chain.a_part)
 
-    def __eq__(self, other):
-        """Identical pair (curvature, cov) and integral lift difference."""
-        if not isinstance(other, RelChar):
-            return NotImplemented
-        if self.cone != other.cone or self.degree != other.degree:
-            return False
-        if self.curvature != other.curvature or self.cov != other.cov:
-            return False
-        return self._integral_on_cycles(
-            self.lift_x - other.lift_x, self.lift_a - other.lift_a
-        )
-
-    def is_zero(self):
-        return (
-            self.curvature.is_zero()
-            and self.cov.is_zero()
-            and self._integral_on_cycles(self.lift_x, self.lift_a)
-        )
-
-    def _integral_on_cycles(self, lift_x, lift_a):
-        """Whether the lift pair pairs integrally with every cone cycle."""
-        split = self.cone.splitting(self.degree - 1)
-        return split.integral_periods(lift_x.to_vector() + lift_a.to_vector())
+    def _cycles(self):
+        return self.cone.splitting(self.degree - 1)
 
     def __repr__(self):
         return f"RelChar(deg {self.degree} for {self.phi!r})"
@@ -215,9 +199,7 @@ def find_section(h, cone):
     if k < 1:
         raise ValueError("relative characters start in degree 1")
     pulled_mu = pullback_cochain(phi, h.mu)
-    t_vec = solve_integer(
-        A.coboundary_snf(k - 1), [int(x) for x in pulled_mu.to_vector()]
-    )
+    t_vec = solve_integer(A.coboundary_snf(k - 1), pulled_mu.to_vector())
     if t_vec is None:
         raise NoSection(
             "character class pulls back nontrivially",

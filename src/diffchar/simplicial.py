@@ -232,7 +232,6 @@ class LinearCombination:
 
     __slots__ = ("coeffs",)
     _space = ()
-    _zero = 0
 
     @classmethod
     def _of(cls, *args):
@@ -275,24 +274,31 @@ class LinearCombination:
 
     def to_vector(self):
         """Coefficients in the basis of the degree's simplices (not for tensors)."""
-        return [self.coeffs.get(s, self._zero) for s in self.complex.simplices(self.degree)]
+        return [self.coeffs.get(s, 0) for s in self.complex.simplices(self.degree)]
 
 
 class DirectSum:
     """A value made of linear parts over a fixed space, added part by part.
 
     Cone chains, characters, relative characters and flat classes share this
-    group law.  `_space` names the attributes that fix the space (a complex
-    or cone and a degree), `_parts` the linear parts (chains or cochains);
-    `_mismatch` and `_scale_type` are the error texts.  Each subclass checks
-    its parts in its own constructor, where input enters; results of the
-    operations, and other values the library derives from checked ones, are
-    built with the trusted `_of`, which checks nothing.
+    group law and its equality.  `_space` names the attributes that fix the
+    space (a complex or cone and a degree), `_parts` the linear parts (chains
+    or cochains); `_mismatch` and `_scale_type` are the error texts.  Each
+    subclass checks its parts in its own constructor, where input enters;
+    results of the operations, and other values the library derives from
+    checked ones, are built with the trusted `_of`, which checks nothing.
+
+    Two values in one space are equal when their `_exact` parts agree and
+    their `_lifts` parts, read as one vector, differ by integral periods on
+    the cycles of `_cycles()`, as characters (homomorphisms from cycles to
+    Q/Z) do; parts in neither list, the integral cocycles mu, follow.
     """
 
     __slots__ = ()
     _space = ()
     _parts = ()
+    _exact = ()
+    _lifts = ()
 
     @classmethod
     def _of(cls, space, parts):
@@ -308,12 +314,19 @@ class DirectSum:
     def _values(self):
         return [getattr(self, name) for name in self._parts]
 
+    def _integral(self, lifts):
+        """Whether the lifts, one vector, pair integrally with the cycles of
+        `_cycles()`, the subclass's CycleSplitting in the lifts' degree."""
+        return not lifts or self._cycles().integral_periods(
+            [x for a in lifts for x in a.to_vector()])
+
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self._spaces() == other._spaces()
-            and self._values() == other._values()
-        )
+        if type(other) is not type(self) or self._spaces() != other._spaces():
+            return False
+        if any(getattr(self, n) != getattr(other, n) for n in self._exact):
+            return False
+        return self._integral(
+            [getattr(self, n) - getattr(other, n) for n in self._lifts])
 
     def __add__(self, other):
         space = self._spaces()
@@ -333,7 +346,8 @@ class DirectSum:
         return self._of(self._spaces(), [a.scale(n) for a in self._values()])
 
     def is_zero(self):
-        return all(a.is_zero() for a in self._values())
+        return (all(getattr(self, n).is_zero() for n in self._exact)
+                and self._integral([getattr(self, n) for n in self._lifts]))
 
 
 class Chain(LinearCombination):
@@ -841,7 +855,7 @@ class ConeChain(DirectSum):
 
     __slots__ = ("cone", "degree", "x_part", "a_part")
     _space = ("cone", "degree")
-    _parts = ("x_part", "a_part")
+    _parts = _exact = ("x_part", "a_part")
     _mismatch = "cone chains do not match"
     _scale_type = "cone chains scale by integers"
 

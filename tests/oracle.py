@@ -12,6 +12,11 @@ the faces of each simplex, and a simplicial map pushes a simplex to its
 sorted image with the sign of the sorting permutation, found from its cycle
 count.  The package reads all four from memoized tables instead.
 
+The equalities of characters, flat classes and relative characters are
+written out per group, as each class once defined them: the curvature data
+agree and the lifts differ by integral periods.  The package reads one
+equality, `DirectSum`'s, from the parts each group declares.
+
 The dense matrix helpers at the end (identity, zero, product, matrix times
 vector, column, determinant) work on the `data` view of an IntMatrix with
 textbook loops; the package itself only ever reads a matrix's nonzeros.
@@ -21,7 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from diffchar.characters import DiffChar, FlatClass
+from diffchar.cochain import has_integral_periods
 from diffchar.exact_linalg import IntMatrix
+from diffchar.relative import RelChar
 
 
 def rational_rank(rows):
@@ -184,6 +192,59 @@ def pull(vertex_map, values, simplices):
     return _nonzero(out)
 
 
+def character_equal(h, g):
+    """Identical curvature and lift difference with integral periods."""
+    if not isinstance(g, DiffChar):
+        return False
+    if h.complex != g.complex or h.degree != g.degree:
+        return False
+    if h.curvature != g.curvature:
+        return False
+    return has_integral_periods(h.lift - g.lift)
+
+
+def character_is_zero(h):
+    return h.curvature.is_zero() and has_integral_periods(h.lift)
+
+
+def flat_class_equal(u, v):
+    return (
+        isinstance(v, FlatClass)
+        and u.complex == v.complex
+        and u.degree == v.degree
+        and has_integral_periods(u.cochain - v.cochain)
+    )
+
+
+def flat_class_is_zero(u):
+    return has_integral_periods(u.cochain)
+
+
+def relative_equal(f, g):
+    """Identical pair (curvature, cov) and integral lift difference."""
+    if not isinstance(g, RelChar):
+        return False
+    if f.cone != g.cone or f.degree != g.degree:
+        return False
+    if f.curvature != g.curvature or f.cov != g.cov:
+        return False
+    return _integral_on_cone_cycles(f, f.lift_x - g.lift_x, f.lift_a - g.lift_a)
+
+
+def relative_is_zero(f):
+    return (
+        f.curvature.is_zero()
+        and f.cov.is_zero()
+        and _integral_on_cone_cycles(f, f.lift_x, f.lift_a)
+    )
+
+
+def _integral_on_cone_cycles(f, lift_x, lift_a):
+    """Whether the lift pair pairs integrally with every cone cycle."""
+    split = f.cone.splitting(f.degree - 1)
+    return split.integral_periods(lift_x.to_vector() + lift_a.to_vector())
+
+
 def identity(n):
     """The n x n identity IntMatrix."""
     return IntMatrix(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
@@ -195,14 +256,19 @@ def zero(rows, cols):
 
 
 def matmul(a, b):
-    """The product a * b of two IntMatrix objects."""
+    """The product a * b of two IntMatrix objects: row i is the sum of
+    x[i][k] times row k of b over the nonzero entries x[i][k]."""
     if a.cols != b.rows:
         raise ValueError("matrix dimensions do not compose")
     x, y = a.data, b.data
-    rows = [
-        [sum(x[i][k] * y[k][j] for k in range(a.cols)) for j in range(b.cols)]
-        for i in range(a.rows)
-    ]
+    rows = []
+    for row in x:
+        out = [0] * b.cols
+        for k, c in enumerate(row):
+            if c:
+                for j, v in enumerate(y[k]):
+                    out[j] += c * v
+        rows.append(out)
     return IntMatrix(a.rows, b.cols, rows)
 
 

@@ -595,6 +595,25 @@ def test_reports_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("complex_name", ["S1_3", "S3_9000"])
+def test_an_unwritable_out_is_bad_input(tmp_path, complex_name):
+    """--out is opened before the command runs: a report or an error report
+    with a path that cannot be written gives one error report, exit 2."""
+    out = tmp_path / "missing" / "x.json"
+    src = os.path.dirname(os.path.dirname(diffchar.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diffchar.cli", "homology", "--complex", complex_name,
+         "--degree", "1", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report, end = json.JSONDecoder().raw_decode(proc.stdout)
+    assert proc.stdout[end:].strip() == ""
+    assert report == {"command": "homology",
+                      "error": f"cannot write {out}: No such file or directory"}
+
+
 def test_console_entry_point_runs():
     # The child imports the package this test imported, also when only
     # pytest's `pythonpath` setting put it on sys.path.

@@ -313,3 +313,31 @@ def test_integral_cochains_round_trip_through_json(K, data):
     half = a + Cochain(K, p, {s: Fraction(1, 2)})
     with pytest.raises(FormatError, match="non-integer value"):
         cochain_from_json(cochain_to_json(half), K, "Z")
+
+
+def _all_ints(c):
+    return all(type(x) is int for x in c.coeffs.values()) and all(
+        type(x) is int for x in c.to_vector())
+
+
+@settings(max_examples=40, deadline=None)
+@given(monotone_maps(), st.data())
+def test_int_data_keeps_int_values(phi, data):
+    """Each value is stored as the exact number it is: int data stays int
+    through the operations, and no Fraction appears unless one entered."""
+    K = phi.target
+    p, q = _draw_degrees(data, K)
+    a, a2, b = _draw_cochain(data, K, p), _draw_cochain(data, K, p), _draw_cochain(data, K, q)
+    n = data.draw(st.integers(-4, 4))
+    S1 = fixtures.circle()
+    P = staircase_product(K, S1)
+    big = _draw_cochain(data, P, p + 1)
+    for c in (a, a + a2, a - a2, -a, a.scale(n), coboundary(a), pullback(phi, a),
+              cup(a, b), slant_fiber(big, fundamental_cycle(S1))):
+        assert _all_ints(c)
+    assert type(pair(a, K.chain_from_vector(p, [1] * len(K.simplices(p))))) is int
+    s = data.draw(st.sampled_from(K.simplices(p)))
+    assert Cochain(K, p, {s: True}).coeffs == {s: 1}
+    assert type(Cochain(K, p, {s: True}).value(s)) is int
+    half = Cochain(K, p, {s: Fraction(1, 2)})
+    assert type((a + half).value(s)) is Fraction

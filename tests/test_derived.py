@@ -79,7 +79,7 @@ def _rng(data):
 
 def _check_cochain(c):
     assert all(x != 0 for x in c.coeffs.values())
-    assert all(type(x) is Fraction for x in c.coeffs.values())
+    assert all(type(x) in (int, Fraction) for x in c.coeffs.values())
     assert Cochain(c.complex, c.degree, c.coeffs) == c
 
 

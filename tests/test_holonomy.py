@@ -50,6 +50,16 @@ def test_phased_arithmetic():
         Phased(Fraction(-1))
 
 
+def test_phased_takes_only_exact_numbers():
+    assert Phased(2, 1) == Phased(Fraction(2), Fraction(0))
+    assert type(Phased(3).modulus) is Fraction
+    for modulus, phase in ((0.1, 0), (1, 0.25), (1, "1/4"), ("2", 0), (None, 0)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Phased(modulus, phase)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Phased(-1, Fraction(1, 2))
+
+
 def test_holonomy_along_torus_factors_vanishes():
     T2 = fixtures.torus()
     hh = fixtures.torus_character()

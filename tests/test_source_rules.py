@@ -14,7 +14,9 @@ cochains through `_of` and characters through `_derived`; likewise
 `relative` builds no checked character or relative character, and
 `fiber_integration` no checked simplicial map.  The group law lives in two
 base classes, `LinearCombination` and `DirectSum`, so no other class defines
-`+`, `-` or unary `-`, and none keeps a compatibility check of its own.
+`+`, `-` or unary `-`, and none keeps a compatibility check of its own;
+`DirectSum` also holds the one equality of the character groups, so no
+subclass of it defines `__eq__` or `is_zero` or tests integral periods.
 Library code reads factorizations and matrices only through their sparse
 storage, so no module reads a dense view (`.U`, `.V`, `.D`, `.u_inv`,
 `.v_inv` or `IntMatrix.data`): a dense view builds a rows x cols grid and
@@ -257,6 +259,66 @@ def test_the_group_law_rule_catches_each_violation():
     assert sorted(_own_group_laws(ast.parse(source))) == [
         (5, "RelChar.__add__"), (6, "RelChar.__sub__"), (9, "FlatClass.__neg__"),
         (10, "FlatClass._check_compatible"),
+    ]
+
+
+_OWN_EQUALITY = {"__eq__", "is_zero"}
+_INTEGRALITY = {"integral_periods", "has_integral_periods"}
+
+
+def _base_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _own_equalities(trees):
+    """`__eq__` and `is_zero` defined in a direct or indirect subclass of
+    `DirectSum`, and any integrality test over cycles there, over all trees."""
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    subclasses, grew = {"DirectSum"}, True
+    while grew:
+        grew = False
+        for node in classes:
+            if node.name not in subclasses and any(
+                    _base_name(b) in subclasses for b in node.bases):
+                subclasses.add(node.name)
+                grew = True
+    for node in classes:
+        if node.name == "DirectSum" or node.name not in subclasses:
+            continue
+        for item in ast.walk(node):
+            if isinstance(item, ast.FunctionDef) and item.name in _OWN_EQUALITY:
+                yield item.lineno, f"{node.name}.{item.name}"
+            elif isinstance(item, ast.Call) and _base_name(item.func) in _INTEGRALITY:
+                yield item.lineno, f"{node.name} calls {_base_name(item.func)}"
+
+
+def test_one_equality():
+    """`DirectSum` alone decides when two values of a character group are
+    equal, from the parts each subclass declares."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    assert sorted(_own_equalities(trees)) == []
+
+
+def test_the_equality_rule_catches_each_violation():
+    simplicial = (
+        "class DirectSum:\n    def __eq__(self, o): pass\n    def is_zero(self): pass\n"
+        "class ConeChain(DirectSum):\n    def is_cycle(self): pass\n"
+    )
+    characters = (
+        "class DiffChar(simplicial.DirectSum):\n    def __eq__(self, o): pass\n"
+        "class LowDegreeChar(DiffChar):\n    def is_zero(self): pass\n"
+        "class RelChar(DirectSum):\n"
+        "    def _integral_on_cycles(self, v):\n"
+        "        return self.cone.splitting(1).integral_periods(v)\n"
+        "class FlatClass(DirectSum):\n"
+        "    def _same(self, o):\n        return has_integral_periods(self.c - o.c)\n"
+        "class Phased:\n    def __eq__(self, o): pass\n    def is_zero(self): pass\n"
+    )
+    trees = [ast.parse(simplicial), ast.parse(characters)]
+    assert sorted(_own_equalities(trees)) == [
+        (2, "DiffChar.__eq__"), (4, "LowDegreeChar.is_zero"),
+        (7, "RelChar calls integral_periods"), (10, "FlatClass calls has_integral_periods"),
     ]
 
 
