@@ -11,15 +11,16 @@ cohomology classes carried by an integer cocycle.
 
 Characters are checked where they enter: `DiffChar(...)`,
 `LowDegreeChar(...)` and `character(...)` check that the curvature is closed
-and that mu = curvature - d(lift) is integral, and so do `iota` and
-`flat_character`, which take cochains from the user; `FlatClass(...)` checks
-that its coboundary is integral.  A character the library derives from
-checked ones (sums, multiples, pullbacks, fiber integrals, projections,
-`from_curvature`, `random_character`, internal products) is built by
-`_derived` with its mu carried along, unchecked, and so are the sums of flat
-classes and `flat_holonomy_class`; the group law is `simplicial.DirectSum`'s.
-`products.internal_product` alone recomputes its mu and raises
-InvariantViolation if that is not integral.
+and that mu = curvature - d(lift) is integral, and store mu with int values,
+and so do `iota` and `flat_character`, which take cochains from the user;
+`FlatClass(...)` checks that its coboundary is integral.  A character the
+library derives from checked ones (sums, multiples, pullbacks, fiber
+integrals, projections, `from_curvature`, `random_character`, internal
+products) is built by `_derived` with its mu carried along, unchecked, and
+so are the sums of flat classes and `flat_holonomy_class`; the group law is
+`simplicial.DirectSum`'s.  `products.internal_product` alone recomputes its
+mu, raises InvariantViolation if that is not integral and stores it with
+int values.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ class DiffChar(DirectSum):
         self.degree = curvature.degree
         self.curvature = curvature
         self.lift = lift
-        self.mu = mu
+        self.mu = mu.coerced()
 
     @classmethod
     def _of(cls, space, parts):

@@ -8,23 +8,21 @@ pass, 1 a check or verification failed, 2 bad input, 3 an internal fault.
 
 from __future__ import annotations
 
+# The subcommands that need products, fiber_integration, relative, holonomy
+# or verify import them in their handlers, so that a request compiles only
+# the modules it runs.  The layers every request runs load here, before
+# bench/launch.py wraps their functions for tracing, and before the standard
+# modules below: compiling them is the import's memory peak, which argparse
+# and json, loaded first, would add to.
+from diffchar.simplicial import mapping_cone, product_face_count, staircase_product
+from diffchar.characters import NotACycle, evaluate, flat_character, iota
+from diffchar import fixtures, io
+
 import argparse
 import contextlib
 import json
 import sys
 from fractions import Fraction
-
-from diffchar import fixtures, io
-from diffchar.simplicial import mapping_cone, product_face_count, staircase_product
-from diffchar.characters import NotACycle, evaluate, flat_character, iota
-from diffchar.products import external_product, internal_product
-from diffchar.fiber_integration import (
-    boundary_fiber_integrate,
-    fiber_integrate,
-    product_transfer,
-)
-from diffchar.relative import NoSection, find_section
-from diffchar.holonomy import holonomy
 
 
 class InputError(Exception):
@@ -174,6 +172,8 @@ def _two_characters(args):
 
 
 def _cmd_product(args):
+    from diffchar.products import internal_product
+
     tokens, h, f = _two_characters(args)
     if h.complex != f.complex:
         raise InputError("internal product factors must share a complex")
@@ -191,6 +191,8 @@ def _staircase_product(left, right):
 
 
 def _cmd_xproduct(args):
+    from diffchar.products import external_product
+
     tokens, h, f = _two_characters(args)
     P = _staircase_product(h.complex, f.complex)
     hf = external_product(h, f, P)
@@ -203,6 +205,8 @@ def _cmd_xproduct(args):
 
 
 def _transfer_from_args(args):
+    from diffchar.fiber_integration import product_transfer
+
     base = _resolve_complex(args.complex)
     fiber = _resolve_complex(args.fiber or "interval")
     return product_transfer(base, fiber, total=_staircase_product(base, fiber))
@@ -223,6 +227,8 @@ def _total_space_character(args, transfer):
 
 
 def _cmd_fiber_integrate(args):
+    from diffchar.fiber_integration import fiber_integrate
+
     tr = _transfer_from_args(args)
     out = fiber_integrate(_total_space_character(args, tr), tr)
     inputs = {"character": args.character, "complex": args.complex, "fiber": args.fiber}
@@ -230,6 +236,8 @@ def _cmd_fiber_integrate(args):
 
 
 def _cmd_boundary_fiber_integrate(args):
+    from diffchar.fiber_integration import boundary_fiber_integrate
+
     tr = _transfer_from_args(args)
     out = boundary_fiber_integrate(_total_space_character(args, tr), tr)
     result = {
@@ -242,6 +250,8 @@ def _cmd_boundary_fiber_integrate(args):
 
 
 def _cmd_find_section(args):
+    from diffchar.relative import NoSection, find_section
+
     phi = _resolve_map(args.map, args.map_source, args.complex)
     h = _resolve_character(args.character, args.complex)
     if h.complex != phi.target:
@@ -260,6 +270,8 @@ def _cmd_find_section(args):
 
 
 def _cmd_holonomy(args):
+    from diffchar.holonomy import holonomy
+
     phi = _resolve_map(args.map, args.map_source, args.complex)
     h = _resolve_character(args.character, args.complex)
     value = holonomy(h, phi, _resolve_chain(args.chain, phi.source))
@@ -268,7 +280,6 @@ def _cmd_holonomy(args):
 
 
 def _cmd_verify(args):
-    # Imported here so that the other subcommands do not pay for compiling it.
     from diffchar.verify import UnknownSuite, run_suite, suite_names
 
     if args.suite is None:

@@ -2,10 +2,11 @@
 
 Each value is the exact number it is: an int, or a Fraction where the input
 or the arithmetic made one; `_coerce`, where values enter, alone decides
-this.  Whether a cochain is integral is read from its values
-(`is_integer_valued`), never stored.  The cup product uses front/back faces
-on the ordered vertex lists, so it is strictly associative and natural
-exactly for weakly monotone simplicial maps.
+this, and makes every integral value an int, so that solves against integer
+factorizations run in int arithmetic.  Whether a cochain is integral is read
+from its values (`is_integer_valued`), never stored.  The cup product uses
+front/back faces on the ordered vertex lists, so it is strictly associative
+and natural exactly for weakly monotone simplicial maps.
 
 Cochains are checked where they enter: `Cochain(...)` and
 `io.cochain_from_json` check every simplex and value, `Cochain.from_vector`
@@ -28,7 +29,7 @@ class DegreeUnderflow(ValueError):
 
 def _coerce(x):
     if isinstance(x, Fraction):
-        return x
+        return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"cochain values must be int or Fraction, got {type(x)!r}")
@@ -83,6 +84,12 @@ class Cochain(LinearCombination):
         if ring != "Q":
             return cls(complex, degree, dict(zip(basis, vec)), ring)
         return cls._of(complex, degree, {s: _coerce(x) for s, x in zip(basis, vec)})
+
+    def coerced(self):
+        """The same cochain with every value through `_coerce`: an integral
+        Fraction the arithmetic left becomes an int."""
+        return Cochain._of(self.complex, self.degree,
+                           {s: _coerce(x) for s, x in self.coeffs.items()})
 
     def value(self, s):
         return self.coeffs.get(tuple(s), 0)

@@ -108,11 +108,11 @@ class SnfDecomposition:
     The diagonal of D is `factors` (the invariant factors d1 | d2 | ..., all
     positive, `rank` of them) followed by zeros.  The four transforms are
     kept sparse, as lists of {index: value} dicts: U by columns, U^{-1} by
-    rows, V by rows and V^{-1} by columns (the U of a `CycleSplitting.lift`
-    builds its first `rank` columns on first read).  Callers read them
-    through the methods below; `transpose` swaps their roles without copying
-    anything.  The dense matrices U, D, V, u_inv and v_inv are built on
-    demand, for checks and statistics only.
+    rows, V by rows and V^{-1} by columns (a `CycleSplitting.lift` builds
+    the first `rank` columns of U and rows of U^{-1} on first read).
+    Callers read them through the methods below; `transpose` swaps their
+    roles without copying anything.  The dense matrices U, D, V, u_inv and
+    v_inv are built on demand, for checks and statistics only.
     """
 
     __slots__ = ("rows", "cols", "rank", "factors", "_u", "_u_inv", "_v", "_v_inv")
@@ -480,44 +480,62 @@ class CycleSplitting:
         completing K * U_N by the complement columns V^{-1}[:, :r] gives a
         unimodular U, whose inverse stacks U_N^{-1} * V[r:] over V[:r].
         The library reads only the columns s: of U (s the rank of U_N), as
-        cocycle coordinates, so K * U_N[:, :s] is built on first read.
+        cocycle coordinates, and the rows :s of U^{-1} only to solve, so
+        K * U_N[:, :s] and U_N^{-1}[:s] * V[r:] are built item by item on
+        first read.
         """
         snf = self.snf
         r = snf.rank
         s = rel_snf.rank
-        cols = self._cols
-        tail = [_combination(col, cols) for col in rel_snf._u[s:]] + snf._v_inv[:r]
-        u_cols = _LazyHead(rel_snf._u[:s], cols, tail)
-        u_inv_rows = [_combination(row, self._rows) for row in rel_snf._u_inv] + snf._v[:r]
+        cols, rows = self._cols, self._rows
+        u_cols = _LazyHead(
+            rel_snf._u[:s], lambda col: _combination(col, cols),
+            [_combination(col, cols) for col in rel_snf._u[s:]] + snf._v_inv[:r])
+        u_inv_rows = _LazyHead(
+            rel_snf._u_inv[:s], lambda row: _combination(row, rows),
+            [_combination(row, rows) for row in rel_snf._u_inv[s:]] + snf._v[:r])
         return SnfDecomposition(
             snf.cols, rel_snf.cols, rel_snf.factors, u_cols, u_inv_rows, rel_snf._v, rel_snf._v_inv
         )
 
 
 class _LazyHead:
-    """The read-only list [_combination(c, vectors) for c in head] + tail.
-    The head is built on first read; a slice within the tail does not."""
+    """The read-only list [build(x) for x in head] + tail, whose head items
+    are each built on first read; a slice within the tail builds none."""
 
-    __slots__ = ("_head", "_vectors", "_tail", "_items")
+    __slots__ = ("_head", "_build", "_tail", "_items")
 
-    def __init__(self, head, vectors, tail):
-        self._head, self._vectors, self._tail, self._items = head, vectors, tail, None
+    def __init__(self, head, build, tail):
+        self._head, self._build, self._tail, self._items = head, build, tail, None
 
     def __len__(self):
         return len(self._head) + len(self._tail)
 
-    def __getitem__(self, key):
+    def _item(self, k):
         if self._items is None:
-            s = len(self._head)
-            if isinstance(key, slice):
-                start, stop, step = key.indices(len(self))
-                if step == 1 and start >= s:
-                    return self._tail[start - s:max(start, stop) - s]
-            self._items = [_combination(c, self._vectors) for c in self._head] + self._tail
-        return self._items[key]
+            self._items = [None] * len(self._head)
+        if self._items[k] is None:
+            self._items[k] = self._build(self._head[k])
+        return self._items[k]
+
+    def _all(self):
+        if self._items is None or None in self._items:
+            for k in range(len(self._head)):
+                self._item(k)
+        return (self._items or []) + self._tail
+
+    def __getitem__(self, key):
+        s = len(self._head)
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step == 1 and start >= s:
+                return self._tail[start - s:max(start, stop) - s]
+            return self._all()[key]
+        k = range(len(self))[key]
+        return self._item(k) if k < s else self._tail[k - s]
 
     def __iter__(self):
-        return iter(self[:])
+        return iter(self._all())
 
 
 def _dots(rows, vec):
@@ -704,6 +722,8 @@ def cohomology(complex, k):
     z = kernel.snf.cols - kernel.snf.rank
     r = below.rank
     # Row i < r of D_k lands in row z - r + i; the zero rows come first.
-    perm = [{z - r + i: 1} for i in range(r)] + [{i: 1} for i in range(z - r)]
+    # Of the rows i < r only the torsion ones are read, unless a caller asks
+    # for adapted coordinates, so they are built on first read.
+    perm = _LazyHead(range(z - r, z), lambda j: {j: 1}, [{i: 1} for i in range(z - r)])
     relations = SnfDecomposition(z, below.rows, below.factors, perm, perm, below._u, below._u_inv)
     return QuotientPresentation(kernel, relations)

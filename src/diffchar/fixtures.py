@@ -1,8 +1,10 @@
 """Bundled complexes, characters, maps, chains, and homotopies.
 
 Everything is constructed on demand and memoized, so repeated lookups share
-cached boundary factorizations.  The name tables at the bottom are what the
-CLI resolves `--complex i`-style arguments against.
+cached boundary factorizations.  The character builders import the cochain,
+character and product modules when called, so that a process asking only
+for complexes, chains and maps loads none of them.  The name tables at the
+bottom are what the CLI resolves `--complex i`-style arguments against.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from diffchar.simplicial import (
     mapping_cone,
     staircase_product,
 )
-from diffchar.cochain import Cochain
-from diffchar.characters import DiffChar, flat_character, fractional_torsion_class
-from diffchar.products import external_product
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +96,9 @@ def klein_bottle():
 @lru_cache(maxsize=None)
 def winding_character():
     """Degree-1 character on the circle with winding class 1."""
+    from diffchar.cochain import Cochain
+    from diffchar.characters import DiffChar
+
     S1 = circle()
     curvature = Cochain(
         S1, 1, {(0, 1): Fraction(1, 3), (1, 2): Fraction(1, 3), (0, 2): Fraction(-1, 3)}
@@ -108,6 +110,8 @@ def winding_character():
 @lru_cache(maxsize=None)
 def torus_character():
     """External square of the winding character, on the torus."""
+    from diffchar.products import external_product
+
     i = winding_character()
     return external_product(i, i, torus())
 
@@ -115,6 +119,8 @@ def torus_character():
 @lru_cache(maxsize=None)
 def rp2_flat_character():
     """Flat character from the order-2 circle-coefficient class on RP2_6."""
+    from diffchar.characters import flat_character, fractional_torsion_class
+
     u = fractional_torsion_class(projective_plane(), 1, 0, 1)
     return flat_character(u)
 

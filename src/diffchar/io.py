@@ -14,7 +14,6 @@ from fractions import Fraction
 from diffchar.simplicial import Complex, SimplicialMap, maximal_simplices
 from diffchar.cochain import Cochain
 from diffchar.characters import DiffChar, LowDegreeChar
-from diffchar.relative import RelChar
 
 
 class FormatError(ValueError):
@@ -194,6 +193,9 @@ def rel_character_to_json(f):
 
 
 def rel_character_from_json(obj, cone):
+    # Imported here: only relative characters need the relative module.
+    from diffchar.relative import RelChar
+
     phi = cone.phi
     X, A = phi.target, phi.source
     stored = _require(obj, "map", "relative character")

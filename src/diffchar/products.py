@@ -44,7 +44,7 @@ def internal_product(h, f):
     mu = curv - coboundary(lift)
     if not mu.is_integer_valued():
         raise InvariantViolation("the product's curvature - d(lift) must be integral")
-    return _derived(curv, lift, mu)
+    return _derived(curv, lift, mu.coerced())
 
 
 def external_product(h, f, product=None):

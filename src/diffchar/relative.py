@@ -106,8 +106,8 @@ class RelChar(DirectSum):
         self.cov = cov
         self.lift_x = lift_x
         self.lift_a = lift_a
-        self.mu_x = mu_x
-        self.mu_a = mu_a
+        self.mu_x = mu_x.coerced()
+        self.mu_a = mu_a.coerced()
 
     @property
     def phi(self):

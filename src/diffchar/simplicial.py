@@ -17,6 +17,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 
 from diffchar.exact_linalg import (
     IntMatrix,
@@ -277,6 +278,12 @@ class LinearCombination:
         return [self.coeffs.get(s, 0) for s in self.complex.simplices(self.degree)]
 
 
+def _attributes(names):
+    """A function giving the tuple of an object's attributes `names`."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
 class DirectSum:
     """A value made of linear parts over a fixed space, added part by part.
 
@@ -300,6 +307,13 @@ class DirectSum:
     _exact = ()
     _lifts = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The group law reads the space and the parts on every call, so the
+        # getters are built once per class.
+        cls._space_of = staticmethod(_attributes(cls._space))
+        cls._parts_of = staticmethod(_attributes(cls._parts))
+
     @classmethod
     def _of(cls, space, parts):
         """The value with these `_space` attributes and parts, unchecked."""
@@ -308,12 +322,6 @@ class DirectSum:
             setattr(out, name, value)
         return out
 
-    def _spaces(self):
-        return [getattr(self, name) for name in self._space]
-
-    def _values(self):
-        return [getattr(self, name) for name in self._parts]
-
     def _integral(self, lifts):
         """Whether the lifts, one vector, pair integrally with the cycles of
         `_cycles()`, the subclass's CycleSplitting in the lifts' degree."""
@@ -321,7 +329,7 @@ class DirectSum:
             [x for a in lifts for x in a.to_vector()])
 
     def __eq__(self, other):
-        if type(other) is not type(self) or self._spaces() != other._spaces():
+        if type(other) is not type(self) or self._space_of(self) != other._space_of(other):
             return False
         if any(getattr(self, n) != getattr(other, n) for n in self._exact):
             return False
@@ -329,21 +337,22 @@ class DirectSum:
             [getattr(self, n) - getattr(other, n) for n in self._lifts])
 
     def __add__(self, other):
-        space = self._spaces()
-        if space != other._spaces():
+        space = self._space_of(self)
+        if space != other._space_of(other):
             raise ValueError(self._mismatch)
-        return self._of(space, [a + b for a, b in zip(self._values(), other._values())])
+        parts = zip(self._parts_of(self), self._parts_of(other))
+        return self._of(space, [a + b for a, b in parts])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._of(self._spaces(), [-a for a in self._values()])
+        return self._of(self._space_of(self), [-a for a in self._parts_of(self)])
 
     def scale(self, n):
         if not isinstance(n, int):
             raise TypeError(self._scale_type)
-        return self._of(self._spaces(), [a.scale(n) for a in self._values()])
+        return self._of(self._space_of(self), [a.scale(n) for a in self._parts_of(self)])
 
     def is_zero(self):
         return (all(getattr(self, n).is_zero() for n in self._exact)

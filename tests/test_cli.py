@@ -627,12 +627,49 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["phase"] == "1/3"
 
-def test_importing_the_cli_leaves_the_verify_suites_unloaded():
+def _python(code):
+    """The stdout of `code` run in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(diffchar.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, diffchar.cli; print('diffchar.verify' in sys.modules)"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_leaves_the_verify_suites_unloaded():
+    out = _python("import sys, diffchar.cli; print('diffchar.verify' in sys.modules)")
+    assert out.strip() == "False"
+
+
+# Each entry point loads the modules it runs and no other: the package
+# itself none, the CLI the layers every request runs (the subcommands import
+# products, fiber_integration, relative, holonomy and verify themselves),
+# homology its two engine modules.
+@pytest.mark.parametrize("code, modules", [
+    ("import diffchar", ""),
+    ("import diffchar.cli", "characters cli cochain exact_linalg fixtures io simplicial"),
+    ("from diffchar.simplicial import Complex\n"
+     "Complex(3, [(0, 1), (1, 2), (0, 2)]).homology(1)", "exact_linalg simplicial"),
+])
+def test_each_entry_point_loads_only_the_modules_it_runs(code, modules):
+    out = _python(code + "\nimport sys\n"
+                  "print(*sorted(m[9:] for m in sys.modules if m.startswith('diffchar.')))")
+    assert out.strip() == modules
+
+
+@pytest.mark.parametrize("first", ["", "import diffchar.holonomy, diffchar.verify\n"])
+def test_every_exported_name_is_its_modules_own_object(first):
+    """Also once a submodule has loaded: importing diffchar.holonomy must not
+    rebind the package's name holonomy, the function, to the module."""
+    out = _python(
+        first + "import importlib, diffchar\n"
+        "names = diffchar._MODULE_OF\n"
+        "for name, module in names.items():\n"
+        "    own = getattr(importlib.import_module('diffchar.' + module), name)\n"
+        "    assert getattr(diffchar, name) is own, name\n"
+        "from diffchar import holonomy\n"
+        "assert holonomy.__module__ == 'diffchar.holonomy' and callable(holonomy)\n"
+        "assert set(names) <= set(dir(diffchar)) and not hasattr(diffchar, 'nothing')\n"
+        "print(len(names))")
+    assert out.strip() == "75"

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffchar import fixtures
-from diffchar.io import FormatError, cochain_from_json, cochain_to_json
+from diffchar.characters import random_character
+from diffchar.io import (
+    FormatError, cochain_from_json, cochain_to_json, rel_character_from_json,
+    rel_character_to_json,
+)
+from diffchar.relative import find_section
 from diffchar.cochain import (
     Cochain,
     coboundary,
@@ -341,3 +346,24 @@ def test_int_data_keeps_int_values(phi, data):
     assert type(Cochain(K, p, {s: True}).value(s)) is int
     half = Cochain(K, p, {s: Fraction(1, 2)})
     assert type((a + half).value(s)) is Fraction
+
+
+def test_integral_values_enter_as_int():
+    """`_coerce` makes each integral value an int where values enter, and the
+    constructors that check mu = curvature - d(lift) store it with int values."""
+    K = fixtures.circle()
+    a = Cochain(K, 0, {(0,): Fraction(4, 2), (1,): Fraction(1, 3)})
+    assert [type(x) for x in a.to_vector()] == [int, Fraction, int]
+    b = cochain_from_json({"degree": 0, "values": {"[0]": "3", "[1]": "-6/3", "[2]": "1/2"}}, K)
+    assert b.coeffs == {(0,): 3, (1,): -2, (2,): Fraction(1, 2)}
+    assert [type(x) for x in b.to_vector()] == [int, int, Fraction]
+    c = Cochain.from_vector(K, 0, [Fraction(2), Fraction(-1), Fraction(1, 2)])
+    assert [type(x) for x in c.to_vector()] == [int, int, Fraction]
+    assert type(b.scale(Fraction(2)).value((0,))) is int
+    characters = [fixtures.winding_character(), fixtures.torus_character(),
+                  fixtures.rp2_flat_character()]
+    cone = fixtures.equator_cone()
+    s = find_section(random_character(cone.phi.target, 2, random.Random(5)), cone)
+    f = rel_character_from_json(rel_character_to_json(s), cone)
+    for mu in [h.mu for h in characters] + [f.mu_x, f.mu_a]:
+        assert {type(x) for x in mu.coeffs.values()} <= {int}

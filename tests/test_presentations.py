@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffchar import fixtures
-from diffchar.exact_linalg import _combination, _LazyHead, solve_integer
+from diffchar.exact_linalg import (
+    CycleSplitting, QuotientPresentation, SnfDecomposition, _combination, _LazyHead,
+    solve_integer,
+)
 from diffchar.simplicial import Complex, SimplicialMap, mapping_cone, staircase_product
 from oracle import (
     apply, homology_rank_and_torsion, identity, invariant_factors, matmul, rational_rank,
@@ -223,27 +226,66 @@ def test_class_coordinates_on_torsion_fixtures(name):
     _check_class_coordinates(K, K.dim, _seeded(name))
 
 
-# The first columns of a lifted U are built on first read.  Reading the
-# tail first, as cohomology does, must leave the factorization as it is
-# when the whole U is read first.
+# The first columns of a lifted U and the first rows of its U^{-1} are built
+# on first read, and so are the rows of cohomology's relation permutation.
+# Reading the tail first, as cohomology does, must leave the factorization
+# as it is when the whole U is read first, its solves as they are on plain
+# lists, and the cohomology groups as they are when built from plain lists.
 
 
 def _transforms(snf):
     return [list(map(dict, t)) for t in (snf._u, snf._u_inv, snf._v, snf._v_inv)]
 
 
+def _eager(snf):
+    """The same factorization with every transform a plain list."""
+    return SnfDecomposition(snf.rows, snf.cols, snf.factors, *_transforms(snf))
+
+
+def _eager_cohomology(K, k):
+    """H^k built from plain lists: the permutation of `exact_linalg.cohomology`
+    written out in full."""
+    kernel = CycleSplitting(_eager(K.coboundary_snf(k)))
+    below = _eager(K.boundary_snf(k))
+    z, r = kernel.snf.cols - kernel.snf.rank, below.rank
+    perm = [{z - r + i: 1} for i in range(r)] + [{i: 1} for i in range(z - r)]
+    return QuotientPresentation(
+        kernel, SnfDecomposition(z, below.rows, below.factors, perm, perm, below._u, below._u_inv))
+
+
+def _unbuilt(transform):
+    return isinstance(transform, _LazyHead) and transform._items is None
+
+
 def _check_lifts_after_cohomology(make, top):
     """Returns the number of degrees whose U had a head left to build."""
     lazy = 0
+    rng = random.Random(top)
     for n in range(1, top + 2):
         tail_first, fresh = make(), make()
-        tail_first.cohomology(n - 1)
+        coh = tail_first.cohomology(n - 1)
         snf = tail_first.boundary_snf(n)
+        d = tail_first.boundary_matrix(n)
         if isinstance(snf._u, _LazyHead) and snf._u._head:
-            assert snf._u._items is None
+            assert _unbuilt(snf._u) and _unbuilt(snf._u_inv)
             lazy += 1
+        perm = coh._rel_snf._u_inv
+        if perm._items is not None:
+            built = [i for i, item in enumerate(perm._items) if item is not None]
+            assert set(built) <= set(coh.torsion_positions())
+        eager, eager_coh = _eager(fresh.boundary_snf(n)), _eager_cohomology(fresh, n - 1)
+        image = apply(d, [rng.randint(-2, 2) for _ in range(d.cols)])
+        for b in (image, [x + rng.choice((0, 0, 1, -1)) for x in image]):
+            assert snf.apply_u_inv(b) == eager.apply_u_inv(b)
+            assert solve_integer(snf, b) == solve_integer(eager, b)
+        assert [coh.torsion_functional(i) for i in range(len(coh.torsion))] == [
+            eager_coh.torsion_functional(i) for i in range(len(coh.torsion))]
+        z = coh.kernel.snf.cols - coh.kernel.snf.rank
+        cocycles = coh.generators + [coh.kernel.combine([rng.randint(-3, 3) for _ in range(z)])]
+        for v in cocycles:
+            assert coh.adapted_coordinates(v) == eager_coh.adapted_coordinates(v)
         assert _transforms(snf) == _transforms(fresh.boundary_snf(n))
-        _check_factorization(snf, tail_first.boundary_matrix(n))
+        _check_factorization(snf, d)
     return lazy
 
 
@@ -285,7 +327,7 @@ def test_lazy_head_reads_like_a_list(drawn):
     n = len(plain)
 
     def fresh():
-        return _LazyHead(head, vectors, tail)
+        return _LazyHead(head, lambda c: _combination(c, vectors), tail)
 
     assert len(fresh()) == n
     assert list(fresh()) == plain
@@ -306,3 +348,7 @@ def test_lazy_head_reads_like_a_list(drawn):
     assert lazy[len(head) + 1:n + 2] == tail[1:]
     assert lazy[n:len(head)] == []
     assert lazy._items is None
+    # Reading one head item builds that item alone.
+    if head:
+        assert lazy[-n] == plain[0]
+        assert lazy._items[1:] == [None] * (len(head) - 1)

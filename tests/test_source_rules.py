@@ -28,7 +28,11 @@ has sign (-1)^i) in `Complex._build_boundary`, the image rule (the parity of
 the permutation sorting an image) in `SimplicialMap._build_push`, and every
 other operator reads their memoized tables, so no module cuts a face out by
 slicing, `x[:i] + x[i + 1:]`, and no other function flips a sign per face or
-per inversion.
+per inversion.  A process loads only the modules it runs, so `__init__`
+imports no submodule at module level, and `cli`, `io` and `fixtures` import
+the modules only some of their functions need (products, fiber integration,
+relative characters, holonomy, the verify suites; cochains and characters in
+`fixtures`) inside those functions.
 """
 
 from __future__ import annotations
@@ -492,4 +496,85 @@ def test_the_sign_rule_catches_each_violation():
         (2, "face slicing", "boundary"),
         (8, "parity loop", "Map.push"),
         (11, "face sign loop", "faces"),
+    ]
+
+
+# The modules each entry point imports only where they are used, so that a
+# process compiles and keeps only what it runs; `__init__` imports none.
+_DEFERRED = {
+    "__init__.py": None,
+    "cli.py": {"products", "fiber_integration", "relative", "holonomy", "verify"},
+    "io.py": {"relative"},
+    "fixtures.py": {"cochain", "characters", "products"},
+}
+
+
+def _imported_submodules(node):
+    """The diffchar submodules an import statement names."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    else:
+        base = "diffchar." * bool(node.level) + (node.module or "")
+        base = base.rstrip(".")
+        if base == "diffchar":
+            paths = [f"diffchar.{alias.name}" for alias in node.names]
+        else:
+            paths = [base]
+    return [p.split(".")[1] for p in paths if p.startswith("diffchar.")]
+
+
+def _eager_imports(tree, deferred):
+    """Imports of the deferred modules (any submodule when `deferred` is
+    None) that run when the module is imported: outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in _imported_submodules(node):
+                if deferred is None or name in deferred:
+                    yield node.lineno, f"module-level import of {name}"
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_entry_points_import_deferred_modules_where_used():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES if path.name in _DEFERRED
+        for line, what in _eager_imports(ast.parse(path.read_text(), str(path)),
+                                         _DEFERRED[path.name])
+    ]
+    assert found == []
+    assert {path.name for path in SOURCES} >= set(_DEFERRED)
+
+
+def test_the_deferred_import_rule_catches_each_violation():
+    source = (
+        "from diffchar.products import external_product\n"
+        "import diffchar.verify\n"
+        "from diffchar import fixtures, relative\n"
+        "from .holonomy import holonomy\n"
+        "from . import fiber_integration as fi\n"
+        "if True:\n"
+        "    import diffchar.products\n"
+        "class Handler:\n"
+        "    from diffchar.relative import RelChar\n"
+        "from diffchar.simplicial import Complex\n"
+        "import diffchar\n"
+        "import json\n"
+        "def handler():\n"
+        "    from diffchar.products import internal_product\n"
+        "    import diffchar.verify\n"
+        "lazy = lambda: __import__('diffchar.relative')\n"
+    )
+    deferred = _DEFERRED["cli.py"]
+    assert sorted(_eager_imports(ast.parse(source), deferred)) == [
+        (1, "module-level import of products"), (2, "module-level import of verify"),
+        (3, "module-level import of relative"), (4, "module-level import of holonomy"),
+        (5, "module-level import of fiber_integration"), (7, "module-level import of products"),
+        (9, "module-level import of relative"),
+    ]
+    assert sorted(line for line, _ in _eager_imports(ast.parse(source), None)) == [
+        1, 2, 3, 3, 4, 5, 7, 9, 10,
     ]
