@@ -152,11 +152,6 @@ class FlatClass(DirectSum):
     def _cycles(self):
         return self.complex.splitting(self.degree)
 
-    def evaluate(self, cycle):
-        if not cycle.is_cycle():
-            raise NotACycle("flat classes evaluate on cycles only")
-        return _mod1(pair(self.cochain, cycle))
-
     def __repr__(self):
         return f"FlatClass(deg {self.degree}, {self.cochain!r})"
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from diffchar.simplicial import (
     ProductComplex,
-    SimplicialMap,
     compose_maps,
     ez,
     fundamental_cycle,
@@ -77,19 +76,12 @@ def combined_transfer(left_transfer, right_transfer):
     total = staircase_product(base, fiber)
     chain = ez(left_transfer.fiber_chain, right_transfer.fiber_chain, fiber)
     target = staircase_product(left_transfer.total, right_transfer.total)
-    vm = []
-    for w in range(total.num_vertices):
-        bb, ff = total.decode(w)
-        x, x2 = base.decode(bb)
-        f, f2 = fiber.decode(ff)
-        vm.append(
-            target.encode(
-                left_transfer.total.encode(x, f),
-                right_transfer.total.encode(x2, f2),
-            )
-        )
-    swap = SimplicialMap._of(total, target, vm)
-    return TransferData(total, chain), swap
+
+    def image(bb, ff):
+        (x, x2), (f, f2) = base.decode(bb), fiber.decode(ff)
+        return target.encode(left_transfer.total.encode(x, f), right_transfer.total.encode(x2, f2))
+
+    return TransferData(total, chain), total._map_of(target, image)
 
 
 def rebracket_map(flat_total, nested_total):
@@ -105,12 +97,12 @@ def rebracket_map(flat_total, nested_total):
     XF1, F2 = nested_total.left, nested_total.right
     if XF1.left != X or XF1.right != FF.left or FF.right != F2:
         raise ValueError("the two totals do not bracket the same factors")
-    vm = []
-    for w in range(flat_total.num_vertices):
-        x, ff = flat_total.decode(w)
+
+    def image(x, ff):
         f1, f2 = FF.decode(ff)
-        vm.append(nested_total.encode(XF1.encode(x, f1), f2))
-    return SimplicialMap._of(flat_total, nested_total, vm)
+        return nested_total.encode(XF1.encode(x, f1), f2)
+
+    return flat_total._map_of(nested_total, image)
 
 
 def fiber_integrate(h, transfer):

@@ -212,11 +212,8 @@ def rotation_homotopy():
 def projection_homotopy():
     """The constant homotopy of the identity of the sphere."""
     S2 = sphere()
-    prism = staircase_product(S2, interval())
-    vm = [prism.decode(w)[0] for w in range(prism.num_vertices)]
-    H = SimplicialMap(prism, S2, vm)
     ident = SimplicialMap(S2, S2, list(range(4)))
-    return ident, ident, H
+    return ident, ident, staircase_product(S2, interval()).projection_left()
 
 
 _COMPLEXES = {

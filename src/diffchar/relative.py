@@ -16,8 +16,6 @@ unchecked with their integral cocycles in closed form.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from diffchar.exact_linalg import kernel_basis, IntMatrix, solve_integer
 from diffchar.simplicial import DirectSum, identity_map, mapping_cone
 from diffchar.cochain import (
@@ -251,64 +249,45 @@ def flat_class_pulled_back(u, phi):
     """Whether a circle-coefficient class on A is pulled back from X.
 
     Divisibility of the circle group turns this into a pairing condition:
-    the class must kill every homology class of A that dies in X.  The
-    kernel lattice comes from pushing the homology generators of A forward
-    and solving modulo the torsion orders of X.
+    the class must kill every homology class of A that dies in X.
+    """
+    if u.complex != phi.source:
+        raise ValueError("class does not live on the map's source")
+    return all(pair(u.cochain, z) % 1 == 0 for z in _pushforward_kernel(phi, u.degree))
+
+
+def pushforward_injective(phi, degree):
+    """Whether the induced map on degree-d homology has trivial kernel."""
+    hom_a = phi.source.homology(degree)
+    return all(hom_a.is_zero(z.to_vector()) for z in _pushforward_kernel(phi, degree))
+
+
+def _pushforward_kernel(phi, degree):
+    """Cycles on A whose classes generate the kernel of phi_* on H_degree.
+
+    A coefficient vector n over the homology generators of A belongs when
+    the class sum(n_i * gens_i) dies in X: free coordinates of the pushed
+    generators must cancel exactly, torsion coordinates modulo their
+    orders.  Auxiliary columns absorb the moduli.
     """
     A, X = phi.source, phi.target
-    d = u.degree
-    if u.complex != A:
-        raise ValueError("class does not live on the map's source")
-    hom_a = A.homology(d)
-    gens = [A.chain_from_vector(d, vec) for vec in hom_a.generators]
-    if not gens:
-        return True
-    for vec in _pushforward_kernel_lattice(phi, d, gens):
-        total = Fraction(0)
-        for c, g in zip(vec, gens):
-            if c:
-                total += c * pair(u.cochain, g)
-        if total % 1 != 0:
-            return False
-    return True
-
-
-def _pushforward_kernel_lattice(phi, degree, gens):
-    """Generators of the coefficient lattice killed by the pushforward.
-
-    A vector n belongs when the class sum(n_i * gens_i) dies in the target:
-    free coordinates of the pushed generators must cancel exactly, torsion
-    coordinates modulo their orders.  Auxiliary columns absorb the moduli.
-    """
-    X = phi.target
+    basis = A.homology(degree).generators
+    if not basis:
+        return []
     pres_x = X.homology(degree)
     free = pres_x.free_positions()
     tors_pos = pres_x.torsion_positions()
     columns = [
-        pres_x.adapted_coordinates(phi.push_chain(g).to_vector()) for g in gens
+        pres_x.adapted_coordinates(phi.push_chain(A.chain_from_vector(degree, g)).to_vector())
+        for g in basis
     ]
     entries = [
         {j: col[i] for j, col in enumerate(columns) if col[i]} for i in free + tors_pos
     ]
     for idx, d in enumerate(pres_x.torsion):
-        entries[len(free) + idx][len(gens) + idx] = d
-    matrix = IntMatrix._trusted(len(entries), len(gens) + len(tors_pos), tuple(entries))
-    return [vec[: len(gens)] for vec in kernel_basis(matrix)]
-
-
-def pushforward_injective(phi, degree):
-    """Whether the induced map on degree-d homology has trivial kernel."""
-    A = phi.source
-    hom_a = A.homology(degree)
-    gens = [A.chain_from_vector(degree, vec) for vec in hom_a.generators]
-    if not gens:
-        return True
-    for vec in _pushforward_kernel_lattice(phi, degree, gens):
-        combo = [0] * len(A.simplices(degree))
-        for c, g in zip(vec, gens):
-            if c:
-                for i, x in enumerate(g.to_vector()):
-                    combo[i] += c * x
-        if not hom_a.is_zero(combo):
-            return False
-    return True
+        entries[len(free) + idx][len(basis) + idx] = d
+    matrix = IntMatrix._trusted(len(entries), len(basis) + len(tors_pos), tuple(entries))
+    # zip(vec, cell) stops at the generators, dropping the auxiliary columns.
+    return [A.chain_from_vector(degree, [sum(c * x for c, x in zip(vec, cell))
+                                         for cell in zip(*basis)])
+            for vec in kernel_basis(matrix)]

@@ -499,7 +499,8 @@ class SimplicialMap(_Memo):
     @classmethod
     def _of(cls, source, target, vertex_map):
         """The map with this vertex map, unchecked: for maps the library builds
-        from valid data (identities, composites, projections, inclusions)."""
+        from valid data (identities, composites, inclusions into a product,
+        and the maps out of one that `ProductComplex._map_of` builds)."""
         out = object.__new__(cls)
         out.source = source
         out.target = target
@@ -628,17 +629,19 @@ class ProductComplex(Complex):
     def decode(self, w):
         return divmod(w, self.right.num_vertices)
 
+    def _map_of(self, target, image):
+        """The map sending vertex (u, v) to image(u, v), unchecked: the one
+        coordinate rule behind the maps the library builds out of a product."""
+        right = range(self.right.num_vertices)
+        return SimplicialMap._of(
+            self, target, [image(u, v) for u in range(self.left.num_vertices) for v in right]
+        )
+
     def projection_left(self):
-        return self._cached("projection", 0, lambda: self._projection(0))
+        return self._cached("projection", 0, lambda: self._map_of(self.left, lambda u, v: u))
 
     def projection_right(self):
-        return self._cached("projection", 1, lambda: self._projection(1))
-
-    def _projection(self, k):
-        target = (self.left, self.right)[k]
-        return SimplicialMap._of(
-            self, target, [self.decode(w)[k] for w in range(self.num_vertices)]
-        )
+        return self._cached("projection", 1, lambda: self._map_of(self.right, lambda u, v: v))
 
     def include_at_right(self, v0):
         """Inclusion u -> (u, v0) of the left factor."""
@@ -684,24 +687,16 @@ def product_map(left_map, right_map, source, target):
         raise ValueError("source factors do not match the maps")
     if target.left != left_map.target or target.right != right_map.target:
         raise ValueError("target factors do not match the maps")
-    vm = []
-    for w in range(source.num_vertices):
-        u, v = source.decode(w)
-        vm.append(
-            target.encode(left_map.vertex_map[u], right_map.vertex_map[v])
-        )
-    return SimplicialMap(source, target, vm)
+    f, g = left_map.vertex_map, right_map.vertex_map
+    rule = source._map_of(target, lambda u, v: target.encode(f[u], g[v]))
+    return SimplicialMap(source, target, rule.vertex_map)
 
 
 def transpose_map(product, flipped):
     """The coordinate swap (u,v) -> (v,u) as a simplicial isomorphism."""
     if product.left != flipped.right or product.right != flipped.left:
         raise ValueError("transpose requires the same factors in swapped order")
-    vm = []
-    for w in range(product.num_vertices):
-        u, v = product.decode(w)
-        vm.append(flipped.encode(v, u))
-    return SimplicialMap._of(product, flipped, vm)
+    return product._map_of(flipped, lambda u, v: flipped.encode(v, u))
 
 
 def eilenberg_zilber(tensor_chain, product):
@@ -756,11 +751,12 @@ def alexander_whitney(chain):
 
 def maximal_simplices(complex):
     """The simplices that are a face of no other, by dimension and then
-    lexicographically: those whose row of d_{n+1} is empty."""
+    lexicographically: the n-simplices outside the set of facets of the
+    (n+1)-simplices.  It reads no table, so it leaves the memo as it is."""
     out = []
     for n in range(complex.dim + 1):
-        cofaces = complex.boundary_matrix(n + 1).entries
-        out += [s for s, row in zip(complex.simplices(n), cofaces) if not row]
+        facets = {f for s in complex.simplices(n + 1) for f in combinations(s, n + 1)}
+        out += [s for s in complex.simplices(n) if s not in facets]
     return out
 
 
@@ -885,9 +881,6 @@ class ConeChain(DirectSum):
 
     def is_cycle(self):
         return self.boundary().is_zero()
-
-    def to_vector(self):
-        return self.x_part.to_vector() + self.a_part.to_vector()
 
     def __repr__(self):
         return f"ConeChain(deg {self.degree}, X: {self.x_part!r}, A: {self.a_part!r})"

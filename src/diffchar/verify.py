@@ -570,8 +570,8 @@ def run_holonomy(rec, rng):
     zz = fundamental_cycle(two_circles)
     sheets = SimplicialMap(two_circles, T2, [T2.encode(u, 0) for u in (0, 1, 2)] + [T2.encode(u, 1) for u in (0, 1, 2)])
     lift_sum = holonomy(hh, sheets, zz)
-    part1 = holonomy(hh, SimplicialMap(S1, T2, [T2.encode(u, 0) for u in (0, 1, 2)]), z)
-    part2 = holonomy(hh, SimplicialMap(S1, T2, [T2.encode(u, 1) for u in (0, 1, 2)]), z)
+    part1 = holonomy(hh, T2.include_at_right(0), z)
+    part2 = holonomy(hh, T2.include_at_right(1), z)
     rec.equal("holonomy additive over disjoint union", lift_sum, (part1 + part2) % 1, on_T2)
     # transition factors: flat degree-2 characters on the circle are exactly
     # parallel transports along paths

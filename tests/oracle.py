@@ -17,6 +17,14 @@ written out per group, as each class once defined them: the curvature data
 agree and the lifts differ by integral periods.  The package reads one
 equality, `DirectSum`'s, from the parts each group declares.
 
+The maps between staircase products are the vertex walks the package once
+wrote out per map: decode each product vertex into its coordinates, send
+them on, encode the image.  The package builds all of them through one
+coordinate rule, `ProductComplex._map_of`.  The maximal simplices are read
+off the empty rows of d_{n+1}, and the two pushforward-kernel predicates of
+`relative` walk the kernel lattice each with its own combination loop, as
+the package once did.
+
 The dense matrix helpers at the end (identity, zero, product, matrix times
 vector, column, determinant) work on the `data` view of an IntMatrix with
 textbook loops; the package itself only ever reads a matrix's nonzeros.
@@ -27,8 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from diffchar.characters import DiffChar, FlatClass
-from diffchar.cochain import has_integral_periods
-from diffchar.exact_linalg import IntMatrix
+from diffchar.cochain import has_integral_periods, pair
+from diffchar.exact_linalg import IntMatrix, kernel_basis
 from diffchar.relative import RelChar
 
 
@@ -243,6 +251,118 @@ def _integral_on_cone_cycles(f, lift_x, lift_a):
     """Whether the lift pair pairs integrally with every cone cycle."""
     split = f.cone.splitting(f.degree - 1)
     return split.integral_periods(lift_x.to_vector() + lift_a.to_vector())
+
+
+def projection_vertices(product, k):
+    """Vertex map of the projection of a staircase product onto factor k."""
+    return tuple(product.decode(w)[k] for w in range(product.num_vertices))
+
+
+def product_map_vertices(left_map, right_map, source, target):
+    """Vertex map of (u, v) -> (left u, right v) between staircase products."""
+    vm = []
+    for w in range(source.num_vertices):
+        u, v = source.decode(w)
+        vm.append(target.encode(left_map.vertex_map[u], right_map.vertex_map[v]))
+    return tuple(vm)
+
+
+def transpose_vertices(product, flipped):
+    """Vertex map of the coordinate swap (u, v) -> (v, u)."""
+    vm = []
+    for w in range(product.num_vertices):
+        u, v = product.decode(w)
+        vm.append(flipped.encode(v, u))
+    return tuple(vm)
+
+
+def rebracket_vertices(flat_total, nested_total):
+    """Vertex map of (x, (f1, f2)) -> ((x, f1), f2)."""
+    FF, XF1 = flat_total.right, nested_total.left
+    vm = []
+    for w in range(flat_total.num_vertices):
+        x, ff = flat_total.decode(w)
+        f1, f2 = FF.decode(ff)
+        vm.append(nested_total.encode(XF1.encode(x, f1), f2))
+    return tuple(vm)
+
+
+def combined_swap_vertices(left_transfer, right_transfer, total, target):
+    """Vertex map of ((x, x2), (f, f2)) -> ((x, f), (x2, f2)), from the
+    product of the bases times the product of the fibers onto the product of
+    the two total spaces."""
+    base, fiber = total.left, total.right
+    vm = []
+    for w in range(total.num_vertices):
+        bb, ff = total.decode(w)
+        x, x2 = base.decode(bb)
+        f, f2 = fiber.decode(ff)
+        vm.append(target.encode(left_transfer.total.encode(x, f),
+                                right_transfer.total.encode(x2, f2)))
+    return tuple(vm)
+
+
+def maximal_simplices(complex):
+    """The simplices whose row of d_{n+1} is empty, by dimension and then
+    lexicographically."""
+    out = []
+    for n in range(complex.dim + 1):
+        cofaces = complex.boundary_matrix(n + 1).entries
+        out += [s for s, row in zip(complex.simplices(n), cofaces) if not row]
+    return out
+
+
+def _pushforward_kernel_lattice(phi, degree, gens):
+    """Coefficient vectors n with sum(n_i * gens_i) dead in the target: free
+    coordinates cancel exactly, torsion ones modulo their orders, with
+    auxiliary columns absorbing the moduli."""
+    pres_x = phi.target.homology(degree)
+    free = pres_x.free_positions()
+    tors_pos = pres_x.torsion_positions()
+    columns = [pres_x.adapted_coordinates(phi.push_chain(g).to_vector()) for g in gens]
+    entries = [
+        {j: col[i] for j, col in enumerate(columns) if col[i]} for i in free + tors_pos
+    ]
+    for idx, d in enumerate(pres_x.torsion):
+        entries[len(free) + idx][len(gens) + idx] = d
+    matrix = IntMatrix._trusted(len(entries), len(gens) + len(tors_pos), tuple(entries))
+    return [vec[: len(gens)] for vec in kernel_basis(matrix)]
+
+
+def flat_class_pulled_back(u, phi):
+    """Whether the flat class u on A pairs integrally with every combination
+    of homology generators of A that dies in X, summed pairing by pairing."""
+    A, d = phi.source, u.degree
+    gens = [A.chain_from_vector(d, vec) for vec in A.homology(d).generators]
+    if not gens:
+        return True
+    for vec in _pushforward_kernel_lattice(phi, d, gens):
+        total = Fraction(0)
+        for c, g in zip(vec, gens):
+            if c:
+                total += c * pair(u.cochain, g)
+        if total % 1 != 0:
+            return False
+    return True
+
+
+def pushforward_injective(phi, degree):
+    """Whether every combination of homology generators of A that dies in X
+    is already zero in H(A), the combination summed as a dense vector."""
+    A = phi.source
+    hom_a = A.homology(degree)
+    gens = [A.chain_from_vector(degree, vec) for vec in hom_a.generators]
+    if not gens:
+        return True
+    for vec in _pushforward_kernel_lattice(phi, degree, gens):
+        combo = [0] * len(A.simplices(degree))
+        for c, g in zip(vec, gens):
+            if c:
+                for i, x in enumerate(g.to_vector()):
+                    combo[i] += c * x
+        if not hom_a.is_zero(combo):
+            return False
+    return True
 
 
 def identity(n):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import diffchar
 from diffchar import fixtures, io
-from diffchar.cli import main
+from diffchar.cli import InputError, _resolve_chain, main
 from diffchar.simplicial import identity_map, mapping_cone, staircase_product
 from diffchar.cochain import Cochain
 from diffchar.characters import LowDegreeChar, iota, random_character
@@ -331,6 +331,48 @@ def test_verify_unknown_suite(capsys):
     code, rep = _run(capsys, ["verify", "--suite", "nope"])
     assert code == 2
     assert "nope" in rep["error"]
+
+
+_SUITES = ("bb-oracle, boundary-fiber, diagram33, fiber-axioms, holonomy, product-axioms, "
+           "relative-exact, updown")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["homology", "--degree", "1"], "--complex is required for this command"),
+    (["eval", "--chain", "circle_fund"], "--character is required for this command"),
+    (["eval", "--character", "i"], "--chain is required for this command"),
+    (["find-section", "--character", "ju"], "--map is required for this command"),
+    (["homology", "--complex", "S1_3"], "--degree is required for homology"),
+    (["iota", "--complex", "S1_3"], "--cochain is required for iota"),
+    (["j", "--complex", "S1_3"], "--cochain is required for j"),
+    (["verify"], "--suite is required; available: " + _SUITES),
+    (["find-section", "--character", "ju", "--map", "phi.json"],
+     "a map file needs --map-source"),
+    (["product", "--character", "i"], "give --character twice: the two factors in order"),
+    (["product", "--character", "i", "--character", "ixi"],
+     "internal product factors must share a complex"),
+    (["eval", "--character", "i", "--chain", "torus_fund"],
+     "character and chain live on different complexes"),
+    (["find-section", "--character", "i", "--map", "equator"],
+     "character must live on the map's target"),
+    (["fiber-integrate", "--character", "ixi", "--complex", "S1_3"],
+     "character does not live on the staircase product of --complex and --fiber"),
+])
+def test_missing_and_mismatched_inputs_are_refused(capsys, argv, message):
+    """Each refusal exits 2 with its own text and no traceback."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"command": argv[0], "error": message}
+    assert captured.err == ""
+
+
+def test_a_chain_file_needs_a_complex():
+    """Both callers pass the character's or the map's complex, so `main`
+    never reaches this refusal; it is checked on the resolver itself."""
+    with pytest.raises(InputError, match=r"^a chain file needs --complex \(or a named map\) "
+                                         r"for context$"):
+        _resolve_chain("z.json", None)
 
 
 def test_unknown_fixture_is_an_input_error(capsys):

@@ -163,6 +163,16 @@ def test_functoriality_of_iterated_fibers():
     assert lhs == rhs
 
 
+def test_mismatched_totals_are_refused():
+    S1, pt, iv = fixtures.circle(), fixtures.point(), fixtures.interval()
+    flat = staircase_product(S1, staircase_product(S1, pt))
+    nested = staircase_product(staircase_product(S1, pt), S1)
+    with pytest.raises(ValueError, match="^the two totals do not bracket the same factors$"):
+        rebracket_map(flat, nested)
+    with pytest.raises(ValueError, match="^total space factors do not match$"):
+        product_transfer(S1, iv, total=fixtures.torus())
+
+
 def test_combined_transfer_shape():
     S1 = fixtures.circle()
     T2 = fixtures.torus()

@@ -208,6 +208,44 @@ def test_validate_fundamental_chain():
         validate_fundamental_chain(c.scale(2))
 
 
+def test_fundamental_chain_refusals():
+    """Wrong degree, clashing orientations, a face with three top cofaces and
+    the empty complex are refused with the reason."""
+    T2, S1 = fixtures.torus(), fixtures.circle()
+    with pytest.raises(NotFundamentalChain, match="^chain degree 1 is not the complex "
+                                                  "dimension 2$"):
+        validate_fundamental_chain(T2.chain(1, {}))
+    z = fundamental_cycle(S1)
+    flipped = z - S1.chain(1, {(0, 1): 2 * z.coeffs[(0, 1)]})
+    with pytest.raises(NotFundamentalChain,
+                       match=r"^boundary coefficient -2 on \(1,\); orientations clash$"):
+        validate_fundamental_chain(flipped)
+    book = Complex(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    with pytest.raises(NotManifold, match=r"^face \(0, 1\) has 3 cofaces$"):
+        fundamental_cycle(book)
+    pages = book.chain(2, {s: 1 for s in book.simplices(2)})
+    with pytest.raises(NotFundamentalChain, match=r"^face \(0, 1\) has 3 top cofaces$"):
+        validate_fundamental_chain(pages)
+    with pytest.raises(NotManifold, match="^empty complex$"):
+        fundamental_cycle(Complex(0, []))
+
+
+def test_maps_refuse_mismatched_complexes():
+    S1, iv, T2 = fixtures.circle(), fixtures.interval(), fixtures.torus()
+    incl = SimplicialMap(iv, S1, [0, 1])
+    with pytest.raises(ValueError, match="^maps do not compose$"):
+        compose_maps(incl, incl)
+    W = staircase_product(S1, iv)
+    with pytest.raises(ValueError, match="^source factors do not match the maps$"):
+        product_map(identity_map(S1), incl, T2, T2)
+    with pytest.raises(ValueError, match="^target factors do not match the maps$"):
+        product_map(identity_map(S1), incl, W, W)
+    with pytest.raises(ValueError, match="^transpose requires the same factors in swapped order$"):
+        transpose_map(W, W)
+    with pytest.raises(ValueError, match="^chain does not live on the source complex$"):
+        incl.push_chain(fundamental_cycle(S1))
+
+
 def test_simplicial_map_validation():
     S1 = fixtures.circle()
     two = fixtures.two_points()

@@ -12,7 +12,11 @@ only derive values from checked ones (`cochain`, `products`,
 `fiber_integration`) call no checking constructor: they build chains and
 cochains through `_of` and characters through `_derived`; likewise
 `relative` builds no checked character or relative character, and
-`fiber_integration` no checked simplicial map.  The group law lives in two
+`fiber_integration` no checked simplicial map.  Only `simplicial` builds a
+trusted map (`SimplicialMap._of`): identities, composites, the inclusions
+into a product, and `ProductComplex._map_of`, the one coordinate rule for
+maps out of a product, so no other code walks product vertices to build
+one.  The group law lives in two
 base classes, `LinearCombination` and `DirectSum`, so no other class defines
 `+`, `-` or unary `-`, and none keeps a compatibility check of its own;
 `DirectSum` also holds the one equality of the character groups, so no
@@ -220,6 +224,52 @@ def test_the_trusted_build_rule_catches_each_violation():
     names = {"RelChar", "DiffChar", "SimplicialMap"}
     assert sorted(_checked_constructions(ast.parse(source), names)) == [
         (1, "RelChar() call"), (2, "DiffChar() call"), (3, "SimplicialMap() call"),
+    ]
+
+
+def _trusted_map_builds(tree):
+    """(line, enclosing function) of each `SimplicialMap._of` call."""
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_of" and _base_name(node.func.value) == "SimplicialMap"):
+            yield node.lineno, owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, "")
+
+
+def test_only_simplicial_builds_trusted_maps():
+    found = {
+        (path.name, owner)
+        for path in SOURCES
+        for _, owner in _trusted_map_builds(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == {
+        ("simplicial.py", "compose_maps"), ("simplicial.py", "identity_map"),
+        ("simplicial.py", "ProductComplex._map_of"),
+        ("simplicial.py", "ProductComplex.include_at_right"),
+        ("simplicial.py", "ProductComplex.include_at_left"),
+    }
+
+
+def test_the_trusted_map_rule_catches_each_violation():
+    source = (
+        "def rebracket_map(flat, nested):\n"
+        "    return SimplicialMap._of(flat, nested, vm)\n"
+        "class ProductComplex:\n"
+        "    def _projection(self, k):\n"
+        "        return simplicial.SimplicialMap._of(self, t, vm)\n"
+        "swap = SimplicialMap._of(total, target, vm)\n"
+        "checked = SimplicialMap(K, L, vm)\n"
+        "chain = Chain._of(K, 0, c)\n"
+        "rule = P._map_of(L, image)\n"
+    )
+    assert sorted(_trusted_map_builds(ast.parse(source))) == [
+        (2, "rebracket_map"), (5, "ProductComplex._projection"), (6, ""),
     ]
 
 
