@@ -68,13 +68,11 @@ def _resolve_character(token, complex_token):
     return fixtures.character_by_name(token)
 
 
-def _resolve_chain(token, complex_or_none):
+def _resolve_chain(token, complex):
     if token is None:
         raise InputError("--chain is required for this command")
     if _looks_like_path(token):
-        if complex_or_none is None:
-            raise InputError("a chain file needs --complex (or a named map) for context")
-        return io.chain_from_json(_load_json(token), complex_or_none)
+        return io.chain_from_json(_load_json(token), complex)
     return fixtures.chain_by_name(token)
 
 

@@ -145,9 +145,10 @@ def cup_1(a, b):
     """Steenrod's degree-lowering product, diagnostic use only.
 
     The sign convention is the one pinned by the coboundary identity
-    d(a u1 b) = da u1 b + (-1)^p a u1 db + (-1)^{pq} a u b - b u a,
-    which the test suite checks on random cochains.  For closed inputs the
-    commutativity defect a u b - (-1)^{pq} b u a is -d(b u1 a).
+    d(a u1 b) = da u1 b + (-1)^p a u1 db + (-1)^{p+q-1} a u b
+    + (-1)^{p+q+pq} b u a, which the test suite checks on random cochains.
+    For closed inputs the commutativity defect a u b - (-1)^{pq} b u a is
+    (-1)^{p+q+pq} d(b u1 a): -d(b u1 a) unless p and q are both even.
     """
     if a.complex != b.complex:
         raise ValueError("cup_1 of cochains on different complexes")

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import diffchar
 from diffchar import fixtures, io
-from diffchar.cli import InputError, _resolve_chain, main
+from diffchar.cli import main
 from diffchar.simplicial import identity_map, mapping_cone, staircase_product
 from diffchar.cochain import Cochain
 from diffchar.characters import LowDegreeChar, iota, random_character
@@ -367,12 +367,15 @@ def test_missing_and_mismatched_inputs_are_refused(capsys, argv, message):
     assert captured.err == ""
 
 
-def test_a_chain_file_needs_a_complex():
-    """Both callers pass the character's or the map's complex, so `main`
-    never reaches this refusal; it is checked on the resolver itself."""
-    with pytest.raises(InputError, match=r"^a chain file needs --complex \(or a named map\) "
-                                         r"for context$"):
-        _resolve_chain("z.json", None)
+def test_a_chain_file_is_read_on_the_characters_complex(capsys, tmp_path):
+    chain = tmp_path / "z.json"
+    chain.write_text(json.dumps(io.chain_to_json(fixtures.chain_by_name("v1_minus_v0"))))
+    phases = []
+    for context in ([], ["--complex", "S1_3"]):
+        code, rep = _run(capsys, ["eval", "--character", "i", "--chain", str(chain)] + context)
+        assert code == 0
+        phases.append(rep["result"]["phase"])
+    assert phases == ["1/3", "1/3"]
 
 
 def test_unknown_fixture_is_an_input_error(capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,21 +28,14 @@ from diffchar.cochain import (
     zero_cochain,
 )
 from diffchar.simplicial import (
+    Complex,
     SimplicialMap,
     compose_maps,
     ez,
     fundamental_cycle,
     staircase_product,
 )
-from test_exact_linalg import clique_complex, flag_complexes
-
-
-def random_cochain(K, degree, rng, denom=4, span=8):
-    vals = [
-        Fraction(rng.randint(-span, span), rng.randint(1, denom))
-        for _ in K.simplices(degree)
-    ]
-    return Cochain.from_vector(K, degree, vals, "Q")
+from strategies import flag_complexes, monotone_maps, random_cochain
 
 
 def test_constructor_rejects_bad_values():
@@ -131,18 +123,20 @@ def test_cup_natural_under_monotone_maps():
 
 
 def test_cup_1_coboundary_identity():
-    """d(a u1 b) = da u1 b + (-1)^p a u1 db + (-1)^{pq} a u b - b u a."""
+    """d(a u1 b) = da u1 b + (-1)^p a u1 db + (-1)^{p+q-1} a u b
+    + (-1)^{p+q+pq} b u a."""
     rng = random.Random(41)
-    K = fixtures.klein_bottle()
-    for p, q in ((1, 1), (1, 2), (2, 1), (2, 2)):
+    klein, simplex = fixtures.klein_bottle(), Complex(5, [tuple(range(5))])
+    cases = [(klein, p, q) for p, q in ((1, 1), (1, 2), (2, 1), (2, 2))]
+    for K, p, q in cases + [(simplex, 2, 2), (simplex, 0, 2), (simplex, 1, 3)]:
         a = random_cochain(K, p, rng)
         b = random_cochain(K, q, rng)
         lhs = coboundary(cup_1(a, b))
         rhs = (
             cup_1(coboundary(a), b)
             + cup_1(a, coboundary(b)).scale((-1) ** p)
-            + cup(a, b).scale((-1) ** (p * q))
-            - cup(b, a)
+            + cup(a, b).scale((-1) ** (p + q - 1))
+            + cup(b, a).scale((-1) ** (p + q + p * q))
         )
         assert lhs == rhs
 
@@ -247,26 +241,6 @@ def _draw_cochain(data, K, degree, values=_INTS):
 def _draw_degrees(data, K):
     p = data.draw(st.integers(0, K.dim))
     return p, data.draw(st.integers(0, K.dim - p))
-
-
-@st.composite
-def monotone_maps(draw):
-    """A weakly monotone simplicial map into a random flag complex.
-
-    The source is the clique complex of a random graph whose edges go to
-    vertices or edges of the target; the target is a flag complex, so every
-    clique goes to a simplex.
-    """
-    L = draw(flag_complexes(max_vertices=5))
-    n = draw(st.integers(1, 6))
-    vm = sorted(draw(st.lists(st.integers(0, L.num_vertices - 1), min_size=n, max_size=n)))
-    allowed = [
-        (u, v) for u, v in combinations(range(n), 2)
-        if vm[u] == vm[v] or L.has_simplex((vm[u], vm[v]))
-    ]
-    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
-    K = clique_complex(n, {e for e, k in zip(allowed, keep) if k})
-    return SimplicialMap(K, L, vm)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,24 +1,46 @@
-"""Values the library derives from checked ones pass the checks they skip.
+"""Values the library derives from checked ones pass the checks they skip,
+and the identities of `diffchar.verify` hold on whatever the library derives.
 
 Chains and cochains built by library operations skip the constructor's
 check, characters and relative characters derived from checked ones carry
 their integral cocycles instead of recomputing them, and the maps the
-library builds from valid data skip the image check.  These properties
+library builds from valid data skip the image check.  The properties below
 rebuild each such value through the public, checking constructor and
 compare, on random flag complexes, monotone maps, mapping cones and
 product transfers over a circle or an interval fiber.
+
+`Algebra` is a stateful machine over the same strategies: it builds
+complexes, products, maps, cones, transfers and cycles, derives characters
+and relative characters from them step by step, and checks every value it
+makes by its rebuild and every operation by verify's identities, plus the
+cochain-level Leibniz rule, cup associativity, Steenrod's identity for
+cup_1, the unit law and io round trips, which no suite checks.  A failing
+identity reports verify's witness (lhs - rhs part by part); hypothesis
+prints the steps that led to it.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    multiple,
+    rule,
+    run_state_machine_as_test,
+)
 
-from diffchar import fixtures
+from diffchar import fixtures, io, verify
 from diffchar.characters import (
     FlatClass,
+    LowDegreeChar,
+    _derived,
     character,
     flat_holonomy_class,
     fractional_torsion_class,
@@ -45,17 +67,20 @@ from diffchar.fiber_integration import (
     product_transfer,
     rebracket_map,
 )
-from diffchar.products import internal_product
+from diffchar.products import external_product, internal_product
 from diffchar.relative import (
+    NoSection,
     RelChar,
     cov_inverse,
     descend_kernel,
     find_section,
     incl_flat,
+    project,
 )
 from diffchar.simplicial import (
     Chain,
     ConeChain,
+    ProductComplex,
     SimplicialMap,
     TensorChain,
     alexander_whitney,
@@ -64,13 +89,12 @@ from diffchar.simplicial import (
     fundamental_cycle,
     identity_map,
     mapping_cone,
+    product_face_count,
     staircase_product,
     tensor,
     transpose_map,
 )
-from test_cochain import monotone_maps
-from test_exact_linalg import flag_complexes
-from test_presentations import mapping_cones
+from strategies import flag_complexes, mapping_cones, monotone_maps
 
 
 def _rng(data):
@@ -330,3 +354,359 @@ def test_product_maps_are_simplicial(K, L, data):
 def test_the_combined_transfer_swap_is_simplicial(K, L):
     I = fixtures.interval()
     _check_map(combined_transfer(product_transfer(K, I), product_transfer(L, I))[1])
+
+
+# -- the stateful machine ----------------------------------------------------
+
+
+FACE_CAP = 400
+FIXTURES = ("S1_3", "S2_4", "T2_9", "RP2_6", "Klein_K")
+FIBERS = ("point", "two_points", "S1_3", "interval")
+
+
+def _holds(conditions):
+    """Assert an identity from verify; a failure reads like a suite's
+    witness: lhs - rhs part by part as JSON cochains."""
+    witness = verify.violation(conditions)
+    assert witness is None, json.dumps(witness, sort_keys=True)
+
+
+def _leibniz(a, b):
+    """d(a cup b) = da cup b + (-1)^p a cup db, on the cochain level."""
+    sign = -1 if a.degree % 2 else 1
+    yield coboundary(cup(a, b)), cup(coboundary(a), b) + cup(a, coboundary(b)).scale(sign)
+
+
+def _unit(h):
+    """The degree-0 character 1 is a two-sided unit of the product."""
+    K = h.complex
+    one = LowDegreeChar(K, 0, Cochain.from_vector(K, 0, [1] * len(K.simplices(0))))
+    yield verify.internal_product(one, h), h
+    yield verify.internal_product(h, one), h
+
+
+def _cup_1_coboundary(a, b):
+    """d(a cup_1 b) = da cup_1 b + (-1)^p a cup_1 db + (-1)^(p+q-1) a cup b
+    + (-1)^(p+q+pq) b cup a, Steenrod's identity, in every degree."""
+    p, q = a.degree, b.degree
+    rhs = (cup_1(coboundary(a), b) + cup_1(a, coboundary(b)).scale(-1 if p % 2 else 1)
+           + cup(a, b).scale(-1 if (p + q - 1) % 2 else 1)
+           + cup(b, a).scale(-1 if (p + q + p * q) % 2 else 1))
+    yield coboundary(cup_1(a, b)), rhs
+
+
+def _cup_associativity(a, b, c):
+    """(a cup b) cup c = a cup (b cup c), on the cochain level."""
+    yield cup(cup(a, b), c), cup(a, cup(b, c))
+
+
+def _io_round_trip(h):
+    """A character read back from its JSON is the character."""
+    text = io.dumps(io.character_to_json(h))
+    yield io.character_from_json(json.loads(text), h.complex), h
+
+
+def _rel_io_round_trip(f):
+    """A relative character read back from its JSON is the character."""
+    text = io.dumps(io.rel_character_to_json(f))
+    yield io.rel_character_from_json(json.loads(text), f.cone), f
+
+
+class Algebra(RuleBasedStateMachine):
+    """Builds complexes, products, maps, cones and transfers, and derives
+    characters and relative characters from them by the library's
+    operations; every derived value passes its checked rebuild, and every
+    operation passes the identities of verify that it enters.
+
+    Products and transfers are built only up to FACE_CAP faces, flag
+    complexes have at most 5 vertices, and a drawn degree is 1 or 2 (above
+    the fiber degree for fiber integration; 2 or 3 for unique sections).
+    """
+
+    complexes = Bundle("complexes")
+    products = Bundle("products")
+    maps = Bundle("maps")
+    cones = Bundle("cones")
+    transfers = Bundle("transfers")
+    cycles = Bundle("cycles")
+    characters = Bundle("characters")
+    relatives = Bundle("relatives")
+
+    def __init__(self):
+        super().__init__()
+        self.made = []
+        self.made_relative = []
+
+    def _rng(self, data):
+        return random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def _character(self, data, K, k=None):
+        """A character on K, of degree k if given: one made before, or a new
+        random one."""
+        made = [h for h in self.made if h.complex is K and k in (None, h.degree)]
+        i = data.draw(st.integers(0, len(made)), label="made")
+        if i:
+            return made[i - 1]
+        if k is None:
+            k = data.draw(st.integers(1, min(K.dim + 1, 2)), label="degree")
+        return random_character(K, k, self._rng(data))
+
+    def _keep(self, h):
+        _check_character(h)
+        self.made.append(h)
+        return h
+
+    def _keep_relative(self, f):
+        _check_relative(f)
+        self.made_relative.append(f)
+        return f
+
+    # -- spaces and maps
+
+    @initialize(target=complexes, name=st.sampled_from(FIXTURES))
+    def start(self, name):
+        return fixtures.complex_by_name(name)
+
+    @rule(target=complexes, K=flag_complexes(max_vertices=5))
+    def flag_complex(self, K):
+        return K
+
+    @rule(target=complexes, name=st.sampled_from(FIXTURES))
+    def fixture(self, name):
+        return fixtures.complex_by_name(name)
+
+    @rule(targets=(complexes, products), K=complexes, L=complexes)
+    def product(self, K, L):
+        if product_face_count(K, L) > FACE_CAP:
+            return multiple()
+        P = staircase_product(K, L)
+        for f in (P.projection_left(), P.projection_right(), P.include_at_right(0),
+                  P.include_at_left(0)):
+            _check_map(f)
+        return P
+
+    @rule(target=maps, phi=monotone_maps())
+    def monotone_map(self, phi):
+        for f in (identity_map(phi.source), compose_maps(identity_map(phi.target), phi)):
+            _check_map(f)
+        return phi
+
+    @rule(target=maps, K=complexes, i=st.integers(0, 2))
+    def map_into(self, K, i):
+        maps = verify._monotone_maps_into(K)
+        return maps[i % len(maps)]
+
+    @rule(target=maps, P=products, left=st.booleans())
+    def projection(self, P, left):
+        return P.projection_left() if left else P.projection_right()
+
+    @rule(target=cones, phi=maps)
+    def cone(self, phi):
+        return mapping_cone(phi)
+
+    @rule(target=cones, K=complexes)
+    def identity_cone(self, K):
+        return mapping_cone(identity_map(K))
+
+    @rule(target=cones, drawn=mapping_cones())
+    def random_cone(self, drawn):
+        return drawn[0]
+
+    @rule(target=transfers, base=complexes, fiber=st.sampled_from(FIBERS))
+    def transfer(self, base, fiber):
+        F = fixtures.complex_by_name(fiber)
+        if product_face_count(base, F) > FACE_CAP:
+            return multiple()
+        return product_transfer(base, F)
+
+    @rule(target=complexes, tr=transfers)
+    def total(self, tr):
+        return tr.total
+
+    @rule(target=cycles, K=complexes, data=st.data())
+    def cycle(self, K, data):
+        k = data.draw(st.integers(0, K.dim), label="degree")
+        basis = K.splitting(k).cycle_basis
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+        z = K.chain_from_vector(k, [sum(c * v[j] for c, v in zip(coeffs, basis))
+                                    for j in range(len(K.simplices(k)))])
+        for c in (z, z.boundary()):
+            _check_chain(c)
+        return z
+
+    # -- characters
+
+    @rule(target=characters, K=complexes, data=st.data())
+    def character(self, K, data):
+        h = self._character(data, K)
+        _holds(verify.curvature_of_iota(h.lift))
+        _holds(verify.iota_kernel(h.lift, h.mu))
+        _holds(verify.trivialization_round_trip(h))
+        _holds(verify.curvature_lifting(h))
+        _holds(_unit(h))
+        _holds(_io_round_trip(h))
+        return self._keep(h)
+
+    @rule(target=characters, K=complexes, data=st.data())
+    def flat(self, K, data):
+        k = data.draw(st.integers(1, min(K.dim + 1, 2)), label="degree")
+        g = random_flat_character(K, k, self._rng(data))
+        _holds(verify.flat_classes(g))
+        return self._keep(g)
+
+    @rule(target=characters, h=characters, data=st.data())
+    def add(self, h, data):
+        return self._keep(h + self._character(data, h.complex, h.degree))
+
+    @rule(target=characters, h=characters, data=st.data())
+    def subtract(self, h, data):
+        return self._keep(h - self._character(data, h.complex, h.degree))
+
+    @rule(target=characters, h=characters, n=st.integers(-3, 3))
+    def scale(self, h, n):
+        _check_character(-h)
+        return self._keep(h.scale(n))
+
+    @rule(target=characters, phi=maps, data=st.data())
+    def pull(self, phi, data):
+        h, f = self._character(data, phi.target), self._character(data, phi.target)
+        _holds(verify.naturality(phi, h, f))
+        return self._keep(pullback(phi, h))
+
+    @rule(target=characters, h=characters, data=st.data())
+    def internal(self, h, data):
+        K = h.complex
+        f, g = self._character(data, K), self._character(data, K)
+        h2 = self._character(data, K, h.degree)
+        u = random_flat_character(K, h.degree, self._rng(data)).lift
+        _holds(verify.bilinearity(h, h2, f))
+        _holds(verify.associativity(h, f, g))
+        _holds(verify.multiplicativity(h, f))
+        _holds(verify.iota_compatibility(h2.lift, f))
+        _holds(verify.flat_compatibility(u, f))
+        _holds(verify.commutativity_defect(h, f))
+        _holds(_leibniz(h.lift, f.lift))
+        _holds(_cup_associativity(h.lift, f.lift, g.lift))
+        _holds(_cup_1_coboundary(h.lift, f.lift))
+        for c in (cup(h.lift, f.lift), cup_1(h.lift, f.lift), coboundary(h.lift)):
+            _check_cochain(c)
+        # through verify, so that one patch there reaches the rule and the identities
+        return self._keep(verify.internal_product(h, f))
+
+    @rule(target=characters, P=products, data=st.data())
+    def external(self, P, data):
+        h, f = self._character(data, P.left), self._character(data, P.right)
+        d = h.degree + f.degree - 1
+        if 0 <= d <= P.dim:
+            cycles = [P.chain_from_vector(d, v) for v in P.splitting(d).cycle_basis[:4]]
+            _holds(verify.bb_formula(h, f, P, cycles))
+        return self._keep(external_product(h, f, P))
+
+    @rule(z=cycles, data=st.data())
+    def evaluate(self, z, data):
+        P = z.complex
+        h = self._character(data, P, z.degree + 1)
+        _holds(verify.torsion_formula(h, [z]))
+        if isinstance(P, ProductComplex) and z.degree > 0:
+            k = data.draw(st.integers(1, z.degree), label="left degree")
+            hl = self._character(data, P.left, k)
+            hr = self._character(data, P.right, z.degree + 1 - k)
+            _holds(verify.bb_formula(hl, hr, P, [z]))
+
+    # -- fiber integration
+
+    @rule(target=characters, tr=transfers, data=st.data())
+    def integrate(self, tr, data):
+        if not tr.fiber_chain.is_cycle():
+            return multiple()
+        k = data.draw(st.integers(1, 2), label="degree") + tr.fiber_degree
+        h = self._character(data, tr.total, k)
+        b = self._character(data, tr.total, k).lift
+        hb = self._character(data, tr.base)
+        g = verify._monotone_maps_into(tr.base)[data.draw(st.integers(0, 1), label="map")]
+        _holds(verify.fiber_curvature(h, tr))
+        _holds(verify.fiber_iota(b, tr))
+        _holds(verify.orientation_reversal(h, tr))
+        _holds(verify.fiber_naturality(g, h, tr))
+        _holds(verify.projection_formula(hb, h, tr))
+        return self._keep(fiber_integrate(h, tr))
+
+    @rule(target=relatives, tr=transfers, data=st.data())
+    def integrate_with_boundary(self, tr, data):
+        if tr.fiber_chain.is_cycle():
+            return multiple()
+        h = self._character(data, tr.total)
+        _holds(verify.boundary_integral_is_iota(h, tr))
+        _holds(verify.boundary_relative_projects(h, tr))
+        _holds(verify.endpoint_quotient(h, tr))
+        out = boundary_fiber_integrate(h, tr)
+        _check_character(out.over_boundary)
+        return self._keep_relative(out.relative)
+
+    # -- relative characters
+
+    @rule(target=relatives, cone=cones, data=st.data())
+    def section(self, cone, data):
+        h = self._character(data, cone.phi.target)
+        _holds(verify.section_gate(h, cone))
+        _holds(verify.section_projects(h, cone))
+        try:
+            return self._keep_relative(find_section(h, cone))
+        except NoSection:
+            return multiple()
+
+    @rule(target=relatives, cone=cones, data=st.data())
+    def include(self, cone, data):
+        g = self._character(data, cone.phi.source)
+        _holds(verify.inclusion_in_kernel(g, cone))
+        return self._keep_relative(incl_flat(g, cone))
+
+    @rule(target=relatives, cone=cones, data=st.data())
+    def unique_section(self, cone, data):
+        rng = self._rng(data)
+        k = data.draw(st.integers(2, 3), label="degree")
+        h = iota(random_character(cone.phi.target, k, rng).lift)
+        g = random_flat_character(cone.phi.source, k - 1, rng)
+        _holds(verify.equal_cov_sections(h, g, cone))
+        return self._keep_relative(find_section(h, cone))
+
+    @rule(target=relatives, f=relatives, data=st.data(), n=st.integers(-3, 3))
+    def combine(self, f, data, n):
+        like = [e for e in self.made_relative if e.cone is f.cone and e.degree == f.degree]
+        f2 = like[data.draw(st.integers(0, len(like) - 1), label="partner")]
+        for out in (f + f2, f - f2, -f2):
+            _check_relative(out)
+        return self._keep_relative(f.scale(n))
+
+    @rule(target=characters, f=relatives)
+    def descend(self, f):
+        if f.degree < 2 or not project(f).is_zero():
+            return multiple()
+        _holds(verify.kernel_descends(f))
+        return self._keep(descend_kernel(f))
+
+    @rule(f=relatives)
+    def relative_io(self, f):
+        _holds(_rel_io_round_trip(f))
+
+
+MACHINE = settings(max_examples=40, stateful_step_count=20, deadline=None, print_blob=True)
+TestAlgebra = Algebra.TestCase
+TestAlgebra.settings = MACHINE
+
+
+def test_the_machine_catches_half_mu_on_the_product_lift(monkeypatch):
+    """Adding mu_h/2 to the lift of h f for deg f = 1 keeps mu and passes
+    every checked rebuild; the identities of the product must catch it."""
+    product = verify.internal_product
+
+    def shifted(h, f):
+        hf = product(h, f)
+        if f.degree != 1:
+            return hf
+        return _derived(hf.curvature, hf.lift + h.mu.scale(Fraction(1, 2)), hf.mu)
+
+    monkeypatch.setattr(verify, "internal_product", shifted)
+    with pytest.raises(AssertionError):
+        run_state_machine_as_test(Algebra, settings=settings(
+            MACHINE, phases=[Phase.generate], derandomize=True, database=None))

@@ -32,8 +32,7 @@ from diffchar.characters import (
 from diffchar.cochain import Cochain
 from diffchar.relative import RelChar, find_section, incl_flat
 from diffchar.simplicial import ConeChain, SimplicialMap, identity_map, mapping_cone
-from test_exact_linalg import flag_complexes
-from test_presentations import mapping_cones
+from strategies import flag_complexes, mapping_cones
 
 
 def _rng(data):

@@ -7,7 +7,6 @@ in oracle.py before the production code existed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +23,7 @@ from diffchar.exact_linalg import (
     CycleSplitting,
     QuotientPresentation,
 )
-from diffchar.simplicial import Complex, staircase_product
+from diffchar.simplicial import staircase_product
 from oracle import (
     apply,
     column,
@@ -36,6 +35,7 @@ from oracle import (
     rational_rank,
     zero,
 )
+from strategies import flag_complexes
 
 
 def mat(rows):
@@ -240,26 +240,6 @@ def test_quotient_presentation_coordinates_additive():
     free2, tors2 = pres.coordinates([2 * x for x in v])
     assert all(x == 0 for x in free1) and all(x == 0 for x in free2)
     assert (2 * tors1[0]) % 6 == tors2[0]
-
-
-@st.composite
-def flag_complexes(draw, max_vertices=7):
-    """Clique complex of a random graph on at most max_vertices vertices."""
-    n = draw(st.integers(1, max_vertices))
-    pairs = list(combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return clique_complex(n, {e for e, k in zip(pairs, keep) if k})
-
-
-def clique_complex(n, edges):
-    """The flag complex on vertices 0..n-1 of a set of sorted edge pairs."""
-    cliques = [
-        s
-        for size in range(1, n + 1)
-        for s in combinations(range(n), size)
-        if all(e in edges for e in combinations(s, 2))
-    ]
-    return Complex(n, cliques)
 
 
 def _ints(data, length, span=3):

@@ -6,27 +6,12 @@ import random
 
 import pytest
 
-from diffchar import fixtures
+from diffchar import fixtures, verify
 from diffchar.cochain import Cochain, slant_fiber
-from diffchar.simplicial import (
-    SimplicialMap,
-    fundamental_cycle,
-    identity_map,
-    product_map,
-    staircase_product,
-    ez,
-)
-from diffchar.characters import (
-    LowDegreeChar,
-    evaluate,
-    iota,
-    pullback,
-    random_character,
-)
-from diffchar.products import external_product, internal_product
+from diffchar.simplicial import SimplicialMap, staircase_product, ez
+from diffchar.characters import LowDegreeChar, pullback, random_character
 from diffchar.fiber_integration import (
     EndpointMismatch,
-    TransferData,
     boundary_fiber_integrate,
     combined_transfer,
     fiber_integrate,
@@ -123,44 +108,25 @@ def test_closed_fiber_has_zero_boundary_integral():
 
 def test_orientation_reversal():
     T2 = fixtures.torus()
-    S1 = fixtures.circle()
-    tr = product_transfer(S1, S1, total=T2)
-    rev = product_transfer(S1, S1, fiber_chain=tr.fiber_chain.scale(-1), total=T2)
-    rng = random.Random(11)
-    h = random_character(T2, 2, rng)
-    assert fiber_integrate(h, rev) == -fiber_integrate(h, tr)
+    tr = product_transfer(fixtures.circle(), fixtures.circle(), total=T2)
+    h = random_character(T2, 2, random.Random(11))
+    assert verify.violation(verify.orientation_reversal(h, tr)) is None
 
 
 def test_naturality_along_a_base_map():
     S1 = fixtures.circle()
-    iv = fixtures.interval()
     T2 = fixtures.torus()
     tr = product_transfer(S1, S1, total=T2)
-    g = SimplicialMap(iv, S1, [0, 1])
-    EY = staircase_product(iv, S1)
-    gx = product_map(g, identity_map(S1), EY, T2)
-    trY = product_transfer(iv, S1, fiber_chain=tr.fiber_chain, total=EY)
-    rng = random.Random(13)
-    h = random_character(T2, 2, rng)
-    assert fiber_integrate(pullback(gx, h), trY) == pullback(g, fiber_integrate(h, tr))
+    g = SimplicialMap(fixtures.interval(), S1, [0, 1])
+    h = random_character(T2, 2, random.Random(13))
+    assert verify.violation(verify.fiber_naturality(g, h, tr)) is None
 
 
 def test_functoriality_of_iterated_fibers():
     S1 = fixtures.circle()
-    pt = fixtures.point()
-    XF1 = staircase_product(S1, S1)
-    nested = staircase_product(XF1, pt)
-    FF = staircase_product(S1, pt)
-    flat = staircase_product(S1, FF)
-    rb = rebracket_map(flat, nested)
-    c1, c2 = fundamental_cycle(S1), fundamental_cycle(pt)
-    rng = random.Random(17)
-    h = random_character(nested, 2, rng)
-    lhs = fiber_integrate(
-        fiber_integrate(h, TransferData(nested, c2)), TransferData(XF1, c1)
-    )
-    rhs = fiber_integrate(pullback(rb, h), TransferData(flat, ez(c1, c2, FF)))
-    assert lhs == rhs
+    nested = staircase_product(staircase_product(S1, S1), fixtures.point())
+    h = random_character(nested, 2, random.Random(17))
+    assert verify.violation(verify.iterated_fibers(h)) is None
 
 
 def test_mismatched_totals_are_refused():
@@ -188,30 +154,20 @@ def test_boundary_fiber_integration_identity():
     """Integration over the fiber boundary is iota of the curvature integral."""
     S1 = fixtures.circle()
     iv = fixtures.interval()
-    E = staircase_product(S1, iv)
-    tr = product_transfer(S1, iv, total=E)
+    tr = product_transfer(S1, iv)
     rng = random.Random(19)
     for k in (1, 2):
-        h = random_character(E, k, rng)
-        out = boundary_fiber_integrate(h, tr)
-        sign = (-1) ** (k - 1)
-        expected = iota(slant_fiber(h.curvature, tr.fiber_chain).scale(sign))
-        assert out.over_boundary == expected
-        assert project(out.relative) == out.over_boundary
-        assert out.cov == slant_fiber(h.curvature, tr.fiber_chain).scale(sign)
+        h = random_character(tr.total, k, rng)
+        assert verify.violation(verify.boundary_integral_is_iota(h, tr)) is None
+        assert verify.violation(verify.boundary_relative_projects(h, tr)) is None
+        cov = slant_fiber(h.curvature, tr.fiber_chain).scale((-1) ** (k - 1))
+        assert boundary_fiber_integrate(h, tr).cov == cov
 
 
 def test_boundary_fiber_degree_one_is_an_endpoint_quotient():
-    S1 = fixtures.circle()
-    iv = fixtures.interval()
-    E = staircase_product(S1, iv)
-    tr = product_transfer(S1, iv, total=E)
-    rng = random.Random(23)
-    h = random_character(E, 1, rng)
-    out = boundary_fiber_integrate(h, tr)
-    top = pullback(E.include_at_right(1), h)
-    bottom = pullback(E.include_at_right(0), h)
-    assert out.over_boundary == top - bottom
+    tr = product_transfer(fixtures.circle(), fixtures.interval())
+    h = random_character(tr.total, 1, random.Random(23))
+    assert verify.violation(verify.endpoint_quotient(h, tr)) is None
 
 
 def test_rotation_homotopy_defect_vanishes():
@@ -242,27 +198,18 @@ def test_updown_formula_instance():
     S1 = fixtures.circle()
     T2 = fixtures.torus()
     tr = product_transfer(S1, S1, total=T2)
-    pi = T2.projection_left()
     rng = random.Random(31)
     h = random_character(S1, 1, rng)
     f = random_character(T2, 2, rng)
-    lhs = fiber_integrate(internal_product(pullback(pi, h), f), tr)
-    rhs = internal_product(h, fiber_integrate(f, tr))
-    assert lhs == rhs
+    assert verify.violation(verify.projection_formula(h, f, tr)) is None
 
 
 def test_fiber_product_formula_instance():
     S1 = fixtures.circle()
     T2 = fixtures.torus()
     tr = product_transfer(S1, S1, total=T2)
-    comb, swap = combined_transfer(tr, tr)
     rng = random.Random(37)
-    k, l = 2, 1
-    h = random_character(T2, k, rng)
-    f = random_character(T2, l, rng)
-    hf = external_product(h, f, swap.target)
-    lhs = fiber_integrate(pullback(swap, hf), comb)
-    rhs = external_product(fiber_integrate(h, tr), fiber_integrate(f, tr), comb.total.left)
-    if (l - 1) % 2:
-        rhs = -rhs
-    assert lhs == rhs
+    h = random_character(T2, 2, rng)
+    f = random_character(T2, 1, rng)
+    combined = combined_transfer(tr, tr)
+    assert verify.violation(verify.fiber_product_formula(h, f, tr, tr, combined)) is None

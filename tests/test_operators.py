@@ -24,8 +24,7 @@ from diffchar.simplicial import (
     staircase_product,
     transpose_map,
 )
-from test_cochain import monotone_maps
-from test_exact_linalg import clique_complex, flag_complexes
+from strategies import clique_complex, flag_complexes, monotone_maps
 
 
 def _chain(data, K, n):

@@ -11,7 +11,6 @@ the package.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,42 +24,13 @@ from diffchar.simplicial import Complex, SimplicialMap, mapping_cone, staircase_
 from oracle import (
     apply, homology_rank_and_torsion, identity, invariant_factors, matmul, rational_rank,
 )
-from test_exact_linalg import flag_complexes
+from strategies import flag_complexes, mapping_cones
 
 
 @st.composite
 def flag_complexes_with_top(draw):
     K = draw(flag_complexes())
     return K, K.dim
-
-
-@st.composite
-def mapping_cones(draw):
-    """The cone of a random simplicial map A -> X into a flag complex X.
-
-    A is the flag complex of a random graph on vertices that the vertex map
-    sends to equal or adjacent vertices of X, so every clique of A lands on
-    a clique of X, which X contains; collapses are allowed.
-    """
-    X = draw(flag_complexes(max_vertices=6))
-    m = draw(st.integers(1, 4))
-    f = draw(st.lists(st.integers(0, X.num_vertices - 1), min_size=m, max_size=m))
-    edges_x = set(X.simplices(1))
-    allowed = [
-        (u, v)
-        for u, v in combinations(range(m), 2)
-        if f[u] == f[v] or tuple(sorted((f[u], f[v]))) in edges_x
-    ]
-    keep = draw(st.lists(st.booleans(), min_size=len(allowed), max_size=len(allowed)))
-    edges = {e for e, k in zip(allowed, keep) if k}
-    cliques = [
-        s
-        for size in range(1, m + 1)
-        for s in combinations(range(m), size)
-        if all(e in edges for e in combinations(s, 2))
-    ]
-    A = Complex(m, cliques)
-    return mapping_cone(SimplicialMap(A, X, f)), max(X.dim, A.dim + 1)
 
 
 @st.composite

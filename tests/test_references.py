@@ -31,8 +31,7 @@ from diffchar.simplicial import (
     staircase_product,
     transpose_map,
 )
-from test_cochain import monotone_maps
-from test_exact_linalg import flag_complexes
+from strategies import flag_complexes, monotone_maps
 
 
 @settings(max_examples=25, deadline=None)

@@ -31,7 +31,7 @@ from diffchar.exact_linalg import (
 from diffchar.relative import find_section, project, pushforward_injective
 from diffchar.simplicial import Complex, SimplicialMap, mapping_cone, staircase_product
 from oracle import identity, invariant_factors, matmul, rational_rank
-from test_exact_linalg import flag_complexes
+from strategies import flag_complexes
 
 
 @st.composite

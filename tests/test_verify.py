@@ -61,6 +61,25 @@ def test_the_recorder_keeps_the_first_failure_of_each_check():
     assert report["pass"] is False and report["suite"] == "s"
 
 
+def test_an_identity_stops_at_its_first_failing_condition():
+    reached = []
+
+    def identity():
+        yield 1, 1
+        yield Fraction(1, 2), Fraction(1, 3), {"cycle": 4}
+        reached.append(True)
+
+    failure = {"cycle": 4, "discrepancy": {"lhs": "1/2", "rhs": "1/3"}}
+    assert verify.violation(identity()) == failure
+    assert verify.violation([True, False]) == {}
+    assert verify.violation([(0, 0), True]) is None
+    rec = verify._Recorder(3)
+    assert not rec.holds("law", identity(), rec.at(1, "X", k=1))
+    assert rec.checks == [{"name": "law", "pass": False, "witness": {
+        "seed": 3, "instance": 1, "fixture": "X", "degrees": {"k": 1}, **failure}}]
+    assert not reached
+
+
 def _scaled(f, n):
     return lambda *args, **kwargs: f(*args, **kwargs).scale(n)
 
