@@ -20,12 +20,12 @@ the degrees drawn, and, for two compared cochains or characters (any
 is built for a condition that holds.  A suite that raises stops with a
 `SuiteFault` naming the instance in flight.
 
-The same functions, all but `iterated_fibers` and `fiber_product_formula`,
-are invariants of the stateful machine `Algebra` in `tests/test_derived.py`,
-which applies them to whatever it derives from small flag complexes, the
-surface fixtures, products of at most `FACE_CAP` faces, maps, cones and
-transfers; a failing run prints its steps and the identity's witness.  No
-test restates an identity checked here.
+An identity about an operation's result takes the result as input (`hf`,
+`fh`, `out`, `kernel_descends`'s `f`); its caller computes it once, through
+this module's names.  Every identity is an invariant of the stateful machine
+`Algebra` in `tests/test_derived.py`, run on what it derives from flag
+complexes, the fixtures, products of at most `FACE_CAP` faces, maps, cones
+and transfers.  No test restates an identity checked here.
 """
 
 from __future__ import annotations
@@ -308,28 +308,27 @@ def run_diagram33(rec, rng):
 # -- product-axioms ----------------------------------------------------------
 
 
-def bilinearity(h, h2, f):
-    """The internal product is additive in each factor."""
-    yield internal_product(h + h2, f), internal_product(h, f) + internal_product(h2, f)
-    yield internal_product(f, h + h2), internal_product(f, h) + internal_product(f, h2)
+def bilinearity(h, h2, f, hf, fh):
+    """The internal product is additive in each factor; hf = h f, fh = f h."""
+    yield internal_product(h + h2, f), hf + internal_product(h2, f)
+    yield internal_product(f, h + h2), fh + internal_product(f, h2)
 
 
-def associativity(h, f, g):
+def associativity(h, f, g, hf):
     """(h f) g = h (f g) on the cochain level: curvature and lift."""
-    lhs = internal_product(internal_product(h, f), g)
+    lhs = internal_product(hf, g)
     rhs = internal_product(h, internal_product(f, g))
     yield lhs.curvature, rhs.curvature
     yield lhs.lift, rhs.lift
 
 
-def naturality(phi, h, f):
+def naturality(phi, h, f, hf):
     """Pullback along phi is multiplicative."""
-    yield pullback(phi, internal_product(h, f)), internal_product(pullback(phi, h), pullback(phi, f))
+    yield pullback(phi, hf), internal_product(pullback(phi, h), pullback(phi, f))
 
 
-def multiplicativity(h, f):
-    """Class and curvature of h f are the cup products of the factors'."""
-    hf = internal_product(h, f)
+def multiplicativity(h, f, hf):
+    """Class and curvature of hf = h f are the cup products of the factors'."""
     yield char_class(hf), IntegralClass(h.complex, h.degree + f.degree, cup(h.mu, f.mu))
     yield hf.curvature, cup(h.curvature, f.curvature)
 
@@ -344,12 +343,12 @@ def flat_compatibility(u, f):
     yield internal_product(flat_character(u), f), flat_character(cup(u, f.mu))
 
 
-def commutativity_defect(h, f):
-    """h f - (-1)^(kl) f h has class zero, is iota of its trivialization,
+def commutativity_defect(h, f, hf, fh):
+    """hf - (-1)^(kl) fh has class zero, is iota of its trivialization,
     and has curvature (-1)^(k+l+kl) d(curv f cup_1 curv h), which is
     -d(curv f cup_1 curv h) unless k and l are both even."""
     k, l = h.degree, f.degree
-    defect = internal_product(h, f) - internal_product(f, h).scale(-1 if k * l % 2 else 1)
+    defect = hf - fh.scale(-1 if k * l % 2 else 1)
     yield char_class(defect).is_zero()
     yield defect, iota(trivialization(defect))
     sign = -1 if (k + l + k * l) % 2 else 1
@@ -388,13 +387,14 @@ def run_product_axioms(rec, rng, instances=100):
             g = random_character(K, m, rng)
             phi = maps[rng.randrange(len(maps))]
             u = random_flat_character(K, k, rng).lift
-            rec.holds(bilinear, bilinearity(h, h2, f), at)
-            rec.holds(assoc, associativity(h, f, g), at)
-            rec.holds(natural, naturality(phi, h, f), at)
-            rec.holds(mult, multiplicativity(h, f), at)
+            hf, fh = internal_product(h, f), internal_product(f, h)
+            rec.holds(bilinear, bilinearity(h, h2, f, hf, fh), at)
+            rec.holds(assoc, associativity(h, f, g, hf), at)
+            rec.holds(natural, naturality(phi, h, f, hf), at)
+            rec.holds(mult, multiplicativity(h, f, hf), at)
             rec.holds(iota_compat, iota_compatibility(h2.lift, f), at)
             rec.holds(flat_compat, flat_compatibility(u, f), at)
-            rec.holds(commut, commutativity_defect(h, f), at)
+            rec.holds(commut, commutativity_defect(h, f, hf, fh), at)
 
 
 # -- bb-oracle ---------------------------------------------------------------
@@ -508,26 +508,25 @@ def run_fiber_axioms(rec, rng):
 # -- boundary-fiber ----------------------------------------------------------
 
 
-def boundary_integral_is_iota(h, tr):
-    """Over an interval fiber, the boundary integral is iota of
-    (-1)^(k-1) times the curvature integral."""
+def boundary_integral_is_iota(h, tr, out):
+    """Over an interval fiber, the boundary integral of out, the result of
+    boundary_fiber_integrate(h, tr), is iota of (-1)^(k-1) times the
+    curvature integral."""
     sign = -1 if (h.degree - 1) % 2 else 1
-    yield (boundary_fiber_integrate(h, tr).over_boundary,
-           iota(slant_fiber(h.curvature, tr.fiber_chain).scale(sign)))
+    yield out.over_boundary, iota(slant_fiber(h.curvature, tr.fiber_chain).scale(sign))
 
 
-def boundary_relative_projects(h, tr):
+def boundary_relative_projects(out):
     """The relative output projects to the boundary integral."""
-    out = boundary_fiber_integrate(h, tr)
     yield project(out.relative), out.over_boundary
 
 
-def endpoint_quotient(h, tr):
+def endpoint_quotient(h, tr, out):
     """In degree 1 over the interval, the boundary integral is h at the top
     end minus h at the bottom one."""
     if h.degree == 1:
         top, bottom = (pullback(tr.total.include_at_right(v), h) for v in (1, 0))
-        yield boundary_fiber_integrate(h, tr).over_boundary, top - bottom
+        yield out.over_boundary, top - bottom
 
 
 @_suite(5077)
@@ -543,9 +542,10 @@ def run_boundary_fiber(rec, rng, instances=50):
             k = rng.choice([1, 2])
             at = rec.at(i, E.name, k=k)
             h = random_character(E, k, rng)
-            rec.holds(iota_form, boundary_integral_is_iota(h, tr), at)
-            rec.holds(proj, boundary_relative_projects(h, tr), at)
-            rec.holds(endpoints, endpoint_quotient(h, tr), at)
+            out = boundary_fiber_integrate(h, tr)
+            rec.holds(iota_form, boundary_integral_is_iota(h, tr, out), at)
+            rec.holds(proj, boundary_relative_projects(out), at)
+            rec.holds(endpoints, endpoint_quotient(h, tr, out), at)
 
 
 # -- updown ------------------------------------------------------------------

@@ -36,7 +36,11 @@ per inversion.  A process loads only the modules it runs, so `__init__`
 imports no submodule at module level, and `cli`, `io` and `fixtures` import
 the modules only some of their functions need (products, fiber integration,
 relative characters, holonomy, the verify suites; cochains and characters in
-`fixtures`) inside those functions.
+`fixtures`) inside those functions.  Among the tests, only the stateful
+machine in `test_derived` and the suite pins in `test_verify` call an
+identity of `verify`, so no hand-picked instance of one grows back; the
+instances that older tests still hold are listed, and leave the list when
+they are retired.
 """
 
 from __future__ import annotations
@@ -627,4 +631,107 @@ def test_the_deferred_import_rule_catches_each_violation():
     ]
     assert sorted(line for line, _ in _eager_imports(ast.parse(source), None)) == [
         1, 2, 3, 3, 4, 5, 7, 9, 10,
+    ]
+
+
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+# The tests that call verify's identities: the machine and the suite pins.
+_IDENTITY_CALLERS = {"test_derived.py", "test_verify.py"}
+# Hand-picked instances of identities the machine also checks; each goes
+# when it is retired, and none is added.
+_PENDING_INSTANCES = {
+    "test_products.py": {
+        "test_internal_product_bilinear_and_associative", "test_internal_product_multiplicativity",
+        "test_internal_product_naturality", "test_iota_and_flat_compatibility",
+        "test_commutativity_restated",
+    },
+    "test_fiber_integration.py": {
+        "test_orientation_reversal", "test_naturality_along_a_base_map",
+        "test_functoriality_of_iterated_fibers", "test_boundary_fiber_integration_identity",
+        "test_boundary_fiber_degree_one_is_an_endpoint_quotient", "test_updown_formula_instance",
+        "test_fiber_product_formula_instance",
+    },
+}
+
+
+def _identities(tree):
+    """The identities of verify: its module-level generator functions."""
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))}
+
+
+def _dotted(node):
+    """`a.b.c` for a name or an attribute chain on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _identity_calls(tree, identities):
+    """(top-level definition, line, callee) of each call of an identity:
+    through the verify module, under any name, or imported from it."""
+    modules, names = {"verify", "diffchar.verify"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.name == "diffchar.verify" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "diffchar":
+            modules |= {a.asname or a.name for a in node.names if a.name == "verify"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "diffchar.verify":
+            names |= {a.asname or a.name for a in node.names if a.name in identities}
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            callee = isinstance(node, ast.Call) and _dotted(node.func)
+            if not callee:
+                continue
+            module, _, name = callee.rpartition(".")
+            if (module in modules and name in identities) or (not module and name in names):
+                yield owner, node.lineno, callee
+
+
+def test_only_the_machine_and_the_suite_pins_call_verify_identities():
+    verify = next(p for p in SOURCES if p.name == "verify.py")
+    identities = _identities(ast.parse(verify.read_text()))
+    assert {"bilinearity", "iterated_fibers", "kernel_descends"} <= identities
+    assert not identities & {"violation", "run_suite", "internal_product"}
+    calls = {(path.name, owner, line, callee) for path in TESTS
+             for owner, line, callee in _identity_calls(ast.parse(path.read_text()), identities)}
+    found = [f"{name}:{line}: {callee} in {owner}" for name, owner, line, callee in sorted(calls)
+             if name not in _IDENTITY_CALLERS and owner not in _PENDING_INSTANCES.get(name, ())]
+    assert found == []
+    pending = {(name, owner) for name, owners in _PENDING_INSTANCES.items() for owner in owners}
+    assert pending <= {(name, owner) for name, owner, _, _ in calls}
+
+
+def test_the_identity_caller_rule_catches_each_violation():
+    source = (
+        "import diffchar.verify as v\n"
+        "from diffchar import verify\n"
+        "from diffchar.verify import naturality, violation, bilinearity as bl\n"
+        "def test_restated(h, f, g, hf, fh, phi, cone):\n"
+        "    verify.violation(verify.associativity(h, f, g, hf))\n"
+        "    naturality(phi, h, f, hf)\n"
+        "    assert bl(h, h, f, hf, fh)\n"
+        "    v.iterated_fibers(h)\n"
+        "    diffchar.verify.section_gate(h, cone)\n"
+        "class TestInstances:\n"
+        "    def test_one(self, h, tr, out):\n"
+        "        list(verify.endpoint_quotient(h, tr, out))\n"
+        "def test_not_an_identity(h, f, other):\n"
+        "    verify.violation([(h, f)])\n"
+        "    verify.run_suite('updown')\n"
+        "    verify.internal_product(h, f)\n"
+        "    other.naturality(h, f)\n"
+        "    bilinearity(h, f)\n"
+    )
+    identities = {"associativity", "naturality", "bilinearity", "iterated_fibers",
+                  "section_gate", "endpoint_quotient"}
+    assert sorted(_identity_calls(ast.parse(source), identities)) == [
+        ("TestInstances", 12, "verify.endpoint_quotient"),
+        ("test_restated", 5, "verify.associativity"), ("test_restated", 6, "naturality"),
+        ("test_restated", 7, "bl"), ("test_restated", 8, "v.iterated_fibers"),
+        ("test_restated", 9, "diffchar.verify.section_gate"),
     ]
