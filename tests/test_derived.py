@@ -91,6 +91,7 @@ from diffchar.simplicial import (
     alexander_whitney,
     compose_maps,
     ez,
+    fundamental_cycle,
     identity_map,
     mapping_cone,
     product_face_count,
@@ -200,6 +201,36 @@ def test_fiber_integration_over_the_circle_carries_mu(K, data):
     _check_character(fiber_integrate(h, tr))
 
 
+@settings(max_examples=40, deadline=None)
+@given(monotone_maps(), st.data())
+def test_library_chains_and_cochains_match_their_checked_rebuilds(phi, data):
+    K = phi.target
+    rng = _rng(data)
+    p = data.draw(st.integers(0, K.dim))
+    q = data.draw(st.integers(0, K.dim - p))
+    a, a2 = random_character(K, p + 1, rng).lift, random_character(K, p + 1, rng).lift
+    b = random_character(K, q + 1, rng).lift
+    ints = [rng.randint(-3, 3) for _ in K.simplices(p)]
+    n = data.draw(st.integers(-3, 3))
+    for c in (a + a2, a - a, -a, a.scale(Fraction(n, 2)), coboundary(a), cup(a, b),
+              cup_1(a, b), pullback_cochain(phi, a), zero_cochain(K, p),
+              Cochain.from_vector(K, p, ints)):
+        _check_cochain(c)
+    z = phi.source.chain_from_vector(p, [rng.randint(-3, 3) for _ in phi.source.simplices(p)])
+    y = K.chain_from_vector(q, [rng.randint(-3, 3) for _ in K.simplices(q)])
+    w = K.chain_from_vector(p, ints)
+    for c in (z, z.boundary(), phi.push_chain(z), w + w.scale(n), -w, w - w,
+              tensor(w, y), tensor(w, y).boundary()):
+        _check_chain(c)
+    S1 = fixtures.circle()
+    P = staircase_product(K, S1)
+    cF = fundamental_cycle(S1)
+    for c in (cF, ez(w, cF, P), alexander_whitney(ez(w, cF, P))):
+        _check_chain(c)
+    big = random_character(P, p + 2, rng).lift
+    _check_cochain(slant_fiber(big, cF))
+
+
 @settings(max_examples=30, deadline=None)
 @given(flag_complexes(max_vertices=5), st.data())
 def test_cov_inverse_carries_mu(K, data):
@@ -217,6 +248,20 @@ def test_boundary_fiber_integration_carries_mu(K, data):
     out = boundary_fiber_integrate(h, tr)
     _check_character(out.over_boundary)
     _check_relative(out.relative)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mapping_cones(), st.data())
+def test_cone_chains_match_their_checked_rebuilds(drawn, data):
+    cone, top = drawn
+    k = data.draw(st.integers(0, top))
+    size = sum(cone.basis_sizes(k))
+    c, c2 = (cone.chain_from_vector(k, [data.draw(st.integers(-3, 3)) for _ in range(size)])
+             for _ in range(2))
+    n = data.draw(st.integers(-3, 3))
+    for z in (c, c.boundary(), c + c2, c - c2, -c, c.scale(n),
+              cone.chain(k, c.x_part.coeffs, c.a_part.coeffs)):
+        _check_cone_chain(z)
 
 
 @settings(max_examples=30, deadline=None)
@@ -251,6 +296,21 @@ def test_identities_and_composites_are_simplicial(phi):
               compose_maps(phi, identity_map(phi.source)),
               compose_maps(identity_map(phi.target), phi)):
         _check_map(f)
+
+
+@settings(max_examples=15, deadline=None)
+@given(flag_complexes(max_vertices=3), flag_complexes(max_vertices=3), st.data())
+def test_product_maps_are_simplicial(K, L, data):
+    P, Q = staircase_product(K, L), staircase_product(L, K)
+    u0 = data.draw(st.integers(0, K.num_vertices - 1))
+    v0 = data.draw(st.integers(0, L.num_vertices - 1))
+    for f in (P.projection_left(), P.projection_right(), P.include_at_right(v0),
+              P.include_at_left(u0), transpose_map(P, Q)):
+        _check_map(f)
+    I = fixtures.interval()
+    flat = staircase_product(K, staircase_product(L, I))
+    nested = staircase_product(staircase_product(K, L), I)
+    _check_map(rebracket_map(flat, nested))
 
 
 @settings(max_examples=5, deadline=None)
