@@ -6,18 +6,19 @@ shuffle (Eilenberg-Zilber) and front/back (Alexander-Whitney) chain maps; the
 sign conventions are pinned by the mechanized identities in the test suite,
 not by transcription.
 
-Values are checked where they enter (`Chain`, `TensorChain`, `ConeChain`,
-`SimplicialMap`); results the library derives are built by the trusted
-`_of` of `LinearCombination`, `DirectSum` and `SimplicialMap`.
+Values are checked where they enter (`Complex`, `Chain`, `TensorChain`,
+`ConeChain`, `SimplicialMap`); results the library derives are built by the
+trusted `_of` of `LinearCombination`, `DirectSum` and `SimplicialMap`, and
+staircase products, whose faces come closed and sorted from a table of
+paths, by that of `Complex`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from diffchar.exact_linalg import (
     IntMatrix,
@@ -41,7 +42,11 @@ def _validate_simplex(simplex, num_vertices):
     if len(simplex) == 0:
         raise ValueError("empty simplex")
     for v in simplex:
-        if not isinstance(v, int) or v < 0 or v >= num_vertices:
+        # Not isinstance: io would write a bool as a JSON boolean, which it
+        # refuses to read back.
+        if type(v) is not int:
+            raise ValueError(f"vertex {v!r} is not an integer")
+        if v < 0 or v >= num_vertices:
             raise ValueError(f"vertex {v!r} out of range")
     if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
         raise ValueError(f"simplex {simplex} is not strictly increasing")
@@ -106,11 +111,13 @@ class _Factorizations(_Memo):
 
 
 class Complex(_Factorizations):
-    """A finite simplicial complex on vertices 0..num_vertices-1."""
+    """A finite simplicial complex on vertices 0..num_vertices-1.
+
+    The constructor checks the listed simplices and closes them under faces;
+    `_of` takes faces the library has already built closed and sorted.
+    """
 
     def __init__(self, num_vertices, simplices, name=""):
-        self.num_vertices = num_vertices
-        self.name = name
         by_dim = {}
         seen = set()
         stack = []
@@ -126,10 +133,16 @@ class Complex(_Factorizations):
             by_dim.setdefault(len(s) - 1, []).append(s)
             if len(s) > 1:
                 stack.extend(combinations(s, len(s) - 1))
-        self._by_dim = {d: tuple(sorted(ss)) for d, ss in sorted(by_dim.items())}
-        self._index = {
-            s: i for d, ss in self._by_dim.items() for i, s in enumerate(ss)
-        }
+        self._of(num_vertices, {d: tuple(sorted(ss)) for d, ss in sorted(by_dim.items())}, name)
+
+    def _of(self, num_vertices, by_dim, name):
+        """Make this the complex with these faces, unchecked: `by_dim` maps
+        each dimension, in increasing order, to its faces in sorted order, and
+        the faces are closed under taking faces."""
+        self.num_vertices = num_vertices
+        self.name = name
+        self._by_dim = by_dim
+        self._index = {s: i for ss in by_dim.values() for i, s in enumerate(ss)}
         self._memo = {}
 
     @property
@@ -483,7 +496,9 @@ class SimplicialMap(_Memo):
         if len(vertex_map) != source.num_vertices:
             raise ValueError("vertex map length does not match source vertices")
         for w in vertex_map:
-            if not isinstance(w, int) or w < 0 or w >= target.num_vertices:
+            if type(w) is not int:
+                raise ValueError(f"target vertex {w!r} is not an integer")
+            if w < 0 or w >= target.num_vertices:
                 raise ValueError(f"target vertex {w!r} out of range")
         for s in source.all_simplices():
             image = tuple(sorted(set(vertex_map[v] for v in s)))
@@ -576,28 +591,45 @@ def identity_map(complex):
     return SimplicialMap._of(complex, complex, range(complex.num_vertices))
 
 
-@lru_cache(maxsize=None)
-def _staircase(p, q):
-    """The staircase paths through a p-simplex times a q-simplex.
+def _paths(p, q):
+    """The path table of a p-simplex s times a q-simplex t.
 
-    One (shuffle sign, index pairs) per path: the path visits vertex pairs
-    (s[a], t[b]) for its (a, b), starting at (0, 0) and advancing one
-    coordinate per step.  The sign is the parity of the interleaving: a left
-    step taken at position j, as the i-th left step, passes j - i right
-    steps.
+    Every path from (0, 0) to (p, q) by unit steps right (1, 0), diagonal
+    (1, 1) or up (0, 1), as the points (a, b) it visits; the path is the face
+    with vertices (s[a], t[b]) of the staircase product.  Over s x t lie
+    exactly these faces, so the product is built from this table, its full
+    staircases are the diagonal-free paths (`_staircase`), and
+    `product_face_count` counts the paths, the Delannoy number, unlisted.
+    Right steps are tried first, so the diagonal-free paths come in the order
+    of `combinations(range(p + q), p)` of their right-step positions.
     """
-    paths = []
-    for left_steps in combinations(range(p + q), p):
-        left_set = set(left_steps)
-        a = 0
-        pairs = [(0, 0)]
-        for step in range(p + q):
-            if step in left_set:
-                a += 1
-            pairs.append((a, step + 1 - a))
-        sign = -1 if (sum(left_steps) - p * (p - 1) // 2) % 2 else 1
-        paths.append((sign, tuple(pairs)))
-    return tuple(paths)
+
+    def walk(a, b):
+        if (a, b) == (p, q):
+            yield ((a, b),)
+            return
+        for da, db in ((1, 0), (1, 1), (0, 1)):
+            if a + da <= p and b + db <= q:
+                for rest in walk(a + da, b + db):
+                    yield ((a, b),) + rest
+
+    return tuple(walk(0, 0))
+
+
+def _staircase(p, q):
+    """The full staircases through a p-simplex times a q-simplex: the
+    diagonal-free paths of `_paths(p, q)`, each with its shuffle sign.
+
+    The sign is the parity of the interleaving: a right step taken at
+    position j, as the i-th right step, passes j - i up steps.
+    """
+    out = []
+    for path in _paths(p, q):
+        if len(path) == p + q + 1:
+            rights = [j for j in range(p + q) if path[j + 1][0] > path[j][0]]
+            sign = -1 if (sum(rights) - p * (p - 1) // 2) % 2 else 1
+            out.append((sign, path))
+    return tuple(out)
 
 
 class ProductComplex(Complex):
@@ -605,23 +637,43 @@ class ProductComplex(Complex):
 
     Vertices are pairs encoded as u * (right vertex count) + v; simplices are
     the componentwise weakly monotone chains of distinct pairs whose
-    projections span simplices of the factors.
+    projections span simplices of the factors.  Each is a path of
+    `_paths(p, q)` over a p-simplex and a q-simplex of the factors, so the
+    constructor builds each face once and neither closes nor checks them.
     """
 
     def __init__(self, left, right, name=""):
         self.left = left
         self.right = right
         nr = right.num_vertices
-        simplices = set()
-        for s in left.all_simplices():
-            for t in right.all_simplices():
-                for _, pairs in _staircase(len(s) - 1, len(t) - 1):
-                    simplices.add(tuple(s[a] * nr + t[b] for a, b in pairs))
-        super().__init__(
+        by_dim = {}
+        for p, ss in left._by_dim.items():
+            for q, tt in right._by_dim.items():
+                # One getter per path picks its points out of the grid of the
+                # encoded pairs (s[a], t[b]), row a after row a - 1; the only
+                # one-point path (p = q = 0) reads its one-point grid whole.
+                faces = [
+                    (by_dim.setdefault(len(path) - 1, []).append,
+                     itemgetter(*[a * (q + 1) + b for a, b in path]) if len(path) > 1 else tuple)
+                    for path in _paths(p, q)
+                ]
+                for s in ss:
+                    rows = [u * nr for u in s]
+                    for t in tt:
+                        grid = [u + v for u in rows for v in t]
+                        for add, get in faces:
+                            add(get(grid))
+        for ss in by_dim.values():
+            ss.sort()
+        self._of(
             left.num_vertices * nr,
-            simplices,
+            {d: tuple(by_dim.pop(d)) for d in sorted(by_dim)},
             name or f"({left.name}x{right.name})",
         )
+
+    def _staircase(self, p, q):
+        """`_staircase(p, q)`, memoized for the shuffle."""
+        return self._cached("staircase", (p, q), lambda: _staircase(p, q))
 
     def encode(self, u, v):
         return u * self.right.num_vertices + v
@@ -664,9 +716,11 @@ def product_face_count(left, right):
     """The number of faces of staircase_product(left, right), unbuilt.
 
     A face projects onto a p-simplex of the left factor and a q-simplex of
-    the right one, and over each such pair lie as many faces as there are
-    paths from (0, 0) to (p, q) by unit steps right, up and diagonally: the
-    Delannoy number sum_k C(p, k) C(q, k) 2^k.
+    the right one, and over each such pair lie the paths of the path table
+    `_paths(p, q)` that the build reads: as many as there are paths from
+    (0, 0) to (p, q) by unit steps right, up and diagonally, the Delannoy
+    number sum_k C(p, k) C(q, k) 2^k.  The count lists no path, so it stays
+    cheap for factors whose product is too large to build.
     """
     return sum(
         len(left.simplices(p)) * len(right.simplices(q))
@@ -722,7 +776,7 @@ def _shuffle(tensor_chain, product, degree):
         raise ValueError("tensor chain factors do not match the product")
     out = {}
     for (s, t), c in tensor_chain.coeffs.items():
-        for sign, pairs in _staircase(len(s) - 1, len(t) - 1):
+        for sign, pairs in product._staircase(len(s) - 1, len(t) - 1):
             key = tuple(product.encode(s[a], t[b]) for a, b in pairs)
             out[key] = out.get(key, 0) + sign * c
     return Chain._of(product, degree, out)

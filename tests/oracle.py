@@ -20,10 +20,13 @@ equality, `DirectSum`'s, from the parts each group declares.
 The maps between staircase products are the vertex walks the package once
 wrote out per map: decode each product vertex into its coordinates, send
 them on, encode the image.  The package builds all of them through one
-coordinate rule, `ProductComplex._map_of`.  The maximal simplices are read
-off the empty rows of d_{n+1}, and the two pushforward-kernel predicates of
-`relative` walk the kernel lattice each with its own combination loop, as
-the package once did.
+coordinate rule, `ProductComplex._map_of`.  A staircase product is built
+as the package once built it: the full staircases of every pair of factor
+simplices, closed under faces and checked by the `Complex` constructor; the
+package builds each face once from a table of paths.  The maximal
+simplices are read off the empty rows of d_{n+1}, and the two
+pushforward-kernel predicates of `relative` walk the kernel lattice each
+with its own combination loop, as the package once did.
 
 The dense matrix helpers at the end (identity, zero, product, matrix times
 vector, column, determinant) work on the `data` view of an IntMatrix with
@@ -33,11 +36,13 @@ textbook loops; the package itself only ever reads a matrix's nonzeros.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from diffchar.characters import DiffChar, FlatClass
 from diffchar.cochain import has_integral_periods, pair
 from diffchar.exact_linalg import IntMatrix, kernel_basis
 from diffchar.relative import RelChar
+from diffchar.simplicial import Complex
 
 
 def rational_rank(rows):
@@ -300,6 +305,26 @@ def combined_swap_vertices(left_transfer, right_transfer, total, target):
         vm.append(target.encode(left_transfer.total.encode(x, f),
                                 right_transfer.total.encode(x2, f2)))
     return tuple(vm)
+
+
+def closure_product(left, right, name=""):
+    """The staircase product of left and right, closed by the checking
+    `Complex` constructor: over a p-simplex s and a q-simplex t, each choice
+    of p positions among p + q steps for the steps in s gives the staircase
+    through (s[a], t[b]) for the points (a, b) of its path from (0, 0)."""
+    nr = right.num_vertices
+    staircases = set()
+    for s in left.all_simplices():
+        for t in right.all_simplices():
+            p, q = len(s) - 1, len(t) - 1
+            for steps in combinations(range(p + q), p):
+                a, path = 0, [(0, 0)]
+                for j in range(p + q):
+                    if j in steps:
+                        a += 1
+                    path.append((a, j + 1 - a))
+                staircases.add(tuple(s[a] * nr + t[b] for a, b in path))
+    return Complex(left.num_vertices * nr, staircases, name or f"({left.name}x{right.name})")
 
 
 def maximal_simplices(complex):

@@ -1,8 +1,8 @@
 """Hypothesis strategies and random draws shared by the test modules.
 
-Small flag complexes, monotone maps into them, mapping cones of such maps,
-and random rational cochains.  Test modules import these from here, never
-from one another.
+Small flag complexes, 0-dimensional complexes, monotone maps into flag
+complexes, mapping cones of such maps, and random rational cochains.
+Test modules import these from here, never from one another.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ def flag_complexes(draw, max_vertices=7):
     pairs = list(combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return clique_complex(n, {e for e, k in zip(pairs, keep) if k})
+
+
+@st.composite
+def zero_dimensional_complexes(draw, max_vertices=4):
+    """Some of the vertices 0..n-1 as 0-simplices, perhaps none of them."""
+    n = draw(st.integers(1, max_vertices))
+    vertices = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return Complex(n, [(v,) for v in vertices])
 
 
 @st.composite

@@ -16,7 +16,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import diffchar
 from diffchar import fixtures, io
 from diffchar.cli import main
-from diffchar.simplicial import identity_map, mapping_cone, staircase_product
+from diffchar.simplicial import (
+    Complex,
+    SimplicialMap,
+    identity_map,
+    mapping_cone,
+    staircase_product,
+)
 from diffchar.cochain import Cochain
 from diffchar.characters import LowDegreeChar, iota, random_character
 from diffchar.fiber_integration import (
@@ -66,6 +72,36 @@ def test_map_round_trip():
     phi = fixtures.torsion_loop_map()
     back = io.map_from_json(io.map_to_json(phi), phi.source, phi.target)
     assert back == phi
+
+
+_VERTEX = st.one_of(st.integers(0, 2), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_VERTEX, min_size=1, max_size=3), max_size=4))
+def test_complexes_the_constructor_accepts_read_back(simplices):
+    """A bool passes isinstance(v, int), but io writes it as a JSON boolean
+    and refuses that on reading, so the constructor refuses it too."""
+    try:
+        K = Complex(3, simplices)
+    except ValueError:
+        assert any(type(v) is bool for s in simplices for v in s) or any(
+            list(s) != sorted(set(s)) for s in simplices)
+        return
+    assert io.complex_from_json(json.loads(json.dumps(io.complex_to_json(K)))) == K
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_VERTEX, min_size=3, max_size=3))
+def test_maps_the_constructor_accepts_read_back(vertex_map):
+    S1 = fixtures.circle()
+    try:
+        phi = SimplicialMap(S1, S1, vertex_map)
+    except ValueError:
+        return
+    obj = json.loads(json.dumps(io.map_to_json(phi)))
+    assert io.map_from_json(obj, S1, S1) == phi
+
 
 
 def test_character_round_trip():

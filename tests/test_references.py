@@ -1,6 +1,9 @@
-"""Maps between products, maximal simplices and the pushforward kernel
-against their references in `tests/oracle.py`.
+"""Staircase products, maps between them, maximal simplices and the
+pushforward kernel against their references in `tests/oracle.py`.
 
+The package builds each face of a staircase product once, from a table of
+paths per pair of factor dimensions; the reference closes the full
+staircases under faces and checks them in the `Complex` constructor.
 The package builds every map out of a staircase product through one
 coordinate rule, `ProductComplex._map_of`; the references decode and encode
 each vertex per map.  `maximal_simplices` reads the facets of the simplex
@@ -27,11 +30,27 @@ from diffchar.relative import flat_class_pulled_back, pushforward_injective
 from diffchar.simplicial import (
     identity_map,
     maximal_simplices,
+    product_face_count,
     product_map,
     staircase_product,
     transpose_map,
 )
-from strategies import flag_complexes, monotone_maps
+from strategies import flag_complexes, monotone_maps, zero_dimensional_complexes
+
+_FACTORS = st.one_of(flag_complexes(max_vertices=6), zero_dimensional_complexes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_FACTORS, st.builds(staircase_product, flag_complexes(max_vertices=3),
+                                     flag_complexes(max_vertices=3))),
+       _FACTORS)
+def test_products_match_their_closure_build(K, L):
+    P, Q = staircase_product(K, L), oracle.closure_product(K, L)
+    assert list(P._by_dim.items()) == list(Q._by_dim.items())
+    assert list(P._index.items()) == list(Q._index.items())
+    assert (P.num_vertices, P.dim, P.name) == (Q.num_vertices, Q.dim, Q.name)
+    # The command line counts a product's faces against io.MAX_FACES unbuilt.
+    assert product_face_count(K, L) == len(P._index)
 
 
 @settings(max_examples=25, deadline=None)

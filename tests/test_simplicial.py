@@ -59,6 +59,8 @@ def test_simplex_validation():
         Complex(3, [(1, 0)])
     with pytest.raises(ValueError):
         Complex(2, [(0, 2)])
+    with pytest.raises(ValueError, match="^vertex True is not an integer$"):
+        Complex(3, [(True, 2), (0, 1)])
 
 
 @pytest.mark.parametrize("K", SURFACES, ids=lambda K: K.name)
@@ -251,6 +253,8 @@ def test_simplicial_map_validation():
     two = fixtures.two_points()
     with pytest.raises(ValueError):
         SimplicialMap(S1, two, [0, 1, 1])  # an edge would need image (0,1)
+    with pytest.raises(ValueError, match="^target vertex True is not an integer$"):
+        SimplicialMap(S1, S1, [0, True, 2])
     phi = SimplicialMap(S1, S1, [0, 0, 1])
     z = fundamental_cycle(S1)
     # degenerate images vanish and the backtracking remainder cancels

@@ -12,11 +12,14 @@ only derive values from checked ones (`cochain`, `products`,
 `fiber_integration`) call no checking constructor: they build chains and
 cochains through `_of` and characters through `_derived`; likewise
 `relative` builds no checked character or relative character, and
-`fiber_integration` no checked simplicial map.  Only `simplicial` builds a
-trusted map (`SimplicialMap._of`): identities, composites, the inclusions
-into a product, and `ProductComplex._map_of`, the one coordinate rule for
-maps out of a product, so no other code walks product vertices to build
-one.  The group law lives in two
+`fiber_integration` no checked simplicial map.  Complexes, cones and maps
+memoize their tables in one mechanism, the `_memo` dict of `_Memo`, so only
+`fixtures`, whose bundled complexes are built once per process, caches
+through `functools` (`lru_cache`, `cache` or `cached_property`).  Only
+`simplicial` builds a trusted map (`SimplicialMap._of`): identities,
+composites, the inclusions into a product, and `ProductComplex._map_of`, the
+one coordinate rule for maps out of a product, so no other code walks
+product vertices to build one.  The group law lives in two
 base classes, `LinearCombination` and `DirectSum`, so no other class defines
 `+`, `-` or unary `-`, and none keeps a compatibility check of its own;
 `DirectSum` also holds the one equality of the character groups, so no
@@ -156,6 +159,58 @@ def test_the_kernel_rule_catches_each_violation():
     )
     assert sorted(_sums_over_items(ast.parse(source))) == [
         (1, "sum over .items()"), (2, "sum over .items()"),
+    ]
+
+
+_FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _functools_caches(tree):
+    """Imports of a `functools` cache and reads of one through the module,
+    under any name the module is imported as."""
+    modules = {"functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in _FUNCTOOLS_CACHES:
+                    yield node.lineno, f"import of {alias.name}"
+        elif (isinstance(node, ast.Attribute) and node.attr in _FUNCTOOLS_CACHES
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield node.lineno, f"functools.{node.attr}"
+
+
+def test_only_the_fixtures_cache_through_functools():
+    found = {
+        path.name: [f"{line}: {what}" for line, what
+                    in _functools_caches(ast.parse(path.read_text(), str(path)))]
+        for path in SOURCES
+    }
+    del found["fixtures.py"]
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_cache_rule_catches_each_violation():
+    source = (
+        "from functools import lru_cache\n"
+        "import functools\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def staircase(p, q): pass\n"
+        "from functools import reduce, cache as memo\n"
+        "import functools as ft\n"
+        "class Complex:\n"
+        "    @ft.cached_property\n"
+        "    def paths(self): pass\n"
+        "cache = {}\n"
+        "self._cached('paths', n, build)\n"
+        "from functools import reduce\n"
+        "other.lru_cache\n"
+    )
+    assert sorted(_functools_caches(ast.parse(source))) == [
+        (1, "import of lru_cache"), (3, "functools.lru_cache"), (5, "import of cache"),
+        (8, "functools.cached_property"),
     ]
 
 
