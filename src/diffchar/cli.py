@@ -51,41 +51,41 @@ def _looks_like_path(token):
     return token.endswith(".json") or "/" in token
 
 
-def _resolve_complex(token):
+def _resolve(token, option, by_name, read):
+    """The input --option names: by_name(token) for a bundled fixture, or
+    read(token) for a JSON file, which resolves what the file lives on
+    before it reads the file."""
     if token is None:
-        raise InputError("--complex is required for this command")
-    if _looks_like_path(token):
-        return io.complex_from_json(_load_json(token))
-    return fixtures.complex_by_name(token)
+        raise InputError(f"--{option} is required for this command")
+    return read(token) if _looks_like_path(token) else by_name(token)
+
+
+def _resolve_complex(token):
+    return _resolve(token, "complex", fixtures.complex_by_name,
+                    lambda path: io.complex_from_json(_load_json(path)))
 
 
 def _resolve_character(token, complex_token):
-    if token is None:
-        raise InputError("--character is required for this command")
-    if _looks_like_path(token):
+    def read(path):
         K = _resolve_complex(complex_token)
-        return io.character_from_json(_load_json(token), K)
-    return fixtures.character_by_name(token)
+        return io.character_from_json(_load_json(path), K)
+
+    return _resolve(token, "character", fixtures.character_by_name, read)
 
 
 def _resolve_chain(token, complex):
-    if token is None:
-        raise InputError("--chain is required for this command")
-    if _looks_like_path(token):
-        return io.chain_from_json(_load_json(token), complex)
-    return fixtures.chain_by_name(token)
+    return _resolve(token, "chain", fixtures.chain_by_name,
+                    lambda path: io.chain_from_json(_load_json(path), complex))
 
 
 def _resolve_map(token, source_token, target_token):
-    if token is None:
-        raise InputError("--map is required for this command")
-    if _looks_like_path(token):
+    def read(path):
         if source_token is None:
             raise InputError("a map file needs --map-source")
-        source = _resolve_complex(source_token)
-        target = _resolve_complex(target_token)
-        return io.map_from_json(_load_json(token), source, target)
-    return fixtures.map_by_name(token)
+        source, target = _resolve_complex(source_token), _resolve_complex(target_token)
+        return io.map_from_json(_load_json(path), source, target)
+
+    return _resolve(token, "map", fixtures.map_by_name, read)
 
 
 def _emit(report, out):
@@ -138,23 +138,15 @@ def _cmd_eval(args):
     return _report("eval", inputs, result), 0
 
 
-def _cmd_iota(args):
+def _cmd_character_of_cochain(args):
+    """iota of a cochain, or j, its flat character."""
     K = _resolve_complex(args.complex)
     if args.cochain is None:
-        raise InputError("--cochain is required for iota")
+        raise InputError(f"--cochain is required for {args.cmd}")
     eta = io.cochain_from_json(_load_json(args.cochain), K)
-    h = iota(eta)
+    h = iota(eta) if args.cmd == "iota" else flat_character(eta)
     inputs = {"complex": args.complex, "cochain": args.cochain}
-    return _report("iota", inputs, {"character": io.character_to_json(h)}), 0
-
-
-def _cmd_j(args):
-    K = _resolve_complex(args.complex)
-    if args.cochain is None:
-        raise InputError("--cochain is required for j")
-    h = flat_character(io.cochain_from_json(_load_json(args.cochain), K))
-    inputs = {"complex": args.complex, "cochain": args.cochain}
-    return _report("j", inputs, {"character": io.character_to_json(h)}), 0
+    return _report(args.cmd, inputs, {"character": io.character_to_json(h)}), 0
 
 
 def _two_characters(args):
@@ -202,33 +194,27 @@ def _cmd_xproduct(args):
     return _report("xproduct", inputs, result), 0
 
 
-def _transfer_from_args(args):
+def _fiber_inputs(args):
+    """--character on the staircase product of --complex and --fiber, and
+    that product's transfer."""
     from diffchar.fiber_integration import product_transfer
 
     base = _resolve_complex(args.complex)
     fiber = _resolve_complex(args.fiber or "interval")
-    return product_transfer(base, fiber, total=_staircase_product(base, fiber))
-
-
-def _total_space_character(args, transfer):
-    if args.character is None:
-        raise InputError("--character is required for this command")
-    if _looks_like_path(args.character):
-        h = io.character_from_json(_load_json(args.character), transfer.total)
-    else:
-        h = fixtures.character_by_name(args.character)
-    if h.complex != transfer.total:
+    tr = product_transfer(base, fiber, total=_staircase_product(base, fiber))
+    h = _resolve(args.character, "character", fixtures.character_by_name,
+                 lambda path: io.character_from_json(_load_json(path), tr.total))
+    if h.complex != tr.total:
         raise InputError(
             "character does not live on the staircase product of --complex and --fiber"
         )
-    return h
+    return h, tr
 
 
 def _cmd_fiber_integrate(args):
     from diffchar.fiber_integration import fiber_integrate
 
-    tr = _transfer_from_args(args)
-    out = fiber_integrate(_total_space_character(args, tr), tr)
+    out = fiber_integrate(*_fiber_inputs(args))
     inputs = {"character": args.character, "complex": args.complex, "fiber": args.fiber}
     return _report("fiber-integrate", inputs, {"character": io.character_to_json(out)}), 0
 
@@ -236,8 +222,7 @@ def _cmd_fiber_integrate(args):
 def _cmd_boundary_fiber_integrate(args):
     from diffchar.fiber_integration import boundary_fiber_integrate
 
-    tr = _transfer_from_args(args)
-    out = boundary_fiber_integrate(_total_space_character(args, tr), tr)
+    out = boundary_fiber_integrate(*_fiber_inputs(args))
     result = {
         "over_boundary": io.character_to_json(out.over_boundary),
         "cov": io.cochain_to_json(out.cov),
@@ -295,8 +280,8 @@ def _cmd_verify(args):
 _COMMANDS = {
     "homology": _cmd_homology,
     "eval": _cmd_eval,
-    "iota": _cmd_iota,
-    "j": _cmd_j,
+    "iota": _cmd_character_of_cochain,
+    "j": _cmd_character_of_cochain,
     "product": _cmd_product,
     "xproduct": _cmd_xproduct,
     "fiber-integrate": _cmd_fiber_integrate,

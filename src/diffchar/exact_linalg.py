@@ -10,7 +10,9 @@ Vectors and transforms are sparse {index: value} dicts, and outside the
 elimination itself every product with them is one of three loop kernels:
 `_dots` (sparse rows times a dense vector), `_combination` (a sparse
 combination of sparse vectors) and `_accumulate` (a dense combination of
-sparse vectors).  `_axpy` is the row and column step of the Euclid phase.
+sparse vectors).  `_axpy` is the one transform step of both elimination
+phases: each row or column step updates the transforms through it, and a
+unit pivot writes its column of U and row of V outright.
 """
 
 from __future__ import annotations
@@ -183,9 +185,8 @@ def _square(n, vectors):
 
 def _axpy(target, t, source):
     """target += t * source, on sparse {index: value} vectors."""
-    get = target.get
     for k, x in source.items():
-        y = get(k, 0) + t * x
+        y = target.get(k, 0) + t * x
         if y:
             target[k] = y
         else:
@@ -239,7 +240,6 @@ def smith_normal_form(A):
         # row of V is e times the pivot row.
         L_inv[i] = {r: S[r][j] for r in col}
         R_inv[j] = {c: x * e for c, x in pivot_row.items()}
-        source = L[i]
         for r in [r for r in col if r != i]:
             row = S[r]
             t = -row[j] * e
@@ -252,30 +252,14 @@ def smith_normal_form(A):
                 else:
                     del row[c]
                     in_col[c].discard(r)
-            # U^{-1}: L[r] += t * L[i].
-            target = L[r]
-            for k, v in source.items():
-                y = target.get(k, 0) + t * v
-                if y:
-                    target[k] = y
-                else:
-                    del target[k]
+            _axpy(L[r], t, L[i])
         # The row steps above left the pivot row as it was, so each of its
         # other columns is pushed with its final count, unless it emptied.
-        source = R[j]
         for c, x in pivot_row.items():
             col = in_col[c]
             col.discard(i)
             if c != j:
-                # V^{-1}: R[c] += t * R[j].
-                t = -x * e
-                target = R[c]
-                for k, v in source.items():
-                    y = target.get(k, 0) + t * v
-                    if y:
-                        target[k] = y
-                    else:
-                        del target[k]
+                _axpy(R[c], -x * e, R[j])
                 if col:
                     heappush(heap, (len(col), c))
         S[i] = {}

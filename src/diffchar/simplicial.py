@@ -118,6 +118,9 @@ class Complex(_Factorizations):
     """
 
     def __init__(self, num_vertices, simplices, name=""):
+        # An exact int, as for vertices: io refuses a bool or a float.
+        if type(num_vertices) is not int or num_vertices < 0:
+            raise ValueError(f"vertex count {num_vertices!r} is not an integer >= 0")
         by_dim = {}
         seen = set()
         stack = []

@@ -136,7 +136,6 @@ class _Recorder:
         """The instance the work that follows is on, as its witness names it;
         it stays in flight until the next `at` or `declare`."""
         self.in_flight = {"instance": index, "fixture": fixture, "degrees": degrees}
-        return self.in_flight
 
     def declare(self, label, *names):
         """Report the checks `name [label]` here, in this order, also those
@@ -147,23 +146,23 @@ class _Recorder:
             self._entries[name] = {"name": name, "pass": True}
         return full
 
-    def holds(self, name, conditions, instance):
-        """Record the conditions an identity yields as check `name`; returns
-        whether they all hold."""
+    def holds(self, name, conditions):
+        """Record the conditions an identity yields as check `name`, on the
+        instance in flight; returns whether they all hold."""
         entry = self._entries.setdefault(name, {"name": name, "pass": True})
         failure = violation(conditions)
         if failure is not None and entry["pass"]:
             entry["pass"] = False
-            entry["witness"] = {"seed": self.seed, **instance, **failure}
+            entry["witness"] = {"seed": self.seed, **self.in_flight, **failure}
         return failure is None
 
-    def check(self, name, passed, instance):
+    def check(self, name, passed):
         """Record the condition `passed` of check `name`."""
-        return self.holds(name, [passed], instance)
+        return self.holds(name, [passed])
 
-    def equal(self, name, lhs, rhs, instance):
+    def equal(self, name, lhs, rhs):
         """Record the condition lhs == rhs of check `name`."""
-        return self.holds(name, [(lhs, rhs)], instance)
+        return self.holds(name, [(lhs, rhs)])
 
     @property
     def checks(self):
@@ -276,7 +275,7 @@ def run_diagram33(rec, rng):
             kernel, triv, flat, lifting, curv = rec.declare(f"{K.name} deg {k}",
                 "iota kernel/class", "trivialization", "flat classes", "curvature lifting", "curv of iota")
             for i in range(3):
-                at = rec.at(i, K.name, k=k)
+                rec.at(i, K.name, k=k)
                 h = random_character(K, k, rng)
                 # closed with integral periods: on the nose in the kernel
                 if k == 1:
@@ -286,23 +285,23 @@ def run_diagram33(rec, rng):
                     g0 = random_character(K, k - 1, rng)
                     eta0 = g0.mu + coboundary(g0.lift)
                 g = random_flat_character(K, k, rng)
-                rec.holds(curv, curvature_of_iota(h.lift), at)
-                rec.holds(kernel, iota_kernel(h.lift, eta0), at)
-                rec.holds(triv, trivialization_round_trip(h), at)
-                rec.holds(flat, flat_classes(g), at)
-                rec.holds(lifting, curvature_lifting(h), at)
+                rec.holds(curv, curvature_of_iota(h.lift))
+                rec.holds(kernel, iota_kernel(h.lift, eta0))
+                rec.holds(triv, trivialization_round_trip(h))
+                rec.holds(flat, flat_classes(g))
+                rec.holds(lifting, curvature_lifting(h))
     # torsion evaluation story on the two nonorientable fixtures
     RP2 = fixtures.projective_plane()
     ju = fixtures.rp2_flat_character()
-    at = rec.at(0, RP2.name, k=ju.degree)
-    rec.equal("j(u) on torsion loop is 1/2", evaluate(ju, fixtures.torsion_loop()), Fraction(1, 2), at)
+    rec.at(0, RP2.name, k=ju.degree)
+    rec.equal("j(u) on torsion loop is 1/2", evaluate(ju, fixtures.torsion_loop()), Fraction(1, 2))
     for K in (RP2, fixtures.klein_bottle()):
         (agree,) = rec.declare(K.name, "torsion formula agrees")
         for k in (1, 2):
             cycles = [K.chain_from_vector(k - 1, vec) for vec in K.splitting(k - 1).cycle_basis]
             for i in range(4):
-                at = rec.at(i, K.name, k=k)
-                rec.holds(agree, torsion_formula(random_character(K, k, rng), cycles), at)
+                rec.at(i, K.name, k=k)
+                rec.holds(agree, torsion_formula(random_character(K, k, rng), cycles))
 
 
 # -- product-axioms ----------------------------------------------------------
@@ -383,18 +382,18 @@ def run_product_axioms(rec, rng, instances=100):
             h2 = random_character(K, k, rng)
             f = random_character(K, l, rng)
             m = rng.choice([1, 2])
-            at = rec.at(i, K.name, k=k, l=l, m=m)
+            rec.at(i, K.name, k=k, l=l, m=m)
             g = random_character(K, m, rng)
             phi = maps[rng.randrange(len(maps))]
             u = random_flat_character(K, k, rng).lift
             hf, fh = internal_product(h, f), internal_product(f, h)
-            rec.holds(bilinear, bilinearity(h, h2, f, hf, fh), at)
-            rec.holds(assoc, associativity(h, f, g, hf), at)
-            rec.holds(natural, naturality(phi, h, f, hf), at)
-            rec.holds(mult, multiplicativity(h, f, hf), at)
-            rec.holds(iota_compat, iota_compatibility(h2.lift, f), at)
-            rec.holds(flat_compat, flat_compatibility(u, f), at)
-            rec.holds(commut, commutativity_defect(h, f, hf, fh), at)
+            rec.holds(bilinear, bilinearity(h, h2, f, hf, fh))
+            rec.holds(assoc, associativity(h, f, g, hf))
+            rec.holds(natural, naturality(phi, h, f, hf))
+            rec.holds(mult, multiplicativity(h, f, hf))
+            rec.holds(iota_compat, iota_compatibility(h2.lift, f))
+            rec.holds(flat_compat, flat_compatibility(u, f))
+            rec.holds(commut, commutativity_defect(h, f, hf, fh))
 
 
 # -- bb-oracle ---------------------------------------------------------------
@@ -423,10 +422,10 @@ def run_bb_oracle(rec, rng):
         (formula,) = rec.declare(f"{P.name} k={k} k'={kp}", f"bb formula on Z_{degree} basis")
         cycles = [P.chain_from_vector(degree, vec) for vec in P.splitting(degree).cycle_basis]
         for i in range(2):
-            at = rec.at(i, P.name, k=k, kp=kp)
+            rec.at(i, P.name, k=k, kp=kp)
             h = random_character(L, k, rng)
             f = random_character(R, kp, rng)
-            rec.holds(formula, bb_formula(h, f, P, cycles), at)
+            rec.holds(formula, bb_formula(h, f, P, cycles))
 
 
 # -- fiber-axioms ------------------------------------------------------------
@@ -482,27 +481,27 @@ def run_fiber_axioms(rec, rng):
                 "curvature compatibility", "iota compatibility", "orientation reversal", "naturality")
             for k in (n + 1, n + 2):
                 for i in range(3):
-                    at = rec.at(i, E.name, k=k)
+                    rec.at(i, E.name, k=k)
                     h = random_character(E, k, rng)
                     b = random_character(E, k, rng).lift
-                    rec.holds(curv, fiber_curvature(h, tr), at)
-                    rec.holds(iota_compat, fiber_iota(b, tr), at)
-                    rec.holds(reversal, orientation_reversal(h, tr), at)
+                    rec.holds(curv, fiber_curvature(h, tr))
+                    rec.holds(iota_compat, fiber_iota(b, tr))
+                    rec.holds(reversal, orientation_reversal(h, tr))
             for i, g in enumerate(_monotone_maps_into(base)):
-                at = rec.at(i, E.name, k=n + 1)
-                rec.holds(natural, fiber_naturality(g, random_character(E, n + 1, rng), tr), at)
+                rec.at(i, E.name, k=n + 1)
+                rec.holds(natural, fiber_naturality(g, random_character(E, n + 1, rng), tr))
     for i, (F1, F2) in enumerate([(fixtures.point(), S1), (fixtures.two_points(), S1),
                                   (S1, fixtures.point()), (S1, S1)]):
         nested = staircase_product(staircase_product(S1, F1), F2)
-        at = rec.at(i, nested.name, k=F1.dim + F2.dim + 1)
+        rec.at(i, nested.name, k=F1.dim + F2.dim + 1)
         h = random_character(nested, F1.dim + F2.dim + 1, rng)
-        rec.holds("functoriality of iterated fibers", iterated_fibers(h), at)
+        rec.holds("functoriality of iterated fibers", iterated_fibers(h))
     # the bundled example: integrating the torus character gives the circle one
     T2 = fixtures.torus()
-    at = rec.at(0, T2.name, k=2)
+    rec.at(0, T2.name, k=2)
     tr = product_transfer(S1, S1, total=T2)
     rec.equal("integrating i x i over the second circle returns i",
-              fiber_integrate(fixtures.torus_character(), tr), fixtures.winding_character(), at)
+              fiber_integrate(fixtures.torus_character(), tr), fixtures.winding_character())
 
 
 # -- boundary-fiber ----------------------------------------------------------
@@ -540,12 +539,12 @@ def run_boundary_fiber(rec, rng, instances=50):
             "relative output projects to the boundary integral", "degree-1 endpoint quotient")
         for i in range(instances):
             k = rng.choice([1, 2])
-            at = rec.at(i, E.name, k=k)
+            rec.at(i, E.name, k=k)
             h = random_character(E, k, rng)
             out = boundary_fiber_integrate(h, tr)
-            rec.holds(iota_form, boundary_integral_is_iota(h, tr, out), at)
-            rec.holds(proj, boundary_relative_projects(out), at)
-            rec.holds(endpoints, endpoint_quotient(h, tr, out), at)
+            rec.holds(iota_form, boundary_integral_is_iota(h, tr, out))
+            rec.holds(proj, boundary_relative_projects(out))
+            rec.holds(endpoints, endpoint_quotient(h, tr, out))
 
 
 # -- updown ------------------------------------------------------------------
@@ -575,18 +574,18 @@ def run_updown(rec, rng):
     for k in (1, 2):
         for l in (1, 2):
             for i in range(3):
-                at = rec.at(i, T2.name, k=k, l=l)
+                rec.at(i, T2.name, k=k, l=l)
                 h = random_character(S1, k, rng)
                 f = random_character(T2, l, rng)
-                rec.holds(f"projection formula k={k} l={l}", projection_formula(h, f, tr), at)
+                rec.holds(f"projection formula k={k} l={l}", projection_formula(h, f, tr))
     combined = combined_transfer(tr, tr)
     for k in (1, 2):
         for l in (1, 2):
-            at = rec.at(0, T2.name, k=k, l=l)
+            rec.at(0, T2.name, k=k, l=l)
             h = random_character(T2, k, rng)
             f = random_character(T2, l, rng)
             rec.holds(f"fiber product formula k={k} l={l}",
-                      fiber_product_formula(h, f, tr, tr, combined), at)
+                      fiber_product_formula(h, f, tr, tr, combined))
 
 
 # -- relative-exact ----------------------------------------------------------
@@ -650,13 +649,13 @@ def run_relative_exact(rec, rng):
             "inclusion lands in the projection kernel", "kernel instances descend")
         for k in (1, 2):
             for i in range(8):
-                at = rec.at(i, label, k=k)
+                rec.at(i, label, k=k)
                 h = random_character(X, k, rng)
                 g = random_character(A, k, rng)
-                rec.holds(gate, section_gate(h, cone), at)
-                rec.holds(proj, section_projects(h, cone), at)
-                rec.holds(kernel, inclusion_in_kernel(g, cone), at)
-                rec.holds(descend, kernel_descends(incl_flat(g, cone)), at)
+                rec.holds(gate, section_gate(h, cone))
+                rec.holds(proj, section_projects(h, cone))
+                rec.holds(kernel, inclusion_in_kernel(g, cone))
+                rec.holds(descend, kernel_descends(incl_flat(g, cone)))
     # both outcomes must actually occur: the identity cone on RP2_6 with the
     # flat order-2 character is obstructed, the suspension pair never is
     RP2 = fixtures.projective_plane()
@@ -664,27 +663,27 @@ def run_relative_exact(rec, rng):
     on_id = "identity cone on RP2_6"
     ju = fixtures.rp2_flat_character()
     both = "order-2 class obstructs, its double does not"
-    at = rec.at(0, on_id, k=ju.degree)
+    rec.at(0, on_id, k=ju.degree)
     try:
         find_section(ju, cone_id)
     except NoSection as exc:
-        rec.check(both, not exc.witness.is_zero(), at)
+        rec.check(both, not exc.witness.is_zero())
     else:
-        rec.check(both, False, at)
-    at = rec.at(1, on_id, k=ju.degree)
-    rec.check(both, not _raises(NoSection, find_section, ju + ju, cone_id), at)
+        rec.check(both, False)
+    rec.at(1, on_id, k=ju.degree)
+    rec.check(both, not _raises(NoSection, find_section, ju + ju, cone_id))
     # uniqueness: for degree-k sections the hypothesis is injectivity of the
     # pushforward two degrees down; the identity cone is the clean instance
     unique = "sections with equal covariant part coincide (injective pushforward)"
-    at = rec.at(0, on_id)
+    rec.at(0, on_id)
     rec.check(unique, pushforward_injective(identity_map(RP2), 0)
-              and pushforward_injective(identity_map(RP2), 1), at)
+              and pushforward_injective(identity_map(RP2), 1))
     for k in (2, 3):
         for i in range(4):
-            at = rec.at(i, on_id, k=k)
+            rec.at(i, on_id, k=k)
             h = iota(random_character(RP2, k, rng).lift)
             g = random_flat_character(RP2, k - 1, rng)
-            rec.holds(unique, equal_cov_sections(h, g, cone_id), at)
+            rec.holds(unique, equal_cov_sections(h, g, cone_id))
     # non-injective contrast: a flat circle character whose class does not
     # extend over the suspension feeds a nonzero kernel element with zero
     # covariant part, so equal-cov sections are not unique there
@@ -694,21 +693,21 @@ def run_relative_exact(rec, rng):
         S1, 1, [Fraction(1, 3) if e == (0, 1) else Fraction(0) for e in S1.simplices(1)]
     )
     flat_g = DiffChar(zero_cochain(S1, 2), eta13)
-    at = rec.at(0, "equator in S2_4p", k=flat_g.degree)
+    rec.at(0, "equator in S2_4p", k=flat_g.degree)
     wobble = incl_flat(flat_g, cone_eq)
     rec.check("non-injective pushforward admits distinct equal-cov sections",
               (not wobble.is_zero()) and wobble.cov.is_zero()
-              and not pushforward_injective(cone_eq.phi, 1), at)
+              and not pushforward_injective(cone_eq.phi, 1))
     # the q/z long exact sequence junction: vanishing inclusion means the
     # flat class is pulled back
     junction = "pulled-back test separates extendable flat classes"
     for i in range(5):
-        at = rec.at(i, on_id, k=2)
+        rec.at(i, on_id, k=2)
         u = flat_holonomy_class(random_flat_character(RP2, 2, rng))
-        rec.check(junction, flat_class_pulled_back(u, identity_map(RP2)), at)
+        rec.check(junction, flat_class_pulled_back(u, identity_map(RP2)))
     # the winding class does not extend over the disk directions
-    at = rec.at(0, "equator in S2_4p", k=flat_g.degree)
-    rec.check(junction, not flat_class_pulled_back(flat_holonomy_class(flat_g), cone_eq.phi), at)
+    rec.at(0, "equator in S2_4p", k=flat_g.degree)
+    rec.check(junction, not flat_class_pulled_back(flat_holonomy_class(flat_g), cone_eq.phi))
 
 
 # -- holonomy ----------------------------------------------------------------
@@ -719,14 +718,14 @@ def run_holonomy(rec, rng):
     S1 = fixtures.circle()
     T2 = fixtures.torus()
     hh = fixtures.torus_character()
-    on_T2 = rec.at(0, T2.name, k=hh.degree)
+    rec.at(0, T2.name, k=hh.degree)
     z = fixtures.circle_cycle()
     emb1 = T2.include_at_right(0)
     emb2 = T2.include_at_left(0)
-    rec.equal("holonomy along the first circle factor", holonomy(hh, emb1, z), 0, on_T2)
-    rec.equal("holonomy along the second circle factor", holonomy(hh, emb2, z), 0, on_T2)
+    rec.equal("holonomy along the first circle factor", holonomy(hh, emb1, z), 0)
+    rec.equal("holonomy along the second circle factor", holonomy(hh, emb2, z), 0)
     collapse = SimplicialMap(S1, T2, [T2.encode(0, 0)] * 3)
-    rec.equal("collapsed image has zero holonomy", holonomy(hh, collapse, z), 0, on_T2)
+    rec.equal("collapsed image has zero holonomy", holonomy(hh, collapse, z), 0)
     # disjoint union of two circles: holonomy adds
     two_circles = Complex(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "S1+S1")
     zz = fundamental_cycle(two_circles)
@@ -734,12 +733,12 @@ def run_holonomy(rec, rng):
     lift_sum = holonomy(hh, sheets, zz)
     part1 = holonomy(hh, T2.include_at_right(0), z)
     part2 = holonomy(hh, T2.include_at_right(1), z)
-    rec.equal("holonomy additive over disjoint union", lift_sum, (part1 + part2) % 1, on_T2)
+    rec.equal("holonomy additive over disjoint union", lift_sum, (part1 + part2) % 1)
     # transition factors: flat degree-2 characters on the circle are exactly
     # parallel transports along paths
     eta = random_character(S1, 2, rng).lift
     h2 = iota(eta)
-    on_S1 = rec.at(0, S1.name, k=h2.degree)
+    rec.at(0, S1.name, k=h2.degree)
     iv = fixtures.interval()
     cI = fundamental_cycle(iv)
     path2 = fixtures.path_complex(2)
@@ -748,30 +747,29 @@ def run_holonomy(rec, rng):
     around = Filling(SimplicialMap(path2, S1, [0, 2, 1]), cP)
     stopover = Filling(SimplicialMap(path2, S1, [0, 1, 1]), cP)
     fac = transition_factor(h2, around, direct)
-    rec.equal("edge-path factor is the loop pairing", fac, pair(eta, z) % 1, on_S1)
-    rec.equal("factor of a filling against itself", transition_factor(h2, direct, direct), 0, on_S1)
+    rec.equal("edge-path factor is the loop pairing", fac, pair(eta, z) % 1)
+    rec.equal("factor of a filling against itself", transition_factor(h2, direct, direct), 0)
     t_ab = transition_factor(h2, direct, around)
     t_bc = transition_factor(h2, around, stopover)
     t_ac = transition_factor(h2, direct, stopover)
-    rec.equal("cocycle law over three fillings", (t_ab + t_bc) % 1, t_ac, on_S1)
+    rec.equal("cocycle law over three fillings", (t_ab + t_bc) % 1, t_ac)
     unit = hermitian_pairing(h2, direct, Phased(Fraction(1), Fraction(0)), direct, Phased(Fraction(1), Fraction(0)))
-    rec.check("pairing of a filling with itself is the unit",
-              unit.modulus == 1 and unit.phase == 0, on_S1)
+    rec.check("pairing of a filling with itself is the unit", unit.modulus == 1 and unit.phase == 0)
     c1 = Phased(Fraction(2), Fraction(1, 3))
     c2 = Phased(Fraction(3, 2), Fraction(1, 4))
     amp = hermitian_pairing(h2, direct, c1, around, c2)
     rec.equal("pairing phase is the transition factor plus coefficient phases",
-              amp.phase, (c1.phase - c2.phase + transition_factor(h2, around, direct)) % 1, on_S1)
+              amp.phase, (c1.phase - c2.phase + transition_factor(h2, around, direct)) % 1)
     # equivalence invariance: replace (direct, c) by the around-filling with
     # the transported coefficient
     moved = Phased(Fraction(1), transition_factor(h2, around, direct))
     inv = hermitian_pairing(h2, around, moved, direct, Phased(Fraction(1), Fraction(0)))
     base_amp = hermitian_pairing(h2, direct, Phased(Fraction(1), Fraction(0)), direct, Phased(Fraction(1), Fraction(0)))
     rec.check("pairing invariant under equivalent replacement",
-              inv.modulus == base_amp.modulus and inv.phase == base_amp.phase, on_S1)
+              inv.modulus == base_amp.modulus and inv.phase == base_amp.phase)
     # cobordism: a cylinder in the torus between two parallel circles; the
     # holonomy difference of the ends is the curvature flux through it
-    on_T2 = rec.at(0, T2.name, k=hh.degree)
+    rec.at(0, T2.name, k=hh.degree)
     W = staircase_product(S1, iv)
     incl = SimplicialMap(iv, S1, [0, 1])
     Phi = product_map(identity_map(S1), incl, W, T2)
@@ -780,9 +778,9 @@ def run_holonomy(rec, rng):
     top_cycle = T2.include_at_right(1).push_chain(z)
     bottom_cycle = T2.include_at_right(0).push_chain(z)
     rec.check("cylinder boundary is the two end circles",
-              ends in (top_cycle - bottom_cycle, bottom_cycle - top_cycle), on_T2)
+              ends in (top_cycle - bottom_cycle, bottom_cycle - top_cycle))
     rec.equal("holonomy difference of the ends equals the flux",
-              evaluate(hh, ends), pair(hh.curvature, Phi.push_chain(cW)) % 1, on_T2)
+              evaluate(hh, ends), pair(hh.curvature, Phi.push_chain(cW)) % 1)
 
 
 SUITES = {

@@ -31,6 +31,8 @@ with its own combination loop, as the package once did.
 The dense matrix helpers at the end (identity, zero, product, matrix times
 vector, column, determinant) work on the `data` view of an IntMatrix with
 textbook loops; the package itself only ever reads a matrix's nonzeros.
+`check_factorization`, the one check of a Smith normal form that the tests
+run, multiplies the dense views of its factors with them.
 """
 
 from __future__ import annotations
@@ -453,3 +455,23 @@ def det(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def check_factorization(snf, a):
+    """Assert that snf factors the IntMatrix a as U * D * V: the shape is a's,
+    U * U^{-1} and V * V^{-1} are identities (so the integer matrices U and V
+    have determinant +-1), the rank is the oracle's, and D holds the
+    oracle's invariant factors d1 | d2 | ... on its diagonal, followed by
+    zeros, and nothing off it."""
+    assert (snf.rows, snf.cols) == (a.rows, a.cols)
+    assert matmul(matmul(snf.U, snf.D), snf.V) == a
+    assert matmul(snf.U, snf.u_inv) == identity(a.rows)
+    assert matmul(snf.V, snf.v_inv) == identity(a.cols)
+    want = invariant_factors(a.data)
+    assert all(d > 0 for d in want) and all(e % d == 0 for d, e in zip(want, want[1:]))
+    assert snf.factors == want
+    assert snf.rank == rational_rank(a.data)
+    diagonal = want + [0] * (min(a.rows, a.cols) - len(want))
+    assert snf.diagonal() == diagonal
+    assert snf.D.data == tuple(
+        tuple(diagonal[i] if i == j else 0 for j in range(a.cols)) for i in range(a.rows))

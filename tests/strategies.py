@@ -1,8 +1,9 @@
 """Hypothesis strategies and random draws shared by the test modules.
 
-Small flag complexes, 0-dimensional complexes, monotone maps into flag
-complexes, mapping cones of such maps, and random rational cochains.
-Test modules import these from here, never from one another.
+Small integer matrices, small flag complexes, 0-dimensional complexes,
+monotone maps into flag complexes, mapping cones of such maps, random
+rational cochains, and memo-free copies of the bundled complexes.  Test
+modules import these from here, never from one another.
 """
 
 from __future__ import annotations
@@ -12,8 +13,32 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from diffchar import fixtures
 from diffchar.cochain import Cochain
+from diffchar.exact_linalg import IntMatrix
 from diffchar.simplicial import Complex, SimplicialMap, mapping_cone
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices of at most 8 rows and 8 columns, the empty shapes
+    among them, with entries of one kind: small integers, no units (so the
+    Euclid phase and its divisibility step act), or 0 and +-1 as in a
+    boundary matrix.  Some rows and columns are zeroed."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entries = draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.sampled_from([0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]),
+        st.sampled_from([0, 0, 0, 1, -1]),
+    ]))
+    data = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    zero_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    data = [
+        [0 if zero_rows[i] or zero_cols[j] else x for j, x in enumerate(row)]
+        for i, row in enumerate(data)
+    ]
+    return IntMatrix(rows, cols, data)
 
 
 def clique_complex(n, edges):
@@ -94,3 +119,9 @@ def random_cochain(K, degree, rng, denom=4, span=8):
         for _ in K.simplices(degree)
     ]
     return Cochain.from_vector(K, degree, vals, "Q")
+
+
+def fresh(name):
+    """A copy of a bundled complex that shares none of its memoized matrices."""
+    K = fixtures.complex_by_name(name)
+    return Complex(K.num_vertices, K.simplices(K.dim), name)

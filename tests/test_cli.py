@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import diffchar
 from diffchar import fixtures, io
@@ -78,14 +78,20 @@ _VERTEX = st.one_of(st.integers(0, 2), st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(_VERTEX, min_size=1, max_size=3), max_size=4))
-def test_complexes_the_constructor_accepts_read_back(simplices):
+@given(num_vertices=st.just(3),
+       simplices=st.lists(st.lists(_VERTEX, min_size=1, max_size=3), max_size=4))
+@example(num_vertices=True, simplices=[[0]])
+@example(num_vertices=2.0, simplices=[[0]])
+@example(num_vertices=-3, simplices=[])
+def test_complexes_the_constructor_accepts_read_back(num_vertices, simplices):
     """A bool passes isinstance(v, int), but io writes it as a JSON boolean
-    and refuses that on reading, so the constructor refuses it too."""
+    and refuses that on reading, so the constructor refuses it too, as a
+    vertex or as the vertex count, and refuses a float or negative count."""
     try:
-        K = Complex(3, simplices)
+        K = Complex(num_vertices, simplices)
     except ValueError:
-        assert any(type(v) is bool for s in simplices for v in s) or any(
+        assert type(num_vertices) is not int or num_vertices < 0 or any(
+            type(v) is bool for s in simplices for v in s) or any(
             list(s) != sorted(set(s)) for s in simplices)
         return
     assert io.complex_from_json(json.loads(json.dumps(io.complex_to_json(K)))) == K

@@ -23,6 +23,7 @@ from diffchar.exact_linalg import (
     smith_normal_form,
 )
 from oracle import apply, matmul
+from strategies import int_matrices
 
 NONZERO = st.integers(-6, 6).filter(bool)
 SCALARS = st.integers(-6, 6) | st.fractions(-6, 6, max_denominator=7)
@@ -108,16 +109,8 @@ def test_accumulate_keeps_the_given_zero():
     assert [type(x) for x in _accumulate(2, [3], [{1: 1}])] == [int, int]
 
 
-@st.composite
-def matrices(draw):
-    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    return IntMatrix(rows, cols, draw(st.lists(
-        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
-        min_size=rows, max_size=rows)))
-
-
 @settings(max_examples=100, deadline=None)
-@given(matrices(), st.data())
+@given(int_matrices(), st.data())
 def test_transform_products_keep_their_result_types(a, data):
     snf = smith_normal_form(a)
     ints = data.draw(st.lists(st.integers(-5, 5), min_size=a.rows, max_size=a.rows))

@@ -11,20 +11,22 @@ the package.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffchar import fixtures
+from diffchar.characters import integral_decomposition
+from diffchar.cochain import Cochain, coboundary
 from diffchar.exact_linalg import (
     CycleSplitting, QuotientPresentation, SnfDecomposition, _combination, _LazyHead,
     solve_integer,
 )
 from diffchar.simplicial import Complex, SimplicialMap, mapping_cone, staircase_product
 from oracle import (
-    apply, homology_rank_and_torsion, identity, invariant_factors, matmul, rational_rank,
+    apply, check_factorization, homology_rank_and_torsion, invariant_factors, rational_rank,
 )
-from strategies import flag_complexes, mapping_cones
+from strategies import flag_complexes, fresh, mapping_cones
 
 
 @st.composite
@@ -68,14 +70,7 @@ def _check_group(group, out, in_):
     for d, g in zip(group.torsion, group.generators):
         assert _in_image(in_, [d * x for x in g])
     # The relation factorization is one of the relations in cycle coordinates.
-    rel = group._rel_snf
-    assert matmul(matmul(rel.U, rel.D), rel.V) == group.kernel.relations(in_)
-
-
-def _check_factorization(snf, a):
-    assert matmul(matmul(snf.U, snf.D), snf.V) == a
-    assert matmul(snf.U, snf.u_inv) == identity(a.rows)
-    assert matmul(snf.V, snf.v_inv) == identity(a.cols)
+    check_factorization(group._rel_snf, group.kernel.relations(in_))
 
 
 def _check_solves(snf, a, draw):
@@ -88,65 +83,42 @@ def _check_solves(snf, a, draw):
 
 
 def _check_every_degree(K, top, draw):
-    """`draw(length, choices)` gives the random vectors the solves use."""
+    """`draw(length, choices)` gives the random vectors the solves, the
+    kernel test and the splitting round trips use."""
     for n in range(top + 2):
         d_out, d_in = K.boundary_matrix(n), K.boundary_matrix(n + 1)
         co_out, co_in = d_in.transpose(), d_out.transpose()
         hom = K.homology(n)
         _check_group(hom, d_out, d_in)
         _check_group(K.cohomology(n), co_out, co_in)
-        _check_factorization(K.boundary_snf(n), d_out)
-        _check_factorization(K.coboundary_snf(n), co_out)
+        check_factorization(K.boundary_snf(n), d_out)
+        check_factorization(K.coboundary_snf(n), co_out)
         _check_solves(K.boundary_snf(n), d_out, draw)
         _check_solves(K.coboundary_snf(n), co_out, draw)
         for d, g in zip(hom.torsion, hom.generators):
             filling = solve_integer(K.boundary_snf(n + 1), [d * x for x in g])
             assert apply(d_in, filling) == [d * x for x in g]
+        v = draw(d_out.cols, (-1, 0, 1))
+        assert (hom.kernel_coordinates(v) is None) == any(apply(d_out, v))
+        # The splitting's maps undo one another on cycles and their coordinates.
+        split = K.splitting(n)
+        c = draw(len(split.cycle_basis), range(-3, 4))
+        assert split.coordinates(split.combine(c)) == c
+        assert split.periods(split.dual(c)) == c
+        for vec in split.cycle_basis:
+            assert split.combine(split.coordinates(vec)) == vec
 
 
-def _drawing(data):
-    return lambda length, choices: data.draw(
-        st.lists(st.sampled_from(choices), min_size=length, max_size=length)
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(flag_complexes_with_top(), st.data())
-def test_flag_complexes_in_every_degree(complex_and_top, data):
-    _check_every_degree(*complex_and_top, _drawing(data))
-
-
-@settings(max_examples=60, deadline=None)
-@given(mapping_cones(), st.data())
-def test_mapping_cones_in_every_degree(cone_and_top, data):
-    _check_every_degree(*cone_and_top, _drawing(data))
-
-
-def _seeded(seed):
-    rng = random.Random(seed)
-    return lambda length, choices: rng.choices(choices, k=length)
-
-
-def _fresh(name):
-    K = fixtures.complex_by_name(name)
-    return Complex(K.num_vertices, K.simplices(K.dim), name)
-
-
-@pytest.mark.parametrize("name", ["RP2_6", "Klein_K", "T2_9"])
-def test_torsion_fixtures_in_every_degree(name):
-    K = _fresh(name)
-    _check_every_degree(K, K.dim, _seeded(name))
-
-
-def test_torsion_cone_in_every_degree():
-    # The circle wrapped around the torsion loop of RP2_6, and the same
-    # circle doubled onto a circle: torsion from the map alone.
-    draw = _seeded(7)
-    X, A = _fresh("RP2_6"), _fresh("S1_3")
-    _check_every_degree(mapping_cone(SimplicialMap(A, X, [0, 1, 2])), 2, draw)
-    hexagon = _fresh("S1_6")
-    doubled = SimplicialMap(hexagon, _fresh("S1_3"), [0, 1, 2, 0, 1, 2])
-    _check_every_degree(mapping_cone(doubled), 2, draw)
+def _check_integral_decompositions(K, draw):
+    """An integral cochain plus a rational coboundary splits back into an
+    integral cochain and a coboundary that add up to it."""
+    for n in range(1, K.dim + 1):
+        m = Cochain.from_vector(K, n, draw(len(K.simplices(n)), range(-3, 4)), "Z")
+        r_vals = [Fraction(x, 3) for x in draw(len(K.simplices(n - 1)), range(-6, 7))]
+        a = m + coboundary(Cochain.from_vector(K, n - 1, r_vals, "Q"))
+        m2, r2 = integral_decomposition(a)
+        assert m2.is_integer_valued()
+        assert m2 + coboundary(r2) == a
 
 
 # Class coordinates read only the torsion and free rows of U_N^{-1}; they
@@ -172,28 +144,57 @@ def _check_class_coordinates(K, top, draw):
                     group.coordinates(v)
 
 
-@settings(max_examples=40, deadline=None)
+def _drawing(data):
+    return lambda length, choices: data.draw(
+        st.lists(st.sampled_from(choices), min_size=length, max_size=length)
+    )
+
+
+@settings(max_examples=80, deadline=None)
 @given(flag_complexes_with_top(), st.data())
-def test_class_coordinates_on_flag_complexes(complex_and_top, data):
-    _check_class_coordinates(*complex_and_top, _drawing(data))
+def test_flag_complexes_in_every_degree(complex_and_top, data):
+    K, top = complex_and_top
+    draw = _drawing(data)
+    _check_every_degree(K, top, draw)
+    _check_class_coordinates(K, top, draw)
+    _check_integral_decompositions(K, draw)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(mapping_cones(), st.data())
-def test_class_coordinates_on_mapping_cones(cone_and_top, data):
-    _check_class_coordinates(*cone_and_top, _drawing(data))
+def test_mapping_cones_in_every_degree(cone_and_top, data):
+    draw = _drawing(data)
+    _check_every_degree(*cone_and_top, draw)
+    _check_class_coordinates(*cone_and_top, draw)
+
+
+def _seeded(seed):
+    rng = random.Random(seed)
+    return lambda length, choices: rng.choices(choices, k=length)
+
+
+@pytest.mark.parametrize("name", ["RP2_6", "Klein_K", "T2_9"])
+def test_torsion_fixtures_in_every_degree(name):
+    K = fresh(name)
+    _check_every_degree(K, K.dim, _seeded(name))
+    _check_class_coordinates(K, K.dim, _seeded(name))
+
+
+def test_torsion_cone_in_every_degree():
+    # The circle wrapped around the torsion loop of RP2_6, and the same
+    # circle doubled onto a circle: torsion from the map alone.
+    draw = _seeded(7)
+    X, A = fresh("RP2_6"), fresh("S1_3")
+    _check_every_degree(mapping_cone(SimplicialMap(A, X, [0, 1, 2])), 2, draw)
+    hexagon = fresh("S1_6")
+    doubled = SimplicialMap(hexagon, fresh("S1_3"), [0, 1, 2, 0, 1, 2])
+    _check_every_degree(mapping_cone(doubled), 2, draw)
 
 
 @settings(max_examples=15, deadline=None)
 @given(staircase_products(), st.data())
 def test_class_coordinates_on_staircase_products(product_and_top, data):
     _check_class_coordinates(*product_and_top, _drawing(data))
-
-
-@pytest.mark.parametrize("name", ["RP2_6", "Klein_K"])
-def test_class_coordinates_on_torsion_fixtures(name):
-    K = _fresh(name)
-    _check_class_coordinates(K, K.dim, _seeded(name))
 
 
 # The first columns of a lifted U and the first rows of its U^{-1} are built
@@ -255,7 +256,7 @@ def _check_lifts_after_cohomology(make, top):
         for v in cocycles:
             assert coh.adapted_coordinates(v) == eager_coh.adapted_coordinates(v)
         assert _transforms(snf) == _transforms(fresh.boundary_snf(n))
-        _check_factorization(snf, d)
+        check_factorization(snf, d)
     return lazy
 
 
@@ -276,7 +277,7 @@ def test_lifts_read_after_cohomology_on_mapping_cones(cone_and_top):
 
 @pytest.mark.parametrize("pair", [("S1_3", "RP2_6"), ("Klein_K", "S1_3")])
 def test_lifts_read_after_cohomology_on_torsion_products(pair):
-    left, right = (_fresh(name) for name in pair)
+    left, right = (fresh(name) for name in pair)
     assert _check_lifts_after_cohomology(lambda: staircase_product(left, right), 3) == 3
 
 

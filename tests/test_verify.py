@@ -47,9 +47,12 @@ def test_check_names_and_order_are_pinned(suite):
 def test_the_recorder_keeps_the_first_failure_of_each_check():
     rec = verify._Recorder(7)
     unreached, later = rec.declare("X", "never reached", "declared")
-    assert rec.check("first", True, rec.at(0, "X"))
-    assert not rec.equal(later, Fraction(1, 2), 0, rec.at(1, "X", k=2))
-    assert not rec.check(later, False, rec.at(2, "X", k=3))
+    rec.at(0, "X")
+    assert rec.check("first", True)
+    rec.at(1, "X", k=2)
+    assert not rec.equal(later, Fraction(1, 2), 0)
+    rec.at(2, "X", k=3)
+    assert not rec.check(later, False)
     assert rec.checks == [
         {"name": "never reached [X]", "pass": True},
         {"name": "declared [X]", "pass": False, "witness": {
@@ -74,7 +77,8 @@ def test_an_identity_stops_at_its_first_failing_condition():
     assert verify.violation([True, False]) == {}
     assert verify.violation([(0, 0), True]) is None
     rec = verify._Recorder(3)
-    assert not rec.holds("law", identity(), rec.at(1, "X", k=1))
+    rec.at(1, "X", k=1)
+    assert not rec.holds("law", identity())
     assert rec.checks == [{"name": "law", "pass": False, "witness": {
         "seed": 3, "instance": 1, "fixture": "X", "degrees": {"k": 1}, **failure}}]
     assert not reached
