@@ -138,15 +138,22 @@ def _cmd_eval(args):
     return _report("eval", inputs, result), 0
 
 
-def _cmd_character_of_cochain(args):
-    """iota of a cochain, or j, its flat character."""
+def _character_of_cochain(args, name, build):
+    """The character build makes of a cochain file, reported as name."""
     K = _resolve_complex(args.complex)
     if args.cochain is None:
-        raise InputError(f"--cochain is required for {args.cmd}")
-    eta = io.cochain_from_json(_load_json(args.cochain), K)
-    h = iota(eta) if args.cmd == "iota" else flat_character(eta)
+        raise InputError(f"--cochain is required for {name}")
+    h = build(io.cochain_from_json(_load_json(args.cochain), K))
     inputs = {"complex": args.complex, "cochain": args.cochain}
-    return _report(args.cmd, inputs, {"character": io.character_to_json(h)}), 0
+    return _report(name, inputs, {"character": io.character_to_json(h)}), 0
+
+
+def _cmd_iota(args):
+    return _character_of_cochain(args, "iota", iota)
+
+
+def _cmd_j(args):
+    return _character_of_cochain(args, "j", flat_character)
 
 
 def _two_characters(args):
@@ -280,8 +287,8 @@ def _cmd_verify(args):
 _COMMANDS = {
     "homology": _cmd_homology,
     "eval": _cmd_eval,
-    "iota": _cmd_character_of_cochain,
-    "j": _cmd_character_of_cochain,
+    "iota": _cmd_iota,
+    "j": _cmd_j,
     "product": _cmd_product,
     "xproduct": _cmd_xproduct,
     "fiber-integrate": _cmd_fiber_integrate,

@@ -20,25 +20,32 @@ from diffchar.simplicial import Complex, SimplicialMap, mapping_cone
 
 
 @st.composite
-def int_matrices(draw):
-    """Integer matrices of at most 8 rows and 8 columns, the empty shapes
-    among them, with entries of one kind: small integers, no units (so the
-    Euclid phase and its divisibility step act), or 0 and +-1 as in a
-    boundary matrix.  Some rows and columns are zeroed."""
+def int_matrix_rows(draw):
+    """(rows, cols, dense): the shape and entry lists of an integer matrix of
+    at most 8 rows and 8 columns, the empty shapes among them, with entries
+    of one kind: small integers, no units (so the Euclid phase and its
+    divisibility step act), or 0 and +-1 as in a boundary matrix.  One draw
+    in four zeroes some rows and columns; the others keep the matrix full."""
     rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     entries = draw(st.sampled_from([
         st.integers(-9, 9),
         st.sampled_from([0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]),
         st.sampled_from([0, 0, 0, 1, -1]),
     ]))
-    data = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
-    zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    zero_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
-    data = [
-        [0 if zero_rows[i] or zero_cols[j] else x for j, x in enumerate(row)]
-        for i, row in enumerate(data)
-    ]
-    return IntMatrix(rows, cols, data)
+    dense = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if draw(st.integers(0, 3)) == 0:
+        zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        zero_cols = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+        dense = [
+            [0 if zero_rows[i] or zero_cols[j] else x for j, x in enumerate(row)]
+            for i, row in enumerate(dense)
+        ]
+    return rows, cols, dense
+
+
+def int_matrices():
+    """The IntMatrix of each int_matrix_rows draw."""
+    return int_matrix_rows().map(lambda drawn: IntMatrix(*drawn))
 
 
 def clique_complex(n, edges):

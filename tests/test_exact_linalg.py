@@ -28,7 +28,7 @@ from oracle import (
     rational_rank,
     zero,
 )
-from strategies import int_matrices
+from strategies import int_matrix_rows
 
 
 def mat(rows):
@@ -59,8 +59,9 @@ def test_snf_empty_shapes():
 
 
 @settings(max_examples=40, deadline=None)
-@given(int_matrices(), st.data())
-def test_solve_integer_on_solvable_systems(a, data):
+@given(int_matrix_rows(), st.data())
+def test_solve_integer_on_solvable_systems(drawn, data):
+    a = IntMatrix(*drawn)
     x = data.draw(
         st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols)
     )
@@ -71,17 +72,19 @@ def test_solve_integer_on_solvable_systems(a, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(int_matrices(), st.data())
-def test_solve_integer_verdict_matches_lattice_oracle(a, data):
+@given(int_matrix_rows(), st.data())
+def test_solve_integer_verdict_matches_lattice_oracle(drawn, data):
+    rows, cols, dense = drawn
+    a = IntMatrix(rows, cols, dense)
     b = data.draw(
         st.lists(st.integers(-6, 6), min_size=a.rows, max_size=a.rows)
     )
     got = solve_integer(a, b)
     # b lies in the column lattice iff appending it changes neither the rank
     # nor the invariant factors.
-    augmented = [row + (bb,) for row, bb in zip(a.data, b)]
-    solvable = rational_rank(a.data) == rational_rank(augmented) and invariant_factors(
-        a.data
+    augmented = [row + [bb] for row, bb in zip(dense, b)]
+    solvable = rational_rank(dense) == rational_rank(augmented) and invariant_factors(
+        dense
     ) == invariant_factors(augmented)
     if got is None:
         assert not solvable
@@ -111,12 +114,14 @@ def test_solvers_return_ints_and_fractions():
 
 
 @settings(max_examples=40, deadline=None)
-@given(int_matrices())
-def test_kernel_basis_spans_kernel(a):
+@given(int_matrix_rows())
+def test_kernel_basis_spans_kernel(drawn):
+    rows, cols, dense = drawn
+    a = IntMatrix(rows, cols, dense)
     basis = kernel_basis(a)
     for vec in basis:
         assert all(x == 0 for x in apply(a, vec))
-    assert len(basis) == a.cols - rational_rank(a.data)
+    assert len(basis) == cols - rational_rank(dense)
 
 
 def _dot(u, v):
@@ -124,10 +129,12 @@ def _dot(u, v):
 
 
 @settings(max_examples=30, deadline=None)
-@given(int_matrices(), st.data())
-def test_cycle_splitting_properties(a, data):
+@given(int_matrix_rows(), st.data())
+def test_cycle_splitting_properties(drawn, data):
+    rows, cols, dense = drawn
+    a = IntMatrix(rows, cols, dense)
     split = CycleSplitting(a)
-    z = a.cols - rational_rank(a.data)
+    z = cols - rational_rank(dense)
     chains = st.lists(st.integers(-4, 4), min_size=a.cols, max_size=a.cols)
     v, w = data.draw(chains), data.draw(chains)
     c = data.draw(st.lists(st.integers(-4, 4), min_size=z, max_size=z))
@@ -151,12 +158,14 @@ def test_cycle_splitting_properties(a, data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(int_matrices())
-def test_quotient_presentation_of_full_lattice_quotient(a):
+@given(int_matrix_rows())
+def test_quotient_presentation_of_full_lattice_quotient(drawn):
     """ker(0)/im(A) compared against the brute-force oracle."""
-    pres = QuotientPresentation(zero(0, a.rows), a)
-    betti = a.rows - rational_rank(a.data)
-    torsion = [d for d in invariant_factors(a.data) if d > 1]
+    rows, cols, dense = drawn
+    a = IntMatrix(rows, cols, dense)
+    pres = QuotientPresentation(zero(0, rows), a)
+    betti = rows - rational_rank(dense)
+    torsion = [d for d in invariant_factors(dense) if d > 1]
     assert pres.betti == betti
     assert pres.torsion == torsion
     # Generators represent classes of the right order.

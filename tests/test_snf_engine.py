@@ -31,7 +31,7 @@ from diffchar.exact_linalg import (
 from diffchar.relative import find_section, project, pushforward_injective
 from diffchar.simplicial import SimplicialMap, mapping_cone, staircase_product
 from oracle import check_factorization
-from strategies import flag_complexes, fresh, int_matrices
+from strategies import flag_complexes, fresh, int_matrices, int_matrix_rows
 
 
 def _factors(a):
@@ -139,14 +139,16 @@ def test_large_product_boundary_factors_in_bounded_memory():
 
 
 @settings(max_examples=100, deadline=None)
-@given(int_matrices())
-def test_dense_view_round_trips(a):
-    dense = a.data
-    assert len(dense) == a.rows and all(len(row) == a.cols for row in dense)
+@given(int_matrix_rows())
+def test_dense_view_round_trips(drawn):
+    rows, cols, dense = drawn
+    a = IntMatrix(rows, cols, dense)
+    assert (a.rows, a.cols) == (rows, cols)
+    assert a.data == tuple(map(tuple, dense))
     assert a.entries == tuple({j: x for j, x in enumerate(row) if x} for row in dense)
-    assert IntMatrix(a.rows, a.cols, dense) == a
+    assert IntMatrix(a.rows, a.cols, a.data) == a
     t = a.transpose()
-    assert (t.rows, t.cols) == (a.cols, a.rows)
+    assert (t.rows, t.cols) == (cols, rows)
     assert all(t.data[j][i] == x for i, row in enumerate(dense) for j, x in enumerate(row))
     assert t.transpose() == a
     assert all(0 not in row.values() for row in a.entries + t.entries)
