@@ -129,9 +129,6 @@ class SnfDecomposition:
         self._v = v_rows
         self._v_inv = v_inv_cols
 
-    def diagonal(self):
-        return list(self.factors) + [0] * (min(self.rows, self.cols) - self.rank)
-
     def transpose(self):
         """The factorization A^T = V^T * D^T * U^T, sharing this one's storage."""
         return SnfDecomposition(
@@ -417,8 +414,7 @@ class CycleSplitting:
 
     __slots__ = ("snf", "_rows", "_cols")
 
-    def __init__(self, snf_or_matrix):
-        snf = _factored(snf_or_matrix)
+    def __init__(self, snf):
         self.snf = snf
         self._rows = snf.kernel_rows()
         self._cols = snf.kernel_columns()
@@ -575,36 +571,22 @@ class QuotientPresentation:
     Presented with an adapted generating set: torsion generators first (with
     their orders, each > 1), then free generators.  `kernel` is the
     CycleSplitting of `out`; `coordinates` maps any kernel vector to (free
-    coordinates, torsion residues), and a class is zero iff both parts
-    vanish.
+    coordinates, torsion residues), the one reading of its class, which is
+    zero iff both parts vanish.
     """
 
-    __slots__ = (
-        "betti",
-        "torsion",
-        "generators",
-        "kernel",
-        "_rel_snf",
-        "_rel_rank",
-        "_torsion_indices",
-        "_class_rows",
-    )
+    __slots__ = ("betti", "torsion", "generators", "kernel", "_rel_snf", "_torsion_indices",
+                 "_class_rows")
 
-    def __init__(self, kernel, relations):
-        """`kernel` is the CycleSplitting of `out` (or `out`, a matrix or its
-        SnfDecomposition, to split); `relations` are the image generators of
-        `in`, written in the kernel's cycle coordinates: an SnfDecomposition,
-        or a matrix to factor."""
-        if not isinstance(kernel, CycleSplitting):
-            kernel = CycleSplitting(kernel)
-        rel_snf = _factored(relations)
+    def __init__(self, kernel, rel_snf):
+        """`kernel` is the CycleSplitting of `out`; `rel_snf` factors the
+        image generators of `in`, written in the kernel's cycle coordinates."""
         z = kernel.snf.cols - kernel.snf.rank
         if rel_snf.rows != z:
             raise ValueError("boundary matrices do not compose")
         s = rel_snf.rank
         self.kernel = kernel
         self._rel_snf = rel_snf
-        self._rel_rank = s
         self._torsion_indices = [i for i, d in enumerate(rel_snf.factors) if d > 1]
         u_inv = rel_snf._u_inv
         self._class_rows = [u_inv[i] for i in self._torsion_indices] + u_inv[s:]
@@ -623,39 +605,22 @@ class QuotientPresentation:
         y = self.kernel.coordinates(vec)
         return y if self.kernel.combine(y) == list(vec) else None
 
-    def adapted_coordinates(self, vec):
-        """Integer coordinates of a kernel vector in the adapted basis.
-
-        Unlike `coordinates`, torsion entries are not reduced mod their
-        orders; relation-lattice vectors show up as entries divisible by the
-        corresponding orders.
-        """
-        return self._rel_snf.apply_u_inv(self._cycle_coordinates(vec))
-
     def coordinates(self, vec):
         """(free coordinates, torsion residues) of the class of a kernel
-        vector: of its adapted coordinates, only these entries are computed."""
-        w = _dots(self._class_rows, self._cycle_coordinates(vec))
-        t = len(self.torsion)
-        return tuple(w[t:]), tuple(x % d for x, d in zip(w, self.torsion))
-
-    def _cycle_coordinates(self, vec):
+        vector: its coordinates in the adapted generators, read off only the
+        free and torsion rows of U_N^{-1} (N the relations), the torsion
+        entries reduced mod their orders."""
         y = self.kernel_coordinates(vec)
         if y is None:
             raise ValueError("vector is not in the kernel")
-        return y
-
-    def torsion_positions(self):
-        """Positions of the torsion coordinates within adapted_coordinates."""
-        return list(self._torsion_indices)
-
-    def free_positions(self):
-        """Positions of the free coordinates within adapted_coordinates."""
-        return list(range(self._rel_rank, self._rel_rank + self.betti))
+        w = _dots(self._class_rows, y)
+        t = len(self.torsion)
+        return tuple(w[t:]), tuple(x % d for x, d in zip(w, self.torsion))
 
     def torsion_functional(self, index):
-        """The cochain whose value on a cycle is its adapted coordinate at the
-        index-th torsion position; it vanishes on the complement of the cycles."""
+        """The cochain whose value on a cycle is its (unreduced) coordinate at
+        the index-th torsion generator; it vanishes on the complement of the
+        cycles."""
         w = self._rel_snf._u_inv[self._torsion_indices[index]]
         return _dense(self.kernel.snf.cols, _combination(w, self.kernel._rows))
 
@@ -706,8 +671,8 @@ def cohomology(complex, k):
     z = kernel.snf.cols - kernel.snf.rank
     r = below.rank
     # Row i < r of D_k lands in row z - r + i; the zero rows come first.
-    # Of the rows i < r only the torsion ones are read, unless a caller asks
-    # for adapted coordinates, so they are built on first read.
+    # Of the rows i < r only the torsion ones are read, by class coordinates
+    # and torsion functionals, so each is built on first read.
     perm = _LazyHead(range(z - r, z), lambda j: {j: 1}, [{i: 1} for i in range(z - r)])
     relations = SnfDecomposition(z, below.rows, below.factors, perm, perm, below._u, below._u_inv)
     return QuotientPresentation(kernel, relations)

@@ -18,7 +18,6 @@ from diffchar.simplicial import (
     TensorChain,
     alexander_whitney,
     eilenberg_zilber,
-    staircase_product,
 )
 from diffchar.cochain import coboundary, cup, pair, pullback as pullback_cochain
 from diffchar.characters import NotACycle, _derived, _mod1, evaluate, pullback, torsion_filling
@@ -47,13 +46,11 @@ def internal_product(h, f):
     return _derived(curv, lift, mu.coerced())
 
 
-def external_product(h, f, product=None):
-    """Product character on the staircase product of the two complexes."""
-    if product is None:
-        product = staircase_product(h.complex, f.complex)
-    else:
-        if product.left != h.complex or product.right != f.complex:
-            raise ValueError("given product has the wrong factors")
+def external_product(h, f, product):
+    """Product character on `product`, the staircase product of the two
+    complexes."""
+    if product.left != h.complex or product.right != f.complex:
+        raise ValueError("given product has the wrong factors")
     p = product.projection_left()
     q = product.projection_right()
     return internal_product(pullback(p, h), pullback(q, f))
@@ -132,18 +129,16 @@ class KunnethDecomposition:
         self.filling = filling
 
 
-def bb_evaluate(h, f, z, product=None):
+def bb_evaluate(h, f, z, product):
     """External product evaluation that bypasses the product lift.
 
     Splits the cycle into shuffle images of tensors of cycles plus a torsion
     remainder.  Tensor terms evaluate through the factors alone; the
     remainder evaluates through a filling of a multiple, using only the
-    product curvature and integral cocycle.  `product`, when given, must be
-    the cycle's own complex.
+    product curvature and integral cocycle.  `product` must be the cycle's
+    own complex.
     """
-    if product is None:
-        product = z.complex
-    elif z.complex != product:
+    if z.complex != product:
         raise ValueError("cycle does not live on the given product")
     if not isinstance(product, ProductComplex):
         raise TypeError("bb_evaluate needs a cycle on a ProductComplex")

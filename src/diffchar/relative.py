@@ -158,7 +158,7 @@ def project(f):
     return _derived(f.curvature, f.lift_x, f.mu_x)
 
 
-def cov_inverse(theta, cone=None):
+def cov_inverse(theta):
     """Relative character on the cone of the identity with given covariant part.
 
     Any rational cochain theta on X yields a valid quadruple
@@ -166,11 +166,7 @@ def cov_inverse(theta, cone=None):
     projection is iota(theta).
     """
     X = theta.complex
-    if cone is None:
-        cone = mapping_cone(identity_map(X))
-    elif (cone.phi.source != X or cone.phi.target != X
-          or cone.phi.vertex_map != tuple(range(X.num_vertices))):
-        raise ValueError("cone must be the mapping cone of the identity on X")
+    cone = mapping_cone(identity_map(X))
     k = theta.degree + 1
     if k < 1:
         raise ValueError("relative characters start in degree 1")
@@ -266,27 +262,24 @@ def _pushforward_kernel(phi, degree):
     """Cycles on A whose classes generate the kernel of phi_* on H_degree.
 
     A coefficient vector n over the homology generators of A belongs when
-    the class sum(n_i * gens_i) dies in X: free coordinates of the pushed
-    generators must cancel exactly, torsion coordinates modulo their
-    orders.  Auxiliary columns absorb the moduli.
+    the class sum(n_i * gens_i) dies in X: the free coordinates of the
+    pushed generators' classes must cancel exactly, their torsion residues
+    modulo the orders.  Auxiliary columns absorb the moduli.
     """
     A, X = phi.source, phi.target
     basis = A.homology(degree).generators
     if not basis:
         return []
     pres_x = X.homology(degree)
-    free = pres_x.free_positions()
-    tors_pos = pres_x.torsion_positions()
-    columns = [
-        pres_x.adapted_coordinates(phi.push_chain(A.chain_from_vector(degree, g)).to_vector())
-        for g in basis
-    ]
-    entries = [
-        {j: col[i] for j, col in enumerate(columns) if col[i]} for i in free + tors_pos
-    ]
+    b, t = pres_x.betti, len(pres_x.torsion)
+    columns = []
+    for g in basis:
+        free, tors = pres_x.coordinates(phi.push_chain(A.chain_from_vector(degree, g)).to_vector())
+        columns.append(free + tors)
+    entries = [{j: col[i] for j, col in enumerate(columns) if col[i]} for i in range(b + t)]
     for idx, d in enumerate(pres_x.torsion):
-        entries[len(free) + idx][len(basis) + idx] = d
-    matrix = IntMatrix._trusted(len(entries), len(basis) + len(tors_pos), tuple(entries))
+        entries[b + idx][len(basis) + idx] = d
+    matrix = IntMatrix._trusted(b + t, len(basis) + t, tuple(entries))
     # zip(vec, cell) stops at the generators, dropping the auxiliary columns.
     return [A.chain_from_vector(degree, [sum(c * x for c, x in zip(vec, cell))
                                          for cell in zip(*basis)])

@@ -237,7 +237,6 @@ def test_cov_inverse_carries_mu(K, data):
     rng = _rng(data)
     theta = _draw_character(data, K, rng).lift
     _check_relative(cov_inverse(theta))
-    _check_relative(cov_inverse(theta, mapping_cone(identity_map(K))))
 
 
 @settings(max_examples=15, deadline=None)
@@ -795,13 +794,12 @@ class Algebra(RuleBasedStateMachine):
 
     @rule(target=relatives, K=complexes, data=st.data())
     def covariant_inverse(self, K, data):
-        """The relative characters of a covariant part theta, on the cone
-        cov_inverse builds and on a given identity cone."""
+        """The relative character of a covariant part theta, on the cone of
+        the identity."""
         theta = self._character(data, K).lift
-        outs = (cov_inverse(theta), cov_inverse(theta, mapping_cone(identity_map(K))))
-        for f in outs:
-            _holds([(project(f), iota(theta))])
-        return multiple(*map(self._keep_relative, outs))
+        f = cov_inverse(theta)
+        _holds([(project(f), iota(theta))])
+        return self._keep_relative(f)
 
     @rule(target=relatives, cone=cones, data=st.data())
     def unique_section(self, cone, data):

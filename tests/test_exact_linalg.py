@@ -23,7 +23,6 @@ from oracle import (
     apply,
     check_factorization,
     column,
-    det,
     invariant_factors,
     rational_rank,
     zero,
@@ -42,12 +41,12 @@ CIRCLE_BOUNDARY = [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
 
 def test_snf_frozen_circle_boundary():
     snf = smith_normal_form(mat(CIRCLE_BOUNDARY))
-    assert snf.diagonal() == [1, 1, 0]
+    assert (snf.factors, snf.rank) == ([1, 1], 2)
 
 
 def test_snf_frozen_diag_2_3():
     snf = smith_normal_form(mat([[2, 0], [0, 3]]))
-    assert snf.diagonal() == [1, 6]
+    assert (snf.factors, snf.rank) == ([1, 6], 2)
 
 
 def test_snf_empty_shapes():
@@ -133,7 +132,7 @@ def _dot(u, v):
 def test_cycle_splitting_properties(drawn, data):
     rows, cols, dense = drawn
     a = IntMatrix(rows, cols, dense)
-    split = CycleSplitting(a)
+    split = CycleSplitting(smith_normal_form(a))
     z = cols - rational_rank(dense)
     chains = st.lists(st.integers(-4, 4), min_size=a.cols, max_size=a.cols)
     v, w = data.draw(chains), data.draw(chains)
@@ -157,13 +156,20 @@ def test_cycle_splitting_properties(drawn, data):
     assert _dot(split.dual(c), v) == _dot(c, split.coordinates(v))
 
 
+def _presentation(a):
+    """Z^rows / im(a): the kernel of the zero map out of Z^rows modulo the
+    columns of a."""
+    return QuotientPresentation(CycleSplitting(smith_normal_form(zero(0, a.rows))),
+                                smith_normal_form(a))
+
+
 @settings(max_examples=30, deadline=None)
 @given(int_matrix_rows())
 def test_quotient_presentation_of_full_lattice_quotient(drawn):
     """ker(0)/im(A) compared against the brute-force oracle."""
     rows, cols, dense = drawn
     a = IntMatrix(rows, cols, dense)
-    pres = QuotientPresentation(zero(0, rows), a)
+    pres = _presentation(a)
     betti = rows - rational_rank(dense)
     torsion = [d for d in invariant_factors(dense) if d > 1]
     assert pres.betti == betti
@@ -180,7 +186,7 @@ def test_quotient_presentation_of_full_lattice_quotient(drawn):
 
 def test_quotient_presentation_coordinates_additive():
     a = mat([[2, 0], [0, 3]])
-    pres = QuotientPresentation(zero(0, 2), a)
+    pres = _presentation(a)
     assert pres.torsion == [6]
     v = [1, 1]
     free1, tors1 = pres.coordinates(v)
@@ -188,24 +194,3 @@ def test_quotient_presentation_coordinates_additive():
     assert all(x == 0 for x in free1) and all(x == 0 for x in free2)
     assert (2 * tors1[0]) % 6 == tors2[0]
 
-
-def test_det_bareiss_matches_cofactor():
-    def cofactor_det(rows):
-        n = len(rows)
-        if n == 0:
-            return 1
-        if n == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(n):
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * cofactor_det(minor)
-        return total
-
-    import random
-
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert det(mat(rows)) == cofactor_det(rows)

@@ -121,22 +121,25 @@ def _check_integral_decompositions(K, draw):
         assert m2 + coboundary(r2) == a
 
 
-# Class coordinates read only the torsion and free rows of U_N^{-1}; they
-# must be the free entries and the reduced torsion entries of the adapted
-# coordinates, for kernel vectors, and refuse any other vector.
+# The generators are an adapted basis: a cycle that is the combination c of
+# the generators plus a boundary has as class coordinates the free entries
+# of c and its torsion entries reduced mod their orders.  Any vector off the
+# kernel is refused.
 
 
 def _check_class_coordinates(K, top, draw):
     for n in range(top + 2):
         d_out, d_in = K.boundary_matrix(n), K.boundary_matrix(n + 1)
-        for group, out in ((K.homology(n), d_out), (K.cohomology(n), d_in.transpose())):
-            z = group.kernel.snf.cols - group.kernel.snf.rank
-            v = group.kernel.combine(draw(z, (-3, -1, 0, 0, 1, 2)))
+        for group, out, in_ in ((K.homology(n), d_out, d_in),
+                                (K.cohomology(n), d_in.transpose(), d_out.transpose())):
+            t = len(group.torsion)
+            c = draw(t + group.betti, (-3, -1, 0, 0, 1, 2))
+            v = apply(in_, draw(in_.cols, (-2, -1, 0, 0, 1)))
+            for x, g in zip(c, group.generators):
+                v = [a + x * b for a, b in zip(v, g)]
             assert not any(apply(out, v))
-            w = group.adapted_coordinates(v)
-            free = tuple(w[i] for i in group.free_positions())
-            tors = tuple(w[i] % d for i, d in zip(group.torsion_positions(), group.torsion))
-            assert group.coordinates(v) == (free, tors)
+            reduced = tuple(x % d for x, d in zip(c, group.torsion))
+            assert group.coordinates(v) == (tuple(c[t:]), reduced)
             j = next((j for j in range(out.cols) if any(j in row for row in out.entries)), None)
             if j is not None:
                 v[j] += 1
@@ -240,10 +243,6 @@ def _check_lifts_after_cohomology(make, top):
         if isinstance(snf._u, _LazyHead) and snf._u._head:
             assert _unbuilt(snf._u) and _unbuilt(snf._u_inv)
             lazy += 1
-        perm = coh._rel_snf._u_inv
-        if perm._items is not None:
-            built = [i for i, item in enumerate(perm._items) if item is not None]
-            assert set(built) <= set(coh.torsion_positions())
         eager, eager_coh = _eager(fresh.boundary_snf(n)), _eager_cohomology(fresh, n - 1)
         image = apply(d, [rng.randint(-2, 2) for _ in range(d.cols)])
         for b in (image, [x + rng.choice((0, 0, 1, -1)) for x in image]):
@@ -254,7 +253,13 @@ def _check_lifts_after_cohomology(make, top):
         z = coh.kernel.snf.cols - coh.kernel.snf.rank
         cocycles = coh.generators + [coh.kernel.combine([rng.randint(-3, 3) for _ in range(z)])]
         for v in cocycles:
-            assert coh.adapted_coordinates(v) == eager_coh.adapted_coordinates(v)
+            assert coh.coordinates(v) == eager_coh.coordinates(v)
+        # Reading classes and torsion functionals built only torsion rows of
+        # the relation permutation.
+        perm = coh._rel_snf._u_inv
+        if perm._items is not None:
+            built = [i for i, item in enumerate(perm._items) if item is not None]
+            assert set(built) <= set(coh._torsion_indices)
         assert _transforms(snf) == _transforms(fresh.boundary_snf(n))
         check_factorization(snf, d)
     return lazy

@@ -42,7 +42,7 @@ def _factors(a):
     check_factorization(smith_normal_form(a.transpose()), a.transpose())
     transposed = snf.transpose()
     check_factorization(transposed, a.transpose())
-    assert (transposed.diagonal(), transposed.rank) == (snf.diagonal(), snf.rank)
+    assert (transposed.factors, transposed.rank) == (snf.factors, snf.rank)
 
 
 @settings(max_examples=150, deadline=None)

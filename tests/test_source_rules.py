@@ -27,7 +27,12 @@ subclass of it defines `__eq__` or `is_zero` or tests integral periods.
 Library code reads factorizations and matrices only through their sparse
 storage, so no module reads a dense view (`.U`, `.V`, `.D`, `.u_inv`,
 `.v_inv` or `IntMatrix.data`): a dense view builds a rows x cols grid and
-forces the first columns of a lifted U, which nothing else builds.  Every
+forces the first columns of a lifted U, which nothing else builds.  Nor
+does any module but `exact_linalg` read the private storage of a
+factorization, splitting or presentation (`_u`, `_u_inv`, `_v`, `_v_inv`,
+`_rows`, `_cols`, `_rel_snf`, `_class_rows`, `_torsion_indices`): the rest
+of the package reads them through their methods, so a class is read only
+through `coordinates`.  Every
 `verify` check goes through one recorder, which keeps its witness, so no
 code in `verify` outside `_Recorder` names a "pass" key.  Each sign rule of
 the chain operators is written once: the face rule (the face without s[i]
@@ -463,6 +468,42 @@ def test_the_dense_view_rule_catches_each_violation():
         (1, "dense view .U"), (2, "dense view .V"), (3, "dense view .D"),
         (4, "dense view .u_inv"), (5, "dense view .v_inv"), (6, "dense view .data"),
         (7, "dense view .U"),
+    ]
+
+
+_PRIVATE_STORAGE = {"_u", "_u_inv", "_v", "_v_inv", "_rows", "_cols", "_rel_snf",
+                    "_class_rows", "_torsion_indices"}
+
+
+def _private_storage_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_STORAGE:
+            yield node.lineno, f"private storage .{node.attr}"
+
+
+def test_only_exact_linalg_reads_factorization_storage():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in SOURCES
+        if path.name != "exact_linalg.py"
+        for line, what in _private_storage_reads(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_the_private_storage_rule_catches_each_violation():
+    source = (
+        "snf._u\nsnf._u_inv\nsnf._v\nsnf._v_inv\nsplit._rows\nsplit._cols\n"
+        "group._rel_snf._u_inv[0]\ngroup._class_rows\nx = group._torsion_indices\n"
+        "snf.kernel_rows()\nsplit.coordinates(v)\ngroup.torsion\n_rows = 1\nsnf._memo\n"
+        "def _u(self): pass\n"
+    )
+    assert sorted(_private_storage_reads(ast.parse(source))) == [
+        (1, "private storage ._u"), (2, "private storage ._u_inv"), (3, "private storage ._v"),
+        (4, "private storage ._v_inv"), (5, "private storage ._rows"),
+        (6, "private storage ._cols"), (7, "private storage ._rel_snf"),
+        (7, "private storage ._u_inv"), (8, "private storage ._class_rows"),
+        (9, "private storage ._torsion_indices"),
     ]
 
 
