@@ -12,7 +12,10 @@ elimination itself every product with them is one of three loop kernels:
 combination of sparse vectors) and `_accumulate` (a dense combination of
 sparse vectors).  `_axpy` is the one transform step of both elimination
 phases: each row or column step updates the transforms through it, and a
-unit pivot writes its column of U and row of V outright.
+unit pivot writes its column of U and row of V outright.  It is the only
+in-place update of a vector, on vectors the elimination made itself: every
+vector the module hands out is read-only and may be shared, with a matrix,
+another transform or another factorization, instead of copied.
 """
 
 from __future__ import annotations
@@ -202,7 +205,9 @@ def smith_normal_form(A):
     style on an entry of least absolute value, ties broken by row and then
     column: remainders become the next pivot, and a row holding an entry
     the cleared pivot does not divide is added to the pivot row, so that
-    d1 | d2 | ....
+    d1 | d2 | ....  The transforms share vectors rather than copy them: a
+    +1 pivot's row of V is its working row, and a row of U^{-1} equal to its
+    column of U, as each untouched row gives, is one dict.
     """
     rows, cols = A.rows, A.cols
     S = list(map(dict, A.entries))
@@ -236,7 +241,7 @@ def smith_normal_form(A):
         # This pivot's column of U is the pivot column as it stands, and its
         # row of V is e times the pivot row.
         L_inv[i] = {r: S[r][j] for r in col}
-        R_inv[j] = {c: x * e for c, x in pivot_row.items()}
+        R_inv[j] = pivot_row if e == 1 else {c: -x for c, x in pivot_row.items()}
         for r in [r for r in col if r != i]:
             row = S[r]
             t = -row[j] * e
@@ -334,6 +339,11 @@ def smith_normal_form(A):
         factors.append(abs(d))
         live = [r for r in live if S[r]]
 
+    # Both phases update L and L^{-1} in place, so their rows are shared only now.
+    for k, vec in enumerate(L_inv):
+        if L[k] == vec:
+            L[k] = vec
+
     # Pivots first, then the rows and columns left zero: those the non-unit
     # phase saw before the others, each by index.
     row_order = [i for i, _ in pivots]
@@ -353,15 +363,9 @@ def smith_normal_form(A):
     )
 
 
-def _factored(snf_or_matrix):
-    if isinstance(snf_or_matrix, SnfDecomposition):
-        return snf_or_matrix
-    return smith_normal_form(snf_or_matrix)
-
-
-def _solve(snf_or_matrix, b, zero, divide):
-    """x with A x = b, where divide(c, d) solves d y = c or returns None."""
-    snf = _factored(snf_or_matrix)
+def _solve(snf, b, zero, divide):
+    """x with A x = b, A = U D V factored by snf, where divide(c, d) solves
+    d y = c or returns None."""
     if len(b) != snf.rows:
         raise ValueError("right-hand side length does not match matrix rows")
     c = snf.apply_u_inv(b)
@@ -375,28 +379,27 @@ def _solve(snf_or_matrix, b, zero, divide):
     return snf.apply_v_inv(y)
 
 
-def solve_integer(snf_or_matrix, b):
-    """Solve A x = b over the integers; None when no integer solution exists.
-
-    Accepts either an IntMatrix or an already computed SnfDecomposition, so
-    repeated solves against one matrix share the reduction.
-    """
-    return _solve(snf_or_matrix, b, 0, lambda c, d: None if c % d else c // d)
+def solve_integer(snf, b):
+    """Solve A x = b over the integers, A given by its SnfDecomposition, so
+    that repeated solves against one matrix share the reduction; None when
+    no integer solution exists."""
+    return _solve(snf, b, 0, lambda c, d: None if c % d else c // d)
 
 
-def solve_rational(snf_or_matrix, b):
-    """Solve A x = b over the rationals; None when the system is inconsistent."""
-    return _solve(snf_or_matrix, b, Fraction(0), Fraction)
+def solve_rational(snf, b):
+    """Solve A x = b over the rationals, A given by its SnfDecomposition;
+    None when the system is inconsistent."""
+    return _solve(snf, b, Fraction(0), Fraction)
 
 
-def kernel_basis(snf_or_matrix):
-    """Basis of the integer kernel lattice of A, as a list of column vectors.
+def kernel_basis(snf):
+    """Basis of the integer kernel lattice of A, given by its SnfDecomposition,
+    as a list of column vectors.
 
     The vectors are the trailing columns of V^{-1}; together with the leading
     columns they form a basis of Z^cols, which is what makes the splitting
     below work.
     """
-    snf = _factored(snf_or_matrix)
     return [_dense(snf.cols, col) for col in snf.kernel_columns()]
 
 
@@ -534,10 +537,11 @@ def _dots(rows, vec):
 
 
 def _combination(coeffs, vectors):
-    """The sum of c * vectors[k] over the items k: c of coeffs, all sparse."""
+    """The sum of c * vectors[k] over the items k: c of coeffs, all sparse;
+    vectors[k] itself for the single coefficient k: 1."""
     if len(coeffs) == 1:
         ((k, c),) = coeffs.items()
-        return {i: c * x for i, x in vectors[k].items()}
+        return vectors[k] if c == 1 else {i: c * x for i, x in vectors[k].items()}
     acc = {}
     get = acc.get
     for k, c in coeffs.items():

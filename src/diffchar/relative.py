@@ -16,7 +16,7 @@ unchecked with their integral cocycles in closed form.
 
 from __future__ import annotations
 
-from diffchar.exact_linalg import kernel_basis, IntMatrix, solve_integer
+from diffchar.exact_linalg import IntMatrix, kernel_basis, smith_normal_form, solve_integer
 from diffchar.simplicial import DirectSum, identity_map, mapping_cone
 from diffchar.cochain import (
     Cochain,
@@ -283,4 +283,4 @@ def _pushforward_kernel(phi, degree):
     # zip(vec, cell) stops at the generators, dropping the auxiliary columns.
     return [A.chain_from_vector(degree, [sum(c * x for c, x in zip(vec, cell))
                                          for cell in zip(*basis)])
-            for vec in kernel_basis(matrix)]
+            for vec in kernel_basis(smith_normal_form(matrix))]

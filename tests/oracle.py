@@ -1,10 +1,11 @@
 """Brute-force reference computations, independent of the production paths.
 
 Rank over Q by fraction-free integer row elimination; invariant factors by
-a classic reduce-and-recurse loop that tracks no transform matrices and
-shares no code with the package.  Homology ranks and torsion follow from
-boundary matrices alone: betti_n = dim C_n - rank d_n - rank d_{n+1}, and
-the torsion of H_n is the list of invariant factors of d_{n+1} exceeding 1.
+fraction-free Bezout steps on sparse rows, which track no transform
+matrices and share no code with the package.  Homology ranks and torsion
+follow from boundary matrices alone: betti_n = dim C_n - rank d_n -
+rank d_{n+1}, and the torsion of H_n is the list of invariant factors of
+d_{n+1} exceeding 1.
 
 The chain operators are their per-simplex definitions: the boundary drops
 one vertex at a time with sign (-1)^i, the coboundary sums a cochain over
@@ -45,7 +46,7 @@ from math import gcd
 
 from diffchar.characters import DiffChar, FlatClass
 from diffchar.cochain import has_integral_periods, pair
-from diffchar.exact_linalg import IntMatrix, kernel_basis
+from diffchar.exact_linalg import IntMatrix, kernel_basis, smith_normal_form
 from diffchar.relative import RelChar
 from diffchar.simplicial import Complex
 
@@ -78,61 +79,73 @@ def rational_rank(rows):
     return rank
 
 
+def _bezout(a, b):
+    """(g, s, t) with g = gcd(a, b) > 0 and s * a + t * b = g, for a != 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _sum(s, u, t, v):
+    """s * u + t * v on {column: value} rows, with no zero values."""
+    out = {k: s * x for k, x in u.items()} if s else {}
+    for k, y in v.items():
+        z = out.get(k, 0) + t * y
+        if z:
+            out[k] = z
+        else:
+            out.pop(k, None)
+    return out
+
+
 def invariant_factors(rows):
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    m = [list(row) for row in rows if any(row)]
-    factors = []
-    while m and m[0]:
-        live = [j for j in range(len(m[0])) if any(row[j] for row in m)]
-        m = [[row[j] for j in live] for row in m if any(row)]
-        if not m or not m[0]:
-            break
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+
+    Fraction-free elimination by Bezout steps on {column: value} rows.  The
+    shortest row left holds the pivot, at its entry of least absolute
+    value.  A unimodular 2 x 2 row step with the Bezout coefficients of the
+    pivot a and an entry b below it puts gcd(a, b) at the pivot and clears
+    b; once its column is clear, the pivot row is cleared at once if the
+    pivot divides it, and otherwise a column step of the same kind moves a
+    gcd into the pivot and the column is cleared again.  The diagonal so
+    found is put in divisibility order by replacing pairs (a, b) with
+    (gcd, lcm), which keeps Z/a + Z/b.
+    """
+    m = [row for row in ({j: x for j, x in enumerate(r) if x} for r in rows) if row]
+    diagonal = []
+    while m:
+        pivot = m.pop(min(range(len(m)), key=lambda i: len(m[i])))
+        j = min(pivot, key=lambda c: (abs(pivot[c]), c))
         while True:
-            bi, bj = min(
-                (
-                    (i, j)
-                    for i, row in enumerate(m)
-                    for j, x in enumerate(row)
-                    if x != 0
-                ),
-                key=lambda ij: abs(m[ij[0]][ij[1]]),
-            )
-            if bi != 0:
-                m[0], m[bi] = m[bi], m[0]
-            if bj != 0:
-                for row in m:
-                    row[0], row[bj] = row[bj], row[0]
-            d = m[0][0]
-            dirty = False
-            for i in range(1, len(m)):
-                if m[i][0] != 0:
-                    q = m[i][0] // d
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[0])]
-                    if m[i][0] != 0:
-                        dirty = True
-            for j in range(1, len(m[0])):
-                if m[0][j] != 0:
-                    q = m[0][j] // d
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[0]
-                    if m[0][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            d = m[0][0]
-            culprit = None
-            for i in range(1, len(m)):
-                if any(x % d for x in m[i]):
-                    culprit = i
-                    break
-            if culprit is None:
+            for i, row in enumerate(m):
+                b = row.get(j)
+                if b:
+                    a = pivot[j]
+                    g, s, t = _bezout(a, b)
+                    pivot, m[i] = _sum(s, pivot, t, row), _sum(a // g, row, -(b // g), pivot)
+            a = pivot[j]
+            c = next((c for c, b in pivot.items() if b % a), None)
+            if c is None:
                 break
-            m[0] = [a + b for a, b in zip(m[0], m[culprit])]
-        factors.append(abs(m[0][0]))
-        m = [row[1:] for row in m[1:]]
-    return factors
+            # Columns j and c step together; only rows holding c change j.
+            b = pivot[c]
+            g, s, t = _bezout(a, b)
+            for row in [pivot, *m]:
+                x, y = row.pop(j, 0), row.pop(c, 0)
+                for k, z in ((j, s * x + t * y), (c, (a // g) * y - (b // g) * x)):
+                    if z:
+                        row[k] = z
+        diagonal.append(abs(pivot[j]))
+        m = [row for row in m if row]
+    for i in range(len(diagonal)):
+        for k in range(i + 1, len(diagonal)):
+            a, b = diagonal[i], diagonal[k]
+            diagonal[i], diagonal[k] = gcd(a, b), a * b // gcd(a, b)
+    return diagonal
 
 
 def homology_rank_and_torsion(boundary_out_rows, boundary_in_rows, chain_dim):
@@ -363,7 +376,7 @@ def _pushforward_kernel_lattice(phi, degree, gens):
     for idx, d in enumerate(pres_x.torsion):
         entries[len(free) + idx][len(gens) + idx] = d
     matrix = IntMatrix._trusted(len(entries), len(gens) + len(tors_pos), tuple(entries))
-    return [vec[: len(gens)] for vec in kernel_basis(matrix)]
+    return [vec[: len(gens)] for vec in kernel_basis(smith_normal_form(matrix))]
 
 
 def flat_class_pulled_back(u, phi):

@@ -167,8 +167,14 @@ def _draw_character(data, K, rng):
     return random_character(K, data.draw(st.integers(1, K.dim + 1)), rng)
 
 
+# Small flag complexes seldom have cohomology in the drawn degree, and on
+# those that have none the integral part of `from_curvature` is zero; T2_9
+# has free classes in degrees 1 and 2, RP2_6 a torsion class in degree 2.
+CLASSES = tuple(map(fixtures.complex_by_name, ("T2_9", "RP2_6")))
+
+
 @settings(max_examples=40, deadline=None)
-@given(flag_complexes(max_vertices=6), st.data())
+@given(st.one_of(flag_complexes(max_vertices=6), st.sampled_from(CLASSES)), st.data())
 def test_group_operations_carry_mu(K, data):
     rng = _rng(data)
     h = _draw_character(data, K, rng)

@@ -7,6 +7,8 @@ in oracle.py before the production code existed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -65,7 +67,7 @@ def test_solve_integer_on_solvable_systems(drawn, data):
         st.lists(st.integers(-5, 5), min_size=a.cols, max_size=a.cols)
     )
     b = apply(a, x)
-    got = solve_integer(a, b)
+    got = solve_integer(smith_normal_form(a), b)
     assert got is not None
     assert apply(a, got) == b
 
@@ -78,7 +80,7 @@ def test_solve_integer_verdict_matches_lattice_oracle(drawn, data):
     b = data.draw(
         st.lists(st.integers(-6, 6), min_size=a.rows, max_size=a.rows)
     )
-    got = solve_integer(a, b)
+    got = solve_integer(smith_normal_form(a), b)
     # b lies in the column lattice iff appending it changes neither the rank
     # nor the invariant factors.
     augmented = [row + [bb] for row, bb in zip(dense, b)]
@@ -94,22 +96,21 @@ def test_solve_integer_verdict_matches_lattice_oracle(drawn, data):
 
 def test_solve_integer_no_solution_parity():
     # 2x = 1 has no integer solution but a rational one.
-    a = mat([[2]])
-    assert solve_integer(a, [1]) is None
-    assert solve_rational(a, [1]) == [Fraction(1, 2)]
+    snf = smith_normal_form(mat([[2]]))
+    assert solve_integer(snf, [1]) is None
+    assert solve_rational(snf, [1]) == [Fraction(1, 2)]
 
 
 def test_solve_rational_inconsistent():
-    a = mat([[1], [1]])
-    assert solve_rational(a, [0, 1]) is None
+    assert solve_rational(smith_normal_form(mat([[1], [1]])), [0, 1]) is None
 
 
 def test_solvers_return_ints_and_fractions():
     # Full rank, partial rank and the zero matrix, whose solution is all zeros.
     for rows, b in (([[2, 0], [0, 3]], [4, 9]), ([[1, 1]], [2]), ([[0, 0]], [0])):
-        a = mat(rows)
-        assert all(type(x) is int for x in solve_integer(a, b))
-        assert all(type(x) is Fraction for x in solve_rational(a, b))
+        snf = smith_normal_form(mat(rows))
+        assert all(type(x) is int for x in solve_integer(snf, b))
+        assert all(type(x) is Fraction for x in solve_rational(snf, b))
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,10 +118,41 @@ def test_solvers_return_ints_and_fractions():
 def test_kernel_basis_spans_kernel(drawn):
     rows, cols, dense = drawn
     a = IntMatrix(rows, cols, dense)
-    basis = kernel_basis(a)
+    basis = kernel_basis(smith_normal_form(a))
     for vec in basis:
         assert all(x == 0 for x in apply(a, vec))
     assert len(basis) == cols - rational_rank(dense)
+
+
+def _det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_oracle_invariant_factors_are_ratios_of_determinantal_divisors(rows, cols, data):
+    """d_k, the gcd of the k x k minors, is d1 * ... * dk for the invariant
+    factors d1 | d2 | ...; the rank is the largest k with d_k != 0."""
+    entries = data.draw(st.sampled_from([
+        st.integers(-9, 9), st.sampled_from([0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]),
+        st.sampled_from([0, 0, 0, 1, -1]),
+    ]))
+    dense = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+    divisors = [1]
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for picked in combinations(range(rows), k):
+            for kept in combinations(range(cols), k):
+                d = gcd(d, _det([[dense[i][j] for j in kept] for i in picked]))
+        if d == 0:
+            break
+        divisors.append(d)
+    assert invariant_factors(dense) == [b // a for a, b in zip(divisors, divisors[1:])]
 
 
 def _dot(u, v):

@@ -32,7 +32,9 @@ does any module but `exact_linalg` read the private storage of a
 factorization, splitting or presentation (`_u`, `_u_inv`, `_v`, `_v_inv`,
 `_rows`, `_cols`, `_rel_snf`, `_class_rows`, `_torsion_indices`): the rest
 of the package reads them through their methods, so a class is read only
-through `coordinates`.  Every
+through `coordinates`.  The vectors those hold are read-only and shared, so
+`_axpy`, the one in-place update of a vector, is used only inside
+`smith_normal_form`, on the vectors it made itself.  Every
 `verify` check goes through one recorder, which keeps its witness, so no
 code in `verify` outside `_Recorder` names a "pass" key.  Each sign rule of
 the chain operators is written once: the face rule (the face without s[i]
@@ -504,6 +506,46 @@ def test_the_private_storage_rule_catches_each_violation():
         (6, "private storage ._cols"), (7, "private storage ._rel_snf"),
         (7, "private storage ._u_inv"), (8, "private storage ._class_rows"),
         (9, "private storage ._torsion_indices"),
+    ]
+
+
+def _axpy_uses(tree):
+    """(line, enclosing top-level function or class) of each read of `_axpy`."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "_axpy"
+                 and isinstance(node.ctx, ast.Load))
+                    or (isinstance(node, ast.Attribute) and node.attr == "_axpy")):
+                yield node.lineno, owner
+
+
+def test_only_the_elimination_updates_vectors_in_place():
+    found = {
+        (path.name, owner)
+        for path in SOURCES
+        for _, owner in _axpy_uses(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == {("exact_linalg.py", "smith_normal_form")}
+
+
+def test_the_in_place_rule_catches_each_violation():
+    source = (
+        "def smith_normal_form(A):\n"
+        "    def row_step(r, i, t):\n"
+        "        _axpy(L[r], t, L[i])\n"
+        "class CycleSplitting:\n"
+        "    def lift(self, rel_snf):\n"
+        "        _axpy(u, 1, v)\n"
+        "def _combination(coeffs, vectors):\n"
+        "    step = exact_linalg._axpy\n"
+        "_axpy(a, 2, b)\n"
+        "def _axpy(target, t, source):\n"
+        "    pass\n"
+        "_axpy = None\n"
+    )
+    assert sorted(_axpy_uses(ast.parse(source))) == [
+        (3, "smith_normal_form"), (6, "CycleSplitting"), (8, "_combination"), (9, ""),
     ]
 
 
