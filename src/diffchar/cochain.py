@@ -113,7 +113,7 @@ def zero_cochain(complex, degree):
 def coboundary(a):
     """(da)(s) = a(boundary of s): the rows of d_{k+1} summed over a's support."""
     K, k = a.complex, a.degree
-    rows = K.boundary_matrix(k + 1).entries
+    rows = K._coface_rows(k + 1)
     totals = {}
     for s, v in a.coeffs.items():
         for j, sign in rows[K.index_of(s)].items():

@@ -221,10 +221,12 @@ def smith_normal_form(A):
     L, L_inv = _sparse_identity(rows), [None] * rows
     R, R_inv = _sparse_identity(cols), [None] * cols
     pivots = []
-    heap = [(len(c), j) for j, c in enumerate(in_col) if c]
+    # A column j with count nonzeros is keyed count * cols + j, so ints order
+    # the heap by count and then index.
+    heap = [len(c) * cols + j for j, c in enumerate(in_col) if c]
     heapify(heap)
     while heap:
-        count, j = heappop(heap)
+        count, j = divmod(heappop(heap), cols)
         col = in_col[j]
         if count != len(col):
             continue
@@ -263,7 +265,7 @@ def smith_normal_form(A):
             if c != j:
                 _axpy(R[c], -x * e, R[j])
                 if col:
-                    heappush(heap, (len(col), c))
+                    heappush(heap, len(col) * cols + c)
         S[i] = {}
         pivots.append((i, j))
         if e < 0:

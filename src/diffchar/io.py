@@ -69,11 +69,11 @@ def _require(obj, field, kind, shape=None):
 
 
 def complex_to_json(complex):
-    return {
-        "name": complex.name,
-        "vertices": complex.num_vertices,
-        "simplices": [list(s) for s in maximal_simplices(complex)],
-    }
+    """The complex as complex_from_json reads it; one it would refuse raises
+    FormatError, so io writes only what it reads back."""
+    simplices = [list(s) for s in maximal_simplices(complex)]
+    _check_size(complex.num_vertices, simplices)
+    return {"name": complex.name, "vertices": complex.num_vertices, "simplices": simplices}
 
 
 # Bound on the faces that closing the listed simplices may produce, counted as
@@ -86,19 +86,24 @@ def complex_to_json(complex):
 MAX_FACES = 2**17
 
 
+def _check_size(vertices, simplices):
+    """Refuse a vertex count or listed simplices past the bounds above."""
+    if not 0 <= vertices <= MAX_FACES:
+        raise FormatError(f"complex has {vertices} vertices, not in [0, {MAX_FACES}]")
+    faces = sum((1 << len(s)) - 1 for s in simplices)
+    if faces > MAX_FACES:
+        raise FormatError(f"closing the simplices gives up to {faces} faces, "
+                          f"more than {MAX_FACES}")
+
+
 def complex_from_json(obj):
     vertices = _require(obj, "vertices", "complex", int)
     simplices = _require(obj, "simplices", "complex", list)
     name = obj.get("name", "")
-    if not 0 <= vertices <= MAX_FACES:
-        raise FormatError(f"complex has {vertices} vertices, not in [0, {MAX_FACES}]")
     if not all(map(_is_vertex_list, simplices)):
         raise FormatError("complex simplices must be lists of integer vertices")
+    _check_size(vertices, simplices)
     try:
-        faces = sum((1 << len(s)) - 1 for s in simplices)
-        if faces > MAX_FACES:
-            raise FormatError(f"closing the simplices gives up to {faces} faces, "
-                              f"more than {MAX_FACES}")
         return Complex(vertices, [tuple(s) for s in simplices], name)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad complex: {exc}") from None

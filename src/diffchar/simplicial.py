@@ -68,13 +68,15 @@ class _Memo:
 class _Factorizations(_Memo):
     """The factorizations of a complex-like object, memoized by degree.
 
-    Subclasses provide boundary_matrix(n).  Each degree n runs one Smith
+    Subclasses provide boundary_matrix(n), built on each call, and
+    chain_count(n), the rank of C_n.  Each degree n runs one Smith
     elimination, of N_n: the boundary d_n written in the cycle coordinates of
     C_{n-1} (d_n itself when C_{n-1} is zero), a matrix with a row per cycle
     of C_{n-1} rather than per chain.  Since ker d_n = ker N_n, that one
     factorization gives the cycle splitting of C_n, the relations of H_{n-1},
     and, with the splitting of C_{n-1}, the factorization of d_n, whose
-    transpose is the coboundary's.
+    transpose is the coboundary's.  The elimination is the one reader of d_n
+    here, so the memo keeps the factorizations and not d_n.
     """
 
     def relation_snf(self, n):
@@ -82,7 +84,10 @@ class _Factorizations(_Memo):
 
         def build():
             d = self.boundary_matrix(n)
-            return smith_normal_form(d if d.rows == 0 else self.splitting(n - 1).relations(d))
+            if d.rows:
+                # Rebound, so that d_n is freed before N_n is eliminated.
+                d = self.splitting(n - 1).relations(d)
+            return smith_normal_form(d)
 
         return self._cached("relations", n, build)
 
@@ -90,9 +95,8 @@ class _Factorizations(_Memo):
         """SNF of d_n, assembled from relation_snf(n) without a new elimination."""
 
         def build():
-            if self.boundary_matrix(n).rows == 0:
-                return self.relation_snf(n)
-            return self.splitting(n - 1).lift(self.relation_snf(n))
+            rel = self.relation_snf(n)
+            return self.splitting(n - 1).lift(rel) if self.chain_count(n - 1) else rel
 
         return self._cached("snf", n, build)
 
@@ -177,9 +181,13 @@ class Complex(_Factorizations):
         label = self.name or "Complex"
         return f"<{label} vertices={self.num_vertices} simplices[{counts}]>"
 
+    def chain_count(self, n):
+        return len(self.simplices(n))
+
     def boundary_matrix(self, n):
-        """Matrix of the boundary map C_n -> C_{n-1} in the sorted bases."""
-        return self._cached("boundary", n, lambda: self._build_boundary(n))
+        """Matrix of the boundary map C_n -> C_{n-1} in the sorted bases, built
+        on each call; readers that come back to d_n read the row tables below."""
+        return self._build_boundary(n)
 
     def _build_boundary(self, n):
         """The face rule, written only here: the face without s[i] has sign (-1)^i."""
@@ -197,10 +205,16 @@ class Complex(_Factorizations):
                     sign = -sign
         return IntMatrix._trusted(len(rows), len(cols), tuple(entries))
 
+    def _coface_rows(self, n):
+        """Row i of d_n: {coface index: sign} of the i-th (n-1)-simplex."""
+        return self._cached("cofaces", n, lambda: self.boundary_matrix(n).entries)
+
     def _facet_rows(self, n):
         """Row j of the transposed d_n: {face index: sign} of the j-th n-simplex,
         in reverse drop order; read reversed, the face without s[0] comes first."""
-        return self._cached("facets", n, lambda: self.boundary_matrix(n).transpose().entries)
+        return self._cached("facets", n, lambda: IntMatrix._trusted(
+            self.chain_count(n - 1), self.chain_count(n), self._coface_rows(n)
+        ).transpose().entries)
 
     def chain(self, degree, coeffs=None):
         return Chain(self, degree, coeffs or {})
@@ -212,28 +226,17 @@ class Complex(_Factorizations):
         return Chain._of(self, degree, dict(zip(basis, vec)))
 
     def components(self):
-        """Connected components as sorted vertex lists."""
-        adj = {v: set() for v in range(self.num_vertices)}
-        for e in self.simplices(1):
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
-        seen = set()
-        comps = []
-        for v in range(self.num_vertices):
-            if v in seen:
-                continue
-            comp = []
-            todo = [v]
-            seen.add(v)
-            while todo:
-                u = todo.pop()
-                comp.append(u)
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        todo.append(w)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components as sorted vertex lists, by least vertex."""
+        comp = {v: [v] for v in range(self.num_vertices)}
+        for u, v in self.simplices(1):
+            a, b = comp[u], comp[v]
+            if a is not b:
+                if len(a) < len(b):
+                    a, b = b, a
+                a += b
+                for w in b:
+                    comp[w] = a
+        return [sorted(c) for c in {id(c): c for c in comp.values()}.values()]
 
 
 class LinearCombination:
@@ -482,10 +485,8 @@ class TensorChain(LinearCombination):
 
 def tensor(chain_left, chain_right):
     """Elementary tensor of two chains."""
-    coeffs = {}
-    for s, a in chain_left.coeffs.items():
-        for t, b in chain_right.coeffs.items():
-            coeffs[(s, t)] = coeffs.get((s, t), 0) + a * b
+    coeffs = {(s, t): a * b for s, a in chain_left.coeffs.items()
+              for t, b in chain_right.coeffs.items()}
     return TensorChain._of(chain_left.complex, chain_right.complex, coeffs)
 
 
@@ -821,7 +822,7 @@ def _refuse_crowded_faces(complex, error, cofaces_named):
     """Raise error for the first facet of a top simplex, in their order, that
     has more than two top cofaces."""
     d = complex.dim
-    cofaces = complex.boundary_matrix(d).entries
+    cofaces = complex._coface_rows(d)
     for row in complex._facet_rows(d):
         for i in reversed(row):
             if len(cofaces[i]) > 2:
@@ -849,7 +850,7 @@ def fundamental_cycle(complex):
     if d == 0:
         return Chain._of(complex, 0, {s: 1 for s in tops})
     _refuse_crowded_faces(complex, NotManifold, "cofaces")
-    faces, cofaces = complex.simplices(d - 1), complex.boundary_matrix(d).entries
+    faces, cofaces = complex.simplices(d - 1), complex._coface_rows(d)
     facets = complex._facet_rows(d)
     orientation = {}
     for start in range(len(tops)):
@@ -957,15 +958,10 @@ class MappingCone(_Factorizations):
     def __eq__(self, other):
         return isinstance(other, MappingCone) and self.phi == other.phi
 
-    def basis_sizes(self, n):
-        x = len(self.phi.target.simplices(n))
-        a = len(self.phi.source.simplices(n - 1)) if n - 1 >= 0 else 0
-        return x, a
+    def chain_count(self, n):
+        return len(self.phi.target.simplices(n)) + len(self.phi.source.simplices(n - 1))
 
     def boundary_matrix(self, n):
-        return self._cached("boundary", n, lambda: self._build_boundary(n))
-
-    def _build_boundary(self, n):
         # Block rows [d_X | phi_*] over [0 | -d_A], the A columns shifted past
         # the columns of d_X; the blocks are empty in degrees A does not have.
         A, dx = self.phi.source, self.phi.target.boundary_matrix(n)
@@ -974,7 +970,7 @@ class MappingCone(_Factorizations):
             row.update((dx.cols + j, x) for j, x in block.items())
         entries += [{dx.cols + j: -x for j, x in block.items()}
                     for block in A.boundary_matrix(n - 1).entries]
-        return IntMatrix._trusted(len(entries), dx.cols + len(A.simplices(n - 1)), tuple(entries))
+        return IntMatrix._trusted(len(entries), self.chain_count(n), tuple(entries))
 
     def chain(self, degree, x_coeffs=None, a_coeffs=None):
         X, A = self.phi.target, self.phi.source

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from diffchar.simplicial import (
     SimplicialMap,
     identity_map,
     mapping_cone,
+    maximal_simplices,
     staircase_product,
 )
 from diffchar.cochain import Cochain
@@ -542,6 +544,19 @@ def test_vertex_count_is_bounded():
             io.complex_from_json({"vertices": vertices, "simplices": [[0, 1]]})
     K = io.complex_from_json({"vertices": io.MAX_FACES, "simplices": [[0, 1]]})
     assert K.num_vertices == io.MAX_FACES
+
+
+def test_io_writes_no_complex_it_would_refuse_to_read():
+    """The constructor takes any size, since products pass the bounds that io
+    applies to files; io refuses to write what it would refuse to read."""
+    wide = Complex(io.MAX_FACES + 1, [])
+    dense = Complex(100, combinations(range(100), 3))
+    for K, refusal in ((wide, "131073 vertices"), (dense, "1131900 faces")):
+        with pytest.raises(io.FormatError, match=refusal):
+            io.complex_to_json(K)
+        with pytest.raises(io.FormatError, match=refusal):
+            io.complex_from_json({"vertices": K.num_vertices,
+                                  "simplices": [list(s) for s in maximal_simplices(K)]})
 
 
 def test_vertex_count_bound_fails_fast(capsys, tmp_path):

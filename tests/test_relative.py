@@ -95,9 +95,8 @@ def test_boundary_evaluation_law():
     rng = random.Random(5)
     for k in (1, 2):
         f = _random_section(cone, k, rng)
-        nx, na = cone.basis_sizes(k)
         for _ in range(6):
-            vec = [rng.randrange(-2, 3) for _ in range(nx + na)]
+            vec = [rng.randrange(-2, 3) for _ in range(cone.chain_count(k))]
             c = cone.chain_from_vector(k, vec)
             expected = pair(f.curvature, c.x_part) + pair(f.cov, c.a_part)
             assert evaluate_rel(f, c.boundary()) == expected % 1

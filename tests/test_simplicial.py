@@ -322,6 +322,9 @@ def test_components():
     two = fixtures.two_points()
     assert len(two.components()) == 2
     assert len(fixtures.torus().components()) == 1
+    # Sorted, by least vertex, whichever way the edges join them.
+    K = Complex(8, [(1, 6), (0, 4), (2, 4), (5, 6), (3,), (7,)])
+    assert K.components() == [[0, 2, 4], [1, 5, 6], [3], [7]]
 
 
 def test_product_face_count_predicts_the_built_product():

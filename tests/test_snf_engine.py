@@ -6,7 +6,8 @@ factors of tests/oracle.py and valid unimodular transforms on any matrix,
 and on the boundary matrices of random flag complexes in particular.  The
 vectors it hands out are shared rather than copied, so no reader may change
 them, and a product's factorizations keep few bytes beside its boundary
-matrices.
+matrices.  No complex keeps its boundary matrices: the elimination reads d_n
+once, and readers that come back to it build it once for its row tables.
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ from diffchar.exact_linalg import (
     solve_rational,
 )
 from diffchar.relative import find_section, project, pushforward_injective
-from diffchar.simplicial import MappingCone, SimplicialMap, mapping_cone, staircase_product
+from diffchar.simplicial import (
+    Complex,
+    MappingCone,
+    SimplicialMap,
+    _Memo,
+    mapping_cone,
+    staircase_product,
+)
 from oracle import check_factorization
 from strategies import flag_complexes, fresh, int_matrices, int_matrix_rows
 
@@ -151,7 +159,7 @@ PRODUCTS = (("S1_3", "RP2_6"), ("T2_9", "S1_3"), ("Klein_K", "S1_3"), ("S2_4", "
 
 
 def _snapshot(K):
-    """Copies of every vector that K's memoized matrices, factorizations and
+    """Copies of every vector that K's memoized row tables, factorizations and
     presentations hold, lazily built items included."""
     out = {}
     for key, value in K._memo.items():
@@ -162,8 +170,8 @@ def _snapshot(K):
             out.setdefault(key, []).append((list(value.factors), [
                 [dict(vec) for vec in vectors]
                 for vectors in (value._u, value._u_inv, value._v, value._v_inv)]))
-        elif isinstance(value, IntMatrix):
-            out[key] = [dict(row) for row in value.entries]
+        elif key[0] in ("cofaces", "facets"):
+            out[key] = [dict(row) for row in value]
     return out
 
 
@@ -197,11 +205,15 @@ def _read_everything(K, n, rng):
 def _readers_leave_the_vectors_alone(K, top):
     for n in range(top + 1):
         K.homology(n), K.cohomology(n), K.boundary_snf(n), K.coboundary_snf(n)
+        if not isinstance(K, MappingCone):
+            K._facet_rows(n)
     before = _snapshot(K)
     rng = random.Random(3)
     for n in range(top + 1):
         _read_everything(K, n, rng)
-    assert _snapshot(K) == before
+    # The readers may memoize tables of their own; what was held before stays.
+    after = _snapshot(K)
+    assert {key: after[key] for key in before} == before
 
 
 @pytest.mark.parametrize("pair", PRODUCTS)
@@ -228,13 +240,60 @@ def _traced_bytes(work):
 
 
 def test_factorizations_keep_few_bytes_beside_the_boundary_matrices():
-    # Measured on Python 3.11: the boundary matrices of Klein_K x S1_3 keep
+    # Measured on Python 3.11: the boundary matrices of Klein_K x S1_3 take
     # 161 KB, and homology in every degree keeps 3.89 times as much when
-    # each factorization copies the vectors it shares, 3.60 times when not.
+    # each factorization copies the vectors it shares, 3.62 times when not.
+    # The complex keeps no boundary matrix, so the test holds them itself.
     P = staircase_product(fixtures.klein_bottle(), fixtures.circle())
-    matrices = _traced_bytes(lambda: [P.boundary_matrix(n) for n in range(P.dim + 2)])
+    held = []
+    matrices = _traced_bytes(lambda: held.extend(map(P.boundary_matrix, range(P.dim + 2))))
     factorizations = _traced_bytes(lambda: [P.homology(n) for n in range(P.dim + 1)])
     assert factorizations < 3.75 * matrices
+
+
+def _matrices_reachable(memo):
+    """The IntMatrix objects reachable from a memo, not through another memo."""
+    seen, todo, found = set(), [memo], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, _Memo)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, IntMatrix):
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_complexes_keep_no_boundary_matrix():
+    X, A = fresh("RP2_6"), fresh("S1_3")
+    cone = mapping_cone(SimplicialMap(A, X, [0, 1, 2]))
+    product = staircase_product(fresh("Klein_K"), fresh("S1_3"))
+    large = staircase_product(fixtures.torus(), fixtures.projective_plane())
+    for K, top in ((product, product.dim), (cone, X.dim + 1), (large, large.dim)):
+        for n in range(top + 2):
+            K.homology(n), K.cohomology(n)
+    for K in (product, product.left, cone, X, A, large):
+        assert _matrices_reachable(K._memo) == []
+
+
+def test_row_tables_build_each_boundary_matrix_once(monkeypatch):
+    builds = []
+    build = Complex._build_boundary
+
+    def counted(K, n):
+        builds.append(n)
+        return build(K, n)
+
+    monkeypatch.setattr(Complex, "_build_boundary", counted)
+    K = staircase_product(fresh("RP2_6"), fresh("S1_3"))
+    for _ in range(3):
+        for n in range(K.dim + 1):
+            ones = [1] * len(K.simplices(n))
+            coboundary(Cochain.from_vector(K, n, ones))
+            K.chain_from_vector(n, ones).boundary()
+    # Chain.boundary reads d_1, ..., d_dim and coboundary d_1, ..., d_{dim+1}.
+    assert sorted(builds) == list(range(1, K.dim + 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,7 +325,7 @@ def test_boundary_matrices_match_their_dense_views():
             d = cone.boundary_matrix(n)
             assert IntMatrix(d.rows, d.cols, d.data) == d
             # Block rows [dx | phi] over [0 | -da].
-            nx, na = cone.basis_sizes(n)
+            nx, na = len(X.simplices(n)), len(A.simplices(n - 1))
             dx = X.boundary_matrix(n).data
             phi = cone.phi.matrix(n - 1).data if n >= 1 else ((),) * len(dx)
             da = A.boundary_matrix(n - 1).data if n >= 2 else ()

@@ -34,7 +34,11 @@ factorization, splitting or presentation (`_u`, `_u_inv`, `_v`, `_v_inv`,
 of the package reads them through their methods, so a class is read only
 through `coordinates`.  The vectors those hold are read-only and shared, so
 `_axpy`, the one in-place update of a vector, is used only inside
-`smith_normal_form`, on the vectors it made itself.  Every
+`smith_normal_form`, on the vectors it made itself.  A complex builds d_n
+on each call and keeps it nowhere, so the elimination, its one reader in the
+factorizations, reads it through the public `boundary_matrix`, which the
+benchmark traces, and only `Complex.boundary_matrix` calls the private
+builder `_build_boundary`.  Every
 `verify` check goes through one recorder, which keeps its witness, so no
 code in `verify` outside `_Recorder` names a "pass" key.  Each sign rule of
 the chain operators is written once: the face rule (the face without s[i]
@@ -546,6 +550,53 @@ def test_the_in_place_rule_catches_each_violation():
     )
     assert sorted(_axpy_uses(ast.parse(source))) == [
         (3, "smith_normal_form"), (6, "CycleSplitting"), (8, "_combination"), (9, ""),
+    ]
+
+
+def _boundary_reads(tree):
+    """(line, enclosing class and method, call) of each call of `boundary_matrix`
+    or `_build_boundary`; a function nested in a method counts as the method."""
+
+    def visit(node, owner, in_function):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and not in_function:
+            owner = f"{owner}.{node.name}" if owner else node.name
+            in_function = isinstance(node, ast.FunctionDef)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("boundary_matrix", "_build_boundary")):
+            yield node.lineno, owner, f"{ast.unparse(node.func.value)}.{node.func.attr}"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner, in_function)
+
+    yield from visit(tree, "", False)
+
+
+def test_the_elimination_reads_the_traced_boundary_matrix():
+    path = next(path for path in SOURCES if path.name == "simplicial.py")
+    reads = {(owner, call) for _, owner, call
+             in _boundary_reads(ast.parse(path.read_text(), str(path)))}
+    assert {read for read in reads if read[0].startswith("_Factorizations.")} == {
+        ("_Factorizations.relation_snf", "self.boundary_matrix")}
+    assert {read for read in reads if read[1].endswith("._build_boundary")} == {
+        ("Complex.boundary_matrix", "self._build_boundary")}
+
+
+def test_the_boundary_read_rule_catches_each_violation():
+    source = (
+        "class _Factorizations:\n"
+        "    def relation_snf(self, n):\n"
+        "        def build():\n"
+        "            return self._build_boundary(n)\n"
+        "    def boundary_snf(self, n):\n"
+        "        return self.boundary_matrix(n).rows\n"
+        "def fundamental_cycle(complex):\n"
+        "    return complex.boundary_matrix(d).entries\n"
+        "boundary_matrix(2)\n"
+        "K.boundary_matrix\n"
+    )
+    assert sorted(_boundary_reads(ast.parse(source))) == [
+        (4, "_Factorizations.relation_snf", "self._build_boundary"),
+        (6, "_Factorizations.boundary_snf", "self.boundary_matrix"),
+        (8, "fundamental_cycle", "complex.boundary_matrix"),
     ]
 
 
