@@ -2,8 +2,9 @@
 
 Small integer matrices, small flag complexes, 0-dimensional complexes,
 monotone maps into flag complexes, mapping cones of such maps, random
-rational cochains, and memo-free copies of the bundled complexes.  Test
-modules import these from here, never from one another.
+rational cochains, memo-free copies of the bundled complexes, and products
+of relabeled ones.  Test modules import these from here, never from one
+another.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from diffchar import fixtures
 from diffchar.cochain import Cochain
 from diffchar.exact_linalg import IntMatrix
-from diffchar.simplicial import Complex, SimplicialMap, mapping_cone
+from diffchar.simplicial import Complex, SimplicialMap, mapping_cone, staircase_product
 
 
 @st.composite
@@ -132,3 +133,18 @@ def fresh(name):
     """A copy of a bundled complex that shares none of its memoized matrices."""
     K = fixtures.complex_by_name(name)
     return Complex(K.num_vertices, K.simplices(K.dim), name)
+
+
+def relabeled_product(left, right, rng):
+    """The staircase product of two bundled complexes, named, each with its
+    vertices renamed by a permutation drawn from rng: the same groups, other
+    matrices."""
+
+    def relabel(K):
+        perm = list(range(K.num_vertices))
+        rng.shuffle(perm)
+        return Complex(K.num_vertices, [tuple(sorted(perm[v] for v in s))
+                                        for s in K.simplices(K.dim)], K.name)
+
+    return staircase_product(relabel(fixtures.complex_by_name(left)),
+                             relabel(fixtures.complex_by_name(right)))

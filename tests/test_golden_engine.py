@@ -18,24 +18,14 @@ import random
 import pytest
 
 from diffchar import fixtures
-from diffchar.simplicial import Complex, staircase_product
+from diffchar.simplicial import Complex
+
+from strategies import relabeled_product
 
 
 def _fresh(name):
     K = fixtures.complex_by_name(name)
     return Complex(K.num_vertices, K.simplices(K.dim), name)
-
-
-def _relabel(K, rng):
-    perm = list(range(K.num_vertices))
-    rng.shuffle(perm)
-    simplices = [tuple(sorted(perm[v] for v in s)) for s in K.simplices(K.dim)]
-    return Complex(K.num_vertices, simplices, K.name)
-
-
-def _product(left, right, seed):
-    rng = random.Random(seed)
-    return staircase_product(_relabel(_fresh(left), rng), _relabel(_fresh(right), rng))
 
 
 def _sparse(vectors):
@@ -89,4 +79,4 @@ def test_torsion_fixtures_keep_their_fingerprint(name):
 @pytest.mark.parametrize("key", sorted(PRODUCTS))
 def test_relabeled_products_keep_their_fingerprint(key):
     left, right, seed = key
-    assert fingerprint(_product(left, right, seed)) == PRODUCTS[key]
+    assert fingerprint(relabeled_product(left, right, random.Random(seed))) == PRODUCTS[key]

@@ -1,151 +1,343 @@
 """Fixed rules of the package source, checked on its syntax trees.
 
-Arithmetic is exact, so no module holds a float literal or calls `float`;
-mathematical invariants raise exceptions, so no module uses `assert`, which
-`python -O` strips.  Integrality of a cochain is read from its values, so no
-module reads a `.ring` attribute or calls `as_integer`, and only `io`, where
-cochains enter, passes a ring argument to `Cochain`, `Cochain.from_vector`
-or `cochain_from_json`.  Every sparse product in `exact_linalg` goes through
-its shared loop kernels, so that module sums no comprehension over a sparse
-vector's `.items()`.  Input is checked where it enters, so the modules that
-only derive values from checked ones (`cochain`, `products`,
-`fiber_integration`) call no checking constructor: they build chains and
-cochains through `_of` and characters through `_derived`; likewise
-`relative` builds no checked character or relative character, and
-`fiber_integration` no checked simplicial map.  Complexes, cones and maps
-memoize their tables in one mechanism, the `_memo` dict of `_Memo`, so only
-`fixtures`, whose bundled complexes are built once per process, caches
-through `functools` (`lru_cache`, `cache` or `cached_property`).  Only
-`simplicial` builds a trusted map (`SimplicialMap._of`): identities,
-composites, the inclusions into a product, and `ProductComplex._map_of`, the
-one coordinate rule for maps out of a product, so no other code walks
-product vertices to build one.  The group law lives in two
-base classes, `LinearCombination` and `DirectSum`, so no other class defines
-`+`, `-` or unary `-`, and none keeps a compatibility check of its own;
-`DirectSum` also holds the one equality of the character groups, so no
-subclass of it defines `__eq__` or `is_zero` or tests integral periods.
-Library code reads factorizations and matrices only through their sparse
-storage, so no module reads a dense view (`.U`, `.V`, `.D`, `.u_inv`,
-`.v_inv` or `IntMatrix.data`): a dense view builds a rows x cols grid and
-forces the first columns of a lifted U, which nothing else builds.  Nor
-does any module but `exact_linalg` read the private storage of a
-factorization, splitting or presentation (`_u`, `_u_inv`, `_v`, `_v_inv`,
-`_rows`, `_cols`, `_rel_snf`, `_class_rows`, `_torsion_indices`): the rest
-of the package reads them through their methods, so a class is read only
-through `coordinates`.  The vectors those hold are read-only and shared, so
-`_axpy`, the one in-place update of a vector, is used only inside
-`smith_normal_form`, on the vectors it made itself.  A complex builds d_n
-on each call and keeps it nowhere, so the elimination, its one reader in the
-factorizations, reads it through the public `boundary_matrix`, which the
-benchmark traces, and only `Complex.boundary_matrix` calls the private
-builder `_build_boundary`.  Every
-`verify` check goes through one recorder, which keeps its witness, so no
-code in `verify` outside `_Recorder` names a "pass" key.  Each sign rule of
-the chain operators is written once: the face rule (the face without s[i]
-has sign (-1)^i) in `Complex._build_boundary`, the image rule (the parity of
-the permutation sorting an image) in `SimplicialMap._build_push`, and every
-other operator reads their memoized tables, so no module cuts a face out by
-slicing, `x[:i] + x[i + 1:]`, and no other function flips a sign per face or
-per inversion.  A process loads only the modules it runs, so `__init__`
-imports no submodule at module level, and `cli`, `io` and `fixtures` import
-the modules only some of their functions need (products, fiber integration,
-relative characters, holonomy, the verify suites; cochains and characters in
-`fixtures`) inside those functions.  Among the tests, only the stateful
-machine in `test_derived` and the suite pins in `test_verify` call an
-identity of `verify`, so no hand-picked instance of one grows back; the
-instances that older tests still hold are listed, and leave the list when
-they are retired.
+Most rules have one shape: some use of some names is allowed only in some
+places.  `RULES` holds these as rows.  A row names a kind of use (a key of
+`KINDS`), the names it governs, where it looks (`scope`, every package file
+when empty) and where the use is allowed (`allowed`).  A place is a file,
+`"io.py"`, or a class or function in it, `"simplicial.py:Complex.boundary_matrix"`,
+which takes in everything nested inside.  A name governs a use when the use's
+dotted name, with import aliases resolved, is the name or ends in `.name`.
+Each row carries a sample source and the lines of its violations, one entry
+per violation; the sample is read as the file of the row's first scope
+place, or as `sample.py`.  Each rule is two tests made from its rows under
+the rule's two names: the package has no violation and every allowed place
+still holds a use (so a rename cannot widen a rule) and names an existing
+class or function; and every sample gives exactly its hits.  To add a rule,
+add a `Rule` with its reason, and a row per kind of use.
+
+The rules that do not fit keep their own walkers below, each with its
+reason: sums over `.items()` in `exact_linalg`, the one equality of the
+character groups, the sign rules, deferred imports and the identity callers.
+Every source is parsed once per session.
 """
 
 from __future__ import annotations
 
 import ast
+from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "diffchar").glob("*.py"))
-
-
-def _violations(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assert):
-            yield node.lineno, "assert statement"
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
-            yield node.lineno, f"float literal {node.value!r}"
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "float"):
-            yield node.lineno, "float() call"
+PACKAGE = Path(__file__).parents[1] / "src" / "diffchar"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
-# The position of the ring argument of each cochain entry point.
-_RING_POSITION = {"Cochain": 3, "from_vector": 3, "cochain_from_json": 2}
+@cache
+def _tree(path):
+    return ast.parse(path.read_text(), str(path))
 
 
-def _callee(func):
-    """The name a call goes to; `Cochain.from_vector` counts, `x.from_vector` not."""
-    if isinstance(func, ast.Name):
-        return func.id
-    if not isinstance(func, ast.Attribute):
-        return None
-    on_cochain = isinstance(func.value, ast.Name) and func.value.id == "Cochain"
-    return None if func.attr == "from_vector" and not on_cochain else func.attr
+def _index(tree):
+    """(nodes, aliases): (node, parent, owner) for every node, where owner is
+    the dotted path of the classes and functions around it, and the name each
+    import binds -> the dotted name it binds."""
+    nodes, aliases = [], {}
+
+    def visit(node, parent, owner):
+        nodes.append((node, parent, owner))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, node, owner)
+
+    visit(tree, None, "")
+    for node, _, _ in nodes:
+        aliases.update(_imported(node))
+    return nodes, aliases
 
 
-def _ring_violations(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("ring", "as_integer"):
-            yield node.lineno, f"attribute .{node.attr}"
-        elif isinstance(node, ast.Call):
-            name = _callee(node.func)
-            if name in _RING_POSITION and (
-                len(node.args) > _RING_POSITION[name]
-                or any(k.arg == "ring" for k in node.keywords)
-            ):
-                yield node.lineno, f"ring argument to {name}"
+def _imported(node):
+    """(name bound, dotted name imported) for each alias of an import."""
+    if isinstance(node, ast.Import):
+        return [(a.asname or a.name, a.name) for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [(a.asname or a.name, f"{node.module}.{a.name}" if node.module else a.name)
+                for a in node.names]
+    return []
 
 
-def test_no_asserts_or_floats_in_the_package():
-    assert {p.name for p in SOURCES} >= {"exact_linalg.py", "characters.py", "cli.py"}
-    found = [
-        f"{path.name}:{line}: {what}"
-        for path in SOURCES
-        for line, what in _violations(ast.parse(path.read_text(), str(path)))
-    ]
-    assert found == []
+@cache
+def _package():
+    modules = {path.name: _index(_tree(path)) for path in SOURCES}
+    assert {"cli.py", "exact_linalg.py", "simplicial.py", "verify.py"} <= modules.keys()
+    return modules
 
 
-def test_the_rules_catch_each_violation():
-    source = "assert x\ny = 0.5\nz = float(y)\nw = 2j\n"
-    assert [what for _, what in sorted(_violations(ast.parse(source)))] == [
-        "assert statement", "float literal 0.5", "float() call", "float literal 2j",
-    ]
+def _dotted(node, aliases):
+    """`a.b.c` for an attribute chain; a base that is no name is left out."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(aliases.get(node.id, node.id))
+    return ".".join(reversed(parts))
 
 
-def test_integrality_is_read_from_the_values():
-    found = [
-        f"{path.name}:{line}: {what}"
-        for path in SOURCES
-        for line, what in _ring_violations(ast.parse(path.read_text(), str(path)))
-        if not (path.name == "io.py" and what.startswith("ring argument"))
-    ]
-    assert found == []
+# Each kind of use: (node, parent, aliases) -> the dotted names the node uses.
+KINDS = {
+    "attribute": lambda node, parent, aliases: (
+        [_dotted(node, aliases)] if isinstance(node, ast.Attribute) else []),
+    # A read of a name, bare or as an attribute.
+    "name": lambda node, parent, aliases: (
+        [_dotted(node, aliases)] if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else []),
+    "call": lambda node, parent, aliases: (
+        [_dotted(node.func, aliases)] if isinstance(node, ast.Call) else []),
+    # `f(i)` for the i-th positional argument of a call of f, `f(k)` for keyword k.
+    "argument": lambda node, parent, aliases: (
+        [f"{_dotted(node.func, aliases)}({arg})"
+         for arg in [*range(len(node.args)), *(k.arg for k in node.keywords)]]
+        if isinstance(node, ast.Call) else []),
+    "import": lambda node, parent, aliases: [dotted for _, dotted in _imported(node)],
+    "method": lambda node, parent, aliases: (
+        [node.name] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and isinstance(parent, ast.ClassDef) else []),
+    # A string constant by its repr, any other constant by its type.
+    "constant": lambda node, parent, aliases: (
+        [repr(node.value) if isinstance(node.value, str) else type(node.value).__name__]
+        if isinstance(node, ast.Constant) else []),
+    "assert": lambda node, parent, aliases: ["assert"] if isinstance(node, ast.Assert) else [],
+}
 
 
-def test_the_ring_rule_catches_each_violation():
-    source = (
-        "a.ring\nb.as_integer()\nCochain(K, 0, v, 'Z')\nCochain(K, 0, v, ring='Q')\n"
-        "Cochain.from_vector(K, 0, w, 'Z')\nio.cochain_from_json(o, K, 'Z')\n"
-        "Cochain(K, 0, v)\nCochain.from_vector(K, 0, w)\nK.chain_from_vector(0, w)\n"
-        "cochain_from_json(o, K)\nx.from_vector(K, 0, w, 'Z')\n"
-    )
-    assert [what for _, what in sorted(_ring_violations(ast.parse(source)))] == [
-        "attribute .ring", "attribute .as_integer", "ring argument to Cochain",
-        "ring argument to Cochain", "ring argument to from_vector",
-        "ring argument to cochain_from_json",
-    ]
+class Row(NamedTuple):
+    kind: str
+    names: tuple
+    sample: str
+    hits: tuple
+    scope: tuple = ()
+    allowed: tuple = ()
+
+
+class Rule(NamedTuple):
+    test: str
+    sample_test: str
+    reason: str
+    rows: tuple
+
+
+def _within(place, file, owner):
+    name, _, path = place.partition(":")
+    return file == name and (not path or owner == path or owner.startswith(path + "."))
+
+
+def _uses(row, modules):
+    """(file, line, owner, allowed) of each use the row governs in its scope."""
+    for file, (nodes, aliases) in modules.items():
+        for node, parent, owner in nodes:
+            if row.scope and not any(_within(p, file, owner) for p in row.scope):
+                continue
+            for used in KINDS[row.kind](node, parent, aliases):
+                if any(used == name or used.endswith("." + name) for name in row.names):
+                    yield (file, node.lineno, owner,
+                           any(_within(p, file, owner) for p in row.allowed))
+
+
+def _problems(row):
+    modules = _package()
+    uses = list(_uses(row, modules))
+    owners = {(file, owner) for file, (nodes, _) in modules.items() for _, _, owner in nodes}
+    return ([f"{file}:{line}: {row.kind} of {row.names} in {owner or 'the module'}"
+             for file, line, owner, allowed in uses if not allowed]
+            + [f"allowed place {place} holds no {row.kind} of {row.names}"
+               for place in row.allowed
+               if not any(_within(place, file, owner) for file, _, owner, _ in uses)]
+            + [f"scope {place} is gone" for place in row.scope
+               if tuple(place.partition(":")[::2]) not in owners])
+
+
+def _sample_hits(row):
+    file = row.scope[0].partition(":")[0] if row.scope else "sample.py"
+    uses = _uses(row, {file: _index(ast.parse(row.sample))})
+    return tuple(sorted(line for _, line, _, allowed in uses if not allowed))
+
+
+def _tests(rule):
+    def package():
+        assert [problem for row in rule.rows for problem in _problems(row)] == []
+
+    def samples():
+        assert [_sample_hits(row) for row in rule.rows] == [row.hits for row in rule.rows]
+
+    package.__doc__ = samples.__doc__ = rule.reason
+    return {f"test_{rule.test}": package, f"test_{rule.sample_test}": samples}
+
+
+_CACHES = ("functools.lru_cache", "functools.cache", "functools.cached_property")
+
+RULES = (
+    Rule("no_asserts_or_floats_in_the_package", "the_rules_catch_each_violation",
+         "Invariants raise exceptions, which `python -O` keeps, and arithmetic is exact.", (
+             Row("assert", ("assert",), "assert x\ny = 1\n", (1,)),
+             Row("constant", ("float", "complex"), "y = 0.5\nz = 'float'\nw = 2j\nn = 2\n",
+                 (1, 3)),
+             Row("call", ("float",), "z = float(y)\nn = int(y)\nm = x.float_part()\n", (1,)),
+         )),
+    Rule("integrality_is_read_from_the_values", "the_ring_rule_catches_each_violation",
+         "Integrality of a cochain is read from its values; only io, where cochains enter, "
+         "passes a ring.", (
+             Row("attribute", ("ring", "as_integer"), "a.ring\nb.as_integer()\nc.rings\nring = 1\n",
+                 (1, 2)),
+             Row("argument", ("Cochain(3)", "Cochain(ring)", "Cochain.from_vector(3)",
+                              "Cochain.from_vector(ring)", "cochain_from_json(2)",
+                              "cochain_from_json(ring)"),
+                 "Cochain(K, 0, v, 'Z')\nCochain(K, 0, v, ring='Q')\n"
+                 "Cochain.from_vector(K, 0, w, 'Z')\nio.cochain_from_json(o, K, 'Z')\n"
+                 "Cochain(K, 0, v)\nCochain.from_vector(K, 0, w)\nK.chain_from_vector(0, w)\n"
+                 "cochain_from_json(o, K)\nx.from_vector(K, 0, w, 'Z')\n",
+                 (1, 2, 3, 4), allowed=("io.py",)),
+         )),
+    Rule("only_the_fixtures_cache_through_functools", "the_cache_rule_catches_each_violation",
+         "Complexes, cones and maps memoize in one mechanism, `_Memo`; only the bundled "
+         "fixtures, built once per process, cache through functools.", (
+             Row("import", _CACHES,
+                 "from functools import lru_cache\nimport functools\n"
+                 "from functools import reduce, cache as memo\nimport lru_cache\n",
+                 (1, 3), allowed=("fixtures.py",)),
+             Row("name", _CACHES,
+                 "import functools as ft\nfrom functools import cache as memo\n"
+                 "@functools.lru_cache(maxsize=None)\ndef staircase(p, q): pass\n"
+                 "class Complex:\n    @ft.cached_property\n    def paths(self): pass\n"
+                 "@memo\ndef f(): pass\ncache = {}\nself._cached('paths', n, build)\n"
+                 "other.lru_cache\n",
+                 (3, 6, 8), allowed=("fixtures.py",)),
+         )),
+    Rule("derived_values_skip_the_checking_constructors",
+         "the_constructor_rule_catches_each_violation",
+         "Input is checked where it enters; modules that only derive values build chains and "
+         "cochains through `_of` and characters through `_derived`.", (
+             Row("call", ("Cochain", "Chain", "TensorChain", "DiffChar", "LowDegreeChar",
+                          "character"),
+                 "Cochain(K, 0, v)\nChain(K, 0, c)\nTensorChain(K, L, c)\nDiffChar(a, b)\n"
+                 "LowDegreeChar(K, 0)\ncharacter(a, b)\nsimplicial.Chain(K, 0, c)\n"
+                 "Cochain._of(K, 0, v)\nChain._of(K, 0, c)\n_derived(a, b, m)\n"
+                 "K.chain(0, c)\nCochain.from_vector(K, 0, w)\n",
+                 (1, 2, 3, 4, 5, 6, 7),
+                 scope=("cochain.py", "products.py", "fiber_integration.py")),
+         )),
+    Rule("relative_characters_and_maps_skip_the_checking_constructors",
+         "the_trusted_build_rule_catches_each_violation",
+         "relative builds no checked character or relative character, and fiber_integration "
+         "no checked simplicial map.", (
+             Row("call", ("RelChar", "DiffChar"),
+                 "RelChar(cone, a, b, x, y)\nrelative.DiffChar(a, b)\nRelChar._of(s, p)\n"
+                 "_derived(a, b, m)\nLowDegreeChar(K, 0)\nSimplicialMap(K, L, vm)\n",
+                 (1, 2), scope=("relative.py",)),
+             Row("call", ("SimplicialMap",),
+                 "SimplicialMap(K, L, vm)\nsimplicial.SimplicialMap(K, L, vm)\n"
+                 "SimplicialMap._of(K, L, vm)\nRelChar(cone, a, b, x, y)\n",
+                 (1, 2), scope=("fiber_integration.py",)),
+         )),
+    Rule("only_simplicial_builds_trusted_maps", "the_trusted_map_rule_catches_each_violation",
+         "Only simplicial builds a trusted map: identities, composites, a product's inclusions "
+         "and `ProductComplex._map_of`, the one coordinate rule for maps out of a product.", (
+             Row("call", ("SimplicialMap._of",),
+                 "def rebracket_map(flat, nested):\n    return SimplicialMap._of(flat, nested, vm)\n"
+                 "class ProductComplex:\n    def _projection(self, k):\n"
+                 "        return simplicial.SimplicialMap._of(self, t, vm)\n"
+                 "swap = SimplicialMap._of(total, target, vm)\nchecked = SimplicialMap(K, L, vm)\n"
+                 "chain = Chain._of(K, 0, c)\nrule = P._map_of(L, image)\n",
+                 (2, 5, 6),
+                 allowed=("simplicial.py:compose_maps", "simplicial.py:identity_map",
+                          "simplicial.py:ProductComplex._map_of",
+                          "simplicial.py:ProductComplex.include_at_right",
+                          "simplicial.py:ProductComplex.include_at_left")),
+         )),
+    Rule("one_group_law", "the_group_law_rule_catches_each_violation",
+         "The group law lives in `LinearCombination` and `DirectSum`; no other class defines "
+         "+, - or unary -, and none keeps a compatibility check of its own.", (
+             Row("method", ("__add__", "__sub__", "__neg__"),
+                 "class RelChar(DirectSum):\n    def __add__(self, o): pass\n"
+                 "    def __sub__(self, o): pass\n    def scale(self, n): pass\n"
+                 "class FlatClass(DirectSum):\n    def __neg__(self): pass\n"
+                 "def __add__(a, b): pass\n",
+                 (2, 3, 6),
+                 allowed=("simplicial.py:LinearCombination", "simplicial.py:DirectSum")),
+             Row("method", ("_check_compatible",),
+                 "class FlatClass(DirectSum):\n    def _check_compatible(self, o): pass\n"
+                 "def _check_compatible(a, b): pass\n",
+                 (2,)),
+         )),
+    Rule("no_module_reads_a_dense_view", "the_dense_view_rule_catches_each_violation",
+         "Factorizations and matrices are read through their sparse storage: a dense view "
+         "builds a rows x cols grid and forces the first columns of a lifted U.", (
+             Row("attribute", ("U", "V", "D", "u_inv", "v_inv", "data"),
+                 "snf.U\nsnf.V\nsnf.D\nsnf.u_inv\nsnf.v_inv\nA.data\nK.boundary_snf(1).U.rows\n"
+                 "snf._u\nsnf._v_inv\nA.entries\nsnf.apply_u_inv(b)\ndata.draw(x)\n"
+                 "def U(self): pass\n",
+                 (1, 2, 3, 4, 5, 6, 7)),
+         )),
+    Rule("only_exact_linalg_reads_factorization_storage",
+         "the_private_storage_rule_catches_each_violation",
+         "Outside exact_linalg, factorizations, splittings and presentations are read through "
+         "their methods, so a class is read only through `coordinates`.", (
+             Row("attribute", ("_u", "_u_inv", "_v", "_v_inv", "_rows", "_cols", "_rel_snf",
+                               "_class_rows", "_torsion_indices"),
+                 "snf._u\nsnf._u_inv\nsnf._v\nsnf._v_inv\nsplit._rows\nsplit._cols\n"
+                 "group._rel_snf._u_inv[0]\ngroup._class_rows\nx = group._torsion_indices\n"
+                 "snf.kernel_rows()\nsplit.coordinates(v)\ngroup.torsion\n_rows = 1\nsnf._memo\n"
+                 "def _u(self): pass\n",
+                 (1, 2, 3, 4, 5, 6, 7, 7, 8, 9), allowed=("exact_linalg.py",)),
+         )),
+    Rule("only_the_elimination_updates_vectors_in_place",
+         "the_in_place_rule_catches_each_violation",
+         "The vectors a factorization holds are shared and read-only, so `_axpy` updates only "
+         "the vectors `smith_normal_form` made itself.", (
+             Row("name", ("_axpy",),
+                 "class CycleSplitting:\n    def lift(self, rel_snf):\n        _axpy(u, 1, v)\n"
+                 "def _combination(coeffs, vectors):\n    step = exact_linalg._axpy\n"
+                 "_axpy(a, 2, b)\ndef _axpy(target, t, source):\n    pass\n_axpy = None\n",
+                 (3, 5, 6), allowed=("exact_linalg.py:smith_normal_form",)),
+         )),
+    Rule("the_elimination_reads_the_traced_boundary_matrix",
+         "the_boundary_read_rule_catches_each_violation",
+         "A complex builds d_n on each call and keeps it nowhere: the factorizations read it "
+         "once, through the traced `boundary_matrix`, the one caller of `_build_boundary`.", (
+             Row("call", ("boundary_matrix",),
+                 "class _Factorizations:\n    def relation_snf(self, n):\n"
+                 "        return self.boundary_matrix(n)\n    def boundary_snf(self, n):\n"
+                 "        return self.boundary_matrix(n).rows\n    def splitting(self, n):\n"
+                 "        def build():\n            return boundary_matrix(n)\n"
+                 "def fundamental_cycle(complex):\n    return complex.boundary_matrix(d).entries\n",
+                 (5, 8), scope=("simplicial.py:_Factorizations",),
+                 allowed=("simplicial.py:_Factorizations.relation_snf",)),
+             Row("call", ("_build_boundary",),
+                 "class _Factorizations:\n    def relation_snf(self, n):\n        def build():\n"
+                 "            return self._build_boundary(n)\nK._build_boundary(2)\n",
+                 (4, 5), allowed=("simplicial.py:Complex.boundary_matrix",)),
+         )),
+    Rule("only_the_recorder_writes_check_entries", "the_recorder_rule_catches_each_violation",
+         "Every verify check goes through one recorder, which keeps its witness, so no code in "
+         "verify outside `_Recorder` names a \"pass\" key.", (
+             Row("constant", ("'pass'",),
+                 "class _Recorder:\n    def check(self, name):\n"
+                 "        entry = {'name': name, 'pass': True}\n        entry['pass'] = False\n"
+                 "checks.append({'name': n, 'pass': ok})\nentry['pass'] = False\n"
+                 "done = dict([('name', n), ('pass', ok)])\nentry.update(passed=True)\n"
+                 "class Other:\n    x = {'pass': 1}\nif ok:\n    pass\n",
+                 (5, 6, 7, 10), scope=("verify.py",), allowed=("verify.py:_Recorder",)),
+         )),
+)
+
+for _rule in RULES:
+    globals().update(_tests(_rule))
 
 
 def _sums_over_items(tree):
-    """Calls sum(<comprehension>) whose comprehension iterates some x.items()."""
+    """Calls sum(<comprehension>) whose comprehension iterates some x.items():
+    every sparse product in `exact_linalg` goes through its loop kernels."""
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "sum" and node.args
@@ -157,8 +349,7 @@ def _sums_over_items(tree):
 
 
 def test_sparse_products_go_through_the_kernels():
-    path = next(p for p in SOURCES if p.name == "exact_linalg.py")
-    assert list(_sums_over_items(ast.parse(path.read_text(), str(path)))) == []
+    assert list(_sums_over_items(_tree(PACKAGE / "exact_linalg.py"))) == []
 
 
 def test_the_kernel_rule_catches_each_violation():
@@ -170,219 +361,6 @@ def test_the_kernel_rule_catches_each_violation():
     )
     assert sorted(_sums_over_items(ast.parse(source))) == [
         (1, "sum over .items()"), (2, "sum over .items()"),
-    ]
-
-
-_FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
-
-
-def _functools_caches(tree):
-    """Imports of a `functools` cache and reads of one through the module,
-    under any name the module is imported as."""
-    modules = {"functools"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "functools":
-            for alias in node.names:
-                if alias.name in _FUNCTOOLS_CACHES:
-                    yield node.lineno, f"import of {alias.name}"
-        elif (isinstance(node, ast.Attribute) and node.attr in _FUNCTOOLS_CACHES
-              and isinstance(node.value, ast.Name) and node.value.id in modules):
-            yield node.lineno, f"functools.{node.attr}"
-
-
-def test_only_the_fixtures_cache_through_functools():
-    found = {
-        path.name: [f"{line}: {what}" for line, what
-                    in _functools_caches(ast.parse(path.read_text(), str(path)))]
-        for path in SOURCES
-    }
-    del found["fixtures.py"]
-    assert {name: lines for name, lines in found.items() if lines} == {}
-
-
-def test_the_cache_rule_catches_each_violation():
-    source = (
-        "from functools import lru_cache\n"
-        "import functools\n"
-        "@functools.lru_cache(maxsize=None)\n"
-        "def staircase(p, q): pass\n"
-        "from functools import reduce, cache as memo\n"
-        "import functools as ft\n"
-        "class Complex:\n"
-        "    @ft.cached_property\n"
-        "    def paths(self): pass\n"
-        "cache = {}\n"
-        "self._cached('paths', n, build)\n"
-        "from functools import reduce\n"
-        "other.lru_cache\n"
-    )
-    assert sorted(_functools_caches(ast.parse(source))) == [
-        (1, "import of lru_cache"), (3, "functools.lru_cache"), (5, "import of cache"),
-        (8, "functools.cached_property"),
-    ]
-
-
-_CHECKED_CONSTRUCTORS = {"Cochain", "Chain", "TensorChain", "DiffChar", "LowDegreeChar",
-                         "character"}
-_DERIVING_MODULES = ("cochain.py", "products.py", "fiber_integration.py")
-
-
-def _checked_constructions(tree, names=_CHECKED_CONSTRUCTORS):
-    """Calls of a checking constructor, by plain name or as a module attribute."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if name in names:
-            yield node.lineno, f"{name}() call"
-
-
-def test_derived_values_skip_the_checking_constructors():
-    paths = [p for p in SOURCES if p.name in _DERIVING_MODULES]
-    assert len(paths) == len(_DERIVING_MODULES)
-    found = [
-        f"{path.name}:{line}: {what}"
-        for path in paths
-        for line, what in _checked_constructions(ast.parse(path.read_text(), str(path)))
-    ]
-    assert found == []
-
-
-def test_the_constructor_rule_catches_each_violation():
-    source = (
-        "Cochain(K, 0, v)\nChain(K, 0, c)\nTensorChain(K, L, c)\nDiffChar(a, b)\n"
-        "LowDegreeChar(K, 0)\ncharacter(a, b)\nsimplicial.Chain(K, 0, c)\n"
-        "Cochain._of(K, 0, v)\nChain._of(K, 0, c)\n_derived(a, b, m)\n"
-        "K.chain(0, c)\nCochain.from_vector(K, 0, w)\n"
-    )
-    assert sorted(_checked_constructions(ast.parse(source))) == [
-        (1, "Cochain() call"), (2, "Chain() call"), (3, "TensorChain() call"),
-        (4, "DiffChar() call"), (5, "LowDegreeChar() call"), (6, "character() call"),
-        (7, "Chain() call"),
-    ]
-
-
-# Library-derived values these modules build, and the checking constructors
-# they therefore must not call.
-_TRUSTED_BUILDS = {"relative.py": {"RelChar", "DiffChar"},
-                   "fiber_integration.py": {"SimplicialMap"}}
-
-
-def test_relative_characters_and_maps_skip_the_checking_constructors():
-    paths = {p.name: p for p in SOURCES if p.name in _TRUSTED_BUILDS}
-    assert set(paths) == set(_TRUSTED_BUILDS)
-    found = [
-        f"{name}:{line}: {what}"
-        for name, path in paths.items()
-        for line, what in _checked_constructions(
-            ast.parse(path.read_text(), str(path)), _TRUSTED_BUILDS[name])
-    ]
-    assert found == []
-
-
-def test_the_trusted_build_rule_catches_each_violation():
-    source = (
-        "RelChar(cone, a, b, x, y)\nrelative.DiffChar(a, b)\nSimplicialMap(K, L, vm)\n"
-        "RelChar._of(s, p)\nSimplicialMap._of(K, L, vm)\n_derived(a, b, m)\n"
-        "LowDegreeChar(K, 0)\n"
-    )
-    names = {"RelChar", "DiffChar", "SimplicialMap"}
-    assert sorted(_checked_constructions(ast.parse(source), names)) == [
-        (1, "RelChar() call"), (2, "DiffChar() call"), (3, "SimplicialMap() call"),
-    ]
-
-
-def _trusted_map_builds(tree):
-    """(line, enclosing function) of each `SimplicialMap._of` call."""
-
-    def visit(node, owner):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            owner = f"{owner}.{node.name}" if owner else node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_of" and _base_name(node.func.value) == "SimplicialMap"):
-            yield node.lineno, owner
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, owner)
-
-    yield from visit(tree, "")
-
-
-def test_only_simplicial_builds_trusted_maps():
-    found = {
-        (path.name, owner)
-        for path in SOURCES
-        for _, owner in _trusted_map_builds(ast.parse(path.read_text(), str(path)))
-    }
-    assert found == {
-        ("simplicial.py", "compose_maps"), ("simplicial.py", "identity_map"),
-        ("simplicial.py", "ProductComplex._map_of"),
-        ("simplicial.py", "ProductComplex.include_at_right"),
-        ("simplicial.py", "ProductComplex.include_at_left"),
-    }
-
-
-def test_the_trusted_map_rule_catches_each_violation():
-    source = (
-        "def rebracket_map(flat, nested):\n"
-        "    return SimplicialMap._of(flat, nested, vm)\n"
-        "class ProductComplex:\n"
-        "    def _projection(self, k):\n"
-        "        return simplicial.SimplicialMap._of(self, t, vm)\n"
-        "swap = SimplicialMap._of(total, target, vm)\n"
-        "checked = SimplicialMap(K, L, vm)\n"
-        "chain = Chain._of(K, 0, c)\n"
-        "rule = P._map_of(L, image)\n"
-    )
-    assert sorted(_trusted_map_builds(ast.parse(source))) == [
-        (2, "rebracket_map"), (5, "ProductComplex._projection"), (6, ""),
-    ]
-
-
-_GROUP_LAW = {"__add__", "__sub__", "__neg__"}
-_GROUP_LAW_BASES = {"LinearCombination", "DirectSum"}
-
-
-def _own_group_laws(tree):
-    """Methods of the group law outside the two base classes, and any
-    `_check_compatible`."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for item in node.body:
-            if not isinstance(item, ast.FunctionDef):
-                continue
-            if item.name == "_check_compatible" or (
-                item.name in _GROUP_LAW and node.name not in _GROUP_LAW_BASES
-            ):
-                yield item.lineno, f"{node.name}.{item.name}"
-
-
-def test_one_group_law():
-    found = [
-        f"{path.name}:{line}: {what}"
-        for path in SOURCES
-        for line, what in _own_group_laws(ast.parse(path.read_text(), str(path)))
-    ]
-    assert found == []
-
-
-def test_the_group_law_rule_catches_each_violation():
-    source = (
-        "class DirectSum:\n    def __add__(self, o): pass\n    def __neg__(self): pass\n"
-        "class RelChar(DirectSum):\n    def __add__(self, o): pass\n"
-        "    def __sub__(self, o): pass\n    def scale(self, n): pass\n"
-        "class FlatClass(DirectSum):\n    def __neg__(self): pass\n"
-        "    def _check_compatible(self, o): pass\n"
-        "def __add__(a, b): pass\n"
-    )
-    assert sorted(_own_group_laws(ast.parse(source))) == [
-        (5, "RelChar.__add__"), (6, "RelChar.__sub__"), (9, "FlatClass.__neg__"),
-        (10, "FlatClass._check_compatible"),
     ]
 
 
@@ -419,9 +397,9 @@ def _own_equalities(trees):
 
 def test_one_equality():
     """`DirectSum` alone decides when two values of a character group are
-    equal, from the parts each subclass declares."""
-    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
-    assert sorted(_own_equalities(trees)) == []
+    equal, from the parts each subclass declares: no subclass of it defines
+    `__eq__` or `is_zero` or tests integral periods."""
+    assert sorted(_own_equalities([_tree(path) for path in SOURCES])) == []
 
 
 def test_the_equality_rule_catches_each_violation():
@@ -443,196 +421,6 @@ def test_the_equality_rule_catches_each_violation():
     assert sorted(_own_equalities(trees)) == [
         (2, "DiffChar.__eq__"), (4, "LowDegreeChar.is_zero"),
         (7, "RelChar calls integral_periods"), (10, "FlatClass calls has_integral_periods"),
-    ]
-
-
-_DENSE_VIEWS = {"U", "V", "D", "u_inv", "v_inv", "data"}
-
-
-def _dense_view_reads(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in _DENSE_VIEWS:
-            yield node.lineno, f"dense view .{node.attr}"
-
-
-def test_no_module_reads_a_dense_view():
-    found = [
-        f"{path.name}:{line}: {what}"
-        for path in SOURCES
-        for line, what in _dense_view_reads(ast.parse(path.read_text(), str(path)))
-    ]
-    assert found == []
-
-
-def test_the_dense_view_rule_catches_each_violation():
-    source = (
-        "snf.U\nsnf.V\nsnf.D\nsnf.u_inv\nsnf.v_inv\nA.data\nK.boundary_snf(1).U.rows\n"
-        "snf._u\nsnf._v_inv\nA.entries\nsnf.apply_u_inv(b)\ndata.draw(x)\n"
-        "def U(self): pass\n"
-    )
-    assert sorted(_dense_view_reads(ast.parse(source))) == [
-        (1, "dense view .U"), (2, "dense view .V"), (3, "dense view .D"),
-        (4, "dense view .u_inv"), (5, "dense view .v_inv"), (6, "dense view .data"),
-        (7, "dense view .U"),
-    ]
-
-
-_PRIVATE_STORAGE = {"_u", "_u_inv", "_v", "_v_inv", "_rows", "_cols", "_rel_snf",
-                    "_class_rows", "_torsion_indices"}
-
-
-def _private_storage_reads(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_STORAGE:
-            yield node.lineno, f"private storage .{node.attr}"
-
-
-def test_only_exact_linalg_reads_factorization_storage():
-    found = [
-        f"{path.name}:{line}: {what}"
-        for path in SOURCES
-        if path.name != "exact_linalg.py"
-        for line, what in _private_storage_reads(ast.parse(path.read_text(), str(path)))
-    ]
-    assert found == []
-
-
-def test_the_private_storage_rule_catches_each_violation():
-    source = (
-        "snf._u\nsnf._u_inv\nsnf._v\nsnf._v_inv\nsplit._rows\nsplit._cols\n"
-        "group._rel_snf._u_inv[0]\ngroup._class_rows\nx = group._torsion_indices\n"
-        "snf.kernel_rows()\nsplit.coordinates(v)\ngroup.torsion\n_rows = 1\nsnf._memo\n"
-        "def _u(self): pass\n"
-    )
-    assert sorted(_private_storage_reads(ast.parse(source))) == [
-        (1, "private storage ._u"), (2, "private storage ._u_inv"), (3, "private storage ._v"),
-        (4, "private storage ._v_inv"), (5, "private storage ._rows"),
-        (6, "private storage ._cols"), (7, "private storage ._rel_snf"),
-        (7, "private storage ._u_inv"), (8, "private storage ._class_rows"),
-        (9, "private storage ._torsion_indices"),
-    ]
-
-
-def _axpy_uses(tree):
-    """(line, enclosing top-level function or class) of each read of `_axpy`."""
-    for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
-        for node in ast.walk(top):
-            if ((isinstance(node, ast.Name) and node.id == "_axpy"
-                 and isinstance(node.ctx, ast.Load))
-                    or (isinstance(node, ast.Attribute) and node.attr == "_axpy")):
-                yield node.lineno, owner
-
-
-def test_only_the_elimination_updates_vectors_in_place():
-    found = {
-        (path.name, owner)
-        for path in SOURCES
-        for _, owner in _axpy_uses(ast.parse(path.read_text(), str(path)))
-    }
-    assert found == {("exact_linalg.py", "smith_normal_form")}
-
-
-def test_the_in_place_rule_catches_each_violation():
-    source = (
-        "def smith_normal_form(A):\n"
-        "    def row_step(r, i, t):\n"
-        "        _axpy(L[r], t, L[i])\n"
-        "class CycleSplitting:\n"
-        "    def lift(self, rel_snf):\n"
-        "        _axpy(u, 1, v)\n"
-        "def _combination(coeffs, vectors):\n"
-        "    step = exact_linalg._axpy\n"
-        "_axpy(a, 2, b)\n"
-        "def _axpy(target, t, source):\n"
-        "    pass\n"
-        "_axpy = None\n"
-    )
-    assert sorted(_axpy_uses(ast.parse(source))) == [
-        (3, "smith_normal_form"), (6, "CycleSplitting"), (8, "_combination"), (9, ""),
-    ]
-
-
-def _boundary_reads(tree):
-    """(line, enclosing class and method, call) of each call of `boundary_matrix`
-    or `_build_boundary`; a function nested in a method counts as the method."""
-
-    def visit(node, owner, in_function):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and not in_function:
-            owner = f"{owner}.{node.name}" if owner else node.name
-            in_function = isinstance(node, ast.FunctionDef)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("boundary_matrix", "_build_boundary")):
-            yield node.lineno, owner, f"{ast.unparse(node.func.value)}.{node.func.attr}"
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, owner, in_function)
-
-    yield from visit(tree, "", False)
-
-
-def test_the_elimination_reads_the_traced_boundary_matrix():
-    path = next(path for path in SOURCES if path.name == "simplicial.py")
-    reads = {(owner, call) for _, owner, call
-             in _boundary_reads(ast.parse(path.read_text(), str(path)))}
-    assert {read for read in reads if read[0].startswith("_Factorizations.")} == {
-        ("_Factorizations.relation_snf", "self.boundary_matrix")}
-    assert {read for read in reads if read[1].endswith("._build_boundary")} == {
-        ("Complex.boundary_matrix", "self._build_boundary")}
-
-
-def test_the_boundary_read_rule_catches_each_violation():
-    source = (
-        "class _Factorizations:\n"
-        "    def relation_snf(self, n):\n"
-        "        def build():\n"
-        "            return self._build_boundary(n)\n"
-        "    def boundary_snf(self, n):\n"
-        "        return self.boundary_matrix(n).rows\n"
-        "def fundamental_cycle(complex):\n"
-        "    return complex.boundary_matrix(d).entries\n"
-        "boundary_matrix(2)\n"
-        "K.boundary_matrix\n"
-    )
-    assert sorted(_boundary_reads(ast.parse(source))) == [
-        (4, "_Factorizations.relation_snf", "self._build_boundary"),
-        (6, "_Factorizations.boundary_snf", "self.boundary_matrix"),
-        (8, "fundamental_cycle", "complex.boundary_matrix"),
-    ]
-
-
-def _pass_keys_outside(tree, owner="_Recorder"):
-    """Every "pass" string outside the class `owner`: a check entry is a dict
-    with a "pass" key, so only that class may write one."""
-    inside = {id(n) for c in ast.walk(tree)
-              if isinstance(c, ast.ClassDef) and c.name == owner for n in ast.walk(c)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and node.value == "pass" and id(node) not in inside:
-            yield node.lineno, '"pass" outside the recorder'
-
-
-def test_only_the_recorder_writes_check_entries():
-    path = next(p for p in SOURCES if p.name == "verify.py")
-    assert list(_pass_keys_outside(ast.parse(path.read_text(), str(path)))) == []
-
-
-def test_the_recorder_rule_catches_each_violation():
-    source = (
-        "class _Recorder:\n"
-        "    def check(self, name):\n"
-        "        entry = {'name': name, 'pass': True}\n"
-        "        entry['pass'] = False\n"
-        "checks.append({'name': n, 'pass': ok})\n"
-        "entry['pass'] = False\n"
-        "done = dict([('name', n), ('pass', ok)])\n"
-        "entry.update(passed=True)\n"
-        "class Other:\n"
-        "    x = {'pass': 1}\n"
-        "if ok:\n"
-        "    pass\n"
-    )
-    assert sorted(_pass_keys_outside(ast.parse(source))) == [
-        (5, '"pass" outside the recorder'), (6, '"pass" outside the recorder'),
-        (7, '"pass" outside the recorder'), (10, '"pass" outside the recorder'),
     ]
 
 
@@ -678,10 +466,7 @@ def _sign_rules(tree):
     the faces of a simplex (`combinations`) that flips a sign per face, and
     each comparison of two entries of a sequence that flips a sign (the
     inversion count of a parity loop)."""
-
-    def visit(node, owner):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            owner = f"{owner}.{node.name}" if owner else node.name
+    for node, _, owner in _index(tree)[0]:
         if _is_face_slice(node):
             yield node.lineno, "face slicing", owner
         elif (isinstance(node, ast.For) and _is_combinations(node.iter)
@@ -692,18 +477,15 @@ def _sign_rules(tree):
               and all(isinstance(c, ast.Subscript) for c in node.test.comparators)
               and _flips_a_sign(node.body)):
             yield node.lineno, "parity loop", owner
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, owner)
-
-    yield from visit(tree, "")
 
 
 def test_each_sign_rule_is_written_once():
-    found = sorted(
-        (path.name, what, owner)
-        for path in SOURCES
-        for _, what, owner in _sign_rules(ast.parse(path.read_text(), str(path)))
-    )
+    """The face rule (the face without s[i] has sign (-1)^i) lives in
+    `Complex._build_boundary` and the image rule (the parity of the
+    permutation sorting an image) in `SimplicialMap._build_push`; every other
+    operator reads their memoized tables."""
+    found = sorted((path.name, what, owner) for path in SOURCES
+                   for _, what, owner in _sign_rules(_tree(path)))
     assert found == [
         ("simplicial.py", "face sign loop", "Complex._build_boundary"),
         ("simplicial.py", "parity loop", "SimplicialMap._build_push"),
@@ -712,38 +494,24 @@ def test_each_sign_rule_is_written_once():
 
 def test_the_sign_rule_catches_each_violation():
     source = (
-        "def boundary(s, c):\n"
-        "    return [s[:i] + s[i + 1 :] for i in range(len(s))]\n"
-        "class Map:\n"
-        "    def push(self, image):\n"
-        "        sign = 1\n"
-        "        for i in range(len(image)):\n"
-        "            for j in range(i + 1, len(image)):\n"
-        "                if image[i] > image[j]:\n"
-        "                    sign *= -1\n"
-        "def faces(s, sign):\n"
-        "    for face in itertools.combinations(s, len(s) - 1):\n"
-        "        yield face, sign\n"
-        "        sign = -sign\n"
-        "def fine(s, t, i, rhs):\n"
-        "    head = s[:i] + s[i:]\n"
-        "    tail = s[:i] + t[i + 1:]\n"
-        "    for face in combinations(s, 2):\n"
-        "        rhs = rhs - face\n"
-        "    if s[0] > s[1]:\n"
-        "        rhs = -i\n"
-        "    for k in (1, 2):\n"
-        "        rhs = -rhs\n"
+        "def boundary(s, c):\n    return [s[:i] + s[i + 1 :] for i in range(len(s))]\n"
+        "class Map:\n    def push(self, image):\n        sign = 1\n"
+        "        for i in range(len(image)):\n            for j in range(i + 1, len(image)):\n"
+        "                if image[i] > image[j]:\n                    sign *= -1\n"
+        "def faces(s, sign):\n    for face in itertools.combinations(s, len(s) - 1):\n"
+        "        yield face, sign\n        sign = -sign\n"
+        "def fine(s, t, i, rhs):\n    head = s[:i] + s[i:]\n    tail = s[:i] + t[i + 1:]\n"
+        "    for face in combinations(s, 2):\n        rhs = rhs - face\n"
+        "    if s[0] > s[1]:\n        rhs = -i\n    for k in (1, 2):\n        rhs = -rhs\n"
     )
     assert sorted(_sign_rules(ast.parse(source))) == [
-        (2, "face slicing", "boundary"),
-        (8, "parity loop", "Map.push"),
+        (2, "face slicing", "boundary"), (8, "parity loop", "Map.push"),
         (11, "face sign loop", "faces"),
     ]
 
 
-# The modules each entry point imports only where they are used, so that a
-# process compiles and keeps only what it runs; `__init__` imports none.
+# A process loads only the modules it runs: each entry point imports these
+# only in the functions that need them, and `__init__` imports none.
 _DEFERRED = {
     "__init__.py": None,
     "cli.py": {"products", "fiber_integration", "relative", "holonomy", "verify"},
@@ -782,37 +550,23 @@ def _eager_imports(tree, deferred):
 
 
 def test_entry_points_import_deferred_modules_where_used():
-    found = [
-        f"{path.name}:{line}: {what}"
-        for path in SOURCES if path.name in _DEFERRED
-        for line, what in _eager_imports(ast.parse(path.read_text(), str(path)),
-                                         _DEFERRED[path.name])
-    ]
-    assert found == []
     assert {path.name for path in SOURCES} >= set(_DEFERRED)
+    found = [f"{name}:{line}: {what}" for name, deferred in _DEFERRED.items()
+             for line, what in _eager_imports(_tree(PACKAGE / name), deferred)]
+    assert found == []
 
 
 def test_the_deferred_import_rule_catches_each_violation():
     source = (
-        "from diffchar.products import external_product\n"
-        "import diffchar.verify\n"
-        "from diffchar import fixtures, relative\n"
-        "from .holonomy import holonomy\n"
-        "from . import fiber_integration as fi\n"
-        "if True:\n"
-        "    import diffchar.products\n"
-        "class Handler:\n"
-        "    from diffchar.relative import RelChar\n"
-        "from diffchar.simplicial import Complex\n"
-        "import diffchar\n"
-        "import json\n"
-        "def handler():\n"
-        "    from diffchar.products import internal_product\n"
-        "    import diffchar.verify\n"
-        "lazy = lambda: __import__('diffchar.relative')\n"
+        "from diffchar.products import external_product\nimport diffchar.verify\n"
+        "from diffchar import fixtures, relative\nfrom .holonomy import holonomy\n"
+        "from . import fiber_integration as fi\nif True:\n    import diffchar.products\n"
+        "class Handler:\n    from diffchar.relative import RelChar\n"
+        "from diffchar.simplicial import Complex\nimport diffchar\nimport json\n"
+        "def handler():\n    from diffchar.products import internal_product\n"
+        "    import diffchar.verify\nlazy = lambda: __import__('diffchar.relative')\n"
     )
-    deferred = _DEFERRED["cli.py"]
-    assert sorted(_eager_imports(ast.parse(source), deferred)) == [
+    assert sorted(_eager_imports(ast.parse(source), _DEFERRED["cli.py"])) == [
         (1, "module-level import of products"), (2, "module-level import of verify"),
         (3, "module-level import of relative"), (4, "module-level import of holonomy"),
         (5, "module-level import of fiber_integration"), (7, "module-level import of products"),
@@ -823,8 +577,8 @@ def test_the_deferred_import_rule_catches_each_violation():
     ]
 
 
-TESTS = sorted(Path(__file__).parent.glob("*.py"))
-# The tests that call verify's identities: the machine and the suite pins.
+# Among the tests, only the stateful machine and the suite pins call an
+# identity of `verify`, so no hand-picked instance of one grows back.
 _IDENTITY_CALLERS = {"test_derived.py", "test_verify.py"}
 # Hand-picked instances of identities the machine also checks; each goes
 # when it is retired, and none is added.
@@ -849,16 +603,6 @@ def _identities(tree):
             and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))}
 
 
-def _dotted(node):
-    """`a.b.c` for a name or an attribute chain on a name, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        return base and f"{base}.{node.attr}"
-    return None
-
-
 def _identity_calls(tree, identities):
     """(top-level definition, line, callee) of each call of an identity:
     through the verify module, under any name, or imported from it."""
@@ -873,7 +617,7 @@ def _identity_calls(tree, identities):
     for top in tree.body:
         owner = getattr(top, "name", None)
         for node in ast.walk(top):
-            callee = isinstance(node, ast.Call) and _dotted(node.func)
+            callee = isinstance(node, ast.Call) and _dotted(node.func, {})
             if not callee:
                 continue
             module, _, name = callee.rpartition(".")
@@ -882,12 +626,11 @@ def _identity_calls(tree, identities):
 
 
 def test_only_the_machine_and_the_suite_pins_call_verify_identities():
-    verify = next(p for p in SOURCES if p.name == "verify.py")
-    identities = _identities(ast.parse(verify.read_text()))
+    identities = _identities(_tree(PACKAGE / "verify.py"))
     assert {"bilinearity", "iterated_fibers", "kernel_descends"} <= identities
     assert not identities & {"violation", "run_suite", "internal_product"}
     calls = {(path.name, owner, line, callee) for path in TESTS
-             for owner, line, callee in _identity_calls(ast.parse(path.read_text()), identities)}
+             for owner, line, callee in _identity_calls(_tree(path), identities)}
     found = [f"{name}:{line}: {callee} in {owner}" for name, owner, line, callee in sorted(calls)
              if name not in _IDENTITY_CALLERS and owner not in _PENDING_INSTANCES.get(name, ())]
     assert found == []
@@ -897,24 +640,17 @@ def test_only_the_machine_and_the_suite_pins_call_verify_identities():
 
 def test_the_identity_caller_rule_catches_each_violation():
     source = (
-        "import diffchar.verify as v\n"
-        "from diffchar import verify\n"
+        "import diffchar.verify as v\nfrom diffchar import verify\n"
         "from diffchar.verify import naturality, violation, bilinearity as bl\n"
         "def test_restated(h, f, g, hf, fh, phi, cone):\n"
         "    verify.violation(verify.associativity(h, f, g, hf))\n"
-        "    naturality(phi, h, f, hf)\n"
-        "    assert bl(h, h, f, hf, fh)\n"
-        "    v.iterated_fibers(h)\n"
-        "    diffchar.verify.section_gate(h, cone)\n"
-        "class TestInstances:\n"
-        "    def test_one(self, h, tr, out):\n"
+        "    naturality(phi, h, f, hf)\n    assert bl(h, h, f, hf, fh)\n"
+        "    v.iterated_fibers(h)\n    diffchar.verify.section_gate(h, cone)\n"
+        "class TestInstances:\n    def test_one(self, h, tr, out):\n"
         "        list(verify.endpoint_quotient(h, tr, out))\n"
-        "def test_not_an_identity(h, f, other):\n"
-        "    verify.violation([(h, f)])\n"
-        "    verify.run_suite('updown')\n"
-        "    verify.internal_product(h, f)\n"
-        "    other.naturality(h, f)\n"
-        "    bilinearity(h, f)\n"
+        "def test_not_an_identity(h, f, other):\n    verify.violation([(h, f)])\n"
+        "    verify.run_suite('updown')\n    verify.internal_product(h, f)\n"
+        "    other.naturality(h, f)\n    bilinearity(h, f)\n"
     )
     identities = {"associativity", "naturality", "bilinearity", "iterated_fibers",
                   "section_gate", "endpoint_quotient"}
