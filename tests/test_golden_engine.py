@@ -17,15 +17,7 @@ import random
 
 import pytest
 
-from diffchar import fixtures
-from diffchar.simplicial import Complex
-
-from strategies import relabeled_product
-
-
-def _fresh(name):
-    K = fixtures.complex_by_name(name)
-    return Complex(K.num_vertices, K.simplices(K.dim), name)
+from strategies import fresh, relabeled_product
 
 
 def _sparse(vectors):
@@ -73,7 +65,7 @@ PRODUCTS = {
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_torsion_fixtures_keep_their_fingerprint(name):
-    assert fingerprint(_fresh(name)) == FIXTURES[name]
+    assert fingerprint(fresh(name)) == FIXTURES[name]
 
 
 @pytest.mark.parametrize("key", sorted(PRODUCTS))
