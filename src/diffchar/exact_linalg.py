@@ -15,7 +15,11 @@ phases: each row or column step updates the transforms through it, and a
 unit pivot writes its column of U and row of V outright.  It is the only
 in-place update of a vector, on vectors the elimination made itself: every
 vector the module hands out is read-only and may be shared, with a matrix,
-another transform or another factorization, instead of copied.
+another transform or another factorization, instead of copied.  Identity
+vectors are shared most of all: boundary matrices reduce almost entirely on
++-1 pivots, so most rows and columns of the transforms are never touched,
+and each identity vector e_k any factorization holds is the one {k: 1} of
+the module's table `_UNITS`.
 """
 
 from __future__ import annotations
@@ -96,8 +100,16 @@ class IntMatrix:
         return IntMatrix._trusted(self.cols, self.rows, tuple(out))
 
 
-def _sparse_identity(n):
-    return [{i: 1} for i in range(n)]
+# The unit vector e_k = {k: 1} for each index k below the largest dimension
+# factored so far: every identity vector a factorization holds is one of
+# these dicts, so no one may write into them.
+_UNITS = []
+
+
+def _units(n):
+    """The table of unit vectors, grown to at least n of them."""
+    _UNITS.extend({k: 1} for k in range(len(_UNITS), n))
+    return _UNITS
 
 
 def _dense(length, vec):
@@ -206,20 +218,23 @@ def smith_normal_form(A):
     column: remainders become the next pivot, and a row holding an entry
     the cleared pivot does not divide is added to the pivot row, so that
     d1 | d2 | ....  The transforms share vectors rather than copy them: a
-    +1 pivot's row of V is its working row, and a row of U^{-1} equal to its
-    column of U, as each untouched row gives, is one dict.
+    +1 pivot's row of V is its working row, a row of U^{-1} equal to its
+    column of U is one dict, and every identity vector e_k is the shared
+    {k: 1} of `_UNITS`.  Each row and column of a transform starts as that
+    shared e_k and gets a dict of its own when a step first writes into it.
     """
     rows, cols = A.rows, A.cols
+    units = _units(max(rows, cols))
     S = list(map(dict, A.entries))
     in_col = [set() for _ in range(cols)]
     for i, row in enumerate(S):
         for j in row:
             in_col[j].add(i)
     # L and L^{-1}, the row steps so far, and R and R^{-1}, the column
-    # steps, with L A R the working matrix S.  Unit pivots set their rows of
-    # L^{-1} and R^{-1} outright; the rest start as identity rows below.
-    L, L_inv = _sparse_identity(rows), [None] * rows
-    R, R_inv = _sparse_identity(cols), [None] * cols
+    # steps, with L A R the working matrix S.  Each starts as the shared unit
+    # vectors; unit pivots set their rows of L^{-1} and R^{-1} outright.
+    L, L_inv = units[:rows], units[:rows]
+    R, R_inv = units[:cols], units[:cols]
     pivots = []
     # A column j with count nonzeros is keyed count * cols + j, so ints order
     # the heap by count and then index.
@@ -241,9 +256,12 @@ def smith_normal_form(A):
         pivot_row = S[i]
         e = pivot_row[j]
         # This pivot's column of U is the pivot column as it stands, and its
-        # row of V is e times the pivot row.
-        L_inv[i] = {r: S[r][j] for r in col}
-        R_inv[j] = pivot_row if e == 1 else {c: -x for c, x in pivot_row.items()}
+        # row of V is e times the pivot row: the shared e_i for a +1 alone in
+        # its column, and the shared e_j for a pivot alone in its row.
+        if len(col) > 1 or e < 0:
+            L_inv[i] = {r: S[r][j] for r in col}
+        if len(pivot_row) > 1:
+            R_inv[j] = pivot_row if e == 1 else {c: -x for c, x in pivot_row.items()}
         for r in [r for r in col if r != i]:
             row = S[r]
             t = -row[j] * e
@@ -256,6 +274,8 @@ def smith_normal_form(A):
                 else:
                     del row[c]
                     in_col[c].discard(r)
+            if L[r] is units[r]:
+                L[r] = {r: 1}
             _axpy(L[r], t, L[i])
         # The row steps above left the pivot row as it was, so each of its
         # other columns is pushed with its final count, unless it emptied.
@@ -263,6 +283,8 @@ def smith_normal_form(A):
             col = in_col[c]
             col.discard(i)
             if c != j:
+                if R[c] is units[c]:
+                    R[c] = {c: 1}
                 _axpy(R[c], -x * e, R[j])
                 if col:
                     heappush(heap, len(col) * cols + c)
@@ -275,10 +297,12 @@ def smith_normal_form(A):
     # No unit entry is left: the rest is reduced Euclid style, on the same
     # sparse rows, with the transforms updated step by step.
     factors = [1] * len(pivots)
-    for inverse in (L_inv, R_inv):
-        for k, vec in enumerate(inverse):
-            if vec is None:
-                inverse[k] = {k: 1}
+
+    def own(vectors, k):
+        # vectors[k], made a dict of its own first if it is the shared e_k.
+        if vectors[k] is units[k]:
+            vectors[k] = {k: 1}
+        return vectors[k]
 
     def put(r, c, y):
         row = S[r]
@@ -294,16 +318,16 @@ def smith_normal_form(A):
         # S[r] += t * S[i], so L[r] += t * L[i] and U's column i -= t * its column r.
         for c, x in S[i].items():
             put(r, c, S[r].get(c, 0) + t * x)
-        _axpy(L[r], t, L[i])
-        _axpy(L_inv[i], -t, L_inv[r])
+        _axpy(own(L, r), t, L[i])
+        _axpy(own(L_inv, i), -t, L_inv[r])
 
     def col_step(c, j, t):
         # S's column c += t * its column j, so R[c] += t * R[j] and V's row j
         # -= t * its row c.
         for r in in_col[j]:
             put(r, c, S[r].get(c, 0) + t * S[r][j])
-        _axpy(R[c], t, R[j])
-        _axpy(R_inv[j], -t, R_inv[c])
+        _axpy(own(R, c), t, R[j])
+        _axpy(own(R_inv, j), -t, R_inv[c])
 
     def least():
         return min((abs(x), r, c) for r in live for c, x in S[r].items())[1:]
@@ -341,7 +365,16 @@ def smith_normal_form(A):
         factors.append(abs(d))
         live = [r for r in live if S[r]]
 
-    # Both phases update L and L^{-1} in place, so their rows are shared only now.
+    # A row step of the unit phase leaves its row of L holding the pivot's
+    # index, and a column step its column of R; the Euclid phase's steps may
+    # end on a unit vector e_m, which becomes the shared one.  Both phases
+    # update L and L^{-1} in place, so their rows are shared only now.
+    for vectors, seen in ((L, seen_rows), (L_inv, seen_rows), (R, seen_cols), (R_inv, seen_cols)):
+        for k in seen:
+            if len(vectors[k]) == 1:
+                ((m, x),) = vectors[k].items()
+                if x == 1:
+                    vectors[k] = units[m]
     for k, vec in enumerate(L_inv):
         if L[k] == vec:
             L[k] = vec
@@ -677,8 +710,8 @@ def cohomology(complex, k):
     z = kernel.snf.cols - kernel.snf.rank
     r = below.rank
     # Row i < r of D_k lands in row z - r + i; the zero rows come first.
-    # Of the rows i < r only the torsion ones are read, by class coordinates
-    # and torsion functionals, so each is built on first read.
-    perm = _LazyHead(range(z - r, z), lambda j: {j: 1}, [{i: 1} for i in range(z - r)])
+    # Each row is a shared unit vector.
+    units = _units(z)
+    perm = units[z - r:z] + units[:z - r]
     relations = SnfDecomposition(z, below.rows, below.factors, perm, perm, below._u, below._u_inv)
     return QuotientPresentation(kernel, relations)

@@ -5,9 +5,11 @@ sparse rows, Euclid style on non-unit pivots.  It must give the invariant
 factors of tests/oracle.py and valid unimodular transforms on any matrix,
 and on the boundary matrices of random flag complexes in particular.  The
 vectors it hands out are shared rather than copied, so no reader may change
-them, and a product's factorizations keep few bytes beside its boundary
-matrices.  No complex keeps its boundary matrices: the elimination reads d_n
-once, and readers that come back to it build it once for its row tables.
+them: every identity vector e_k they hold is the one {k: 1} of the
+engine's unit table, which must stay as it is.  A product's factorizations
+keep few bytes beside its boundary matrices.  No complex keeps its boundary
+matrices: the elimination reads d_n once, and readers that come back to it
+build it once for its row tables.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 
 import diffchar
-from diffchar import fixtures, io
+from diffchar import exact_linalg, fixtures, io
 from diffchar.characters import iota, random_character, trivialization
 from diffchar.cochain import Cochain, coboundary
 from diffchar.exact_linalg import (
@@ -60,10 +62,38 @@ def _factors(a):
     assert (transposed.factors, transposed.rank) == (snf.factors, snf.rank)
 
 
+def _shares_the_units(snf):
+    """Every vector {k: 1} of the four transforms is the unit table's e_k."""
+    for vectors in (snf._u, snf._u_inv, snf._v, snf._v_inv):
+        for vec in vectors:
+            if len(vec) == 1 and 1 in vec.values():
+                assert vec is exact_linalg._UNITS[next(iter(vec))]
+
+
+def _unit_table_is_intact():
+    assert all(vec == {k: 1} for k, vec in enumerate(exact_linalg._UNITS))
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_matrices())
 def test_smith_form_matches_the_oracle_on_random_matrices(a):
     _factors(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices())
+def test_identity_vectors_are_the_shared_units_on_random_matrices(a):
+    # The draws hold small integers, entries without a unit, or 0 and +-1.
+    rng = random.Random(a.rows * 9 + a.cols)
+    for m in (a, a.transpose()):
+        snf = smith_normal_form(m)
+        _shares_the_units(snf)
+        for t in (snf, snf.transpose()):
+            solve_integer(t, [rng.randint(-3, 3) for _ in range(t.rows)])
+            solve_rational(t, [Fraction(rng.randint(-3, 3), 2) for _ in range(t.rows)])
+            t.apply_v_inv([rng.randint(-3, 3) for _ in range(t.cols)])
+            kernel_basis(t)
+    _unit_table_is_intact()
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,6 +244,9 @@ def _readers_leave_the_vectors_alone(K, top):
     # The readers may memoize tables of their own; what was held before stays.
     after = _snapshot(K)
     assert {key: after[key] for key in before} == before
+    _unit_table_is_intact()
+    for n in range(top + 2):
+        _shares_the_units(K.relation_snf(n))
 
 
 @pytest.mark.parametrize("pair", PRODUCTS)
@@ -239,16 +272,20 @@ def _traced_bytes(work):
         tracemalloc.stop()
 
 
-def test_factorizations_keep_few_bytes_beside_the_boundary_matrices():
+def test_factorizations_keep_few_bytes_beside_the_boundary_matrices(monkeypatch):
     # Measured on Python 3.11: the boundary matrices of Klein_K x S1_3 take
-    # 161 KB, and homology in every degree keeps 3.89 times as much when
-    # each factorization copies the vectors it shares, 3.62 times when not.
-    # The complex keeps no boundary matrix, so the test holds them itself.
-    P = staircase_product(fixtures.klein_bottle(), fixtures.circle())
+    # 160 KB, and homology in every degree keeps 3.89 times as much when
+    # each factorization copies the vectors it shares, 3.62 times when it
+    # shares all but its identity vectors, and 2.96 times when these are the
+    # unit table's.  The table starts empty here, so the bytes it grows by
+    # are counted whatever ran before.  The complex keeps no boundary matrix,
+    # so the test holds them itself.
+    monkeypatch.setattr(exact_linalg, "_UNITS", [])
+    P = staircase_product(fresh("Klein_K"), fresh("S1_3"))
     held = []
     matrices = _traced_bytes(lambda: held.extend(map(P.boundary_matrix, range(P.dim + 2))))
     factorizations = _traced_bytes(lambda: [P.homology(n) for n in range(P.dim + 1)])
-    assert factorizations < 3.75 * matrices
+    assert factorizations < 3.0 * matrices
 
 
 def _matrices_reachable(memo):

@@ -304,7 +304,8 @@ RULES = (
     Rule("only_the_elimination_updates_vectors_in_place",
          "the_in_place_rule_catches_each_violation",
          "The vectors a factorization holds are shared and read-only, so `_axpy` updates only "
-         "the vectors `smith_normal_form` made itself.", (
+         "the vectors `smith_normal_form` made itself, and only exact_linalg names the table "
+         "of shared unit vectors.", (
              Row("name", ("_axpy",),
                  "def smith_normal_form(A):\n    def row_step(r, i, t):\n"
                  "        _axpy(L[r], t, L[i])\nclass CycleSplitting:\n    def lift(self, s):\n"
@@ -312,6 +313,10 @@ RULES = (
                  "def _combination(coeffs, vectors):\n    step = exact_linalg._axpy\n"
                  "_axpy(a, 2, b)\ndef _axpy(target, t, source):\n    pass\n_axpy = None\n",
                  (6, 8, 9), allowed=("exact_linalg.py:smith_normal_form",)),
+             Row("name", ("_UNITS",),
+                 "from diffchar.exact_linalg import _UNITS as units\nunits[3]\n"
+                 "exact_linalg._UNITS.append({})\nx = K._units(4)\n_UNITS = []\n",
+                 (2, 3), allowed=("exact_linalg.py",)),
          )),
     Rule("the_elimination_reads_the_traced_boundary_matrix",
          "the_boundary_read_rule_catches_each_violation",
