@@ -54,8 +54,10 @@ def _fiber(total, k):
     a bundled product by name or a pair of complexes to relabel."""
 
     def run(rng):
-        P = fixtures.complex_by_name(total) if isinstance(total, str) else relabeled_product(
-            *total, rng)
+        if isinstance(total, str):
+            P = fixtures.complex_by_name(total)
+        else:
+            P = relabeled_product(*total, rng)
         h = random_character(P, k, rng)
         return io.character_to_json(fiber_integrate(h, product_transfer(P.left, P.right, total=P)))
 
