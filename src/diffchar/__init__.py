@@ -32,7 +32,7 @@ _EXPORTS = {
         "has_integral_periods",
     ),
     "characters": (
-        "DiffChar", "LowDegreeChar", "FlatClass", "IntegralClass", "evaluate",
+        "DiffChar", "FlatClass", "IntegralClass", "evaluate",
         "char_class", "iota", "flat_character", "j", "trivialization",
         "from_curvature", "flat_holonomy_class", "pullback", "evaluate_torsion",
         "integral_decomposition", "fractional_torsion_class", "random_character",

@@ -6,21 +6,21 @@ is an integer cocycle.  Evaluation on cycles lands in Q/Z, represented as
 Fractions in [0,1), so two characters are equal when their curvatures agree
 and their lifts differ by a cochain with integral periods, and two flat
 classes when their cochains do; `simplicial.DirectSum` decides both from
-the parts each class declares.  Degrees k <= 0 degenerate to integral
-cohomology classes carried by an integer cocycle.
+the parts each class declares.  The definition holds in every degree: in
+degree k <= 0 the lift has negative degree, hence is zero, so a character is
+its integral cocycle mu = curvature, and below degree 0 it is zero.
 
-Characters are checked where they enter: `DiffChar(...)`,
-`LowDegreeChar(...)` and `character(...)` check that the curvature is closed
-and that mu = curvature - d(lift) is integral, and store mu with int values,
-and so do `iota` and `flat_character`, which take cochains from the user;
-`FlatClass(...)` checks that its coboundary is integral.  A character the
-library derives from checked ones (sums, multiples, pullbacks, fiber
-integrals, projections, `from_curvature`, `random_character`, internal
-products) is built by `_derived` with its mu carried along, unchecked, and
-so are the sums of flat classes and `flat_holonomy_class`; the group law is
-`simplicial.DirectSum`'s.  `products.internal_product` alone recomputes its
-mu, raises InvariantViolation if that is not integral and stores it with
-int values.
+Characters are checked where they enter: `DiffChar(...)` checks that the
+curvature is closed and that mu = curvature - d(lift) is integral, and
+stores mu with int values, and so do `iota` and `flat_character`, which take
+cochains from the user; `FlatClass(...)` checks that its coboundary is
+integral.  A character the library derives from checked ones (sums,
+multiples, pullbacks, fiber integrals, projections, `from_curvature`,
+`random_character`, internal products) is built by `_derived` with its mu
+carried along, unchecked, and so are the sums of flat classes and
+`flat_holonomy_class`; the group law is `simplicial.DirectSum`'s.
+`products.internal_product` alone recomputes its mu, raises
+InvariantViolation if that is not integral and stores it with int values.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class FlatClass(DirectSum):
 
 
 class DiffChar(DirectSum):
-    """Differential character; degree k >= 1 here, k <= 0 in LowDegreeChar."""
+    """Differential character of any degree k; for k <= 0 the lift is zero."""
 
     __slots__ = ("complex", "degree", "curvature", "lift", "mu")
     _space = ("complex", "degree")
@@ -172,8 +172,6 @@ class DiffChar(DirectSum):
             raise ValueError("curvature and lift on different complexes")
         if lift.degree != curvature.degree - 1:
             raise ValueError("lift degree must be one below curvature degree")
-        if curvature.degree < 1:
-            raise ValueError("degree must be at least 1; use LowDegreeChar below")
         if not is_closed(curvature):
             raise NotClosed("curvature must be a closed cochain")
         mu = curvature - coboundary(lift)
@@ -189,7 +187,7 @@ class DiffChar(DirectSum):
 
     @classmethod
     def _of(cls, space, parts):
-        """Through `_derived`, so that degree <= 0 gives a LowDegreeChar."""
+        """Through `_derived`, the one trusted builder of characters."""
         return _derived(*parts)
 
     def _cycles(self):
@@ -197,50 +195,6 @@ class DiffChar(DirectSum):
 
     def __repr__(self):
         return f"DiffChar(deg {self.degree} on {self.complex!r})"
-
-
-class LowDegreeChar(DiffChar):
-    """Character of degree <= 0: an integral cocycle that is its own curvature.
-
-    The lift is the zero cochain one degree down, so mu is the cocycle and
-    every DiffChar formula applies; below degree 0 the character is zero.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, complex, degree, cocycle=None):
-        if degree > 0:
-            raise ValueError("LowDegreeChar is for degrees <= 0")
-        if degree < 0 or cocycle is None:
-            cocycle = zero_cochain(complex, degree)
-        if cocycle.degree != degree or cocycle.complex != complex:
-            raise ValueError("cocycle degree or complex mismatch")
-        if not cocycle.is_integer_valued():
-            raise NotCocycle("low-degree characters carry integer cocycles")
-        if not is_closed(cocycle):
-            raise NotCocycle("low-degree characters carry cocycles")
-        self.complex = complex
-        self.degree = degree
-        self.curvature = self.mu = cocycle
-        self.lift = zero_cochain(complex, degree - 1)
-
-    @property
-    def cocycle(self):
-        return self.mu
-
-    def __repr__(self):
-        return f"LowDegreeChar(deg {self.degree}, {self.mu!r})"
-
-
-def character(curvature, lift):
-    """The character (curvature, lift) in any degree.
-
-    In degree <= 0 the lift is a cochain of negative degree, hence zero, and
-    the curvature is the integral cocycle of a LowDegreeChar.
-    """
-    if curvature.degree >= 1:
-        return DiffChar(curvature, lift)
-    return LowDegreeChar(curvature.complex, curvature.degree, curvature)
 
 
 def _derived(curvature, lift, mu):
@@ -251,7 +205,7 @@ def _derived(curvature, lift, mu):
     so the caller passes the mu it carried along, and the curvature is closed
     because it differs from the cocycle mu by a coboundary.
     """
-    h = object.__new__(DiffChar if curvature.degree >= 1 else LowDegreeChar)
+    h = object.__new__(DiffChar)
     h.complex, h.degree = curvature.complex, curvature.degree
     h.curvature, h.lift, h.mu = curvature, lift, mu
     return h
@@ -314,7 +268,7 @@ def from_curvature(omega):
     remaining rational coboundary equation.
     """
     if omega.degree < 1:
-        raise ValueError("degree must be at least 1; use LowDegreeChar below")
+        raise ValueError("degree must be at least 1")
     if not is_closed(omega):
         raise NotClosed("curvature must be closed")
     m, r = integral_decomposition(omega)

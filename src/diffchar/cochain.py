@@ -23,10 +23,6 @@ from fractions import Fraction
 from diffchar.simplicial import Chain, LinearCombination, ProductComplex, ez
 
 
-class DegreeUnderflow(ValueError):
-    """Fiber slant asked to produce a cochain of negative degree."""
-
-
 def _coerce(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
@@ -208,7 +204,8 @@ def slant_fiber(b, fiber_chain, product=None):
     """Integrate a cochain on a staircase product over a chain in the fiber.
 
     For b of degree k on K x F and a fiber chain of degree n, the result is
-    the degree k-n cochain c -> b(EZ(c @ fiber_chain)) on K.  The product
+    the degree k-n cochain c -> b(EZ(c @ fiber_chain)) on K, the zero cochain
+    when k < n, since K has no simplices of negative degree.  The product
     defaults to b's complex, which may be a plain complex equal to point x F.
     """
     product = b.complex if product is None else product
@@ -217,10 +214,6 @@ def slant_fiber(b, fiber_chain, product=None):
     if fiber_chain.complex != product.right:
         raise ValueError("fiber chain does not live on the right factor")
     m = b.degree - fiber_chain.degree
-    if m < 0:
-        raise DegreeUnderflow(
-            f"cochain degree {b.degree} below fiber degree {fiber_chain.degree}"
-        )
     base = product.left
     out = {}
     for s in base.simplices(m):

@@ -1,10 +1,11 @@
 """Fiber integration of characters along staircase product projections.
 
 Integration over a closed fiber chain lowers the degree by the fiber
-dimension; at the critical degree the result degenerates to an integral
-degree-0 class, below it to zero.  Fibers with boundary produce both an
-absolute character integrated over the boundary and a relative character on
-the cone of the identity whose covariant part integrates the curvature.
+dimension, by one formula in every degree: at the critical degree the result
+is an integral degree-0 class, below it zero.  Fibers with boundary produce
+both an absolute character integrated over the boundary and a relative
+character on the cone of the identity whose covariant part integrates the
+curvature.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from diffchar.simplicial import (
     staircase_product,
     validate_fundamental_chain,
 )
-from diffchar.cochain import pullback as pullback_cochain, slant_fiber, zero_cochain
+from diffchar.cochain import pullback as pullback_cochain, slant_fiber
 from diffchar.characters import NotClosed, _derived, iota, pullback
 from diffchar.relative import cov_inverse
 
@@ -108,11 +109,12 @@ def rebracket_map(flat_total, nested_total):
 def fiber_integrate(h, transfer):
     """Integrate a character on the total space over a closed fiber chain.
 
-    Degree drops by the fiber degree; the critical case returns the
-    degree-0 class of the integrated integral cocycle, lower cases zero.
-    Characters of degree <= 0 fall into these two cases.  Over a closed
-    fiber chain the slant commutes with the coboundary, so the result's
-    integral cocycle is the slant of h's.
+    Degree drops by the fiber degree, and curvature, lift and mu are each
+    slanted.  Over a closed fiber chain the slant commutes with the
+    coboundary, so the result's integral cocycle is the slant of h's.  In the
+    critical degree the slanted lift has degree -1, hence is zero, and the
+    slanted curvature is the slanted mu, since the slant of d(lift) vanishes
+    on 0-chains; below it every slant is zero.
     """
     if h.complex != transfer.total:
         raise ValueError("character does not live on the total space")
@@ -121,13 +123,7 @@ def fiber_integrate(h, transfer):
             "fiber chain has a boundary; use boundary_fiber_integrate"
         )
     cF, total = transfer.fiber_chain, transfer.total
-    n = transfer.fiber_degree
-    base = transfer.base
-    k = h.degree
-    if k > n:
-        return _derived(*(slant_fiber(c, cF, total) for c in (h.curvature, h.lift, h.mu)))
-    mu = slant_fiber(h.mu, cF, total) if k == n else zero_cochain(base, k - n)
-    return _derived(mu, zero_cochain(base, k - n - 1), mu)
+    return _derived(*(slant_fiber(c, cF, total) for c in (h.curvature, h.lift, h.mu)))
 
 
 class BoundaryIntegration:

@@ -3,7 +3,10 @@
 Builders return plain dicts; parsers take the dict plus whatever ambient
 objects the format leaves implicit (a cochain file does not name its
 complex, so the caller supplies one).  All fractions travel as "p/q"
-strings, never floats, and simplices as "[v0,v1,...]" keys.
+strings, never floats, and simplices as "[v0,v1,...]" keys; a parser also
+reads a JSON integer as a value, but no float or boolean.  A character of
+degree k <= 0 is its integral cocycle, so its file holds only that cocycle,
+of degree k, and reads back as `DiffChar(cocycle, zero_cochain(K, k - 1))`.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import json
 from fractions import Fraction
 
 from diffchar.simplicial import Complex, SimplicialMap, maximal_simplices
-from diffchar.cochain import Cochain
-from diffchar.characters import DiffChar, LowDegreeChar
+from diffchar.cochain import Cochain, zero_cochain
+from diffchar.characters import DiffChar
 
 
 class FormatError(ValueError):
@@ -25,6 +28,9 @@ def fraction_to_str(x):
 
 
 def parse_fraction(s):
+    # Fraction reads a float or a boolean, but neither is an exact value.
+    if isinstance(s, (bool, float)):
+        raise FormatError(f"bad fraction {s!r}: values are integers or 'p/q' strings")
     # An exponent such as "1e999999999" would cost unbounded time to expand.
     if isinstance(s, str) and ("e" in s or "E" in s):
         raise FormatError(f"bad fraction {s!r}: exponents are not accepted")
@@ -165,8 +171,8 @@ def map_from_json(obj, source, target):
 
 
 def character_to_json(h):
-    if isinstance(h, LowDegreeChar):
-        return {"degree": h.degree, "cocycle": cochain_to_json(h.cocycle)}
+    if h.degree <= 0:
+        return {"degree": h.degree, "cocycle": cochain_to_json(h.mu)}
     return {
         "degree": h.degree,
         "curvature": cochain_to_json(h.curvature),
@@ -180,7 +186,11 @@ def character_from_json(obj, complex):
         cocycle = cochain_from_json(
             _require(obj, "cocycle", "character"), complex, "Z"
         )
-        return LowDegreeChar(complex, degree, cocycle)
+        if cocycle.degree != degree:
+            raise FormatError(
+                f"character of degree {degree} has a cocycle of degree {cocycle.degree}"
+            )
+        return DiffChar(cocycle, zero_cochain(complex, degree - 1))
     curvature = cochain_from_json(_require(obj, "curvature", "character"), complex)
     lift = cochain_from_json(_require(obj, "lift", "character"), complex)
     return DiffChar(curvature, lift)

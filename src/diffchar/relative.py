@@ -27,7 +27,6 @@ from diffchar.cochain import (
 )
 from diffchar.characters import (
     IntegralClass,
-    LowDegreeChar,
     NotIntegrallyCompatible,
     _check_cycle_degree,
     _derived,
@@ -141,10 +140,10 @@ def incl_flat(g, cone):
     """
     phi = cone.phi
     A, X = phi.source, phi.target
-    if isinstance(g, LowDegreeChar):
+    if g.degree <= 0:
         if g.complex != A or g.degree != 0:
             raise ValueError("expected a degree-0 character on A")
-        g = LowDegreeChar(A, 0)
+        g = g.scale(0)
     if g.complex != A:
         raise ValueError("character does not live on the cone's source")
     k = g.degree + 1
@@ -231,7 +230,7 @@ def descend_kernel(f):
         raise KernelConditionFailed("projection to X is a nonzero character")
     if k == 1:
         if f.is_zero():
-            return LowDegreeChar(A, 0)
+            return _derived(zero_cochain(A, 0), zero_cochain(A, -1), zero_cochain(A, 0))
         raise KernelConditionFailed(
             "in degree 1 only the zero relative character descends"
         )

@@ -14,7 +14,6 @@ from diffchar.simplicial import Complex, SimplicialMap, compose_maps, fundamenta
 from diffchar.characters import (
     DiffChar,
     IntegralClass,
-    LowDegreeChar,
     NoTrivialization,
     NotACycle,
     NotClosed,
@@ -23,8 +22,8 @@ from diffchar.characters import (
     NotIntegrallyCompatible,
     NotIntegralPeriods,
     NotTorsion,
+    _derived,
     char_class,
-    character,
     evaluate,
     evaluate_torsion,
     flat_character,
@@ -61,8 +60,8 @@ def test_constructor_validation():
     half_at_v0 = Cochain(S1, 0, {(0,): Fraction(1, 2)})
     with pytest.raises(NotIntegrallyCompatible):
         DiffChar(i.curvature, i.lift + half_at_v0)
-    with pytest.raises(ValueError):
-        DiffChar(zero_cochain(S1, 0), zero_cochain(S1, -1))
+    # Degree 0 is an ordinary degree: its lift, of degree -1, is zero.
+    assert DiffChar(zero_cochain(S1, 0), zero_cochain(S1, -1)).is_zero()
 
 
 def test_integral_class_refuses_a_representative_from_elsewhere():
@@ -333,36 +332,39 @@ def test_integral_decomposition_checks_the_integer_part(monkeypatch):
 
 def test_low_degree_characters():
     K = fixtures.circle()
-    g = LowDegreeChar(K, 0, Cochain(K, 0, {v: 2 for v in K.simplices(0)}, "Z"))
+    g = DiffChar(Cochain(K, 0, {v: 2 for v in K.simplices(0)}, "Z"), zero_cochain(K, -1))
     assert not g.is_zero()
     assert (g - g).is_zero()
-    assert g + g == LowDegreeChar(K, 0, Cochain(K, 0, {v: 4 for v in K.simplices(0)}, "Z"))
-    neg = LowDegreeChar(K, -1)
+    assert g + g == DiffChar(
+        Cochain(K, 0, {v: 4 for v in K.simplices(0)}, "Z"), zero_cochain(K, -1))
+    neg = DiffChar(zero_cochain(K, -1), zero_cochain(K, -2))
     assert neg.is_zero()
 
 
 def test_low_degree_characters_are_the_degree_zero_case():
     K = fixtures.circle()
     c = Cochain(K, 0, {v: 2 for v in K.simplices(0)}, "Z")
-    g = LowDegreeChar(K, 0, c)
+    g = DiffChar(c, zero_cochain(K, -1))
     assert isinstance(g, DiffChar)
-    assert g.curvature == g.mu == g.cocycle == c
+    assert g.curvature == g.mu == c
     assert g.lift == zero_cochain(K, -1)
     with pytest.raises(AttributeError):
         g.cocycle = c
-    assert character(c, zero_cochain(K, -1)) == g
-    assert isinstance(g.scale(3), LowDegreeChar)
+    assert _derived(c, zero_cochain(K, -1), c) == g
+    assert type(g.scale(3)) is DiffChar
     assert g.scale(2) == g + g
-    assert -g == LowDegreeChar(K, 0, c.scale(-1))
+    assert -g == DiffChar(c.scale(-1), zero_cochain(K, -1))
     assert char_class(g) == IntegralClass(K, 0, c)
     assert not char_class(g).is_zero()
     # Pulled back to a point: the constant 2 there.
     pt = fixtures.point()
     to_vertex = SimplicialMap(pt, K, [1])
-    assert pullback(to_vertex, g) == LowDegreeChar(pt, 0, Cochain(pt, 0, {(0,): 2}, "Z"))
-    assert pullback(to_vertex, LowDegreeChar(K, -1)) == LowDegreeChar(pt, -1)
-    with pytest.raises(NotCocycle):
-        LowDegreeChar(K, 0, Cochain(K, 0, {(0,): 1}, "Z"))
+    assert pullback(to_vertex, g) == DiffChar(
+        Cochain(pt, 0, {(0,): 2}, "Z"), zero_cochain(pt, -1))
+    below = DiffChar(zero_cochain(K, -1), zero_cochain(K, -2))
+    assert pullback(to_vertex, below) == DiffChar(zero_cochain(pt, -1), zero_cochain(pt, -2))
+    with pytest.raises(NotClosed):
+        DiffChar(Cochain(K, 0, {(0,): 1}, "Z"), zero_cochain(K, -1))
 
 
 def test_random_generators_are_well_formed():

@@ -25,8 +25,8 @@ from diffchar.simplicial import (
     maximal_simplices,
     staircase_product,
 )
-from diffchar.cochain import Cochain
-from diffchar.characters import LowDegreeChar, iota, random_character
+from diffchar.cochain import Cochain, zero_cochain
+from diffchar.characters import DiffChar, iota, random_character
 from diffchar.fiber_integration import (
     boundary_fiber_integrate,
     fiber_integrate,
@@ -286,6 +286,23 @@ def test_characters_on_degenerate_products_integrate(capsys, command, character,
             "degree": 0, "cocycle": {"degree": 0, "values": {"[0]": "1"}}}
 
 
+@pytest.mark.parametrize("degree, stated", [(0, 1), (-1, 0), (-1, -2), (-2, 0)])
+def test_low_degree_character_files_state_their_cocycle_degree(
+        capsys, tmp_path, degree, stated):
+    """A cocycle of another degree is refused, not dropped or read as zero."""
+    S1 = fixtures.circle()
+    doc = {"degree": degree, "cocycle": {
+        "degree": stated, "values": {io.simplex_key(s): "1" for s in S1.simplices(stated)}}}
+    refusal = f"character of degree {degree} has a cocycle of degree {stated}"
+    with pytest.raises(io.FormatError) as caught:
+        io.character_from_json(doc, S1)
+    assert str(caught.value) == refusal
+    code, rep = _run_with_file(capsys, tmp_path, [
+        "eval", "--character", "{}", "--complex", "S1_3", "--chain", "v1_minus_v0"], doc)
+    assert code == 2
+    assert rep["error"] == refusal
+
+
 # Each command fed a well-formed character of degree 0 or -1.  "{char}" is
 # a character file on the complex named next to it, "{map}" the identity
 # map of S1_3.
@@ -322,7 +339,7 @@ def test_low_degree_characters_are_input_not_faults(capsys, tmp_path, command, d
     values = {v: 2 for v in K.simplices(0)} if degree == 0 else {}
     char = tmp_path / "char.json"
     char.write_text(json.dumps(io.character_to_json(
-        LowDegreeChar(K, degree, Cochain(K, degree, values, "Z")))))
+        DiffChar(Cochain(K, degree, values, "Z"), zero_cochain(K, degree - 1)))))
     id_map = tmp_path / "id.json"
     id_map.write_text(json.dumps(io.map_to_json(identity_map(S1))))
     argv = [a.format(char=char, map=id_map) for a in template]
@@ -334,7 +351,8 @@ def test_low_degree_characters_are_input_not_faults(capsys, tmp_path, command, d
         assert code == 2
     if command == "fiber-integrate point" and degree == -1:
         assert code == 0
-        assert rep["result"]["character"] == io.character_to_json(LowDegreeChar(S1, -1))
+        assert rep["result"]["character"] == io.character_to_json(
+            DiffChar(zero_cochain(S1, -1), zero_cochain(S1, -2)))
 
 
 def test_find_section_success(capsys):
@@ -521,6 +539,11 @@ def test_degree_must_be_a_json_integer(capsys, tmp_path, argv, document, degree)
                  id="infinite-value"),
     pytest.param(COCHAIN_ARGS, {"degree": 0, "values": {"[0]": "1e5000000"}}, None,
                  id="exponent-value"),
+    # Values are exact: Fraction would read true as 1 and 0.1 as a binary float.
+    pytest.param(COCHAIN_ARGS, {"degree": 0, "values": {"[0]": True}}, None,
+                 id="boolean-value"),
+    pytest.param(COCHAIN_ARGS, {"degree": 0, "values": {"[0]": 0.1}}, None,
+                 id="float-value"),
     pytest.param(COMPLEX_ARGS, None, "[" * 100000 + "]" * 100000, id="deep-nesting"),
 ])
 def test_hostile_json_values_are_input_errors(capsys, tmp_path, argv, document, text):
@@ -774,4 +797,4 @@ def test_every_exported_name_is_its_modules_own_object(first):
         "assert holonomy.__module__ == 'diffchar.holonomy' and callable(holonomy)\n"
         "assert set(names) <= set(dir(diffchar)) and not hasattr(diffchar, 'nothing')\n"
         "print(len(names))")
-    assert out.strip() == "75"
+    assert out.strip() == "74"

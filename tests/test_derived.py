@@ -41,10 +41,9 @@ from hypothesis.stateful import (
 
 from diffchar import fixtures, io, verify
 from diffchar.characters import (
+    DiffChar,
     FlatClass,
-    LowDegreeChar,
     _derived,
-    character,
     flat_holonomy_class,
     fractional_torsion_class,
     from_curvature,
@@ -132,7 +131,7 @@ def _check_character(h):
     assert h.mu == h.curvature - coboundary(h.lift)
     assert h.mu.is_integer_valued()
     assert is_closed(h.curvature)
-    rebuilt = character(h.curvature, h.lift)
+    rebuilt = DiffChar(h.curvature, h.lift)
     assert type(rebuilt) is type(h)
     assert rebuilt == h
     assert rebuilt.mu == h.mu
@@ -355,7 +354,7 @@ def _leibniz(a, b):
 def _unit(h):
     """The degree-0 character 1 is a two-sided unit of the product."""
     K = h.complex
-    one = LowDegreeChar(K, 0, Cochain.from_vector(K, 0, [1] * len(K.simplices(0))))
+    one = DiffChar(Cochain.from_vector(K, 0, [1] * len(K.simplices(0))), zero_cochain(K, -1))
     yield verify.internal_product(one, h), h
     yield verify.internal_product(h, one), h
 

@@ -21,7 +21,6 @@ from diffchar import fixtures
 from diffchar.characters import (
     DiffChar,
     FlatClass,
-    LowDegreeChar,
     flat_character,
     flat_holonomy_class,
     fractional_torsion_class,
@@ -29,7 +28,7 @@ from diffchar.characters import (
     random_character,
     random_flat_character,
 )
-from diffchar.cochain import Cochain
+from diffchar.cochain import Cochain, zero_cochain
 from diffchar.relative import RelChar, find_section, incl_flat
 from diffchar.simplicial import ConeChain, SimplicialMap, identity_map, mapping_cone
 from strategies import flag_complexes, mapping_cones
@@ -166,11 +165,13 @@ def test_torsion_classes_move_characters_and_flat_classes():
 def test_low_degree_characters_and_cone_chains():
     K = fixtures.torus()
     c = Cochain.from_vector(K, 0, [1] * len(K.simplices(0)))
-    one, zero = LowDegreeChar(K, 0, c), LowDegreeChar(K, 0)
+    one = DiffChar(c, zero_cochain(K, -1))
+    zero = DiffChar(zero_cochain(K, 0), zero_cochain(K, -1))
     assert _agree(*_CHARACTERS, one, one.scale(1))
     assert not _agree(*_CHARACTERS, one, zero)
     assert zero.is_zero() and not one.is_zero()
-    assert LowDegreeChar(K, -1).is_zero() and LowDegreeChar(K, -1) != LowDegreeChar(K, -2)
+    below = DiffChar(zero_cochain(K, -1), zero_cochain(K, -2))
+    assert below.is_zero() and below != DiffChar(zero_cochain(K, -2), zero_cochain(K, -3))
     cone = mapping_cone(identity_map(fixtures.circle()))
     z = cone.chain(1, {(0, 1): 2}, {(0,): -1})
     assert z == ConeChain(cone, 1, z.x_part, z.a_part)

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from diffchar import fixtures, verify
-from diffchar.cochain import Cochain, slant_fiber
-from diffchar.simplicial import SimplicialMap, staircase_product, ez
-from diffchar.characters import LowDegreeChar, pullback, random_character
+from diffchar.cochain import Cochain, pullback as pullback_cochain, slant_fiber, zero_cochain
+from diffchar.simplicial import SimplicialMap, fundamental_cycle, staircase_product, ez
+from diffchar.characters import DiffChar, pullback, random_character
 from diffchar.fiber_integration import (
     EndpointMismatch,
     boundary_fiber_integrate,
@@ -58,9 +58,9 @@ def test_full_degree_drop_gives_low_degree_character():
     rng = random.Random(7)
     h = random_character(T2, 1, rng)
     out = fiber_integrate(h, tr)
-    assert isinstance(out, LowDegreeChar)
+    assert isinstance(out, DiffChar)
     assert out.degree == 0
-    assert out.cocycle == slant_fiber(h.mu, tr.fiber_chain)
+    assert out.curvature == out.mu == slant_fiber(h.mu, tr.fiber_chain)
 
 
 def test_low_degree_characters_integrate_like_any_other():
@@ -68,14 +68,14 @@ def test_low_degree_characters_integrate_like_any_other():
     pt = fixtures.point()
     E = staircase_product(S1, pt)
     tr = product_transfer(S1, pt, total=E)
-    g = LowDegreeChar(E, 0, Cochain(E, 0, {v: 2 for v in E.simplices(0)}, "Z"))
-    assert fiber_integrate(g, tr) == LowDegreeChar(
-        S1, 0, Cochain(S1, 0, {v: 2 for v in S1.simplices(0)}, "Z")
+    g = DiffChar(Cochain(E, 0, {v: 2 for v in E.simplices(0)}, "Z"), zero_cochain(E, -1))
+    assert fiber_integrate(g, tr) == DiffChar(
+        Cochain(S1, 0, {v: 2 for v in S1.simplices(0)}, "Z"), zero_cochain(S1, -1)
     )
-    below = fiber_integrate(LowDegreeChar(E, -1), tr)
+    below = fiber_integrate(DiffChar(zero_cochain(E, -1), zero_cochain(E, -2)), tr)
     assert below.degree == -1 and below.is_zero()
     T2 = fixtures.torus()
-    one = LowDegreeChar(T2, 0, Cochain(T2, 0, {v: 1 for v in T2.simplices(0)}, "Z"))
+    one = DiffChar(Cochain(T2, 0, {v: 1 for v in T2.simplices(0)}, "Z"), zero_cochain(T2, -1))
     over_circle = fiber_integrate(one, product_transfer(S1, S1, total=T2))
     assert over_circle.degree == -1 and over_circle.is_zero()
 
@@ -179,6 +179,22 @@ def test_rotation_homotopy_defect_vanishes():
     assert list(f1.vertex_map) == [f0.vertex_map[(u - 1) % 6] for u in range(6)]
     defect = homotopy_defect(i, f0, f1, H)
     assert defect.is_zero()
+
+
+def test_degree_zero_homotopy_defect_vanishes():
+    """Homotopy invariance in degree 0, where the transgression slants a
+    degree-0 cochain over the interval: the zero cochain of degree -1."""
+    f0, f1, H = fixtures.rotation_homotopy()
+    S1, prism = H.target, H.source
+    c = Cochain(S1, 0, {v: 2 for v in S1.simplices(0)}, "Z")
+    defect = homotopy_defect(DiffChar(c, zero_cochain(S1, -1)), f0, f1, H)
+    assert defect.degree == 0 and defect.is_zero()
+    interval_chain = fundamental_cycle(prism.right)
+    pulled = pullback_cochain(H, c)
+    assert not pulled.is_zero()
+    assert slant_fiber(pulled, interval_chain) == zero_cochain(prism.left, -1)
+    below = slant_fiber(zero_cochain(prism, -1), interval_chain)
+    assert below == zero_cochain(prism.left, -2) and below.degree == -2
 
 
 def test_projection_homotopy_defect_vanishes():

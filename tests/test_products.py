@@ -7,7 +7,7 @@ import random
 import pytest
 
 from diffchar import fixtures, verify
-from diffchar.cochain import Cochain, cup, pair
+from diffchar.cochain import Cochain, cup, pair, zero_cochain
 from diffchar.simplicial import (
     Complex,
     eilenberg_zilber,
@@ -16,7 +16,7 @@ from diffchar.simplicial import (
     tensor,
 )
 from diffchar.characters import (
-    LowDegreeChar,
+    DiffChar,
     evaluate,
     random_character,
     random_flat_character,
@@ -87,12 +87,12 @@ def test_degree_zero_factors_act_by_their_cocycle():
     rng = random.Random(17)
     K = fixtures.circle()
     h = random_character(K, 1, rng)
-    one = LowDegreeChar(K, 0, Cochain(K, 0, {v: 1 for v in K.simplices(0)}, "Z"))
+    one = DiffChar(Cochain(K, 0, {v: 1 for v in K.simplices(0)}, "Z"), zero_cochain(K, -1))
     assert internal_product(h, one) == h
     assert internal_product(one, h) == h
-    two = LowDegreeChar(K, 0, Cochain(K, 0, {v: 2 for v in K.simplices(0)}, "Z"))
+    two = DiffChar(Cochain(K, 0, {v: 2 for v in K.simplices(0)}, "Z"), zero_cochain(K, -1))
     assert internal_product(h, two) == h.scale(2)
-    below = LowDegreeChar(K, -1)
+    below = DiffChar(zero_cochain(K, -1), zero_cochain(K, -2))
     assert internal_product(h, below).is_zero()
     assert internal_product(below, below).is_zero()
 

@@ -17,10 +17,10 @@ from diffchar.characters import (
     DiffChar,
     FlatClass,
     IntegralClass,
-    LowDegreeChar,
     NotACycle,
     NotClosed,
     NotCocycle,
+    NotIntegrallyCompatible,
     evaluate_torsion,
     from_curvature,
     iota,
@@ -116,15 +116,17 @@ CASES = {
     "DiffChar-degrees": (
         lambda: DiffChar(zero_cochain(S1, 1), zero_cochain(S1, 1)),
         ValueError, "lift degree must be one below curvature degree"),
-    "LowDegreeChar-degree": (
-        lambda: LowDegreeChar(S1, 1),
-        ValueError, "LowDegreeChar is for degrees <= 0"),
-    "LowDegreeChar-complex": (
-        lambda: LowDegreeChar(S1, 0, zero_cochain(RP2, 0)),
-        ValueError, "cocycle degree or complex mismatch"),
-    "LowDegreeChar-non-integer": (
-        lambda: LowDegreeChar(S1, 0, Cochain(S1, 0, {(0,): HALF}, "Q")),
-        NotCocycle, "low-degree characters carry integer cocycles"),
+    # Degree 0 is checked as every degree is: the lift has degree -1.
+    "DiffChar-degree-0-complexes": (
+        lambda: DiffChar(zero_cochain(S1, 0), zero_cochain(RP2, -1)),
+        ValueError, "curvature and lift on different complexes"),
+    "DiffChar-degree-0-not-closed": (
+        lambda: DiffChar(Cochain(S1, 0, {(0,): 1}, "Z"), zero_cochain(S1, -1)),
+        NotClosed, "curvature must be a closed cochain"),
+    "DiffChar-degree-0-non-integer": (
+        lambda: DiffChar(Cochain(S1, 0, {v: HALF for v in S1.simplices(0)}, "Q"),
+                         zero_cochain(S1, -1)),
+        NotIntegrallyCompatible, "curvature - d(lift) must be an integer cocycle"),
     "from_curvature-not-closed": (
         lambda: from_curvature(Cochain(RP2, 1, {(0, 1): 1}, "Q")),
         NotClosed, "curvature must be closed"),
@@ -264,7 +266,7 @@ CASES = {
                                                RP2.chain(1), S1.chain(0))),
         ValueError, "chain lives on a different mapping cone"),
     "incl_flat-low-degree": (
-        lambda: incl_flat(LowDegreeChar(A, -1), CONE),
+        lambda: incl_flat(DiffChar(zero_cochain(A, -1), zero_cochain(A, -2)), CONE),
         ValueError, "expected a degree-0 character on A"),
     "incl_flat-off-source": (
         lambda: incl_flat(iota(zero_cochain(X, 1)), CONE),

@@ -13,7 +13,6 @@ from diffchar.cochain import Cochain, coboundary, pair, zero_cochain
 from diffchar.characters import (
     DiffChar,
     FlatClass,
-    LowDegreeChar,
     iota,
     random_character,
     random_flat_character,
@@ -108,7 +107,8 @@ def test_projection_after_inclusion_is_zero():
         for k in (1, 2):
             g = random_character(cone.phi.source, k, rng)
             assert project(incl_flat(g, cone)).is_zero()
-    g0 = LowDegreeChar(fixtures.circle(), 0)
+    S1 = fixtures.circle()
+    g0 = DiffChar(zero_cochain(S1, 0), zero_cochain(S1, -1))
     f0 = incl_flat(g0, fixtures.equator_cone())
     assert f0.degree == 1 and f0.is_zero()
 
@@ -148,7 +148,8 @@ def test_descend_inverts_inclusion():
 
 def test_descend_on_a_degree_one_kernel():
     cone = fixtures.equator_cone()
-    g0 = LowDegreeChar(fixtures.circle(), 0)
+    S1 = fixtures.circle()
+    g0 = DiffChar(zero_cochain(S1, 0), zero_cochain(S1, -1))
     assert descend_kernel(incl_flat(g0, cone)) == g0
 
 
