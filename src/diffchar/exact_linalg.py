@@ -614,28 +614,24 @@ class QuotientPresentation:
     zero iff both parts vanish.
     """
 
-    __slots__ = ("betti", "torsion", "generators", "kernel", "_rel_snf", "_torsion_indices",
-                 "_class_rows")
+    __slots__ = ("betti", "torsion", "generators", "kernel", "_class_rows")
 
-    def __init__(self, kernel, rel_snf):
-        """`kernel` is the CycleSplitting of `out`; `rel_snf` factors the
-        image generators of `in`, written in the kernel's cycle coordinates."""
+    def __init__(self, kernel, factors, columns, rows):
+        """`kernel` is the CycleSplitting of `out`; the image generators of `in`,
+        in its cycle coordinates, factor as U * D * V with `factors` on D's
+        diagonal: `columns` are U's sparse columns and `rows` U^{-1}'s rows."""
         z = kernel.snf.cols - kernel.snf.rank
-        if rel_snf.rows != z:
+        if len(rows) != z:
             raise ValueError("boundary matrices do not compose")
-        s = rel_snf.rank
+        s = len(factors)
+        torsion = [i for i, d in enumerate(factors) if d > 1]
         self.kernel = kernel
-        self._rel_snf = rel_snf
-        self._torsion_indices = [i for i, d in enumerate(rel_snf.factors) if d > 1]
-        u_inv = rel_snf._u_inv
-        self._class_rows = [u_inv[i] for i in self._torsion_indices] + u_inv[s:]
-        self.torsion = [rel_snf.factors[i] for i in self._torsion_indices]
+        self._class_rows = [rows[i] for i in torsion] + rows[s:]
+        self.torsion = [factors[i] for i in torsion]
         self.betti = z - s
         n = kernel.snf.cols
         self.generators = [
-            _dense(n, _combination(rel_snf._u[i], kernel._cols))
-            for i in self._torsion_indices + list(range(s, z))
-        ]
+            _dense(n, _combination(columns[i], kernel._cols)) for i in torsion + list(range(s, z))]
 
     def kernel_coordinates(self, vec):
         """Coordinates of vec in the cycle basis; None when it is not in the kernel."""
@@ -660,7 +656,7 @@ class QuotientPresentation:
         """The cochain whose value on a cycle is its (unreduced) coordinate at
         the index-th torsion generator; it vanishes on the complement of the
         cycles."""
-        w = self._rel_snf._u_inv[self._torsion_indices[index]]
+        w = self._class_rows[index]
         return _dense(self.kernel.snf.cols, _combination(w, self.kernel._rows))
 
     def is_zero(self, vec):
@@ -686,11 +682,12 @@ def homology(complex, n):
     `complex` is a simplicial complex or a mapping cone: it keeps the memo
     of relation_snf, boundary_snf, coboundary_snf and splitting.  The
     relations of H_n are N_{n+1}, d_{n+1} in the cycle coordinates of C_n,
-    whose factorization degree n + 1 makes anyway.  Generator chains are
-    reconstructed by the caller from `generators` since only the caller
-    knows the basis.
+    whose factors, U and U^{-1} degree n + 1 makes anyway.  Generator
+    chains are reconstructed by the caller from `generators` since only the
+    caller knows the basis.
     """
-    return QuotientPresentation(complex.splitting(n), complex.relation_snf(n + 1))
+    rel = complex.relation_snf(n + 1)
+    return QuotientPresentation(complex.splitting(n), rel.factors, rel._u, rel._u_inv)
 
 
 def cohomology(complex, k):
@@ -703,15 +700,16 @@ def cohomology(complex, k):
     boundary_snf(k) = U_k * D_k * V_k.  In the cocycle coordinates of that
     factorization, the relations d_k^T = V_k^T * D_k^T * U_k^T come out as
     [0 ; diag(d) * U_k^T[:r]], d the r factors of D_k: a row permutation,
-    the factors d and V = U_k^T make a Smith normal form as it stands.
+    the factors d and V = U_k^T make a Smith normal form as it stands.  V
+    is not read and d are the factors of relation_snf(k): boundary_snf(k)
+    is not built.
     """
     kernel = CycleSplitting(complex.coboundary_snf(k))
-    below = complex.boundary_snf(k)
+    factors = complex.relation_snf(k).factors
     z = kernel.snf.cols - kernel.snf.rank
-    r = below.rank
+    r = len(factors)
     # Row i < r of D_k lands in row z - r + i; the zero rows come first.
-    # Each row is a shared unit vector.
+    # Each row is a shared unit vector; the permutation is U and U^{-1} alike.
     units = _units(z)
     perm = units[z - r:z] + units[:z - r]
-    relations = SnfDecomposition(z, below.rows, below.factors, perm, perm, below._u, below._u_inv)
-    return QuotientPresentation(kernel, relations)
+    return QuotientPresentation(kernel, factors, perm, perm)

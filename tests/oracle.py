@@ -365,9 +365,9 @@ def _pushforward_kernel_lattice(phi, degree, gens):
     cycle coordinates (N the target's relations), with no torsion entry
     reduced."""
     pres_x = phi.target.homology(degree)
-    rel_snf = pres_x._rel_snf
+    rel_snf = phi.target.relation_snf(degree + 1)
     free = list(range(rel_snf.rank, rel_snf.rank + pres_x.betti))
-    tors_pos = pres_x._torsion_indices
+    tors_pos = [i for i, d in enumerate(rel_snf.factors) if d > 1]
     columns = [rel_snf.apply_u_inv(pres_x.kernel_coordinates(phi.push_chain(g).to_vector()))
                for g in gens]
     entries = [

@@ -191,8 +191,9 @@ def test_cycle_splitting_properties(drawn, data):
 def _presentation(a):
     """Z^rows / im(a): the kernel of the zero map out of Z^rows modulo the
     columns of a."""
+    snf = smith_normal_form(a)
     return QuotientPresentation(CycleSplitting(smith_normal_form(zero(0, a.rows))),
-                                smith_normal_form(a))
+                                snf.factors, snf._u, snf._u_inv)
 
 
 @settings(max_examples=30, deadline=None)

@@ -50,9 +50,10 @@ def _in_image(a, b):
     return invariant_factors(augmented) == invariant_factors(a.data)
 
 
-def _check_group(group, out, in_):
+def _check_group(group, out, in_, rel):
     """H = ker(out) / im(in): size, closed generators, unit coordinates, and
-    generators that form an adapted basis by the oracle's count."""
+    generators that form an adapted basis by the oracle's count.  `rel` is
+    the factorization of the relations whose parts the presentation took."""
     assert (group.betti, group.torsion) == homology_rank_and_torsion(
         out.data, in_.data, out.cols
     )
@@ -69,8 +70,15 @@ def _check_group(group, out, in_):
     assert invariant_factors(spanned) == [1] * (out.cols - rational_rank(out.data))
     for d, g in zip(group.torsion, group.generators):
         assert _in_image(in_, [d * x for x in g])
-    # The relation factorization is one of the relations in cycle coordinates.
-    check_factorization(group._rel_snf, group.kernel.relations(in_))
+    # The relation factorization is one of the relations in cycle coordinates,
+    # and the presentation reads its torsion and free columns of U and rows of
+    # U^{-1}.
+    check_factorization(rel, group.kernel.relations(in_))
+    assert group.torsion == [d for d in rel.factors if d > 1]
+    picked = [i for i, d in enumerate(rel.factors) if d > 1] + list(range(rel.rank, rel.rows))
+    assert group._class_rows == [rel._u_inv[i] for i in picked]
+    assert group.generators == [
+        group.kernel.combine([rel._u[i].get(j, 0) for j in range(rel.rows)]) for i in picked]
 
 
 def _check_solves(snf, a, draw):
@@ -88,9 +96,9 @@ def _check_every_degree(K, top, draw):
     for n in range(top + 2):
         d_out, d_in = K.boundary_matrix(n), K.boundary_matrix(n + 1)
         co_out, co_in = d_in.transpose(), d_out.transpose()
-        hom = K.homology(n)
-        _check_group(hom, d_out, d_in)
-        _check_group(K.cohomology(n), co_out, co_in)
+        hom, coh = K.homology(n), K.cohomology(n)
+        _check_group(hom, d_out, d_in, K.relation_snf(n + 1))
+        _check_group(coh, co_out, co_in, _cohomology_relations(coh.kernel, K.boundary_snf(n)))
         check_factorization(K.boundary_snf(n), d_out)
         check_factorization(K.coboundary_snf(n), co_out)
         _check_solves(K.boundary_snf(n), d_out, draw)
@@ -217,14 +225,21 @@ def _eager(snf):
 
 
 def _eager_cohomology(K, k):
-    """H^k built from plain lists: the permutation of `exact_linalg.cohomology`
-    written out in full."""
+    """H^k built from plain lists and the whole factorization of its
+    relations, boundary_snf(k) included."""
     kernel = CycleSplitting(_eager(K.coboundary_snf(k)))
-    below = _eager(K.boundary_snf(k))
+    rel = _cohomology_relations(kernel, _eager(K.boundary_snf(k)))
+    return QuotientPresentation(kernel, rel.factors, rel._u, rel._u_inv)
+
+
+def _cohomology_relations(kernel, below):
+    """The Smith factorization of the relations of H^k in the cocycle
+    coordinates of `kernel`, the coboundary's splitting, with `below` the
+    factorization of d_k: the permutation of `exact_linalg.cohomology`
+    written out in full as U and U^{-1}, d_k's factors, and V = U_k^T."""
     z, r = kernel.snf.cols - kernel.snf.rank, below.rank
     perm = [{z - r + i: 1} for i in range(r)] + [{i: 1} for i in range(z - r)]
-    return QuotientPresentation(
-        kernel, SnfDecomposition(z, below.rows, below.factors, perm, perm, below._u, below._u_inv))
+    return SnfDecomposition(z, below.rows, below.factors, perm, perm, below._u, below._u_inv)
 
 
 def _unbuilt(transform):
@@ -248,6 +263,8 @@ def _check_lifts_after_cohomology(make, top):
         for b in (image, [x + rng.choice((0, 0, 1, -1)) for x in image]):
             assert snf.apply_u_inv(b) == eager.apply_u_inv(b)
             assert solve_integer(snf, b) == solve_integer(eager, b)
+        assert (coh.torsion, coh.betti, coh.generators) == (
+            eager_coh.torsion, eager_coh.betti, eager_coh.generators)
         assert [coh.torsion_functional(i) for i in range(len(coh.torsion))] == [
             eager_coh.torsion_functional(i) for i in range(len(coh.torsion))]
         z = coh.kernel.snf.cols - coh.kernel.snf.rank
@@ -278,6 +295,34 @@ def test_lifts_read_after_cohomology_on_mapping_cones(cone_and_top):
 def test_lifts_read_after_cohomology_on_torsion_products(pair):
     left, right = (fresh(name) for name in pair)
     assert _check_lifts_after_cohomology(lambda: staircase_product(left, right), 3) == 3
+
+
+# Cohomology in degree k reads only the factors of N_k, so it leaves the
+# factorization of d_k, lifted from N_k through the splitting of C_{k-1},
+# unbuilt.
+
+
+def _check_cohomology_lifts_nothing_below(make, top):
+    for k in range(top + 2):
+        K = make()
+        K.cohomology(k)
+        if K.chain_count(k - 1):
+            assert ("snf", k) not in K._memo
+
+
+@settings(max_examples=30, deadline=None)
+@given(flag_complexes_with_top())
+def test_cohomology_lifts_nothing_below_on_flag_complexes(complex_and_top):
+    K, top = complex_and_top
+    _check_cohomology_lifts_nothing_below(lambda: Complex(K.num_vertices, K.all_simplices()), top)
+
+
+@pytest.mark.parametrize("name", ["RP2_6", "Klein_K"])
+def test_cohomology_lifts_nothing_below_on_torsion_fixtures(name):
+    _check_cohomology_lifts_nothing_below(lambda: fresh(name), fresh(name).dim)
+    K = fresh(name)
+    K.cohomology(2)
+    assert [key for key in K._memo if key[0] == "snf"] == [("snf", 3)]
 
 
 _sparse_vectors = st.dictionaries(

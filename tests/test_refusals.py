@@ -168,7 +168,7 @@ CASES = {
     "QuotientPresentation-compose": (
         lambda: QuotientPresentation(
             CycleSplitting(smith_normal_form(IntMatrix(0, 2, []))),
-            smith_normal_form(IntMatrix(3, 1, [[1], [0], [0]]))),
+            [1], [{0: 1}, {1: 1}, {2: 1}], [{0: 1}, {1: 1}, {2: 1}]),
         ValueError, "boundary matrices do not compose"),
     "kernel_coordinates-length": (
         lambda: S1.homology(1).kernel_coordinates([1, 0]),

@@ -194,12 +194,12 @@ def _snapshot(K):
     out = {}
     for key, value in K._memo.items():
         if isinstance(value, QuotientPresentation):
-            out[key] = [list(map(list, value.generators))]
-            value = value._rel_snf
-        if isinstance(value, SnfDecomposition):
-            out.setdefault(key, []).append((list(value.factors), [
+            out[key] = [list(map(list, value.generators)),
+                        [dict(row) for row in value._class_rows]]
+        elif isinstance(value, SnfDecomposition):
+            out[key] = (list(value.factors), [
                 [dict(vec) for vec in vectors]
-                for vectors in (value._u, value._u_inv, value._v, value._v_inv)]))
+                for vectors in (value._u, value._u_inv, value._v, value._v_inv)])
         elif key[0] in ("cofaces", "facets"):
             out[key] = [dict(row) for row in value]
     return out

@@ -292,13 +292,12 @@ RULES = (
          "the_private_storage_rule_catches_each_violation",
          "Outside exact_linalg, factorizations, splittings and presentations are read through "
          "their methods, so a class is read only through `coordinates`.", (
-             Row("attribute", ("_u", "_u_inv", "_v", "_v_inv", "_rows", "_cols", "_rel_snf",
-                               "_class_rows", "_torsion_indices"),
+             Row("attribute", ("_u", "_u_inv", "_v", "_v_inv", "_rows", "_cols", "_class_rows"),
                  "snf._u\nsnf._u_inv\nsnf._v\nsnf._v_inv\nsplit._rows\nsplit._cols\n"
-                 "group._rel_snf._u_inv[0]\ngroup._class_rows\nx = group._torsion_indices\n"
+                 "K.relation_snf(1)._u_inv[0]\nx = group._class_rows\n"
                  "snf.kernel_rows()\nsplit.coordinates(v)\ngroup.torsion\n_rows = 1\nsnf._memo\n"
                  "def _u(self): pass\n",
-                 (1, 2, 3, 4, 5, 6, 7, 7, 8, 9), allowed=("exact_linalg.py",)),
+                 (1, 2, 3, 4, 5, 6, 7, 8), allowed=("exact_linalg.py",)),
          )),
     Rule("only_the_elimination_updates_vectors_in_place",
          "the_in_place_rule_catches_each_violation",
