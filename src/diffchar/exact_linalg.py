@@ -18,8 +18,8 @@ vector the module hands out is read-only and may be shared, with a matrix,
 another transform or another factorization, instead of copied.  Identity
 vectors are shared most of all: boundary matrices reduce almost entirely on
 +-1 pivots, so most rows and columns of the transforms are never touched,
-and each identity vector e_k any factorization holds is the one {k: 1} of
-the module's table `_UNITS`.
+and each identity vector e_k that no Euclid-phase step wrote is the one
+{k: 1} of the module's table `_UNITS`.
 """
 
 from __future__ import annotations
@@ -126,8 +126,9 @@ class SnfDecomposition:
     positive, `rank` of them) followed by zeros.  The four transforms are
     kept sparse, as lists of {index: value} dicts: U by columns, U^{-1} by
     rows, V by rows and V^{-1} by columns (a `CycleSplitting.lift` builds
-    the first `rank` columns of U and rows of U^{-1} on first read).
-    Callers read them through the methods below; `transpose` swaps their
+    the first `rank` columns of U, and the first `rank` rows of U^{-1},
+    whole on the first read that reaches them).  Callers outside this
+    module read them through the methods below; `transpose` swaps their
     roles without copying anything.  The dense matrices U, D, V, u_inv and
     v_inv are built on demand, for checks and statistics only.
     """
@@ -158,14 +159,6 @@ class SnfDecomposition:
         """V^{-1} vec; accepts ints or Fractions, and keeps vec's type of zero."""
         zero = vec[0] * 0 if vec else 0
         return _accumulate(self.cols, vec, self._v_inv, zero)
-
-    def kernel_rows(self):
-        """Rows rank: of V, sparse: the coordinates of the kernel part."""
-        return self._v[self.rank:]
-
-    def kernel_columns(self):
-        """Columns rank: of V^{-1}, sparse: a basis of the integer kernel."""
-        return self._v_inv[self.rank:]
 
     @property
     def U(self):
@@ -218,10 +211,11 @@ def smith_normal_form(A):
     column: remainders become the next pivot, and a row holding an entry
     the cleared pivot does not divide is added to the pivot row, so that
     d1 | d2 | ....  The transforms share vectors rather than copy them: a
-    +1 pivot's row of V is its working row, a row of U^{-1} equal to its
-    column of U is one dict, and every identity vector e_k is the shared
-    {k: 1} of `_UNITS`.  Each row and column of a transform starts as that
-    shared e_k and gets a dict of its own when a step first writes into it.
+    +1 pivot's row of V is its working row, and a row of U^{-1} equal to
+    its column of U is one dict.  Each row and column of a transform starts
+    as the shared e_k = {k: 1} of `_UNITS` and gets a dict of its own when a
+    step first writes into it, so every identity vector that no Euclid-phase
+    step wrote is the shared one.
     """
     rows, cols = A.rows, A.cols
     units = _units(max(rows, cols))
@@ -365,16 +359,8 @@ def smith_normal_form(A):
         factors.append(abs(d))
         live = [r for r in live if S[r]]
 
-    # A row step of the unit phase leaves its row of L holding the pivot's
-    # index, and a column step its column of R; the Euclid phase's steps may
-    # end on a unit vector e_m, which becomes the shared one.  Both phases
-    # update L and L^{-1} in place, so their rows are shared only now.
-    for vectors, seen in ((L, seen_rows), (L_inv, seen_rows), (R, seen_cols), (R_inv, seen_cols)):
-        for k in seen:
-            if len(vectors[k]) == 1:
-                ((m, x),) = vectors[k].items()
-                if x == 1:
-                    vectors[k] = units[m]
+    # Both phases update L and L^{-1} in place, so a row of U^{-1} equal to
+    # its column of U is shared only now.
     for k, vec in enumerate(L_inv):
         if L[k] == vec:
             L[k] = vec
@@ -435,7 +421,7 @@ def kernel_basis(snf):
     columns they form a basis of Z^cols, which is what makes the splitting
     below work.
     """
-    return [_dense(snf.cols, col) for col in snf.kernel_columns()]
+    return [_dense(snf.cols, col) for col in snf._v_inv[snf.rank:]]
 
 
 class CycleSplitting:
@@ -454,8 +440,8 @@ class CycleSplitting:
 
     def __init__(self, snf):
         self.snf = snf
-        self._rows = snf.kernel_rows()
-        self._cols = snf.kernel_columns()
+        self._rows = snf._v[snf.rank:]
+        self._cols = snf._v_inv[snf.rank:]
 
     @property
     def cycle_basis(self):
@@ -499,8 +485,8 @@ class CycleSplitting:
         unimodular U, whose inverse stacks U_N^{-1} * V[r:] over V[:r].
         The library reads only the columns s: of U (s the rank of U_N), as
         cocycle coordinates, and the rows :s of U^{-1} only to solve, so
-        K * U_N[:, :s] and U_N^{-1}[:s] * V[r:] are built item by item on
-        first read.
+        K * U_N[:, :s] and U_N^{-1}[:s] * V[r:] are each built whole on the
+        first read that reaches them: a solve reads all of U^{-1}.
         """
         snf = self.snf
         r = snf.rank
@@ -518,8 +504,9 @@ class CycleSplitting:
 
 
 class _LazyHead:
-    """The read-only list [build(x) for x in head] + tail, whose head items
-    are each built on first read; a slice within the tail builds none."""
+    """The read-only list [build(x) for x in head] + tail, whose head is
+    built whole on the first read that reaches it; a read within the tail
+    builds nothing."""
 
     __slots__ = ("_head", "_build", "_tail", "_items")
 
@@ -529,18 +516,10 @@ class _LazyHead:
     def __len__(self):
         return len(self._head) + len(self._tail)
 
-    def _item(self, k):
+    def _built(self):
         if self._items is None:
-            self._items = [None] * len(self._head)
-        if self._items[k] is None:
-            self._items[k] = self._build(self._head[k])
-        return self._items[k]
-
-    def _all(self):
-        if self._items is None or None in self._items:
-            for k in range(len(self._head)):
-                self._item(k)
-        return (self._items or []) + self._tail
+            self._items = [self._build(x) for x in self._head]
+        return self._items
 
     def __getitem__(self, key):
         s = len(self._head)
@@ -548,12 +527,12 @@ class _LazyHead:
             start, stop, step = key.indices(len(self))
             if step == 1 and start >= s:
                 return self._tail[start - s:max(start, stop) - s]
-            return self._all()[key]
+            return (self._built() + self._tail)[key]
         k = range(len(self))[key]
-        return self._item(k) if k < s else self._tail[k - s]
+        return self._built()[k] if k < s else self._tail[k - s]
 
     def __iter__(self):
-        return iter(self._all())
+        return iter(self._built() + self._tail)
 
 
 def _dots(rows, vec):
@@ -680,11 +659,11 @@ def homology(complex, n):
     """H_n as a QuotientPresentation of ker d_n / im d_{n+1}.
 
     `complex` is a simplicial complex or a mapping cone: it keeps the memo
-    of relation_snf, boundary_snf, coboundary_snf and splitting.  The
-    relations of H_n are N_{n+1}, d_{n+1} in the cycle coordinates of C_n,
-    whose factors, U and U^{-1} degree n + 1 makes anyway.  Generator
-    chains are reconstructed by the caller from `generators` since only the
-    caller knows the basis.
+    of relation_snf, boundary_snf and splitting, while coboundary_snf is a
+    transpose made on each call.  The relations of H_n are N_{n+1}, d_{n+1}
+    in the cycle coordinates of C_n, whose factors, U and U^{-1} degree
+    n + 1 makes anyway.  Generator chains are reconstructed by the caller
+    from `generators` since only the caller knows the basis.
     """
     rel = complex.relation_snf(n + 1)
     return QuotientPresentation(complex.splitting(n), rel.factors, rel._u, rel._u_inv)

@@ -76,7 +76,8 @@ class _Factorizations(_Memo):
     factorization gives the cycle splitting of C_n, the relations of H_{n-1},
     and, with the splitting of C_{n-1}, the factorization of d_n, whose
     transpose is the coboundary's.  The elimination is the one reader of d_n
-    here, so the memo keeps the factorizations and not d_n.
+    here, so the memo keeps the factorizations and not d_n, nor the
+    coboundary's transpose view, which shares their storage at O(1) cost.
     """
 
     def relation_snf(self, n):
@@ -101,8 +102,9 @@ class _Factorizations(_Memo):
         return self._cached("snf", n, build)
 
     def coboundary_snf(self, k):
-        """SNF of the coboundary C^k -> C^{k+1}, read off boundary_snf(k + 1)."""
-        return self._cached("cosnf", k, lambda: self.boundary_snf(k + 1).transpose())
+        """SNF of the coboundary C^k -> C^{k+1}: the transpose of boundary_snf(k + 1),
+        a view made on each call that shares its storage."""
+        return self.boundary_snf(k + 1).transpose()
 
     def splitting(self, n):
         return self._cached("splitting", n, lambda: cycle_splitting(self, n))

@@ -2,8 +2,9 @@
 
 Each row of `REPORTS` is one command line run through `cli.main` in-process,
 in a directory holding input files written here from fixed seeds: the
-request shapes the `cli` benchmark sends, and `homology` in every degree
-0..dim+1 of every bundled complex.  The row pins the exit code and the
+request shapes the `cli` benchmark sends, `homology` in every degree
+0..dim+1 of every bundled complex, and the value-bearing commands on seeded
+character files over products.  The row pins the exit code and the
 sha256 of stdout.  `DRAWS` pins the `io` JSON of seeded `random_character`
 draws in every degree 0..dim+1 and `random_flat_character` draws in every
 degree 1..dim+1 of every bundled complex.  A change that moves a row on
@@ -21,6 +22,7 @@ import pytest
 
 from diffchar import fixtures, io
 from diffchar.characters import (
+    flat_character,
     fractional_torsion_class,
     random_character,
     random_flat_character,
@@ -99,7 +101,58 @@ def _write_inputs(directory):
     req["bad-json"] = ["iota", "--complex", "S1_3", "--cochain", "broken.json"]
     req["bad-flat"] = ["j", "--complex", "RP2_6",
                        "--cochain", write("nonflat.json", {"degree": 1, "values": half})]
+    _write_seeded_characters(write, req)
     return req
+
+
+def _write_seeded_characters(write, req):
+    """The value-bearing commands on seeded character files: draws on
+    RP2_6 x S1_3 in degrees 2 and 3, on S1_3 x RP2_6 and on RP2_6 x interval,
+    with a diagonal loop S1_3 -> RP2_6 x S1_3 and a slice RP2_6 -> RP2_6 x S1_3
+    as map files.  They draw from a generator of their own, so the rows
+    above keep their inputs."""
+    rng = random.Random(f"{SEED}:characters")
+    S1, RP2 = fixtures.circle(), fixtures.projective_plane()
+    P = staircase_product(RP2, S1)
+    p = write("seeded-RP2_6xS1_3.json", io.complex_to_json(P))
+    q = write("seeded-S1_3xRP2_6.json", io.complex_to_json(staircase_product(S1, RP2)))
+    draws = [random_character(P, k, rng) for k in (2, 3)]
+    h2, h3 = (write(f"seeded-RP2_6xS1_3-{h.degree}.json", io.character_to_json(h)) for h in draws)
+    # Plus the flat character of the order-2 class of H_1, whose class the
+    # slice pulls back to the generator of H^2(RP2_6): no section.
+    torsion = flat_character(fractional_torsion_class(P, 1, 0, 1).cochain)
+    obstructed = write("seeded-RP2_6xS1_3-2t.json", io.character_to_json(draws[0] + torsion))
+    f = write("seeded-S1_3xRP2_6-2.json", io.character_to_json(
+        random_character(staircase_product(S1, RP2), 2, rng)))
+    g = write("seeded-RP2_6xinterval-2.json", io.character_to_json(
+        random_character(staircase_product(RP2, fixtures.interval()), 2, rng)))
+    loop = SimplicialMap(S1, P, [P.encode(v, v) for v in range(3)])
+    loop_file = write("seeded-loop.json", io.map_to_json(loop))
+    v0 = rng.randrange(3)
+    slice_file = write("seeded-slice.json", io.map_to_json(
+        SimplicialMap(RP2, P, [P.encode(u, v0) for u in range(6)])))
+    cycle = write("seeded-loop-cycle.json",
+                  io.chain_to_json(loop.push_chain(fixtures.circle_cycle())))
+    req["eval-RP2_6xS1_3-2"] = ["eval", "--character", h2, "--complex", p, "--chain", cycle]
+    surface = P.chain_from_vector(2, P.homology(2).generators[0])
+    req["eval-RP2_6xS1_3-3"] = ["eval", "--character", h3, "--complex", p,
+                                "--chain", write("seeded-surface.json", io.chain_to_json(surface))]
+    req["product-RP2_6xS1_3"] = ["product", "--complex", p, "--character", h2,
+                                 "--character", h3]
+    req["xproduct-S1_3xRP2_6"] = ["xproduct", "--complex", q, "--character", f,
+                                  "--complex", "S1_3", "--character", "i"]
+    for k, h in ((2, h2), (3, h3)):
+        req[f"fiber-integrate-RP2_6xS1_3-{k}"] = [
+            "fiber-integrate", "--character", h, "--complex", "RP2_6", "--fiber", "S1_3"]
+    req["boundary-fiber-integrate-RP2_6xinterval"] = [
+        "boundary-fiber-integrate", "--character", g, "--complex", "RP2_6",
+        "--fiber", "interval"]
+    for key, h in (("2", h2), ("3", h3), ("obstructed", obstructed)):
+        req[f"find-section-slice-{key}"] = ["find-section", "--character", h,
+                                            "--map", slice_file, "--map-source", "RP2_6",
+                                            "--complex", p]
+    req["holonomy-loop"] = ["holonomy", "--character", h2, "--map", loop_file,
+                            "--map-source", "S1_3", "--complex", p, "--chain", "circle_fund"]
 
 
 # request -> (exit code, sha256 of stdout)
@@ -108,15 +161,24 @@ REPORTS = {
     "bad-flat": (2, "4259ac5d737514a6bd60e5f2757caf2446039b269822465f38865eb471ae9c95"),
     "bad-json": (2, "67042a79ba148818d63214b742b74b3a1cd73d1693bc9fb576683ac2c08977bd"),
     "boundary-fiber-integrate": (0, "2edc650d6a2c1f96325136cf30ef09581f6ea0b509727d9583c86d36a54c7179"),
+    "boundary-fiber-integrate-RP2_6xinterval": (0, "e214e7e78496d2925abf10e6dd6378fa56a91723ed30977cbf1a56d0007d1047"),
+    "eval-RP2_6xS1_3-2": (0, "72069c0c79cf2a56b32fecb3e9daceded6421ea5306ddbd7b35f549e7f61b9d9"),
+    "eval-RP2_6xS1_3-3": (0, "748159e454ac1624f332beb2832ca51a184bf3d62c42f53daef113937e5b3415"),
     "eval-chain-file": (0, "10ded42886f203b6594499d84b8d89c7a8bdabf8bfd50c366d406bfcf2a915d2"),
     "eval-i-v1_minus_v0": (0, "79353279b6eb092465f42dd5c8dade4a3feb0e370e790e2e7f7b7b67df0d1c69"),
     "eval-ixi-gamma1": (0, "00f9d8e3df767e28d03035c7833dfcccdced682019747a4d947497ec89a77446"),
     "eval-ixi-gamma2": (0, "a020beb184e7d9e9fb7c3d667a17b40cef5decb06930b61b7192cb779e3a6876"),
     "fiber-integrate": (0, "d03e26ade08820335b9709739be614b68a6dced88222e64f3899edae814fd342"),
+    "fiber-integrate-RP2_6xS1_3-2": (0, "21e1debd4d55e9aec370b41e5d90a6e202f4d35c9929e6ecefe0d971158293f2"),
+    "fiber-integrate-RP2_6xS1_3-3": (0, "1e80f4d0c2cd00f721124a959fbedbc5c38529822e67df9486b0b5f6f78ee89f"),
     "find-section-equator": (0, "c010d183d398f7cb80e0dccae032468566c761639f401edca67e75f3c4b15ec6"),
     "find-section-ju": (0, "7c6ce141da103223ef3ffdedf58fc0283adc05b27a62b69c5458b6a9a3b55c3a"),
     "find-section-obstructed": (1, "d0af2e39c1b0a5e15cbf08693771492dd97a6c2d5c880eace7e005892f2bc323"),
+    "find-section-slice-2": (0, "8118606181688d18a2f253831cbf167d4a8f6cac607569627d690e419086b1fc"),
+    "find-section-slice-3": (0, "a810a4dfa5db3e98dfb563531764f25b4e01664bce989b0ebe0718b8a87623cb"),
+    "find-section-slice-obstructed": (1, "d57e6d868cae79688731aa049fd12f38e02e7fa7989af4707d16e32fab9a78d9"),
     "holonomy-ju": (0, "916787d719acfa4e1e23da3509152df5ea919d9e023b2fa382da7a2b7d6b26af"),
+    "holonomy-loop": (0, "43335d5e2570b75b707ff22253dd637f97f1630bbcfbf92e319a8055d86ba4f8"),
     "holonomy-map-file": (0, "476be2a1f3ceac98baba6bbfb3d3653b6552ad109c11dbba204b2ea0a1c2bc87"),
     "homology-Klein_K-0": (0, "9ed25fe75cc6ba4aaedfe7de62d8c52b9e891352c04fc414dea60fd5d058d1f3"),
     "homology-Klein_K-1": (0, "5d744508f3d0231af5987ec9a6289770d36da97415244670b6db1046310c2af3"),
@@ -161,9 +223,11 @@ REPORTS = {
     "homology-two_points-1": (0, "04c7c3811c8dcec99e4ff03c7737a33ed02a347e2012b451819a0781e343f483"),
     "iota-S1_3": (0, "1175640cb3cd1f58702b118f734fe4102c0e039751728c069cbb2feb5fea0ea0"),
     "j-RP2_6": (0, "68756bf0944b735dd051aa6db1ecc535b393a6131e9c9487038c6fc6c43100c8"),
+    "product-RP2_6xS1_3": (0, "868b8baaf2fb45b31c04c3848d33bb060c34f01721d047f0e32852cfde8284e1"),
     "product-ju": (0, "98b4b5d4fbe4d598501fea529c671341a18d71326e3f60edbae4608edb0224fa"),
     "verify-holonomy": (0, "9a88e54833f0d7ed66f6006c55851c6428f66b4700e17b3874afc64b24a9ebb4"),
     "verify-relative-exact": (0, "d6e21521c9cab8db944411e9964ecfba01270d7bf55e5a95c1d08113720fbe2d"),
+    "xproduct-S1_3xRP2_6": (0, "09c34861cf0d554a01cb7bd791ceaa6e22b7a532670c017bafea277eb1d035b6"),
     "xproduct-i": (0, "e5c14e2aebfb5576850dab6392d519adbec28dd741bfe7bf3464fae3ca5083f4"),
 }
 

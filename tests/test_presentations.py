@@ -363,7 +363,7 @@ def test_lazy_head_reads_like_a_list(drawn):
     assert lazy[len(head) + 1:n + 2] == tail[1:]
     assert lazy[n:len(head)] == []
     assert lazy._items is None
-    # Reading one head item builds that item alone.
+    # Reading one head item builds the whole head.
     if head:
         assert lazy[-n] == plain[0]
-        assert lazy._items[1:] == [None] * (len(head) - 1)
+        assert lazy._items == plain[:len(head)]

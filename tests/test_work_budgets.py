@@ -38,7 +38,7 @@ BUDGETS = {
     "homology": {(3, 11): 1_357_470},
     "product-axioms": {(3, 11): 1_196_296},
     "fiber-integrate": {(3, 11): 101_963},
-    "find-section": {(3, 11): 270_765},
+    "find-section": {(3, 11): 267_674},
 }
 
 # The products of the `homology` benchmark workload.
