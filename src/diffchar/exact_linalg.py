@@ -10,23 +10,26 @@ Vectors and transforms are sparse {index: value} dicts, and outside the
 elimination itself every product with them is one of three loop kernels:
 `_dots` (sparse rows times a dense vector), `_combination` (a sparse
 combination of sparse vectors) and `_accumulate` (a dense combination of
-sparse vectors).  `_axpy` is the one transform step of both elimination
-phases: each row or column step updates the transforms through it, and a
-unit pivot writes its column of U and row of V outright.  It is the only
-in-place update of a vector, on vectors the elimination made itself: every
-vector the module hands out is read-only and may be shared, with a matrix,
-another transform or another factorization, instead of copied.  Identity
-vectors are shared most of all: boundary matrices reduce almost entirely on
-+-1 pivots, so most rows and columns of the transforms are never touched,
-and each identity vector e_k that no Euclid-phase step wrote is the one
-{k: 1} of the module's table `_UNITS`.
+sparse vectors, which reads only the vectors it multiplies).  `_axpy` is the
+one transform step of both elimination phases: each row or column step
+updates the transforms through it, and a unit pivot writes its column of U
+and row of V outright.  It is the only in-place update of a vector, on
+vectors the elimination made itself: every vector the module hands out is
+read-only and may be shared, with a matrix, another transform or another
+factorization, instead of copied.  Identity vectors are shared most of all:
+boundary matrices reduce almost entirely on +-1 pivots, so most rows and
+columns of the transforms are never touched, and each identity vector e_k
+that no Euclid-phase step wrote is the one {k: 1} of the module's table
+`_UNITS`.  Nor are the columns of V^{-1} that only unit pivots' rows held
+built before they are read: most of them are cycles of a basis that a
+homology pass never multiplies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, count, islice, repeat
 from math import gcd
 
 
@@ -125,12 +128,15 @@ class SnfDecomposition:
     The diagonal of D is `factors` (the invariant factors d1 | d2 | ..., all
     positive, `rank` of them) followed by zeros.  The four transforms are
     kept sparse, as lists of {index: value} dicts: U by columns, U^{-1} by
-    rows, V by rows and V^{-1} by columns (a `CycleSplitting.lift` builds
-    the first `rank` columns of U, and the first `rank` rows of U^{-1},
-    whole on the first read that reaches them).  Callers outside this
-    module read them through the methods below; `transpose` swaps their
-    roles without copying anything.  The dense matrices U, D, V, u_inv and
-    v_inv are built on demand, for checks and statistics only.
+    rows, V by rows and V^{-1} by columns.  Some are built on read: a
+    `CycleSplitting.lift` builds the first `rank` columns of U, and the
+    first `rank` rows of U^{-1}, whole on the first read that reaches them,
+    and the elimination leaves each column of V^{-1} past `rank` that only
+    unit pivots' rows held to be built on its own first read
+    (`_LazyColumns`).  Callers outside this module read them through the
+    methods below; `transpose` swaps their roles without copying anything.
+    The dense matrices U, D, V, u_inv and v_inv are built on demand, for
+    checks and statistics only.
     """
 
     __slots__ = ("rows", "cols", "rank", "factors", "_u", "_u_inv", "_v", "_v_inv")
@@ -215,7 +221,10 @@ def smith_normal_form(A):
     its column of U is one dict.  Each row and column of a transform starts
     as the shared e_k = {k: 1} of `_UNITS` and gets a dict of its own when a
     step first writes into it, so every identity vector that no Euclid-phase
-    step wrote is the shared one.
+    step wrote is the shared one.  A unit pivot's column steps are recorded,
+    not applied: a column of V^{-1} is built from the pivots whose rows held
+    it when it pivots or a Euclid step first reads it, and a column that
+    neither happens to is left to its first read.
     """
     rows, cols = A.rows, A.cols
     units = _units(max(rows, cols))
@@ -230,6 +239,19 @@ def smith_normal_form(A):
     L, L_inv = units[:rows], units[:rows]
     R, R_inv = units[:cols], units[:cols]
     pivots = []
+    # A unit pivot does not push its column of R into the other columns of
+    # its row: held[c] maps each unit pivot p (by position) whose row held c
+    # to -V[p][c].  R's column c is e_c plus that combination of the unit
+    # pivots' columns `piv_r`, built when c pivots or a Euclid step first
+    # reads it; the columns left keep only their pivots.
+    held = {}
+    piv_r = []
+
+    def built(c):
+        if c in held:
+            R[c] = {c: 1, **_combination(held.pop(c), piv_r)}
+        return R[c]
+
     # A column j with count nonzeros is keyed count * cols + j, so ints order
     # the heap by count and then index.
     heap = [len(c) * cols + j for j, c in enumerate(in_col) if c]
@@ -256,6 +278,7 @@ def smith_normal_form(A):
             L_inv[i] = {r: S[r][j] for r in col}
         if len(pivot_row) > 1:
             R_inv[j] = pivot_row if e == 1 else {c: -x for c, x in pivot_row.items()}
+        piv_r.append(built(j))
         for r in [r for r in col if r != i]:
             row = S[r]
             t = -row[j] * e
@@ -273,13 +296,15 @@ def smith_normal_form(A):
             _axpy(L[r], t, L[i])
         # The row steps above left the pivot row as it was, so each of its
         # other columns is pushed with its final count, unless it emptied.
+        p = len(pivots)
         for c, x in pivot_row.items():
             col = in_col[c]
             col.discard(i)
             if c != j:
-                if R[c] is units[c]:
-                    R[c] = {c: 1}
-                _axpy(R[c], -x * e, R[j])
+                if c in held:
+                    held[c][p] = -x * e
+                else:
+                    held[c] = {p: -x * e}
                 if col:
                     heappush(heap, len(col) * cols + c)
         S[i] = {}
@@ -320,7 +345,8 @@ def smith_normal_form(A):
         # -= t * its row c.
         for r in in_col[j]:
             put(r, c, S[r].get(c, 0) + t * S[r][j])
-        _axpy(own(R, c), t, R[j])
+        built(c)
+        _axpy(own(R, c), t, built(j))
         _axpy(own(R_inv, j), -t, R_inv[c])
 
     def least():
@@ -355,6 +381,7 @@ def smith_normal_form(A):
             L_inv[i] = {k: -x for k, x in L_inv[i].items()}
         S[i] = {}
         in_col[j].clear()
+        built(j)
         pivots.append((i, j))
         factors.append(abs(d))
         live = [r for r in live if S[r]]
@@ -373,15 +400,70 @@ def smith_normal_form(A):
         set(range(rows)).difference(row_order), key=lambda r: (r not in seen_rows, r))
     col_order += sorted(
         set(range(cols)).difference(col_order), key=lambda c: (c not in seen_cols, c))
+    # V's rows give back the coefficients, so a column left keeps only its
+    # pivots.
+    for c, coeffs in held.items():
+        R[c] = tuple(coeffs)
+    v_rows = list(map(R_inv.__getitem__, col_order))
     return SnfDecomposition(
         rows,
         cols,
         factors,
-        [L_inv[i] for i in row_order],
-        [L[i] for i in row_order],
-        [R_inv[j] for j in col_order],
-        [R[j] for j in col_order],
+        list(map(L_inv.__getitem__, row_order)),
+        list(map(L.__getitem__, row_order)),
+        v_rows,
+        _LazyColumns(list(map(R.__getitem__, col_order)), v_rows),
     )
+
+
+class _LazyColumns:
+    """V^{-1}'s columns items[start:stop] as a read-only list, in which a
+    slot that still holds a tuple of unit pivots is built on its first read.
+
+    Such a column c was held only by those pivots' rows and no Euclid step
+    touched it, so its row of V is still e_c and its column is
+    e_c - sum V[p][c] * V^{-1}[:, p] over the pivots p of the slot.  The
+    unit pivots' columns vanish at c, so that is e_c joined to their
+    `_combination`.  Slices share `items`, so each column is built once,
+    whichever slice reads it first; a whole read builds the rest in one
+    sweep and then walks the plain list.
+    """
+
+    __slots__ = ("_items", "_v", "_start", "_stop", "_whole")
+
+    def __init__(self, items, v, start=0, stop=None):
+        self._items, self._v, self._start = items, v, start
+        self._stop = len(items) if stop is None else stop
+        self._whole = False
+
+    def __len__(self):
+        return self._stop - self._start
+
+    def _build(self, k):
+        items, v = self._items, self._v
+        (c,) = v[k]
+        col = items[k] = {c: 1, **_combination({p: -v[p][c] for p in items[k]}, items)}
+        return col
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                return list(self)[key]
+            start += self._start
+            return _LazyColumns(self._items, self._v, start, max(start, stop + self._start))
+        k = range(self._start, self._stop)[key]
+        col = self._items[k]
+        return self._build(k) if type(col) is tuple else col
+
+    def __iter__(self):
+        items, start, stop = self._items, self._start, self._stop
+        if not self._whole:
+            held = map(isinstance, islice(items, start, stop), repeat(tuple))
+            for k in compress(count(start), held):
+                self._build(k)
+            self._whole = True
+        return islice(items, start, stop)
 
 
 def _solve(snf, b, zero, divide):
@@ -433,7 +515,10 @@ class CycleSplitting:
     coordinates of a chain's cycle part and the columns r: of V^{-1} are a
     basis of the cycles.  Only these kernel rows and columns are read, as the
     factorization's sparse {index: value} dicts; the projection onto cycles is
-    `combine(coordinates(v))`, and it fixes exactly the cycles.
+    `combine(coordinates(v))`, and it fixes exactly the cycles.  A basis
+    cycle that only unit pivots' rows held is built on its first read:
+    `combine` and the presentations build the cycles they multiply, and
+    `periods` and `cycle_basis` build the rest.
     """
 
     __slots__ = ("snf", "_rows", "_cols")
@@ -494,7 +579,7 @@ class CycleSplitting:
         cols, rows = self._cols, self._rows
         u_cols = _LazyHead(
             rel_snf._u[:s], lambda col: _combination(col, cols),
-            [_combination(col, cols) for col in rel_snf._u[s:]] + snf._v_inv[:r])
+            [*(_combination(col, cols) for col in rel_snf._u[s:]), *snf._v_inv[:r]])
         u_inv_rows = _LazyHead(
             rel_snf._u_inv[:s], lambda row: _combination(row, rows),
             [_combination(row, rows) for row in rel_snf._u_inv[s:]] + snf._v[:r])
@@ -528,7 +613,7 @@ class _LazyHead:
             if step == 1 and start >= s:
                 return self._tail[start - s:max(start, stop) - s]
             return (self._built() + self._tail)[key]
-        k = range(len(self))[key]
+        k = range(s + len(self._tail))[key]
         return self._built()[k] if k < s else self._tail[k - s]
 
     def __iter__(self):
@@ -569,11 +654,14 @@ def _combination(coeffs, vectors):
 
 
 def _accumulate(length, coeffs, vectors, zero=0):
-    """sum(c * v) over sparse vectors v, as a dense list of the given length."""
+    """sum(c * v) over sparse vectors v, as a dense list of the given length.
+
+    Reads vectors[k] only where coeffs[k] is nonzero, so a list that builds
+    its vectors on read builds only those."""
     out = [zero] * length
-    for c, vec in zip(coeffs, vectors):
+    for k, c in enumerate(coeffs):
         if c:
-            for i, x in vec.items():
+            for i, x in vectors[k].items():
                 out[i] += c * x
     return out
 

@@ -31,8 +31,8 @@ with its own combination loop, as the package once did, on the unreduced
 coordinates of the pushed classes, where the package reads the reduced
 ones.
 
-The dense matrix helpers at the end (identity, zero, product, matrix times
-vector, column) work on the `data` view of an IntMatrix with
+The dense matrix helpers at the end (identity, zero, product, inverse,
+matrix times vector, column) work on the `data` view of an IntMatrix with
 textbook loops; the package itself only ever reads a matrix's nonzeros.
 `check_factorization`, the one check of a Smith normal form that the tests
 run, multiplies the dense views of its factors with them.
@@ -440,6 +440,30 @@ def matmul(a, b):
                     out[j] += c * v
         rows.append(out)
     return IntMatrix(a.rows, b.cols, rows)
+
+
+def inverse(a):
+    """The inverse of a unimodular IntMatrix, by Gauss-Jordan elimination
+    over the rationals on [a | I]."""
+    n = a.rows
+    if a.cols != n:
+        raise ValueError("only a square matrix has an inverse")
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a.data)]
+    for j in range(n):
+        pivot = next((i for i in range(j, n) if rows[i][j]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i in range(n):
+            if i != j and rows[i][j]:
+                t = rows[i][j]
+                rows[i] = [x - t * y for x, y in zip(rows[i], rows[j])]
+    out = [row[n:] for row in rows]
+    if any(x.denominator != 1 for row in out for x in row):
+        raise ValueError("inverse is not integral")
+    return IntMatrix(n, n, [[int(x) for x in row] for row in out])
 
 
 def apply(a, vec):

@@ -7,7 +7,9 @@ and on the boundary matrices of random flag complexes in particular.  The
 vectors it hands out are shared rather than copied, so no reader may change
 them.  Every identity vector e_k they hold that no Euclid-phase step wrote,
 which on the factorizations of a complex is every one, is the {k: 1} of
-the engine's unit table, which must stay as it is.  A product's
+the engine's unit table, which must stay as it is.  A column of V^{-1}
+that only unit pivots' rows held is built on its first read, and equals
+the column of the oracle's inverse of V.  A product's
 factorizations keep few bytes beside its boundary matrices.  No complex keeps its boundary
 matrices: the elimination reads d_n once, and readers that come back to it
 build it once for its row tables.
@@ -25,15 +27,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffchar
 from diffchar import exact_linalg, fixtures, io
 from diffchar.characters import iota, random_character, trivialization
 from diffchar.cochain import Cochain, coboundary
 from diffchar.exact_linalg import (
+    CycleSplitting,
     IntMatrix,
     QuotientPresentation,
     SnfDecomposition,
+    _dense,
     kernel_basis,
     smith_normal_form,
     solve_integer,
@@ -48,7 +53,7 @@ from diffchar.simplicial import (
     mapping_cone,
     staircase_product,
 )
-from oracle import check_factorization
+from oracle import apply, check_factorization, identity, inverse, matmul
 from strategies import flag_complexes, fresh, int_matrices, int_matrix_rows
 
 
@@ -116,6 +121,152 @@ def test_transpose_shares_the_sparse_storage():
     assert (back.rows, back.cols, back.rank) == (snf.rows, snf.cols, snf.rank)
     for name in ("factors", "_u", "_u_inv", "_v", "_v_inv"):
         assert getattr(back, name) is getattr(snf, name)
+
+
+# A column of V^{-1} that only unit pivots' rows held, and that no Euclid
+# step touched, is built on its first read: one read builds it alone, a
+# whole read builds the rest, and a transpose reads the same columns.
+
+
+def _held(snf):
+    """The positions of the columns of V^{-1} that are not built yet."""
+    return [k for k, col in enumerate(snf._v_inv._items) if type(col) is tuple]
+
+
+def _columns(a):
+    """The columns of an IntMatrix as sparse dicts."""
+    return [{i: row[j] for i, row in enumerate(a.data) if row[j]} for j in range(a.cols)]
+
+
+def _product_factorization():
+    snf = smith_normal_form(staircase_product(fresh("S1_3"), fresh("S1_3")).boundary_matrix(1))
+    assert len(_held(snf)) > 1
+    return snf
+
+
+def test_reading_one_cycle_basis_column_builds_it_alone():
+    snf = _product_factorization()
+    want = _columns(inverse(snf.V))
+    split = CycleSplitting(snf)
+    held = _held(snf)
+    assert held and min(held) >= snf.rank
+    k = held[len(held) // 2]
+    col = split._cols[k - snf.rank]
+    assert col == want[k]
+    assert _held(snf) == [m for m in held if m != k]
+    assert split._cols[k - snf.rank] is col and snf._v_inv[k] is col
+    # combine multiplies only the columns with a nonzero coordinate.
+    m = held[0]
+    coords = [int(i == m - snf.rank) for i in range(len(split._cols))]
+    assert split.combine(coords) == _dense(snf.cols, want[m])
+    assert _held(snf) == [h for h in held if h not in (k, m)]
+
+
+def test_iterating_the_cycle_basis_builds_the_rest():
+    snf = _product_factorization()
+    want = _columns(inverse(snf.V))
+    split = CycleSplitting(snf)
+    first = split._cols[0]
+    tail = list(split._cols)
+    assert _held(snf) == []
+    assert tail[0] is first
+    assert tail == want[snf.rank:]
+    assert list(snf._v_inv) == want
+    assert kernel_basis(snf) == [_dense(snf.cols, col) for col in want[snf.rank:]]
+
+
+def test_a_transpose_reads_the_same_lazily_built_columns():
+    snf = _product_factorization()
+    t = snf.transpose()
+    held = _held(snf)
+    k = held[-1]
+    row = t._u_inv[k]
+    assert snf._v_inv[k] is row
+    assert _held(snf) == held[:-1]
+    rng = random.Random(1)
+    b = [rng.randint(-3, 3) for _ in range(t.rows)]
+    assert t.apply_u_inv(b) == apply(inverse(snf.V).transpose(), b)
+    assert _held(snf) == []
+    assert t._u_inv[k] is row
+
+
+@st.composite
+def _mixed_matrices(draw):
+    """Matrices of up to 8 x 8 with unit and non-unit entries, so that unit
+    pivots hold columns which the Euclid phase then steps, pivots on or
+    leaves alone."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.sampled_from([0, 0, 1, -1, 2, -2, 3])
+    return IntMatrix(rows, cols, [draw(st.lists(entry, min_size=cols, max_size=cols))
+                                  for _ in range(rows)])
+
+
+def _check_columns_on_read(a, data):
+    """Columns read one at a time, in a drawn order, are those of the
+    oracle's inverse of V, on a and on its transpose."""
+    for m in (a, a.transpose()):
+        snf = smith_normal_form(m)
+        want = _columns(inverse(snf.V))
+        for k in data.draw(st.permutations(range(snf.cols))):
+            assert snf._v_inv[k] == want[k]
+        assert _held(snf) == []
+        assert matmul(snf.V, snf.v_inv) == identity(m.cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(), st.data())
+def test_cycle_basis_columns_built_on_read_are_the_inverses_columns(a, data):
+    _check_columns_on_read(a, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_matrices(), st.data())
+def test_columns_the_euclid_phase_touches_are_the_inverses_columns(a, data):
+    _check_columns_on_read(a, data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_mixed_matrices())
+def test_lazily_built_columns_read_like_a_list(a):
+    plain = list(map(dict, smith_normal_form(a)._v_inv))
+    n = len(plain)
+
+    def unread():
+        return smith_normal_form(a)._v_inv
+
+    assert len(unread()) == n
+    for k in range(-n, n):
+        assert unread()[k] == plain[k]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            unread()[k]
+    # Each start reads from a new factorization, whose columns its reads
+    # build one slice at a time.
+    bounds = [None] + list(range(-n - 1, n + 2))
+    for start in bounds:
+        columns = unread()
+        for stop in bounds:
+            for step in (None, 1, 2, -1):
+                got = columns[start:stop:step]
+                assert len(got) == len(plain[start:stop:step])
+                assert list(got) == plain[start:stop:step]
+                if step in (None, 1) and len(got):
+                    assert got[-1] == plain[start:stop][-1]
+                    assert list(got[1:]) == plain[start:stop][1:]
+
+
+def test_the_euclid_phase_builds_a_held_column_it_touches():
+    # The unit pivot at (0, 0) holds columns 1 and 2; the Euclid phase
+    # pivots on column 1 and steps column 2, building both, so no column is
+    # left to a read.
+    snf = smith_normal_form(IntMatrix(2, 3, [[1, 1, 1], [0, 2, 2]]))
+    assert snf.factors == [1, 2]
+    assert _held(snf) == []
+    assert list(snf._v_inv) == _columns(inverse(snf.V))
+    # Without the second row, columns 1 and 2 stay held until read.
+    snf = smith_normal_form(IntMatrix(1, 3, [[1, 1, 1]]))
+    assert _held(snf) == [1, 2]
+    assert list(snf._v_inv) == _columns(inverse(snf.V))
 
 
 @pytest.fixture
@@ -279,16 +430,17 @@ def test_factorizations_keep_few_bytes_beside_the_boundary_matrices(monkeypatch)
     # Measured on Python 3.11: the boundary matrices of Klein_K x S1_3 take
     # 160 KB, and homology in every degree keeps 3.89 times as much when
     # each factorization copies the vectors it shares, 3.62 times when it
-    # shares all but its identity vectors, and 2.96 times when these are the
-    # unit table's.  The table starts empty here, so the bytes it grows by
-    # are counted whatever ran before.  The complex keeps no boundary matrix,
-    # so the test holds them itself.
+    # shares all but its identity vectors, 2.96 times when these are the
+    # unit table's, and 2.37 times when the columns of V^{-1} that unit
+    # pivots held are built on read.  The table starts empty here, so the
+    # bytes it grows by are counted whatever ran before.  The complex keeps
+    # no boundary matrix, so the test holds them itself.
     monkeypatch.setattr(exact_linalg, "_UNITS", [])
     P = staircase_product(fresh("Klein_K"), fresh("S1_3"))
     held = []
     matrices = _traced_bytes(lambda: held.extend(map(P.boundary_matrix, range(P.dim + 2))))
     factorizations = _traced_bytes(lambda: [P.homology(n) for n in range(P.dim + 1)])
-    assert factorizations < 3.0 * matrices
+    assert factorizations < 2.4 * matrices
 
 
 def _matrices_reachable(memo):
