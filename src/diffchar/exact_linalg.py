@@ -12,8 +12,8 @@ elimination itself every product with them is one of three loop kernels:
 combination of sparse vectors) and `_accumulate` (a dense combination of
 sparse vectors, which reads only the vectors it multiplies).  `_axpy` is the
 one transform step of both elimination phases: each row or column step
-updates the transforms through it, and a unit pivot writes its column of U
-and row of V outright.  It is the only in-place update of a vector, on
+updates the transforms through it, and a unit pivot writes its row of V
+outright.  It is the only in-place update of a vector, on
 vectors the elimination made itself: every vector the module hands out is
 read-only and may be shared, with a matrix, another transform or another
 factorization, instead of copied.  Identity vectors are shared most of all:
@@ -22,7 +22,9 @@ columns of the transforms are never touched, and each identity vector e_k
 that no Euclid-phase step wrote is the one {k: 1} of the module's table
 `_UNITS`.  Nor are the columns of V^{-1} that only unit pivots' rows held
 built before they are read: most of them are cycles of a basis that a
-homology pass never multiplies.
+homology pass never multiplies.  U's columns at the unit pivots, which no
+library code reads, are not kept at all: they are derived from U^{-1} on
+the first read that reaches them.
 """
 
 from __future__ import annotations
@@ -128,13 +130,17 @@ class SnfDecomposition:
     The diagonal of D is `factors` (the invariant factors d1 | d2 | ..., all
     positive, `rank` of them) followed by zeros.  The four transforms are
     kept sparse, as lists of {index: value} dicts: U by columns, U^{-1} by
-    rows, V by rows and V^{-1} by columns.  Some are built on read: a
-    `CycleSplitting.lift` builds the first `rank` columns of U, and the
-    first `rank` rows of U^{-1}, whole on the first read that reaches them,
-    and the elimination leaves each column of V^{-1} past `rank` that only
-    unit pivots' rows held to be built on its own first read
-    (`_LazyColumns`).  Callers outside this module read them through the
-    methods below; `transpose` swaps their roles without copying anything.
+    rows, V by rows and V^{-1} by columns.  Some are built on read.  U's
+    first columns, those of the unit pivots, are not kept: they are derived
+    from U^{-1} whole on the first read that reaches them
+    (`_unit_pivot_columns`), while its Euclid-pivot and trailing columns are
+    kept as they are.  A `CycleSplitting.lift` builds the first `rank`
+    columns of U, and the first `rank` rows of U^{-1}, whole on the first
+    read that reaches them.  The elimination leaves each column of V^{-1}
+    past `rank` that only unit pivots' rows held to be built on its own
+    first read (`_LazyColumns`).  Callers outside this module read the
+    transforms through the methods below; `transpose` swaps their roles
+    without copying anything.
     The dense matrices U, D, V, u_inv and v_inv are built on demand, for
     checks and statistics only.
     """
@@ -162,9 +168,15 @@ class SnfDecomposition:
         return _dots(self._u_inv, vec)
 
     def apply_v_inv(self, vec):
-        """V^{-1} vec; accepts ints or Fractions, and keeps vec's type of zero."""
+        """V^{-1} vec; accepts ints or Fractions, and keeps vec's type of zero.
+
+        A lifted V^{-1} (a coboundary's) is read as one plain list: a solve's
+        coefficients lie in its first `rank` entries, the head it builds."""
         zero = vec[0] * 0 if vec else 0
-        return _accumulate(self.cols, vec, self._v_inv, zero)
+        vectors = self._v_inv
+        if type(vectors) is _LazyHead:
+            vectors = vectors._built()
+        return _accumulate(self.cols, vec, vectors, zero)
 
     @property
     def U(self):
@@ -217,14 +229,16 @@ def smith_normal_form(A):
     column: remainders become the next pivot, and a row holding an entry
     the cleared pivot does not divide is added to the pivot row, so that
     d1 | d2 | ....  The transforms share vectors rather than copy them: a
-    +1 pivot's row of V is its working row, and a row of U^{-1} equal to
-    its column of U is one dict.  Each row and column of a transform starts
-    as the shared e_k = {k: 1} of `_UNITS` and gets a dict of its own when a
-    step first writes into it, so every identity vector that no Euclid-phase
-    step wrote is the shared one.  A unit pivot's column steps are recorded,
-    not applied: a column of V^{-1} is built from the pivots whose rows held
-    it when it pivots or a Euclid step first reads it, and a column that
-    neither happens to is left to its first read.
+    +1 pivot's row of V is its working row.  A unit pivot's column of U is
+    not written, since the Euclid phase never reads it: U's unit-pivot
+    columns are derived from U^{-1} when first read.  Each row and column
+    of a transform starts as the shared e_k = {k: 1} of `_UNITS` and gets a
+    dict of its own when a step first writes into it, so every identity
+    vector that no Euclid-phase step wrote is the shared one.  A unit
+    pivot's column steps are recorded, not applied: a column of V^{-1} is
+    built from the pivots whose rows held it when it pivots or a Euclid
+    step first reads it, and a column that neither happens to is left to
+    its first read.
     """
     rows, cols = A.rows, A.cols
     units = _units(max(rows, cols))
@@ -235,7 +249,8 @@ def smith_normal_form(A):
             in_col[j].add(i)
     # L and L^{-1}, the row steps so far, and R and R^{-1}, the column
     # steps, with L A R the working matrix S.  Each starts as the shared unit
-    # vectors; unit pivots set their rows of L^{-1} and R^{-1} outright.
+    # vectors; unit pivots set their rows of R^{-1} outright and leave their
+    # columns of L^{-1} as they are.
     L, L_inv = units[:rows], units[:rows]
     R, R_inv = units[:cols], units[:cols]
     pivots = []
@@ -271,11 +286,10 @@ def smith_normal_form(A):
         i = best[1]
         pivot_row = S[i]
         e = pivot_row[j]
-        # This pivot's column of U is the pivot column as it stands, and its
-        # row of V is e times the pivot row: the shared e_i for a +1 alone in
-        # its column, and the shared e_j for a pivot alone in its row.
-        if len(col) > 1 or e < 0:
-            L_inv[i] = {r: S[r][j] for r in col}
+        # This pivot's row of V is e times the pivot row, the shared e_j for
+        # a pivot alone in its row.  Its column of U, the pivot column as it
+        # stands, is not kept: U's unit-pivot columns are derived from U^{-1}
+        # on read (`_unit_pivot_columns`).
         if len(pivot_row) > 1:
             R_inv[j] = pivot_row if e == 1 else {c: -x for c, x in pivot_row.items()}
         piv_r.append(built(j))
@@ -310,12 +324,13 @@ def smith_normal_form(A):
         S[i] = {}
         pivots.append((i, j))
         if e < 0:
-            # D gets +1; the sign goes to this row of U^{-1}, as to U above.
+            # D gets +1; the sign goes to this row of U^{-1}.
             L[i] = {k: -x for k, x in L[i].items()}
 
     # No unit entry is left: the rest is reduced Euclid style, on the same
     # sparse rows, with the transforms updated step by step.
-    factors = [1] * len(pivots)
+    m = len(pivots)
+    factors = [1] * m
 
     def own(vectors, k):
         # vectors[k], made a dict of its own first if it is the shared e_k.
@@ -386,12 +401,6 @@ def smith_normal_form(A):
         factors.append(abs(d))
         live = [r for r in live if S[r]]
 
-    # Both phases update L and L^{-1} in place, so a row of U^{-1} equal to
-    # its column of U is shared only now.
-    for k, vec in enumerate(L_inv):
-        if L[k] == vec:
-            L[k] = vec
-
     # Pivots first, then the rows and columns left zero: those the non-unit
     # phase saw before the others, each by index.
     row_order = [i for i, _ in pivots]
@@ -405,15 +414,52 @@ def smith_normal_form(A):
     for c, coeffs in held.items():
         R[c] = tuple(coeffs)
     v_rows = list(map(R_inv.__getitem__, col_order))
+    u_inv_rows = list(map(L.__getitem__, row_order))
+    u_tail = list(map(L_inv.__getitem__, row_order[m:]))
     return SnfDecomposition(
         rows,
         cols,
         factors,
-        list(map(L_inv.__getitem__, row_order)),
-        list(map(L.__getitem__, row_order)),
+        _LazyHead(lambda: _unit_pivot_columns(u_inv_rows, u_tail), m, u_tail),
+        u_inv_rows,
         v_rows,
         _LazyColumns(list(map(R.__getitem__, col_order)), v_rows),
     )
+
+
+def _unit_pivot_columns(u_inv, tail):
+    """U's columns at the unit pivots, derived from U^{-1} and `tail`, U's
+    other columns.
+
+    A unit pivot's row of U^{-1} holds its own row index i, with its sign d,
+    and otherwise only earlier pivots' indices: it only ever received their
+    rows.  U's columns at later pivots and past the unit pivots vanish at i,
+    so column i of U U^{-1} = I gives pivot p's column of U as
+    d * (e_i - sum U^{-1}[q][i] * U[:, q]) over the rows q != p of U^{-1}
+    that hold i, and one backward sweep of `_combination`s builds them all.
+    """
+    m = len(u_inv) - len(tail)
+    units = _units(len(u_inv))
+    # pivot[i] is the position of the unit pivot in row i: the one index of
+    # its row of U^{-1} that no earlier pivot's row holds.
+    pivot = {}
+    for p, row in enumerate(islice(u_inv, m)):
+        (i,) = row.keys() - pivot.keys()
+        pivot[i] = p
+    # held[p] maps each other row q of U^{-1} that holds pivot p's index to
+    # its entry there: pivot p's column of U^{-1}, less the diagonal.
+    held = [{} for _ in range(m)]
+    for q, row in enumerate(u_inv):
+        for i, x in row.items():
+            p = pivot.get(i)
+            if p is not None and p != q:
+                held[p][q] = x
+    cols = [None] * m + tail
+    for i, p in reversed(pivot.items()):
+        d = u_inv[p][i]
+        coeffs = {q: -d * x for q, x in held[p].items()}
+        cols[p] = {i: d, **_combination(coeffs, cols)} if coeffs or d < 0 else units[i]
+    return cols[:m]
 
 
 class _LazyColumns:
@@ -571,17 +617,19 @@ class CycleSplitting:
         The library reads only the columns s: of U (s the rank of U_N), as
         cocycle coordinates, and the rows :s of U^{-1} only to solve, so
         K * U_N[:, :s] and U_N^{-1}[:s] * V[r:] are each built whole on the
-        first read that reaches them: a solve reads all of U^{-1}.
+        first read that reaches them: a solve reads all of U^{-1}.  Only then
+        is U_N[:, :s] read, so a lift derives none of U_N's unit-pivot
+        columns.
         """
         snf = self.snf
         r = snf.rank
         s = rel_snf.rank
         cols, rows = self._cols, self._rows
         u_cols = _LazyHead(
-            rel_snf._u[:s], lambda col: _combination(col, cols),
+            lambda: [_combination(col, cols) for col in rel_snf._u[:s]], s,
             [*(_combination(col, cols) for col in rel_snf._u[s:]), *snf._v_inv[:r]])
         u_inv_rows = _LazyHead(
-            rel_snf._u_inv[:s], lambda row: _combination(row, rows),
+            lambda: [_combination(row, rows) for row in rel_snf._u_inv[:s]], s,
             [_combination(row, rows) for row in rel_snf._u_inv[s:]] + snf._v[:r])
         return SnfDecomposition(
             snf.cols, rel_snf.cols, rel_snf.factors, u_cols, u_inv_rows, rel_snf._v, rel_snf._v_inv
@@ -589,35 +637,37 @@ class CycleSplitting:
 
 
 class _LazyHead:
-    """The read-only list [build(x) for x in head] + tail, whose head is
-    built whole on the first read that reaches it; a read within the tail
-    builds nothing."""
+    """The read-only list build() + tail, where build() returns the first
+    `size` items: it runs once, on the first read that reaches them, and a
+    read within the tail runs nothing.  Once built, the whole list is kept
+    as one plain list."""
 
-    __slots__ = ("_head", "_build", "_tail", "_items")
+    __slots__ = ("_build", "_size", "_tail", "_items")
 
-    def __init__(self, head, build, tail):
-        self._head, self._build, self._tail, self._items = head, build, tail, None
+    def __init__(self, build, size, tail):
+        self._build, self._size, self._tail, self._items = build, size, tail, None
 
     def __len__(self):
-        return len(self._head) + len(self._tail)
+        return self._size + len(self._tail)
 
     def _built(self):
+        """The whole list as a plain list, its head built."""
         if self._items is None:
-            self._items = [self._build(x) for x in self._head]
+            self._items = self._build() + self._tail
         return self._items
 
     def __getitem__(self, key):
-        s = len(self._head)
+        s = self._size
         if isinstance(key, slice):
-            start, stop, step = key.indices(len(self))
+            start, stop, step = key.indices(s + len(self._tail))
             if step == 1 and start >= s:
                 return self._tail[start - s:max(start, stop) - s]
-            return (self._built() + self._tail)[key]
+            return self._built()[key]
         k = range(s + len(self._tail))[key]
         return self._built()[k] if k < s else self._tail[k - s]
 
     def __iter__(self):
-        return iter(self._built() + self._tail)
+        return iter(self._built())
 
 
 def _dots(rows, vec):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from diffchar.simplicial import Complex, SimplicialMap, maximal_simplices
+from diffchar.simplicial import MAX_FACES, Complex, SimplicialMap, maximal_simplices
 from diffchar.cochain import Cochain, zero_cochain
 from diffchar.characters import DiffChar
 
@@ -82,14 +82,15 @@ def complex_to_json(complex):
     return {"name": complex.name, "vertices": complex.num_vertices, "simplices": simplices}
 
 
-# Bound on the faces that closing the listed simplices may produce, counted as
-# the sum of 2^|s| - 1 before the closure runs.  It sits well above every
-# product of bundled complexes (T2_9 x RP2_6 counts 92,016 with all its
-# simplices listed) and below the 262,143 faces of one 18-vertex simplex,
-# whose closure alone takes over a second and doubles with each extra vertex.
-# It also bounds the vertex count, which sizes every table indexed by vertex
-# (an identity map, the components); T2_9 x RP2_6 has 54 vertices.
-MAX_FACES = 2**17
+# MAX_FACES bounds the faces that closing the listed simplices may produce,
+# counted as the sum of 2^|s| - 1 before the closure runs.  It sits well
+# above every product of bundled complexes (T2_9 x RP2_6 counts 92,016 with
+# all its simplices listed) and below the 262,143 faces of one 18-vertex
+# simplex, whose closure alone takes over a second and doubles with each
+# extra vertex.  It also bounds the vertex count, which sizes every table
+# indexed by vertex (an identity map, the components); T2_9 x RP2_6 has 54
+# vertices.  `simplicial` defines it, and the `Complex` constructor refuses
+# a vertex count past it too.
 
 
 def _check_size(vertices, simplices):

@@ -30,26 +30,16 @@ from diffchar.exact_linalg import (
 )
 
 
+# io's bound on a complex's faces, and here and in io on its vertices.
+MAX_FACES = 2**17
+
+
 class NotManifold(ValueError):
     """The complex is not a pseudomanifold of its dimension."""
 
 
 class NonOrientable(ValueError):
     """No coherent orientation of the top-dimensional simplices exists."""
-
-
-def _validate_simplex(simplex, num_vertices):
-    if len(simplex) == 0:
-        raise ValueError("empty simplex")
-    for v in simplex:
-        # Not isinstance: io would write a bool as a JSON boolean, which it
-        # refuses to read back.
-        if type(v) is not int:
-            raise ValueError(f"vertex {v!r} is not an integer")
-        if v < 0 or v >= num_vertices:
-            raise ValueError(f"vertex {v!r} out of range")
-    if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
-        raise ValueError(f"simplex {simplex} is not strictly increasing")
 
 
 class _Memo:
@@ -124,15 +114,25 @@ class Complex(_Factorizations):
     """
 
     def __init__(self, num_vertices, simplices, name=""):
-        # An exact int, as for vertices: io refuses a bool or a float.
-        if type(num_vertices) is not int or num_vertices < 0:
-            raise ValueError(f"vertex count {num_vertices!r} is not an integer >= 0")
+        # Exact ints, the count and each vertex, not isinstance: io would
+        # write a bool as a JSON boolean, which it refuses to read back, and
+        # it refuses a float.  The count is held to io's bound too.
+        if type(num_vertices) is not int or not 0 <= num_vertices <= MAX_FACES:
+            raise ValueError(f"vertex count {num_vertices!r} is not an integer in [0, {MAX_FACES}]")
         by_dim = {}
         seen = set()
         stack = []
         for s in simplices:
             s = tuple(s)
-            _validate_simplex(s, num_vertices)
+            if len(s) == 0:
+                raise ValueError("empty simplex")
+            for v in s:
+                if type(v) is not int:
+                    raise ValueError(f"vertex {v!r} is not an integer")
+                if v < 0 or v >= num_vertices:
+                    raise ValueError(f"vertex {v!r} out of range")
+            if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
+                raise ValueError(f"simplex {s} is not strictly increasing")
             stack.append(s)
         while stack:
             s = stack.pop()

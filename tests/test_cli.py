@@ -570,11 +570,12 @@ def test_vertex_count_is_bounded():
 
 
 def test_io_writes_no_complex_it_would_refuse_to_read():
-    """The constructor takes any size, since products pass the bounds that io
-    applies to files; io refuses to write what it would refuse to read."""
-    wide = Complex(io.MAX_FACES + 1, [])
+    """The constructor bounds the vertex count but not the listed faces, and
+    a product, built unchecked, may pass both of io's bounds; io refuses to
+    write what it would refuse to read."""
+    wide = staircase_product(Complex(363, []), Complex(362, []))
     dense = Complex(100, combinations(range(100), 3))
-    for K, refusal in ((wide, "131073 vertices"), (dense, "1131900 faces")):
+    for K, refusal in ((wide, "131406 vertices"), (dense, "1131900 faces")):
         with pytest.raises(io.FormatError, match=refusal):
             io.complex_to_json(K)
         with pytest.raises(io.FormatError, match=refusal):

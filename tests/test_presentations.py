@@ -255,7 +255,7 @@ def _check_lifts_after_cohomology(make, top):
         coh = tail_first.cohomology(n - 1)
         snf = tail_first.boundary_snf(n)
         d = tail_first.boundary_matrix(n)
-        if isinstance(snf._u, _LazyHead) and snf._u._head:
+        if isinstance(snf._u, _LazyHead) and snf._u._size:
             assert _unbuilt(snf._u) and _unbuilt(snf._u_inv)
             lazy += 1
         eager, eager_coh = _eager(fresh.boundary_snf(n)), _eager_cohomology(fresh, n - 1)
@@ -342,7 +342,7 @@ def test_lazy_head_reads_like_a_list(drawn):
     n = len(plain)
 
     def fresh():
-        return _LazyHead(head, lambda c: _combination(c, vectors), tail)
+        return _LazyHead(lambda: [_combination(c, vectors) for c in head], len(head), tail)
 
     assert len(fresh()) == n
     assert list(fresh()) == plain
@@ -363,7 +363,8 @@ def test_lazy_head_reads_like_a_list(drawn):
     assert lazy[len(head) + 1:n + 2] == tail[1:]
     assert lazy[n:len(head)] == []
     assert lazy._items is None
-    # Reading one head item builds the whole head.
+    # Reading one head item builds the whole head, kept with the tail as
+    # one plain list.
     if head:
         assert lazy[-n] == plain[0]
-        assert lazy._items == plain[:len(head)]
+        assert type(lazy._items) is list and lazy._items == plain

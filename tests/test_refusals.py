@@ -287,6 +287,9 @@ CASES = {
     "Complex-empty-simplex": (
         lambda: Complex(3, [()]),
         ValueError, "empty simplex"),
+    "Complex-vertex-count": (
+        lambda: Complex(io.MAX_FACES + 1, [(0, 1)]),
+        ValueError, "vertex count 131073 is not an integer in [0, 131072]"),
     "chain_from_vector-length": (
         lambda: S1.chain_from_vector(1, [0]),
         ValueError, "vector length does not match simplex count"),

@@ -9,7 +9,9 @@ them.  Every identity vector e_k they hold that no Euclid-phase step wrote,
 which on the factorizations of a complex is every one, is the {k: 1} of
 the engine's unit table, which must stay as it is.  A column of V^{-1}
 that only unit pivots' rows held is built on its first read, and equals
-the column of the oracle's inverse of V.  A product's
+the column of the oracle's inverse of V; U's unit-pivot columns are
+derived from U^{-1} on the first read that reaches them, and equal the
+oracle's inverse of U^{-1}.  A product's
 factorizations keep few bytes beside its boundary matrices.  No complex keeps its boundary
 matrices: the elimination reads d_n once, and readers that come back to it
 build it once for its row tables.
@@ -269,6 +271,57 @@ def test_the_euclid_phase_builds_a_held_column_it_touches():
     assert list(snf._v_inv) == _columns(inverse(snf.V))
 
 
+# U's columns at the unit pivots are not kept: the first read that reaches
+# them derives them all from U^{-1}, and they are the columns of the
+# oracle's inverse of U^{-1}.  A read of a Euclid-pivot, torsion or trailing
+# column derives nothing.
+
+
+def _derived(snf):
+    """Whether U's unit-pivot columns have been derived."""
+    return snf._u._items is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(int_matrices(), _mixed_matrices()))
+def test_unit_pivot_columns_of_u_are_the_inverses_columns(a):
+    for m in (a, a.transpose()):
+        snf = smith_normal_form(m)
+        assert not _derived(snf)
+        want = _columns(inverse(snf.u_inv))
+        assert list(snf._u) == want
+        assert _derived(snf)
+        assert matmul(matmul(snf.U, snf.D), snf.V) == m
+        # A derived column that is an identity vector is the unit table's.
+        for col in snf._u[:len(snf._u) - len(snf._u._tail)]:
+            if list(col.values()) == [1]:
+                assert col is exact_linalg._UNITS[next(iter(col))]
+
+
+def test_reading_euclid_and_trailing_columns_of_u_derives_nothing():
+    # The unit pivot at (0, 0) and the Euclid pivot 2 in row 1; row 2 is zero.
+    snf = smith_normal_form(IntMatrix(3, 3, [[1, 1, 0], [0, 2, 0], [0, 0, 0]]))
+    assert (snf.factors, len(snf._u) - len(snf._u._tail)) == ([1, 2], 1)
+    want = _columns(inverse(snf.u_inv))
+    assert snf._u[1] == want[1] and snf._u[2] == want[2]
+    assert snf._u[1:] == want[1:] and snf._u[-1] == want[2]
+    assert not _derived(snf)
+    assert snf._u[0] == want[0] and _derived(snf)
+
+
+@pytest.mark.parametrize("name", ["RP2_6", "Klein_K"])
+def test_torsion_and_free_generators_derive_no_unit_pivot_column(name):
+    P = staircase_product(fresh(name), fresh("S1_3"))
+    groups = [P.homology(n) for n in range(P.dim + 1)]
+    assert any(group.torsion for group in groups)
+    for n in range(P.dim + 1):
+        P.cohomology(n)
+        P.boundary_snf(n + 1).apply_u_inv([0] * P.chain_count(n))
+    relations = [P.relation_snf(n) for n in range(P.dim + 2)]
+    assert any(len(snf._u) > len(snf._u._tail) for snf in relations)
+    assert not any(map(_derived, relations))
+
+
 @pytest.fixture
 def no_dense_views(monkeypatch):
     """Make the dense view of every IntMatrix and the five dense views of
@@ -431,16 +484,17 @@ def test_factorizations_keep_few_bytes_beside_the_boundary_matrices(monkeypatch)
     # 160 KB, and homology in every degree keeps 3.89 times as much when
     # each factorization copies the vectors it shares, 3.62 times when it
     # shares all but its identity vectors, 2.96 times when these are the
-    # unit table's, and 2.37 times when the columns of V^{-1} that unit
-    # pivots held are built on read.  The table starts empty here, so the
-    # bytes it grows by are counted whatever ran before.  The complex keeps
-    # no boundary matrix, so the test holds them itself.
+    # unit table's, 2.37 times when the columns of V^{-1} that unit pivots
+    # held are built on read, and 2.19 times when U's columns at the unit
+    # pivots are derived from U^{-1} on read.  The table starts empty here,
+    # so the bytes it grows by are counted whatever ran before.  The complex
+    # keeps no boundary matrix, so the test holds them itself.
     monkeypatch.setattr(exact_linalg, "_UNITS", [])
     P = staircase_product(fresh("Klein_K"), fresh("S1_3"))
     held = []
     matrices = _traced_bytes(lambda: held.extend(map(P.boundary_matrix, range(P.dim + 2))))
     factorizations = _traced_bytes(lambda: [P.homology(n) for n in range(P.dim + 1)])
-    assert factorizations < 2.4 * matrices
+    assert factorizations < 2.2 * matrices
 
 
 def _matrices_reachable(memo):
