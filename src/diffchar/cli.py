@@ -14,7 +14,7 @@ from __future__ import annotations
 # bench/launch.py wraps their functions for tracing, and before the standard
 # modules below: compiling them is the import's memory peak, which argparse
 # and json, loaded first, would add to.
-from diffchar.simplicial import mapping_cone, product_face_count, staircase_product
+from diffchar.simplicial import mapping_cone, staircase_product
 from diffchar.characters import NotACycle, evaluate, flat_character, iota
 from diffchar import fixtures, io
 
@@ -179,19 +179,11 @@ def _cmd_product(args):
     return _report("product", inputs, {"character": io.character_to_json(hf)}), 0
 
 
-def _staircase_product(left, right):
-    """The staircase product of two inputs, refused unbuilt past io.MAX_FACES."""
-    faces = product_face_count(left, right)
-    if faces > io.MAX_FACES:
-        raise InputError(f"the product would have {faces} faces, more than {io.MAX_FACES}")
-    return staircase_product(left, right)
-
-
 def _cmd_xproduct(args):
     from diffchar.products import external_product
 
     tokens, h, f = _two_characters(args)
-    P = _staircase_product(h.complex, f.complex)
+    P = staircase_product(h.complex, f.complex)
     hf = external_product(h, f, P)
     inputs = {"character": tokens}
     result = {
@@ -208,7 +200,7 @@ def _fiber_inputs(args):
 
     base = _resolve_complex(args.complex)
     fiber = _resolve_complex(args.fiber or "interval")
-    tr = product_transfer(base, fiber, total=_staircase_product(base, fiber))
+    tr = product_transfer(base, fiber)
     h = _resolve(args.character, "character", fixtures.character_by_name,
                  lambda path: io.character_from_json(_load_json(path), tr.total))
     if h.complex != tr.total:

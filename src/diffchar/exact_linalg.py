@@ -20,18 +20,19 @@ factorization, instead of copied.  Identity vectors are shared most of all:
 boundary matrices reduce almost entirely on +-1 pivots, so most rows and
 columns of the transforms are never touched, and each identity vector e_k
 that no Euclid-phase step wrote is the one {k: 1} of the module's table
-`_UNITS`.  Nor are the columns of V^{-1} that only unit pivots' rows held
-built before they are read: most of them are cycles of a basis that a
-homology pass never multiplies.  U's columns at the unit pivots, which no
-library code reads, are not kept at all: they are derived from U^{-1} on
-the first read that reaches them.
+`_UNITS`.  V^{-1} is not stored: it is answered from V, whose unit-pivot
+rows are the elimination's column steps, by one substitution for a whole
+read and a sparse one for a single column (`_InverseColumns`); a homology
+pass multiplies few of its columns.  U's columns at the unit pivots, which
+no library code reads, are not kept either: they are derived from U^{-1}
+on the first read that reaches them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress, count, islice, repeat
+from itertools import compress, islice, repeat
 from math import gcd
 
 
@@ -129,18 +130,18 @@ class SnfDecomposition:
 
     The diagonal of D is `factors` (the invariant factors d1 | d2 | ..., all
     positive, `rank` of them) followed by zeros.  The four transforms are
-    kept sparse, as lists of {index: value} dicts: U by columns, U^{-1} by
+    read as lists of sparse {index: value} dicts: U by columns, U^{-1} by
     rows, V by rows and V^{-1} by columns.  Some are built on read.  U's
     first columns, those of the unit pivots, are not kept: they are derived
     from U^{-1} whole on the first read that reaches them
     (`_unit_pivot_columns`), while its Euclid-pivot and trailing columns are
     kept as they are.  A `CycleSplitting.lift` builds the first `rank`
     columns of U, and the first `rank` rows of U^{-1}, whole on the first
-    read that reaches them.  The elimination leaves each column of V^{-1}
-    past `rank` that only unit pivots' rows held to be built on its own
-    first read (`_LazyColumns`).  Callers outside this module read the
-    transforms through the methods below; `transpose` swaps their roles
-    without copying anything.
+    read that reaches them.  V^{-1} is not stored: it is answered from V
+    (`_InverseColumns`), whose unit-pivot rows form a triangular matrix
+    with 1 on the diagonal, and from the block W^{-1} of the Euclid
+    phase.  Callers outside this module read the transforms through the
+    methods below; `transpose` swaps their roles without copying anything.
     The dense matrices U, D, V, u_inv and v_inv are built on demand, for
     checks and statistics only.
     """
@@ -170,10 +171,13 @@ class SnfDecomposition:
     def apply_v_inv(self, vec):
         """V^{-1} vec; accepts ints or Fractions, and keeps vec's type of zero.
 
+        A factorization's V^{-1} is one backward substitution over V's rows.
         A lifted V^{-1} (a coboundary's) is read as one plain list: a solve's
         coefficients lie in its first `rank` entries, the head it builds."""
         zero = vec[0] * 0 if vec else 0
         vectors = self._v_inv
+        if type(vectors) is _InverseColumns:
+            return vectors._solve(vec, zero)
         if type(vectors) is _LazyHead:
             vectors = vectors._built()
         return _accumulate(self.cols, vec, vectors, zero)
@@ -228,17 +232,16 @@ def smith_normal_form(A):
     style on an entry of least absolute value, ties broken by row and then
     column: remainders become the next pivot, and a row holding an entry
     the cleared pivot does not divide is added to the pivot row, so that
-    d1 | d2 | ....  The transforms share vectors rather than copy them: a
-    +1 pivot's row of V is its working row.  A unit pivot's column of U is
-    not written, since the Euclid phase never reads it: U's unit-pivot
-    columns are derived from U^{-1} when first read.  Each row and column
-    of a transform starts as the shared e_k = {k: 1} of `_UNITS` and gets a
-    dict of its own when a step first writes into it, so every identity
-    vector that no Euclid-phase step wrote is the shared one.  A unit
-    pivot's column steps are recorded, not applied: a column of V^{-1} is
-    built from the pivots whose rows held it when it pivots or a Euclid
-    step first reads it, and a column that neither happens to is left to
-    its first read.
+    d1 | d2 | ....  The transforms share vectors rather than copy them.  A
+    unit pivot's column of U is not written, since the Euclid phase never
+    reads it: U's unit-pivot columns are derived from U^{-1} when first
+    read.  Each row and column of a transform starts as the shared
+    e_k = {k: 1} of `_UNITS` and gets a dict of its own when a step first
+    writes into it, so every identity vector that no Euclid-phase step
+    wrote is the shared one.  V^{-1} is not built: a unit pivot's row of V
+    is its column steps, and V^{-1} is read from V's rows, the index of the
+    unit pivots that hold each column, and the Euclid phase's own block
+    W^{-1} on the columns left (`_InverseColumns`).
     """
     rows, cols = A.rows, A.cols
     units = _units(max(rows, cols))
@@ -247,25 +250,16 @@ def smith_normal_form(A):
     for i, row in enumerate(S):
         for j in row:
             in_col[j].add(i)
-    # L and L^{-1}, the row steps so far, and R and R^{-1}, the column
-    # steps, with L A R the working matrix S.  Each starts as the shared unit
-    # vectors; unit pivots set their rows of R^{-1} outright and leave their
+    # L and L^{-1}, the row steps so far, and R^{-1} = V, the column steps,
+    # with L A R the working matrix S.  Each starts as the shared unit
+    # vectors; unit pivots set their rows of V outright and leave their
     # columns of L^{-1} as they are.
     L, L_inv = units[:rows], units[:rows]
-    R, R_inv = units[:cols], units[:cols]
+    R_inv = units[:cols]
     pivots = []
-    # A unit pivot does not push its column of R into the other columns of
-    # its row: held[c] maps each unit pivot p (by position) whose row held c
-    # to -V[p][c].  R's column c is e_c plus that combination of the unit
-    # pivots' columns `piv_r`, built when c pivots or a Euclid step first
-    # reads it; the columns left keep only their pivots.
+    # held[c] lists the unit pivots, by position, whose rows of V hold
+    # column c: the index through which V^{-1} is read (`_InverseColumns`).
     held = {}
-    piv_r = []
-
-    def built(c):
-        if c in held:
-            R[c] = {c: 1, **_combination(held.pop(c), piv_r)}
-        return R[c]
 
     # A column j with count nonzeros is keyed count * cols + j, so ints order
     # the heap by count and then index.
@@ -286,13 +280,13 @@ def smith_normal_form(A):
         i = best[1]
         pivot_row = S[i]
         e = pivot_row[j]
-        # This pivot's row of V is e times the pivot row, the shared e_j for
-        # a pivot alone in its row.  Its column of U, the pivot column as it
-        # stands, is not kept: U's unit-pivot columns are derived from U^{-1}
-        # on read (`_unit_pivot_columns`).
+        # This pivot's row of V is e times the pivot row, its own column
+        # first, where `_InverseColumns` reads it; the shared e_j for a pivot
+        # alone in its row.  Its column of U, the pivot column as it stands,
+        # is not kept: U's unit-pivot columns are derived from U^{-1} on read
+        # (`_unit_pivot_columns`).
         if len(pivot_row) > 1:
-            R_inv[j] = pivot_row if e == 1 else {c: -x for c, x in pivot_row.items()}
-        piv_r.append(built(j))
+            R_inv[j] = {j: 1, **(pivot_row if e == 1 else {c: -x for c, x in pivot_row.items()})}
         for r in [r for r in col if r != i]:
             row = S[r]
             t = -row[j] * e
@@ -311,14 +305,11 @@ def smith_normal_form(A):
         # The row steps above left the pivot row as it was, so each of its
         # other columns is pushed with its final count, unless it emptied.
         p = len(pivots)
-        for c, x in pivot_row.items():
+        for c in pivot_row:
             col = in_col[c]
             col.discard(i)
             if c != j:
-                if c in held:
-                    held[c][p] = -x * e
-                else:
-                    held[c] = {p: -x * e}
+                held.setdefault(c, []).append(p)
                 if col:
                     heappush(heap, len(col) * cols + c)
         S[i] = {}
@@ -328,9 +319,12 @@ def smith_normal_form(A):
             L[i] = {k: -x for k, x in L[i].items()}
 
     # No unit entry is left: the rest is reduced Euclid style, on the same
-    # sparse rows, with the transforms updated step by step.
+    # sparse rows, with the transforms updated step by step.  The column
+    # steps touch only the columns left, so R is kept on them alone: it is
+    # W^{-1}, W the block of V on those columns.
     m = len(pivots)
     factors = [1] * m
+    R = units[:cols]
 
     def own(vectors, k):
         # vectors[k], made a dict of its own first if it is the shared e_k.
@@ -360,8 +354,7 @@ def smith_normal_form(A):
         # -= t * its row c.
         for r in in_col[j]:
             put(r, c, S[r].get(c, 0) + t * S[r][j])
-        built(c)
-        _axpy(own(R, c), t, built(j))
+        _axpy(own(R, c), t, R[j])
         _axpy(own(R_inv, j), -t, R_inv[c])
 
     def least():
@@ -396,7 +389,6 @@ def smith_normal_form(A):
             L_inv[i] = {k: -x for k, x in L_inv[i].items()}
         S[i] = {}
         in_col[j].clear()
-        built(j)
         pivots.append((i, j))
         factors.append(abs(d))
         live = [r for r in live if S[r]]
@@ -409,10 +401,6 @@ def smith_normal_form(A):
         set(range(rows)).difference(row_order), key=lambda r: (r not in seen_rows, r))
     col_order += sorted(
         set(range(cols)).difference(col_order), key=lambda c: (c not in seen_cols, c))
-    # V's rows give back the coefficients, so a column left keeps only its
-    # pivots.
-    for c, coeffs in held.items():
-        R[c] = tuple(coeffs)
     v_rows = list(map(R_inv.__getitem__, col_order))
     u_inv_rows = list(map(L.__getitem__, row_order))
     u_tail = list(map(L_inv.__getitem__, row_order[m:]))
@@ -423,7 +411,8 @@ def smith_normal_form(A):
         _LazyHead(lambda: _unit_pivot_columns(u_inv_rows, u_tail), m, u_tail),
         u_inv_rows,
         v_rows,
-        _LazyColumns(list(map(R.__getitem__, col_order)), v_rows),
+        _InverseColumns((v_rows, col_order[:m], list(map(R.__getitem__, col_order[m:])),
+                         list(map(tuple, map(held.get, range(cols), repeat(())))), {}), (), 0, cols),
     )
 
 
@@ -462,54 +451,128 @@ def _unit_pivot_columns(u_inv, tail):
     return cols[:m]
 
 
-class _LazyColumns:
-    """V^{-1}'s columns items[start:stop] as a read-only list, in which a
-    slot that still holds a tuple of unit pivots is built on its first read.
+class _InverseColumns:
+    """The read-only list head + V^{-1}[:, start:stop] of a factorization,
+    answered from V: V^{-1} is not stored.
 
-    Such a column c was held only by those pivots' rows and no Euclid step
-    touched it, so its row of V is still e_c and its column is
-    e_c - sum V[p][c] * V^{-1}[:, p] over the pivots p of the slot.  The
-    unit pivots' columns vanish at c, so that is e_c joined to their
-    `_combination`.  Slices share `items`, so each column is built once,
-    whichever slice reads it first; a whole read builds the rest in one
-    sweep and then walks the plain list.
+    V's first rows, the unit pivots' in pivot order, each hold their own
+    column first, at 1, and otherwise only columns that pivot later or
+    never; its other rows, W, hold only those other columns.  So
+    V = [[V_PP, V_PX], [0, W]] with V_PP unit triangular, and
+    V^{-1} = [[V_PP^{-1}, -V_PP^{-1} V_PX W^{-1}], [0, W^{-1}]].  The
+    slices of one V^{-1} share `core`: V's rows, the unit pivots' columns,
+    W^{-1}'s columns (the shared units where no Euclid step reached), for
+    each column of V the unit pivots whose rows hold it, and the built
+    columns kept.  A whole read is one substitution over V's unit-pivot
+    rows: `_dots` forward, `_solve` backward.  One item is built by a sparse
+    backward substitution from its column of W^{-1}, or e_j at a unit
+    pivot's column j, that reaches through the holders only the pivots it
+    depends on; it is kept if it lies past the unit pivots.  `head + view`
+    is the view with the list `head` before its items.
     """
 
-    __slots__ = ("_items", "_v", "_start", "_stop", "_whole")
+    __slots__ = ("_core", "_head", "_start", "_stop")
 
-    def __init__(self, items, v, start=0, stop=None):
-        self._items, self._v, self._start = items, v, start
-        self._stop = len(items) if stop is None else stop
-        self._whole = False
+    def __init__(self, core, head, start, stop):
+        self._core, self._head, self._start, self._stop = core, head, start, stop
 
     def __len__(self):
-        return self._stop - self._start
+        return len(self._head) + self._stop - self._start
 
-    def _build(self, k):
-        items, v = self._items, self._v
-        (c,) = v[k]
-        col = items[k] = {c: 1, **_combination({p: -v[p][c] for p in items[k]}, items)}
-        return col
+    def __radd__(self, head):
+        return _InverseColumns(self._core, [*head, *self._head], self._start, self._stop)
 
     def __getitem__(self, key):
+        h = len(self._head)
         if isinstance(key, slice):
             start, stop, step = key.indices(len(self))
             if step != 1:
                 return list(self)[key]
-            start += self._start
-            return _LazyColumns(self._items, self._v, start, max(start, stop + self._start))
-        k = range(self._start, self._stop)[key]
-        col = self._items[k]
-        return self._build(k) if type(col) is tuple else col
+            stop = max(start, stop)
+            return _InverseColumns(self._core, self._head[start:stop],
+                                   self._start + max(start - h, 0), self._start + max(stop - h, 0))
+        k = range(len(self))[key]
+        return self._head[k] if k < h else self._column(self._start + k - h)
 
     def __iter__(self):
-        items, start, stop = self._items, self._start, self._stop
-        if not self._whole:
-            held = map(isinstance, islice(items, start, stop), repeat(tuple))
-            for k in compress(count(start), held):
-                self._build(k)
-            self._whole = True
-        return islice(items, start, stop)
+        return map(self.__getitem__, range(len(self)))
+
+    def _column(self, k):
+        """Column k of V^{-1}, completed at the unit pivots' columns latest
+        pivot first: pivot q's entry is minus the sum of V[q][c] x_c over
+        the entries x_c found so far, each added in as it is found."""
+        v, cols, w, held, kept = self._core
+        if k in kept:
+            return kept[k]
+        m = len(cols)
+        stored = w[k - m] if k >= m else _UNITS[cols[k]]
+        acc = {}
+        for c, x in stored.items():
+            for q in held[c]:
+                acc[q] = acc.get(q, 0) - x * v[q][c]
+        if not acc:
+            return stored
+        col = dict(stored)
+        heap = [-q for q in acc]
+        heapify(heap)
+        while heap:
+            q = -heappop(heap)
+            x = acc.pop(q)
+            if x:
+                j = cols[q]
+                col[j] = x
+                for p in held[j]:
+                    if p not in acc:
+                        acc[p] = 0
+                        heappush(heap, -p)
+                    acc[p] -= x * v[p][j]
+        if len(col) == len(stored):
+            # No pivot's entry is left: the column is the stored one.
+            return stored
+        if k >= m:
+            kept[k] = col
+        return col
+
+    def _dots(self, vec):
+        """[item . vec for item in self], by one forward substitution
+        z V = vec: a unit pivot's z is what is left of vec at its column
+        once the pivots before it are taken off, and past them z is W^{-1}'s
+        columns dotted with what is left.  V's entries are almost all +-1,
+        and a product costs as much as a sum when vec holds Fractions."""
+        v, cols, w, _, _ = self._core
+        start, stop, m = self._start, self._stop, len(cols)
+        a = list(vec)
+        for j, row in zip(cols[:stop], v):
+            x = a[j]
+            if x:
+                items = iter(row.items())
+                next(items)
+                for c, y in items:
+                    if y == 1:
+                        a[c] -= x
+                    elif y == -1:
+                        a[c] += x
+                    else:
+                        a[c] -= x * y
+        return (_dots(self._head, vec) + list(map(a.__getitem__, cols[start:stop]))
+                + _dots(w[max(start - m, 0):max(stop - m, 0)], a))
+
+    def _solve(self, y, zero):
+        """V^{-1} y over the whole of V^{-1}, from `zero`, by one backward
+        substitution V x = y: x is W^{-1} y past the unit pivots' columns,
+        and then, latest pivot first, y's entry at the pivot less the rest of
+        V's row there times x."""
+        v, cols, w, _, _ = self._core
+        m = len(cols)
+        x = _accumulate(len(v), y[m:], w, zero)
+        for q in reversed(range(m)):
+            items = iter(v[q].items())
+            next(items)
+            acc = y[q]
+            for c, t in items:
+                acc -= t * x[c]
+            x[cols[q]] = acc
+        return x
 
 
 def _solve(snf, b, zero, divide):
@@ -561,10 +624,10 @@ class CycleSplitting:
     coordinates of a chain's cycle part and the columns r: of V^{-1} are a
     basis of the cycles.  Only these kernel rows and columns are read, as the
     factorization's sparse {index: value} dicts; the projection onto cycles is
-    `combine(coordinates(v))`, and it fixes exactly the cycles.  A basis
-    cycle that only unit pivots' rows held is built on its first read:
-    `combine` and the presentations build the cycles they multiply, and
-    `periods` and `cycle_basis` build the rest.
+    `combine(coordinates(v))`, and it fixes exactly the cycles.  The basis
+    cycles are answered from V (`_InverseColumns`): `combine` and the
+    presentations build the cycles they multiply, which stay kept, and
+    `periods` reads them all through one substitution over V's rows.
     """
 
     __slots__ = ("snf", "_rows", "_cols")
@@ -619,7 +682,8 @@ class CycleSplitting:
         K * U_N[:, :s] and U_N^{-1}[:s] * V[r:] are each built whole on the
         first read that reaches them: a solve reads all of U^{-1}.  Only then
         is U_N[:, :s] read, so a lift derives none of U_N's unit-pivot
-        columns.
+        columns.  The complement columns are the view V^{-1}[:, :r], answered
+        from V like V^{-1} itself, so a lift builds none of them.
         """
         snf = self.snf
         r = snf.rank
@@ -627,7 +691,7 @@ class CycleSplitting:
         cols, rows = self._cols, self._rows
         u_cols = _LazyHead(
             lambda: [_combination(col, cols) for col in rel_snf._u[:s]], s,
-            [*(_combination(col, cols) for col in rel_snf._u[s:]), *snf._v_inv[:r]])
+            [_combination(col, cols) for col in rel_snf._u[s:]] + snf._v_inv[:r])
         u_inv_rows = _LazyHead(
             lambda: [_combination(row, rows) for row in rel_snf._u_inv[:s]], s,
             [_combination(row, rows) for row in rel_snf._u_inv[s:]] + snf._v[:r])
@@ -640,7 +704,8 @@ class _LazyHead:
     """The read-only list build() + tail, where build() returns the first
     `size` items: it runs once, on the first read that reaches them, and a
     read within the tail runs nothing.  Once built, the whole list is kept
-    as one plain list."""
+    as one plain list, or, where the tail is a view of V^{-1}, as that view
+    with the head before it."""
 
     __slots__ = ("_build", "_size", "_tail", "_items")
 
@@ -674,8 +739,11 @@ def _dots(rows, vec):
     """[row . vec for row in rows], each sparse row against a dense vec.
 
     Starts every sum at the int 0, as sum() does: an empty row gives 0, and
-    Fraction entries give Fractions.
+    Fraction entries give Fractions.  V^{-1}'s columns are read by
+    substitution instead (`_InverseColumns._dots`).
     """
+    if type(rows) is _InverseColumns:
+        return rows._dots(vec)
     out = []
     for row in rows:
         acc = 0

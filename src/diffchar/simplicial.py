@@ -646,9 +646,14 @@ class ProductComplex(Complex):
     projections span simplices of the factors.  Each is a path of
     `_paths(p, q)` over a p-simplex and a q-simplex of the factors, so the
     constructor builds each face once and neither closes nor checks them.
+    It refuses, unbuilt, a product of more than MAX_FACES faces or vertices.
     """
 
     def __init__(self, left, right, name=""):
+        for count, what in ((product_face_count(left, right), "faces"),
+                            (left.num_vertices * right.num_vertices, "vertices")):
+            if count > MAX_FACES:
+                raise ValueError(f"the product would have {count} {what}, more than {MAX_FACES}")
         self.left = left
         self.right = right
         nr = right.num_vertices

@@ -570,10 +570,14 @@ def test_vertex_count_is_bounded():
 
 
 def test_io_writes_no_complex_it_would_refuse_to_read():
-    """The constructor bounds the vertex count but not the listed faces, and
-    a product, built unchecked, may pass both of io's bounds; io refuses to
-    write what it would refuse to read."""
-    wide = staircase_product(Complex(363, []), Complex(362, []))
+    """The constructor bounds the vertex count but not the faces that closing
+    the listed simplices makes, and a product refuses more vertices or faces
+    than io reads, so the wide complex comes from the trusted builder; io
+    refuses to write what it would refuse to read."""
+    with pytest.raises(ValueError, match="the product would have 131406 vertices"):
+        staircase_product(Complex(363, []), Complex(362, []))
+    wide = object.__new__(Complex)
+    wide._of(363 * 362, {}, "")
     dense = Complex(100, combinations(range(100), 3))
     for K, refusal in ((wide, "131406 vertices"), (dense, "1131900 faces")):
         with pytest.raises(io.FormatError, match=refusal):

@@ -290,6 +290,12 @@ CASES = {
     "Complex-vertex-count": (
         lambda: Complex(io.MAX_FACES + 1, [(0, 1)]),
         ValueError, "vertex count 131073 is not an integer in [0, 131072]"),
+    "ProductComplex-faces": (
+        lambda: staircase_product(*[Complex(400, [(v,) for v in range(400)])] * 2),
+        ValueError, "the product would have 160000 faces, more than 131072"),
+    "ProductComplex-vertices": (
+        lambda: staircase_product(Complex(1500, []), Complex(1500, [])),
+        ValueError, "the product would have 2250000 vertices, more than 131072"),
     "chain_from_vector-length": (
         lambda: S1.chain_from_vector(1, [0]),
         ValueError, "vector length does not match simplex count"),

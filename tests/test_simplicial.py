@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -335,3 +336,22 @@ def test_product_face_count_predicts_the_built_product():
             P = staircase_product(A, B)
             assert product_face_count(A, B) == sum(1 for _ in P.all_simplices())
     assert product_face_count(fixtures.torus(), fixtures.projective_plane()) == 6804
+
+
+def test_products_past_the_bounds_are_refused_unbuilt():
+    # Each factor passes the constructor's vertex bound; the products would
+    # have 2,250,000 vertices and 160,000 faces, and are refused before any
+    # vertex is encoded.
+    points = Complex(400, [(v,) for v in range(400)])
+    for left, right, refusal in ((Complex(1500, []), Complex(1500, []), "2250000 vertices"),
+                                 (points, points, "160000 faces")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"the product would have {refusal}, more than"):
+            staircase_product(left, right)
+        assert time.perf_counter() - start < 1.0
+    # At the bound the product is built: 131,044 vertices, and 131,044 faces
+    # when the factors list their vertices.
+    listed = Complex(362, [(v,) for v in range(362)])
+    for factor in (Complex(362, []), listed):
+        P = staircase_product(factor, factor)
+        assert P.num_vertices == 362 * 362 == product_face_count(listed, listed)

@@ -7,10 +7,11 @@ and on the boundary matrices of random flag complexes in particular.  The
 vectors it hands out are shared rather than copied, so no reader may change
 them.  Every identity vector e_k they hold that no Euclid-phase step wrote,
 which on the factorizations of a complex is every one, is the {k: 1} of
-the engine's unit table, which must stay as it is.  A column of V^{-1}
-that only unit pivots' rows held is built on its first read, and equals
-the column of the oracle's inverse of V; U's unit-pivot columns are
-derived from U^{-1} on the first read that reaches them, and equal the
+the engine's unit table, which must stay as it is.  V^{-1} is not stored
+but answered from V: whole reads are substitutions and single columns
+are built on read, on a factorization, its transpose and a lift, and all
+equal the products with the oracle's inverse of V; U's unit-pivot columns
+are derived from U^{-1} on the first read that reaches them, and equal the
 oracle's inverse of U^{-1}.  A product's
 factorizations keep few bytes beside its boundary matrices.  No complex keeps its boundary
 matrices: the elimination reads d_n once, and readers that come back to it
@@ -40,7 +41,9 @@ from diffchar.exact_linalg import (
     IntMatrix,
     QuotientPresentation,
     SnfDecomposition,
+    _accumulate,
     _dense,
+    _dots,
     kernel_basis,
     smith_normal_form,
     solve_integer,
@@ -125,14 +128,22 @@ def test_transpose_shares_the_sparse_storage():
         assert getattr(back, name) is getattr(snf, name)
 
 
-# A column of V^{-1} that only unit pivots' rows held, and that no Euclid
-# step touched, is built on its first read: one read builds it alone, a
-# whole read builds the rest, and a transpose reads the same columns.
+# V^{-1} is not stored: it is answered from V.  A column read alone is built
+# by a sparse substitution over V's unit-pivot rows and, past the unit
+# pivots, kept; a unit pivot's column is never kept, and a whole read
+# (`_dots`, `apply_v_inv`) is one substitution that builds no column.
 
 
-def _held(snf):
-    """The positions of the columns of V^{-1} that are not built yet."""
-    return [k for k, col in enumerate(snf._v_inv._items) if type(col) is tuple]
+def _kept(snf):
+    """The positions of the columns of V^{-1} kept so far."""
+    return sorted(snf._v_inv._core[4])
+
+
+def _built_on_read(snf, want):
+    """The positions past the unit pivots whose column of V^{-1}, the
+    oracle's `want`, is not the stored column of W^{-1}: those a read builds."""
+    m, w = len(snf._v_inv._core[1]), snf._v_inv._core[2]
+    return [k for k in range(m, snf.cols) if want[k] != w[k - m]]
 
 
 def _columns(a):
@@ -142,7 +153,7 @@ def _columns(a):
 
 def _product_factorization():
     snf = smith_normal_form(staircase_product(fresh("S1_3"), fresh("S1_3")).boundary_matrix(1))
-    assert len(_held(snf)) > 1
+    assert len(_built_on_read(snf, _columns(inverse(snf.V)))) > 1
     return snf
 
 
@@ -150,18 +161,18 @@ def test_reading_one_cycle_basis_column_builds_it_alone():
     snf = _product_factorization()
     want = _columns(inverse(snf.V))
     split = CycleSplitting(snf)
-    held = _held(snf)
-    assert held and min(held) >= snf.rank
-    k = held[len(held) // 2]
+    built = _built_on_read(snf, want)
+    assert min(built) >= snf.rank and _kept(snf) == []
+    k = built[len(built) // 2]
     col = split._cols[k - snf.rank]
     assert col == want[k]
-    assert _held(snf) == [m for m in held if m != k]
+    assert _kept(snf) == [k]
     assert split._cols[k - snf.rank] is col and snf._v_inv[k] is col
     # combine multiplies only the columns with a nonzero coordinate.
-    m = held[0]
+    m = built[0]
     coords = [int(i == m - snf.rank) for i in range(len(split._cols))]
     assert split.combine(coords) == _dense(snf.cols, want[m])
-    assert _held(snf) == [h for h in held if h not in (k, m)]
+    assert _kept(snf) == sorted({k, m})
 
 
 def test_iterating_the_cycle_basis_builds_the_rest():
@@ -170,25 +181,27 @@ def test_iterating_the_cycle_basis_builds_the_rest():
     split = CycleSplitting(snf)
     first = split._cols[0]
     tail = list(split._cols)
-    assert _held(snf) == []
+    assert _kept(snf) == _built_on_read(snf, want)
     assert tail[0] is first
     assert tail == want[snf.rank:]
+    # The unit pivots' columns are built on each read and never kept.
     assert list(snf._v_inv) == want
+    assert _kept(snf) == _built_on_read(snf, want)
     assert kernel_basis(snf) == [_dense(snf.cols, col) for col in want[snf.rank:]]
 
 
 def test_a_transpose_reads_the_same_lazily_built_columns():
     snf = _product_factorization()
     t = snf.transpose()
-    held = _held(snf)
-    k = held[-1]
+    k = _built_on_read(snf, _columns(inverse(snf.V)))[-1]
     row = t._u_inv[k]
     assert snf._v_inv[k] is row
-    assert _held(snf) == held[:-1]
+    assert _kept(snf) == [k]
     rng = random.Random(1)
     b = [rng.randint(-3, 3) for _ in range(t.rows)]
+    # One forward substitution over V's rows: it builds no column.
     assert t.apply_u_inv(b) == apply(inverse(snf.V).transpose(), b)
-    assert _held(snf) == []
+    assert _kept(snf) == [k]
     assert t._u_inv[k] is row
 
 
@@ -205,13 +218,14 @@ def _mixed_matrices(draw):
 
 def _check_columns_on_read(a, data):
     """Columns read one at a time, in a drawn order, are those of the
-    oracle's inverse of V, on a and on its transpose."""
+    oracle's inverse of V, on a and on its transpose; those built past the
+    unit pivots are kept, and no unit pivot's is."""
     for m in (a, a.transpose()):
         snf = smith_normal_form(m)
         want = _columns(inverse(snf.V))
         for k in data.draw(st.permutations(range(snf.cols))):
             assert snf._v_inv[k] == want[k]
-        assert _held(snf) == []
+        assert _kept(snf) == _built_on_read(snf, want)
         assert matmul(snf.V, snf.v_inv) == identity(m.cols)
 
 
@@ -243,32 +257,101 @@ def test_lazily_built_columns_read_like_a_list(a):
         with pytest.raises(IndexError):
             unread()[k]
     # Each start reads from a new factorization, whose columns its reads
-    # build one slice at a time.
-    bounds = [None] + list(range(-n - 1, n + 2))
-    for start in bounds:
-        columns = unread()
-        for stop in bounds:
-            for step in (None, 1, 2, -1):
-                got = columns[start:stop:step]
-                assert len(got) == len(plain[start:stop:step])
-                assert list(got) == plain[start:stop:step]
-                if step in (None, 1) and len(got):
-                    assert got[-1] == plain[start:stop][-1]
-                    assert list(got[1:]) == plain[start:stop][1:]
+    # build one slice at a time; a head put before the columns reads first.
+    bounds = [None] + list(range(-n - 3, n + 4))
+    for head in ([], [{0: 5}, {1: -1}]):
+        whole = head + plain
+        for start in bounds:
+            columns = head + unread()
+            for stop in bounds:
+                for step in (None, 1, 2, -1):
+                    got = columns[start:stop:step]
+                    assert len(got) == len(whole[start:stop:step])
+                    assert list(got) == whole[start:stop:step]
+                    if step in (None, 1) and len(got):
+                        assert got[-1] == whole[start:stop][-1]
+                        assert list(got[1:]) == whole[start:stop][1:]
 
 
-def test_the_euclid_phase_builds_a_held_column_it_touches():
+def test_the_euclid_phase_keeps_only_its_own_block():
     # The unit pivot at (0, 0) holds columns 1 and 2; the Euclid phase
-    # pivots on column 1 and steps column 2, building both, so no column is
-    # left to a read.
+    # pivots on column 1 and steps column 2.  Of V^{-1} it keeps only its
+    # own block W^{-1}, on columns 1 and 2, which a read completes at the
+    # unit pivot's column 0.
     snf = smith_normal_form(IntMatrix(2, 3, [[1, 1, 1], [0, 2, 2]]))
     assert snf.factors == [1, 2]
-    assert _held(snf) == []
-    assert list(snf._v_inv) == _columns(inverse(snf.V))
-    # Without the second row, columns 1 and 2 stay held until read.
+    want = _columns(inverse(snf.V))
+    _, pivots, w, held, kept = snf._v_inv._core
+    assert (pivots, held, kept) == ([0], [(), (0,), (0,)], {})
+    assert w == [{c: x for c, x in col.items() if c} for col in want[1:]]
+    assert w[0] is exact_linalg._UNITS[1]
+    assert list(snf._v_inv) == want
+    # Without the second row no Euclid step is taken: W^{-1} is the shared
+    # units, and the unit pivot's row completes both columns on read.
     snf = smith_normal_form(IntMatrix(1, 3, [[1, 1, 1]]))
-    assert _held(snf) == [1, 2]
+    assert snf._v_inv._core[2] == [exact_linalg._UNITS[1], exact_linalg._UNITS[2]]
+    assert _built_on_read(snf, _columns(inverse(snf.V))) == [1, 2]
     assert list(snf._v_inv) == _columns(inverse(snf.V))
+
+
+def _vector(data, n, scale=1):
+    return [Fraction(x, scale) if scale != 1 else x
+            for x in data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+
+
+def _reads_agree(view, want, length, data):
+    """`_dots` with int and Fraction vectors, `_accumulate` and single reads
+    of a list answered from V equal the products with the oracle's columns
+    `want`, vectors of the given length."""
+    n = len(want)
+    assert len(view) == n
+    for scale in (1, 2):
+        vec = _vector(data, length, scale)
+        got = _dots(view, vec)
+        assert got == [sum(x * vec[i] for i, x in col.items()) for col in want]
+        assert all(type(x) is type(vec[0]) for x in got)
+    coeffs = _vector(data, n)
+    assert _accumulate(length, coeffs, view) == [
+        sum(c * col.get(i, 0) for c, col in zip(coeffs, want)) for i in range(length)]
+    for k in data.draw(st.permutations(range(n))):
+        assert view[k] == want[k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(int_matrices(), _mixed_matrices()), st.data())
+def test_reads_of_v_inverse_are_the_oracles_products(a, data):
+    """Whole and single reads of V^{-1}, answered from V, on a factorization,
+    on its transpose (as U^{-1}) and on a lift (its V^{-1}, and its U, whose
+    tail holds V^{-1}[:, :r])."""
+    snf = smith_normal_form(a)
+    inv = inverse(snf.V)
+    want = _columns(inv)
+    r = snf.rank
+    for view, cols in ((snf._v_inv, want), (snf.transpose()._u_inv, want),
+                       (snf._v_inv[r:], want[r:]), (snf._v_inv[:r], want[:r])):
+        _reads_agree(view, cols, a.cols, data)
+    y = _vector(data, a.cols)
+    assert snf.apply_v_inv(y) == apply(inv, y)
+    assert snf.transpose().apply_u_inv(y) == apply(inv.transpose(), y)
+    # The lift of K * C, K the cycle basis and C drawn: the relations of
+    # K * C in cycle coordinates are C itself.
+    z = a.cols - r
+    p = data.draw(st.integers(0, 4))
+    c = IntMatrix(z, p, [_vector(data, p) for _ in range(z)])
+    kc = [[sum(want[r + i].get(row, 0) * c.data[i][j] for i in range(z)) for j in range(p)]
+          for row in range(a.cols)]
+    split = CycleSplitting(snf)
+    assert split.relations(IntMatrix(a.cols, p, kc)) == c
+    lift = split.lift(smith_normal_form(c))
+    check_factorization(lift, IntMatrix(a.cols, p, kc))
+    s = lift.rank
+    tail = lift._u[s:]
+    assert tail._head == lift._u._tail._head and tail._core is snf._v_inv._core
+    _reads_agree(tail, _columns(inverse(lift.u_inv))[s:], a.cols, data)
+    _reads_agree(lift._v_inv, _columns(inverse(lift.V)), p, data)
+    y = _vector(data, p)
+    assert lift.apply_v_inv(y) == apply(inverse(lift.V), y)
+    _unit_table_is_intact()
 
 
 # U's columns at the unit pivots are not kept: the first read that reaches
@@ -485,8 +568,9 @@ def test_factorizations_keep_few_bytes_beside_the_boundary_matrices(monkeypatch)
     # each factorization copies the vectors it shares, 3.62 times when it
     # shares all but its identity vectors, 2.96 times when these are the
     # unit table's, 2.37 times when the columns of V^{-1} that unit pivots
-    # held are built on read, and 2.19 times when U's columns at the unit
-    # pivots are derived from U^{-1} on read.  The table starts empty here,
+    # held are built on read, 2.19 times when U's columns at the unit
+    # pivots are derived from U^{-1} on read, and 1.80 times when V^{-1} is
+    # answered from V and not stored.  The table starts empty here,
     # so the bytes it grows by are counted whatever ran before.  The complex
     # keeps no boundary matrix, so the test holds them itself.
     monkeypatch.setattr(exact_linalg, "_UNITS", [])
@@ -494,7 +578,7 @@ def test_factorizations_keep_few_bytes_beside_the_boundary_matrices(monkeypatch)
     held = []
     matrices = _traced_bytes(lambda: held.extend(map(P.boundary_matrix, range(P.dim + 2))))
     factorizations = _traced_bytes(lambda: [P.homology(n) for n in range(P.dim + 1)])
-    assert factorizations < 2.2 * matrices
+    assert factorizations < 1.8 * matrices
 
 
 def _matrices_reachable(memo):

@@ -36,10 +36,10 @@ GROWN_UNITS = 4096
 
 # operation -> {(major, minor): opcodes}
 BUDGETS = {
-    "homology": {(3, 11): 1_118_769},
+    "homology": {(3, 11): 964_987},
     "product-axioms": {(3, 11): 1_196_296},
     "fiber-integrate": {(3, 11): 101_963},
-    "find-section": {(3, 11): 262_912},
+    "find-section": {(3, 11): 199_206},
 }
 
 # The products of the `homology` benchmark workload.
@@ -128,10 +128,12 @@ OPERATIONS = {"homology": _homology_pass, "product-axioms": _product_axioms,
               "fiber-integrate": _fiber_integrate, "find-section": _find_section}
 
 
-# Unit pivots leave the columns of V^{-1} that their rows held unbuilt, and
-# a column is built on its first read.  The pass multiplies 21 of the 927
-# cycle-basis columns left so; the elimination filled all of them before.
-CYCLE_COLUMNS_BUILT = 21
+# V^{-1} is answered from V, so the elimination builds none of its columns;
+# it built the column of every pivot before, 569 of them dicts of their own
+# on this pass.  A column is built when it is read alone: the pass builds
+# 21 columns of the cycle bases, each once and then kept, and none of a
+# pivot's.
+COLUMNS_BUILT = {"cycle basis": 21, "pivots": 0}
 
 # The unit pivots of the pass's relation factorizations, whose columns of U
 # the elimination no longer writes.
@@ -140,15 +142,35 @@ UNIT_PIVOTS = 1023
 
 def test_a_homology_pass_builds_only_the_cycle_basis_columns_it_reads(monkeypatch):
     built = []
-    build = exact_linalg._LazyColumns._build
+    factored = []
+    build, factor = exact_linalg._InverseColumns._column, simplicial.smith_normal_form
 
-    def counted(columns, k):
-        built.append((id(columns._items), k))
-        return build(columns, k)
+    def counted_build(columns, k):
+        core = columns._core
+        _, pivots, w, _, kept = core
+        m = len(pivots)
+        stored = w[k - m] if k >= m else exact_linalg._UNITS[pivots[k]]
+        was_kept = k in kept
+        col = build(columns, k)
+        if not was_kept and col is not stored:
+            built.append((id(core), k))
+        return col
 
-    monkeypatch.setattr(exact_linalg._LazyColumns, "_build", counted)
+    def counted_factor(a):
+        snf = factor(a)
+        factored.append(snf)
+        return snf
+
+    monkeypatch.setattr(exact_linalg._InverseColumns, "_column", counted_build)
+    monkeypatch.setattr(simplicial, "smith_normal_form", counted_factor)
     _homology_pass()()
-    assert len(set(built)) == len(built) == CYCLE_COLUMNS_BUILT
+    rank = {id(snf._v_inv._core): snf.rank for snf in factored}
+    kinds = ["cycle basis" if k >= rank[core] else "pivots" for core, k in built]
+    assert len(set(built)) == len(built)
+    assert {kind: kinds.count(kind) for kind in COLUMNS_BUILT} == COLUMNS_BUILT
+    # The memo keeps the cycle-basis columns built, and no pivot's column.
+    assert sum(len(snf._v_inv._core[4]) for snf in factored) == COLUMNS_BUILT["cycle basis"]
+    assert all(k >= snf.rank for snf in factored for k in snf._v_inv._core[4])
 
 
 # U's columns at the unit pivots are derived from U^{-1} on the first read
